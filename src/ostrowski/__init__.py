@@ -9,6 +9,7 @@ from .errors import (
     CfMismatch,
     DigitOutOfRange,
     FormulaSyntaxError,
+    FormulaTooDeep,
     FreeVariablePresent,
     IndexBeyondKnownPrefix,
     InputTooShort,
@@ -64,6 +65,7 @@ __all__ = [
     "CfMismatch",
     "DigitOutOfRange",
     "FormulaSyntaxError",
+    "FormulaTooDeep",
     "FreeVariablePresent",
     "IndexBeyondKnownPrefix",
     "InputTooShort",

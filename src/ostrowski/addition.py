@@ -15,6 +15,8 @@ recurrence q_{k+1} = a_{k+1} q_k + q_{k-1}:
   after which no digit equal to its cap is followed by a nonzero digit,
   i.e. the word is the representation of M + N.
 
+The rules themselves (A1-A3, B1-B5, C) are defined once, in ``rules``.
+
 The passes enjoy window invariants that the correctness proof leans on
 (``check=True`` asserts them at run time and raises
 ``InternalInvariantError`` on violation):
@@ -40,6 +42,7 @@ from . import words
 from .contfrac import ContinuedFraction
 from .errors import DigitOutOfRange, InputTooShort, InternalInvariantError
 from .numeration import OstrowskiWord, decode, encode, is_valid, require_same_cf
+from .rules import window_a, window_b, window_c
 from .words import Word
 
 
@@ -85,7 +88,7 @@ def pass1(
     s = tuple(s)
     if len(s) < 4:
         raise InputTooShort(f"pass 1 needs at least 4 digits, got {len(s)}")
-    aks = _quotients(cf, len(s))
+    aks = cf.quotients(len(s))
     if check:
         mu = max(aks)
         for pos, d in enumerate(s, start=1):
@@ -99,40 +102,28 @@ def pass1(
 def _pass1_core(work: MutableSequence[int], aks: Sequence[int], *, check, trace) -> None:
     m = len(work)
     for k in range(m, 3, -1):
-        a_k, a_k1, a_k2 = aks[k - 1], aks[k - 2], aks[k - 3]
-        w1, w2, w3, w4 = work[k - 1], work[k - 2], work[k - 3], work[k - 4]
+        u = (aks[k - 1], aks[k - 2], aks[k - 3])
+        v = (work[k - 1], work[k - 2], work[k - 3], work[k - 4])
         if check:
-            _assert_window_lemmas(k, a_k, a_k1, a_k2, w1, w2, w3)
-        if w1 < a_k and w2 > a_k1 and w3 == 0:
-            rule, new = "A1", (w1 + 1, w2 - (a_k1 + 1), a_k2 - 1, w4 + 1)
-        elif w1 < a_k and a_k1 <= w2 <= 2 * a_k1 and w3 > 0:
-            rule, new = "A2", (w1 + 1, w2 - a_k1, w3 - 1, w4)
-        else:
-            rule, new = "A3", (w1, w2, w3, w4)
+            _assert_window_lemmas(k, u, v)
+        rule, new = window_a(u, v)
         work[k - 1], work[k - 2], work[k - 3], work[k - 4] = new
         if trace is not None:
-            trace.append(TraceStep(1, k, (w1, w2, w3, w4), new, rule))
-    a3, a2, a1 = aks[2], aks[1], aks[0]
-    w3, w2, w1 = work[2], work[1], work[0]
+            trace.append(TraceStep(1, k, v, new, rule))
+    u = (aks[2], aks[1], aks[0])
+    v = (work[2], work[1], work[0])
     if check:
-        _assert_window_lemmas(3, a3, a2, a1, w3, w2, w1)
-    if w3 < a3 and w2 > a2 and w1 == 0:
-        rule, new = "B1", (w3 + 1, w2 - (a2 + 1), a1 - 1)
-    elif w3 < a3 and w2 >= a2 and a1 >= w1 > 0:
-        rule, new = "B2", (w3 + 1, w2 - a2, w1 - 1)
-    elif w3 < a3 and w2 >= a2 and w1 > a1:
-        rule, new = "B3", (w3 + 1, w2 - a2 + 1, w1 - a1 - 1)
-    elif w2 < a2 and w1 >= a1:
-        rule, new = "B4", (w3, w2 + 1, w1 - a1)
-    else:
-        rule, new = "B5", (w3, w2, w1)
+        _assert_window_lemmas(3, u, v)
+    rule, new = window_b(u, v)
     work[2], work[1], work[0] = new
     if trace is not None:
-        trace.append(TraceStep(1, 3, (w3, w2, w1), new, rule))
+        trace.append(TraceStep(1, 3, v, new, rule))
 
 
-def _assert_window_lemmas(k, a_k, a_k1, a_k2, w1, w2, w3) -> None:
+def _assert_window_lemmas(k, u, v) -> None:
     # State before step k: w1, w2, w3 sit at positions k, k-1, k-2.
+    a_k, a_k1, a_k2 = u
+    w1, w2, w3 = v[0], v[1], v[2]
     if w2 == 2 * a_k1 + 1 and w3 != 0:
         raise InternalInvariantError(
             f"step {k}: digit 2a+1 at position {k - 1} followed by {w3} != 0"
@@ -160,7 +151,7 @@ def pass2(
 ) -> Word:
     """Width-3 pass, least significant end upward.  Output is one digit longer."""
     z3 = tuple(z3)
-    aks = _quotients(cf, len(z3) + 1)
+    aks = cf.quotients(len(z3) + 1)
     if check:
         _require_capped(z3, aks)
     work = list(z3) + [0]
@@ -193,7 +184,7 @@ def pass3(
 ) -> Word:
     """Width-3 pass, most significant end downward.  Output is one digit longer."""
     w = tuple(w)
-    aks = _quotients(cf, len(w) + 1)
+    aks = cf.quotients(len(w) + 1)
     if check:
         _require_capped(w, aks)
     work = list(w) + [0]
@@ -209,15 +200,11 @@ def pass3(
 
 def _width3_core(work: MutableSequence[int], aks, steps, pass_no, trace) -> None:
     for k in steps:
-        a_k, a_k1 = aks[k - 1], aks[k - 2]
-        w1, w2, w3 = work[k - 1], work[k - 2], work[k - 3]
-        if w1 < a_k and w2 == a_k1 and w3 > 0:
-            rule, new = "C", (w1 + 1, 0, w3 - 1)
-        else:
-            rule, new = "skip", (w1, w2, w3)
+        v = (work[k - 1], work[k - 2], work[k - 3])
+        rule, new = window_c((aks[k - 1], aks[k - 2]), v)
         work[k - 1], work[k - 2], work[k - 3] = new
         if trace is not None:
-            trace.append(TraceStep(pass_no, k, (w1, w2, w3), new, rule))
+            trace.append(TraceStep(pass_no, k, v, new, rule))
 
 
 def add(
@@ -245,10 +232,6 @@ def add_words(
     if decode(cf, result) != decode(cf, s):
         raise InternalInvariantError("passes changed the represented value")
     return OstrowskiWord(result, cf)
-
-
-def _quotients(cf: ContinuedFraction, n: int) -> list[int]:
-    return [cf.partial_quotient(k) for k in range(1, n + 1)]
 
 
 def _require_capped(word: Sequence[int], aks: Sequence[int]) -> None:

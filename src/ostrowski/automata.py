@@ -19,7 +19,7 @@ conventions that matter for numeration languages:
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Hashable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Hashable, Iterable, Optional, Sequence
 
 from .errors import ArityMismatch, DigitOutOfRange
 
@@ -43,9 +43,7 @@ def convolve(word_list: Sequence[Sequence[int]], digit_bound: int) -> TupleWord:
 class Automaton:
     """A finite automaton with dense integer states.
 
-    ``transitions`` maps ``src -> {letter -> (dst, ...)}``.  ``labels`` is an
-    optional side table of structured state labels kept for debugging; it is
-    dropped by operations that rebuild the state set.
+    ``transitions`` maps ``src -> {letter -> (dst, ...)}``.
     """
 
     def __init__(
@@ -56,7 +54,6 @@ class Automaton:
         initial: Iterable[int],
         finals: Iterable[int],
         transitions: dict[int, dict[Letter, tuple[int, ...]]],
-        labels: Optional[dict[int, object]] = None,
         _validate: bool = True,
     ):
         self.arity = arity
@@ -65,7 +62,6 @@ class Automaton:
         self.initial = frozenset(initial)
         self.finals = frozenset(finals)
         self.transitions = transitions
-        self.labels = labels
         if _validate:
             self._validate()
         self.deterministic = self._check_deterministic()
@@ -97,9 +93,6 @@ class Automaton:
     @property
     def alphabet_size(self) -> int:
         return (self.digit_bound + 1) ** self.arity
-
-    def letters(self) -> Iterator[Letter]:
-        return itertools.product(range(self.digit_bound + 1), repeat=self.arity)
 
     def is_total(self) -> bool:
         if not self.deterministic:
@@ -143,42 +136,6 @@ class Automaton:
         return bool(current & self.finals)
 
     # -- structural operations ----------------------------------------------
-
-    def trim(self) -> "Automaton":
-        """Restrict to states both reachable and co-reachable."""
-        fwd = _closure(self.initial, lambda s: _all_targets(self.transitions.get(s, {})))
-        rev: dict[int, list[int]] = {}
-        for src, arcs in self.transitions.items():
-            if src not in fwd:
-                continue
-            for dsts in arcs.values():
-                for t in dsts:
-                    rev.setdefault(t, []).append(src)
-        bwd = _closure(self.finals & fwd, lambda s: rev.get(s, ()))
-        keep = sorted(fwd & bwd)
-        remap = {s: i for i, s in enumerate(keep)}
-        new_trans: dict[int, dict[Letter, tuple[int, ...]]] = {}
-        for src in keep:
-            arcs = {}
-            for letter, dsts in self.transitions.get(src, {}).items():
-                kept = tuple(sorted(remap[t] for t in dsts if t in remap))
-                if kept:
-                    arcs[letter] = kept
-            if arcs:
-                new_trans[remap[src]] = arcs
-        labels = None
-        if self.labels is not None:
-            labels = {remap[s]: lab for s, lab in self.labels.items() if s in remap}
-        return Automaton(
-            self.arity,
-            self.digit_bound,
-            len(keep),
-            (remap[s] for s in self.initial if s in remap),
-            (remap[s] for s in self.finals if s in remap),
-            new_trans,
-            labels,
-            _validate=False,
-        )
 
     def determinize(self, complete: bool = True) -> "Automaton":
         """Subset construction.  With ``complete`` a sink makes the result total."""
@@ -490,15 +447,9 @@ class _ExplicitLazy:
                 yield letter, t
 
 
-def from_lazy(
-    lazy,
-    arity: int,
-    digit_bound: int,
-    *,
-    trim: bool = True,
-    keep_labels: bool = False,
-) -> Automaton:
-    """Materialize a lazily-described NFA by breadth-first exploration."""
+def from_lazy(lazy, arity: int, digit_bound: int) -> Automaton:
+    """Materialize a lazily-described NFA by breadth-first exploration,
+    keeping only the states both reachable and co-reachable."""
     ids: dict[Hashable, int] = {}
     order: list[Hashable] = []
 
@@ -526,60 +477,30 @@ def from_lazy(
             lets.append(letter)
             dsts.append(intern(target))
     finals = [ids[s] for s in order if lazy.is_final(s)]
-    n = len(order)
-    if trim:
-        keep = _useful_states(n, initial, finals, srcs, dsts)
-        remap = {}
-        for s in range(n):
-            if keep[s]:
-                remap[s] = len(remap)
-        transitions: dict[int, dict[Letter, list[int]]] = {}
-        for src, letter, dst in zip(srcs, lets, dsts):
-            if keep[src] and keep[dst]:
-                transitions.setdefault(remap[src], {}).setdefault(letter, []).append(remap[dst])
-        initial = [remap[s] for s in initial if keep[s]]
-        finals = [remap[s] for s in finals if keep[s]]
-        n = len(remap)
-        labels = {remap[ids[s]]: s for s in order if keep[ids[s]]} if keep_labels else None
-    else:
-        transitions = {}
-        for src, letter, dst in zip(srcs, lets, dsts):
-            transitions.setdefault(src, {}).setdefault(letter, []).append(dst)
-        labels = {ids[s]: s for s in order} if keep_labels else None
+    useful = _useful_states(len(order), initial, finals, srcs, dsts)
+    remap = {s: i for i, s in enumerate(sorted(useful))}
+    transitions: dict[int, dict[Letter, list[int]]] = {}
+    for src, letter, dst in zip(srcs, lets, dsts):
+        if src in remap and dst in remap:
+            transitions.setdefault(remap[src], {}).setdefault(letter, []).append(remap[dst])
+    initial = [remap[s] for s in initial if s in remap]
+    finals = [remap[s] for s in finals if s in remap]
     packed = {
         src: {letter: tuple(sorted(set(d))) for letter, d in arcs.items()}
         for src, arcs in transitions.items()
     }
-    return Automaton(arity, digit_bound, n, initial, finals, packed, labels, _validate=False)
+    return Automaton(arity, digit_bound, len(remap), initial, finals, packed, _validate=False)
 
 
-def _useful_states(n, initial, finals, srcs, dsts) -> list[bool]:
-    fwd = [False] * n
-    stack = list(initial)
+def _useful_states(n, initial, finals, srcs, dsts) -> set[int]:
+    """The states both reachable and co-reachable."""
     adj: list[list[int]] = [[] for _ in range(n)]
     radj: list[list[int]] = [[] for _ in range(n)]
     for s, t in zip(srcs, dsts):
         adj[s].append(t)
         radj[t].append(s)
-    for s in stack:
-        fwd[s] = True
-    while stack:
-        s = stack.pop()
-        for t in adj[s]:
-            if not fwd[t]:
-                fwd[t] = True
-                stack.append(t)
-    bwd = [False] * n
-    stack = [s for s in finals if fwd[s]]
-    for s in stack:
-        bwd[s] = True
-    while stack:
-        s = stack.pop()
-        for t in radj[s]:
-            if fwd[t] and not bwd[t]:
-                bwd[t] = True
-                stack.append(t)
-    return [f and b for f, b in zip(fwd, bwd)]
+    fwd = _closure(initial, adj.__getitem__)
+    return _closure((s for s in finals if s in fwd), lambda s: (t for t in radj[s] if t in fwd))
 
 
 def determinize_lazy(lazy, arity: int, digit_bound: int, *, complete: bool = True) -> Automaton:
@@ -697,46 +618,3 @@ def _closure(seed: Iterable[int], succ: Callable[[int], Iterable[int]]) -> set[i
                 seen.add(t)
                 stack.append(t)
     return seen
-
-
-def _all_targets(arcs: dict[Letter, tuple[int, ...]]) -> Iterator[int]:
-    for dsts in arcs.values():
-        yield from dsts
-
-
-# Spec-facing functional aliases.
-
-def accepts(a: Automaton, word: TupleWord) -> bool:
-    return a.accepts(word)
-
-
-def determinize_minimize(a: Automaton) -> Automaton:
-    return a.determinize_minimize()
-
-
-def complement(a: Automaton) -> Automaton:
-    return a.complement()
-
-
-def intersect(a: Automaton, b: Automaton) -> Automaton:
-    return a.intersect(b)
-
-
-def union(a: Automaton, b: Automaton) -> Automaton:
-    return a.union(b)
-
-
-def cylindrify(a: Automaton, position: int) -> Automaton:
-    return a.cylindrify(position)
-
-
-def project(a: Automaton, track: int) -> Automaton:
-    return a.project(track)
-
-
-def is_empty(a: Automaton) -> bool:
-    return a.is_empty()
-
-
-def equivalent(a: Automaton, b: Automaton) -> bool:
-    return a.equivalent(b)

@@ -9,9 +9,10 @@ each position is a contiguous row.  The window invariants of the scalar
 passes are asserted the same way, as row masks; any violating row aborts
 the batch with ``InternalInvariantError``.
 
-Digits stay far below int16; decoded values use int64, which covers every
-sweep whose place values fit 63 bits (thousands of digit positions at the
-scales used here).
+The rule conditions here are an independent twin of the scalar rules in
+``rules``; the tests compare the two.  Digits stay far below int16.
+Decoding is exact: it uses int64 while every row's value provably fits
+63 bits and Python integers beyond.
 """
 
 from __future__ import annotations
@@ -37,23 +38,10 @@ def encode_table(cf: ContinuedFraction, limit: int, width: int | None = None) ->
     return table
 
 
-def _quotients(cf: ContinuedFraction, n: int) -> list[int]:
-    return [cf.partial_quotient(k) for k in range(1, n + 1)]
-
-
-def batch_pass1(cf: ContinuedFraction, s: np.ndarray, check: bool = True) -> np.ndarray:
-    """Row-parallel first pass; input columns LSD first, width >= 4."""
-    z = np.ascontiguousarray(np.asarray(s, dtype=np.int16).T)
-    if z.shape[0] < 4:
-        raise ValueError(f"pass 1 needs at least 4 digit columns, got {z.shape[0]}")
-    _pass1_t(cf, z, check)
-    return z.T.copy()
-
-
 def _pass1_t(cf: ContinuedFraction, z: np.ndarray, check: bool) -> None:
     """In-place first pass on a transposed (width, batch) digit matrix."""
     length = z.shape[0]
-    aks = _quotients(cf, length)
+    aks = cf.quotients(length)
     for k in range(length, 3, -1):
         a_k, a_k1, a_k2 = aks[k - 1], aks[k - 2], aks[k - 3]
         w1, w2, w3, w4 = z[k - 1], z[k - 2], z[k - 3], z[k - 4]
@@ -78,7 +66,6 @@ def _pass1_t(cf: ContinuedFraction, z: np.ndarray, check: bool) -> None:
     z[2] += fb1 + fb2 + fb3
     z[1] += -fb1 * (a2 + 1) - (fb2 + fb3) * a2 + fb3 + fb4
     z[0] += fb1 * (a1 - 1 - b1) - fb2 - fb3 * (a1 + 1) - fb4 * a1
-    return
 
 
 def _assert_window_lemmas(k, a_k, a_k1, a_k2, w1, w2, w3) -> None:
@@ -93,16 +80,9 @@ def _assert_window_lemmas(k, a_k, a_k1, a_k2, w1, w2, w3) -> None:
         raise InternalInvariantError(f"pass 1 window invariant violated at step {k}, rows {rows}")
 
 
-def batch_pass2(cf: ContinuedFraction, z3: np.ndarray, check: bool = True) -> np.ndarray:
-    """Row-parallel second pass; output one column wider."""
-    w = _extend_t(np.asarray(z3, dtype=np.int16).T)
-    _pass2_t(cf, w, check)
-    return w.T.copy()
-
-
 def _pass2_t(cf: ContinuedFraction, w: np.ndarray, check: bool) -> None:
     length = w.shape[0] - 1
-    aks = _quotients(cf, length + 1)
+    aks = cf.quotients(length + 1)
     for k in range(3, length + 2):
         _apply_c_t(w, k, aks[k - 1], aks[k - 2])
     if check:
@@ -119,16 +99,9 @@ def _pass2_t(cf: ContinuedFraction, w: np.ndarray, check: bool) -> None:
                 )
 
 
-def batch_pass3(cf: ContinuedFraction, w: np.ndarray, check: bool = True) -> np.ndarray:
-    """Row-parallel third pass; output one column wider."""
-    v = _extend_t(np.asarray(w, dtype=np.int16).T)
-    _pass3_t(cf, v, check)
-    return v.T.copy()
-
-
 def _pass3_t(cf: ContinuedFraction, v: np.ndarray, check: bool) -> None:
     length = v.shape[0] - 1
-    aks = _quotients(cf, length + 1)
+    aks = cf.quotients(length + 1)
     for k in range(length + 1, 2, -1):
         _apply_c_t(v, k, aks[k - 1], aks[k - 2])
     if check:
@@ -184,15 +157,18 @@ def batch_add(
 
 
 def batch_decode(cf: ContinuedFraction, digits: np.ndarray) -> np.ndarray:
-    """Decode each row; int64 arithmetic."""
-    qs = np.array(cf.convergent_denominators(digits.shape[1] - 1), dtype=np.int64)
-    return digits.astype(np.int64) @ qs
+    """Exact value of each row: int64 when no row can pass 2**63 - 1, else
+    an object array of Python integers."""
+    qs = cf.convergent_denominators(digits.shape[1] - 1)
+    top = max(int(np.abs(digits).max(initial=0)), 1)  # the place values must fit too
+    dtype = np.int64 if top * sum(qs) < 2**63 else object
+    return digits.astype(dtype) @ np.array(qs, dtype=dtype)
 
 
 def batch_is_valid(cf: ContinuedFraction, digits: np.ndarray) -> np.ndarray:
     """Validity of each row as a boolean vector."""
     length = digits.shape[1]
-    aks = _quotients(cf, length)
+    aks = cf.quotients(length)
     dt = digits.T
     ok = dt[0] <= aks[0] - 1
     for k in range(2, length + 1):

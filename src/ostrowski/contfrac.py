@@ -60,14 +60,26 @@ class ContinuedFraction:
             )
         return self.period[(k - len(self.preperiod) - 1) % len(self.period)]
 
+    def quotients(self, n: int) -> list[int]:
+        """Return [a_1, ..., a_n], extending periodically."""
+        known = len(self.preperiod)
+        if n <= known:
+            return list(self.preperiod[:n])
+        if not self.period:
+            raise IndexBeyondKnownPrefix(
+                f"a_{known + 1} requested but only {known} partial quotients are known"
+            )
+        reps = -(-(n - known) // len(self.period))
+        return list(self.preperiod + self.period * reps)[:n]
+
     def convergent_denominators(self, n: int) -> list[int]:
         """Return [q_0, ..., q_n].  Exact integers of arbitrary size."""
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
         qs = [1]
         prev = 0  # q_{-1}
-        for k in range(1, n + 1):
-            qs.append(self.partial_quotient(k) * qs[-1] + prev)
+        for a in self.quotients(n):
+            qs.append(a * qs[-1] + prev)
             prev = qs[-2]
         return qs
 
@@ -159,5 +171,5 @@ def automaton_parameters(cf: ContinuedFraction) -> AutomatonParameters:
     xi = prefix + 1
     reps = -(-4 // p)  # smallest reps with reps * p >= 4
     nu = xi + reps * p - 1
-    unrolled = tuple(cf.partial_quotient(k) for k in range(1, nu + 1))
+    unrolled = tuple(cf.quotients(nu))
     return AutomatonParameters(mu=mu, m=2 * mu + 1, xi=xi, nu=nu, unrolled=unrolled)

@@ -47,3 +47,7 @@ class FormulaSyntaxError(OstrowskiError):
     def __init__(self, message, position):
         super().__init__(f"{message} (at position {position})")
         self.position = position
+
+
+class FormulaTooDeep(OstrowskiError):
+    """A formula is nested deeper than the recursive compiler can follow."""

@@ -32,6 +32,7 @@ from .automata import Automaton, convolve
 from .contfrac import ContinuedFraction
 from .errors import (
     FormulaSyntaxError,
+    FormulaTooDeep,
     FreeVariablePresent,
     NotQuadratic,
     UnboundVariable,
@@ -204,7 +205,11 @@ class _Tokens:
 def parse(text: str) -> Formula:
     """Parse formula text; raises FormulaSyntaxError with a position."""
     toks = _Tokens(text)
-    f = _parse_implies(toks)
+    try:
+        f = _parse_implies(toks)
+    except RecursionError:
+        # Caught here only: _parse_atom backtracks on FormulaSyntaxError.
+        raise FormulaSyntaxError("formula nested too deeply", toks.peek()[2]) from None
     if toks.peek()[0] != "eof":
         toks.error("trailing input")
     return f
@@ -344,7 +349,6 @@ def _universe(cf, arity: int) -> Automaton:
     return out.determinize_minimize()
 
 
-@functools.lru_cache(maxsize=None)
 def _constant_dfa(cf, value: int) -> Automaton:
     """Single-track automaton accepting exactly 0*rho(value)."""
     digits = list(reversed(encode(cf, value).digits))  # MSD first
@@ -626,6 +630,20 @@ def _as_formula(f) -> Formula:
     return parse(f) if isinstance(f, str) else f
 
 
+def _depth_checked(fn):
+    """Report a formula too deep for the recursive compiler as FormulaTooDeep."""
+
+    @functools.wraps(fn)
+    def checked(*args, **kwargs):
+        try:
+            return fn(*args, **kwargs)
+        except RecursionError:
+            raise FormulaTooDeep("formula nested too deeply to compile") from None
+
+    return checked
+
+
+@_depth_checked
 def compile_formula(
     cf: ContinuedFraction, formula, var_order: Iterable[str]
 ) -> Automaton:
@@ -655,6 +673,7 @@ def compile_formula(
     return aut.determinize_minimize()
 
 
+@_depth_checked
 def decide(cf: ContinuedFraction, sentence) -> bool:
     """Truth of a sentence in the structure (N, +, V) for this expansion."""
     f = _as_formula(sentence)
@@ -667,6 +686,7 @@ def decide(cf: ContinuedFraction, sentence) -> bool:
     return node.truth
 
 
+@_depth_checked
 def enumerate_solutions(cf: ContinuedFraction, formula, bound: int) -> list[tuple[int, ...]]:
     """All tuples over 0..bound satisfying the formula.
 

@@ -95,10 +95,11 @@ def is_valid(cf: ContinuedFraction, w: Sequence[int] | OstrowskiWord) -> bool:
     digits = _digits_of(w)
     if not digits:
         return True
-    if digits[0] >= cf.partial_quotient(1):
+    aks = cf.quotients(len(digits))
+    if digits[0] >= aks[0]:
         return False
     for k in range(2, len(digits) + 1):
-        a_k = cf.partial_quotient(k)
+        a_k = aks[k - 1]
         if digits[k - 1] > a_k:
             return False
         if digits[k - 1] == a_k and digits[k - 2] != 0:

@@ -12,10 +12,11 @@ exactly on the last position can accept, which pins the guess to the
 word length.
 
 The three pass automata recognize { conv(z, z') : pass_i(z) = z' } for
-the addition passes.  They verify the pass's window arithmetic while
-reading both tracks in parallel; since a window's result is only known a
-few letters after the automaton has read the claimed output digit, each
-state buffers the digits awaiting verification (three for the width-4
+the addition passes.  They verify the pass's window arithmetic (the
+rewrite rules defined in ``rules``, the functions the scalar passes call)
+while reading both tracks in parallel; since a window's result is only
+known a few letters after the automaton has read the claimed output
+digit, each state buffers the digits awaiting verification (three for the width-4
 pass, two for the width-3 passes; the backward pass buffers input digits
 instead, because it verifies its windows against the stream two letters
 late).  The initial all-zero buffers make the language closed under
@@ -37,55 +38,7 @@ import itertools
 from .automata import Automaton, _ExplicitLazy, determinize_lazy, from_lazy
 from .contfrac import AutomatonParameters, ContinuedFraction, automaton_parameters
 from .errors import NotQuadratic
-
-Window = tuple[int, ...]
-
-
-# -- window relations ---------------------------------------------------------
-#
-# Windows are written most significant position first.  ``u`` holds the
-# quotient caps for the window's positions; the result is the window after
-# the (unique) applicable rewrite.
-
-def window_a(u: Window, v: Window) -> Window:
-    """Width-4 rewrite of the first pass."""
-    if v[0] < u[0] and v[1] > u[1] and v[2] == 0:
-        return (v[0] + 1, v[1] - (u[1] + 1), u[2] - 1, v[3] + 1)
-    if v[0] < u[0] and u[1] <= v[1] <= 2 * u[1] and v[2] > 0:
-        return (v[0] + 1, v[1] - u[1], v[2] - 1, v[3])
-    return v
-
-
-def window_b(u: Window, v: Window) -> Window:
-    """Width-3 rewrite finishing the first pass on the last three positions."""
-    if v[0] < u[0] and v[1] > u[1] and v[2] == 0:
-        return (v[0] + 1, v[1] - (u[1] + 1), u[2] - 1)
-    if v[0] < u[0] and v[1] >= u[1] and u[2] >= v[2] > 0:
-        return (v[0] + 1, v[1] - u[1], v[2] - 1)
-    if v[0] < u[0] and v[1] >= u[1] and v[2] > u[2]:
-        return (v[0] + 1, v[1] - u[1] + 1, v[2] - u[2] - 1)
-    if v[1] < u[1] and v[2] >= u[2]:
-        return (v[0], v[1] + 1, v[2] - u[2])
-    return v
-
-
-def window_c(u: Window, v: Window) -> Window:
-    """Width-3 rewrite shared by the second and third passes."""
-    if v[0] < u[0] and v[1] == u[1] and v[2] > 0:
-        return (v[0] + 1, 0, v[2] - 1)
-    return v
-
-
-def _c_preimages(u: Window, after: Window, bound: int) -> list[Window]:
-    """All windows that ``window_c`` maps to ``after`` (at most two)."""
-    pre = []
-    if not (after[0] < u[0] and after[1] == u[1] and after[2] > 0):
-        pre.append(after)
-    if after[1] == 0 and after[0] >= 1 and after[2] + 1 <= bound:
-        cand = (after[0] - 1, u[1], after[2] + 1)
-        if cand[0] < u[0]:
-            pre.append(cand)
-    return pre
+from .rules import Window, c_preimages, window_a, window_b, window_c
 
 
 # -- phase bookkeeping --------------------------------------------------------
@@ -181,19 +134,19 @@ class _Pass1Lazy:
         m = self.params.m
         u = self.phases.p_tuple(i, l)
         if i == 4 and l == 0:
-            a3, a2, a1 = self.phases.quot(3), self.phases.quot(2), self.phases.quot(1)
+            ub = self.phases.q_tuple(3, 0)
             for x in range(m + 1):
-                full = window_a(u, (v[0], v[1], v[2], x))
+                _, full = window_a(u, (v[0], v[1], v[2], x))
                 if full[0] != w[0] or full[3] > m:
                     continue
                 nv = full[1:]
-                out = window_b((a3, a2, a1), nv)
+                _, out = window_b(ub, nv)
                 if out[0] == w[1] and out[1] == w[2] and out[2] <= m:
                     yield (x, out[2]), (3, 0, nv, (w[1], w[2], out[2]))
             return
         targets = self.phases.successors(i, l)
         for x in range(m + 1):
-            full = window_a(u, (v[0], v[1], v[2], x))
+            _, full = window_a(u, (v[0], v[1], v[2], x))
             if full[0] != w[0] or full[3] > m:
                 continue
             nv = full[1:]
@@ -205,7 +158,23 @@ class _Pass1Lazy:
                     yield (x, y), (j, l2, nv, nw)
 
 
-class _Pass2Lazy:
+class _Width3Lazy:
+    """State frame of the width-3 pass automata: (i, l, v, w) with two-digit
+    buffers v and w, and phases counting down to 2."""
+
+    def __init__(self, params: AutomatonParameters):
+        self.params = params
+        self.phases = _Phases(params, lo=2)
+
+    def initial_states(self):
+        zero = (0, 0)
+        return [(i, l, zero, zero) for (i, l) in self.phases.initial(3)]
+
+    def is_final(self, state) -> bool:
+        return state[0] == 2 and state[1] == 0
+
+
+class _Pass2Lazy(_Width3Lazy):
     """Two-track automaton for the backward width-3 pass.
 
     The pass runs against the reading direction, so a state buffers the
@@ -215,17 +184,6 @@ class _Pass2Lazy:
     final step verifies the first window of the pass outright.
     """
 
-    def __init__(self, params: AutomatonParameters):
-        self.params = params
-        self.phases = _Phases(params, lo=2)
-
-    def initial_states(self):
-        zero = (0, 0)
-        return [(i, l, zero, zero) for (i, l) in self.phases.initial(3)]
-
-    def is_final(self, state) -> bool:
-        return state[0] == 2 and state[1] == 0
-
     def successors(self, state):
         i, l, v, w = state
         if i == 2 and l == 0:
@@ -234,14 +192,14 @@ class _Pass2Lazy:
         if i == 3 and l == 0:
             u = self.phases.q_tuple(3, 0)
             for x in range(m + 1):
-                out = window_c(u, (w[0], w[1], x))
+                _, out = window_c(u, (w[0], w[1], x))
                 if out[0] == v[0] and out[1] == v[1]:
                     yield (x, out[2]), (2, 0, (0, 0), (w[1], x))
             return
         u = self.phases.q_tuple(i, l)
         targets = [t for t in self.phases.successors(i, l) if t[0] != 2]
         for y in range(m + 1):
-            for before in _c_preimages(u, (v[0], v[1], y), m):
+            for before in c_preimages(u, (v[0], v[1], y), m):
                 if before[0] != w[0]:
                     continue
                 nv = (before[1], before[2])
@@ -251,7 +209,7 @@ class _Pass2Lazy:
                         yield (x, y), (j, l2, nv, nw)
 
 
-class _Pass3Lazy:
+class _Pass3Lazy(_Width3Lazy):
     """Two-track automaton for the forward width-3 pass.
 
     Same windows as the backward pass but running with the reading
@@ -259,17 +217,6 @@ class _Pass3Lazy:
     pass: reading (x, y) rewrites the pending window (v, x) and compares
     its settled digit with the oldest buffered claim.
     """
-
-    def __init__(self, params: AutomatonParameters):
-        self.params = params
-        self.phases = _Phases(params, lo=2)
-
-    def initial_states(self):
-        zero = (0, 0)
-        return [(i, l, zero, zero) for (i, l) in self.phases.initial(3)]
-
-    def is_final(self, state) -> bool:
-        return state[0] == 2 and state[1] == 0
 
     def successors(self, state):
         i, l, v, w = state
@@ -279,14 +226,14 @@ class _Pass3Lazy:
         if i == 3 and l == 0:
             u = self.phases.q_tuple(3, 0)
             for x in range(m + 1):
-                out = window_c(u, (v[0], v[1], x))
+                _, out = window_c(u, (v[0], v[1], x))
                 if out[0] == w[0] and out[1] == w[1]:
                     yield (x, out[2]), (2, 0, (0, 0), (w[1], out[2]))
             return
         u = self.phases.q_tuple(i, l)
         targets = [t for t in self.phases.successors(i, l) if t[0] != 2]
         for x in range(m + 1):
-            out = window_c(u, (v[0], v[1], x))
+            _, out = window_c(u, (v[0], v[1], x))
             if out[0] != w[0]:
                 continue
             nv = (out[1], out[2])
@@ -316,89 +263,46 @@ def build_pass_automaton(cf: ContinuedFraction, pass_no: int) -> Automaton:
 # -- base relations -----------------------------------------------------------
 
 
-class _ValidLazy:
-    """0*rho(N) acceptor: phase countdown plus the capped-digit constraints."""
+def _track_digits(cap: int, first: bool, forced: bool):
+    """Digits a valid track may take at a position with quotient ``cap``:
+    only 0 right after a capped digit, and below the cap at position 1."""
+    if forced:
+        return (0,)
+    return range(cap if first else cap + 1)
 
-    def __init__(self, params: AutomatonParameters):
-        self.params = params
+
+class _ValidTracks:
+    """k tracks of 0*-padded valid representations, read as one letter.
+
+    State (i, l, forced): phase countdown and, per track, whether the
+    previous digit sat at its cap, which forces a 0 next.  ``letter`` maps
+    the k digits read to the automaton's letter.
+    """
+
+    def __init__(self, params: AutomatonParameters, k: int, letter):
         self.phases = _Phases(params, lo=0)
+        self.k = k
+        self.letter = letter
 
     def initial_states(self):
-        out = [(0, 0, False)]
-        for i, l in self.phases.initial(1):
-            out.append((i, l, False))
-        return out
+        free = (False,) * self.k
+        return [(0, 0, free)] + [(i, l, free) for i, l in self.phases.initial(1)]
 
     def is_final(self, state) -> bool:
         return state[0] == 0
 
     def successors(self, state):
-        i, l, force_zero = state
+        i, l, forced = state
         if i == 0:
             return
         cap = self.phases.quot(i)
-        hi = cap if i > 1 else cap - 1
-        for d in range(0, hi + 1):
-            if force_zero and d != 0:
-                break
-            for j, l2 in self.phases.successors(i, l):
-                yield (d,), (j, l2, d == cap)
-
-
-class _DigitSumLazy:
-    """conv(z, z', z + z') for valid z, z': positionwise sum with validity."""
-
-    def __init__(self, params: AutomatonParameters):
-        self.params = params
-        self.phases = _Phases(params, lo=0)
-
-    def initial_states(self):
-        out = [(0, 0, False, False)]
-        for i, l in self.phases.initial(1):
-            out.append((i, l, False, False))
-        return out
-
-    def is_final(self, state) -> bool:
-        return state[0] == 0
-
-    def successors(self, state):
-        i, l, fzx, fzy = state
-        if i == 0:
-            return
-        cap = self.phases.quot(i)
-        hi = cap if i > 1 else cap - 1
-        xs = (0,) if fzx else range(0, hi + 1)
-        ys = (0,) if fzy else range(0, hi + 1)
-        for x in xs:
-            for y in ys:
-                for j, l2 in self.phases.successors(i, l):
-                    yield (x, y, x + y), (j, l2, x == cap, y == cap)
-
-
-class _EqualityLazy:
-    """Diagonal pairs of 0*-padded valid representations."""
-
-    def __init__(self, params: AutomatonParameters):
-        self.params = params
-        self.phases = _Phases(params, lo=0)
-
-    def initial_states(self):
-        return [(0, 0, False)] + [(i, l, False) for i, l in self.phases.initial(1)]
-
-    def is_final(self, state) -> bool:
-        return state[0] == 0
-
-    def successors(self, state):
-        i, l, force_zero = state
-        if i == 0:
-            return
-        cap = self.phases.quot(i)
-        hi = cap if i > 1 else cap - 1
-        for d in range(0, hi + 1):
-            if force_zero and d != 0:
-                break
-            for j, l2 in self.phases.successors(i, l):
-                yield (d, d), (j, l2, d == cap)
+        targets = self.phases.successors(i, l)
+        digits = [_track_digits(cap, i == 1, f) for f in forced]
+        for ds in itertools.product(*digits):
+            letter = self.letter(ds)
+            capped = tuple(d == cap for d in ds)
+            for j, l2 in targets:
+                yield letter, (j, l2, capped)
 
 
 class _LessThanLazy:
@@ -411,7 +315,6 @@ class _LessThanLazy:
     """
 
     def __init__(self, params: AutomatonParameters):
-        self.params = params
         self.phases = _Phases(params, lo=0)
 
     def initial_states(self):
@@ -425,11 +328,8 @@ class _LessThanLazy:
         if i == 0:
             return
         cap = self.phases.quot(i)
-        hi = cap if i > 1 else cap - 1
-        xs = (0,) if fzx else range(0, hi + 1)
-        ys = (0,) if fzy else range(0, hi + 1)
-        for x in xs:
-            for y in ys:
+        for x in _track_digits(cap, i == 1, fzx):
+            for y in _track_digits(cap, i == 1, fzy):
                 if not lt and x > y:
                     continue
                 nlt = lt or x < y
@@ -448,7 +348,6 @@ class _VaGraphLazy:
     """
 
     def __init__(self, params: AutomatonParameters):
-        self.params = params
         self.phases = _Phases(params, lo=0)
         self.one_pos = 2 if params.unrolled[0] == 1 else 1
 
@@ -482,10 +381,7 @@ class _VaGraphLazy:
             for j, l2 in self.phases.successors(i, l):
                 yield (0, 0), ("m", j, l2, False, True)
             return
-        hi = cap if i > 1 else cap - 1
-        for d in range(0, hi + 1):
-            if fz and d != 0:
-                break
+        for d in _track_digits(cap, i == 1, fz):
             for j, l2 in self.phases.successors(i, l):
                 yield (d, 0), ("m", j, l2, d == cap, False)
                 if d >= 1:
@@ -496,20 +392,21 @@ class _VaGraphLazy:
 def build_valid_rep(cf: ContinuedFraction) -> Automaton:
     """Single-track automaton accepting exactly the 0*-padded valid words."""
     params = _params(cf)
-    return from_lazy(_ValidLazy(params), 1, params.m)
+    return from_lazy(_ValidTracks(params, 1, lambda ds: ds), 1, params.m)
 
 
 @functools.lru_cache(maxsize=None)
 def build_digit_sum(cf: ContinuedFraction) -> Automaton:
     """Three-track automaton for conv(z, z', z + z') over valid z, z'."""
     params = _params(cf)
-    return from_lazy(_DigitSumLazy(params), 3, params.m)
+    return from_lazy(_ValidTracks(params, 2, lambda ds: ds + (ds[0] + ds[1],)), 3, params.m)
 
 
 @functools.lru_cache(maxsize=None)
 def build_equality(cf: ContinuedFraction) -> Automaton:
+    """Diagonal pairs of 0*-padded valid representations."""
     params = _params(cf)
-    return from_lazy(_EqualityLazy(params), 2, params.m)
+    return from_lazy(_ValidTracks(params, 1, lambda ds: ds * 2), 2, params.m)
 
 
 @functools.lru_cache(maxsize=None)
@@ -558,25 +455,24 @@ class _SumPass1Lazy:
         u = self.phases.p_tuple(i, l)
         cap = u[3]  # quotient at the position being read (three below the step)
         last = i == 4 and l == 0
-        hi = cap - 1 if last else cap
-        xs = (0,) if fzx else range(0, hi + 1)
-        ys = (0,) if fzy else range(0, hi + 1)
+        xs = _track_digits(cap, last, fzx)
+        ys = _track_digits(cap, last, fzy)
         if last:
-            a3, a2, a1 = self.phases.quot(3), self.phases.quot(2), self.phases.quot(1)
+            ub = self.phases.q_tuple(3, 0)
             for x in xs:
                 for y in ys:
-                    full = window_a(u, (v[0], v[1], v[2], x + y))
+                    _, full = window_a(u, (v[0], v[1], v[2], x + y))
                     if full[0] != w[0] or full[3] > m:
                         continue
                     nv = full[1:]
-                    out = window_b((a3, a2, a1), nv)
+                    _, out = window_b(ub, nv)
                     if out[0] == w[1] and out[1] == w[2] and out[2] <= m:
                         yield (x, y, out[2]), (3, 0, False, False, nv, (w[1], w[2], out[2]))
             return
         targets = [t for t in self.phases.successors(i, l) if t[0] != 3]
         for x in xs:
             for y in ys:
-                full = window_a(u, (v[0], v[1], v[2], x + y))
+                _, full = window_a(u, (v[0], v[1], v[2], x + y))
                 if full[0] != w[0] or full[3] > m:
                     continue
                 nv = full[1:]

@@ -209,3 +209,19 @@ def test_bulk_decode_and_valid(any_cf):
     bad = np.array(table[:50])
     bad[:, 0] = any_cf.partial_quotient(1)  # violates b_1 < a_1
     assert not bulk.batch_is_valid(any_cf, bad).any()
+
+
+def test_bulk_decode_exact_past_int64(golden):
+    # 2**63 < s < q_92 for the golden ratio: 92-digit representations.
+    sums = [10**19 + i * 9 * 10**15 for i in range(8)]
+    rows = np.array([encode(golden, s).digits for s in sums], dtype=np.int16)
+    assert rows.shape == (8, 92)
+    assert [int(v) for v in bulk.batch_decode(golden, rows)] == sums
+    halves = [encode(golden, s // 2).digits for s in sums]
+    rests = [encode(golden, s - s // 2).digits for s in sums]
+    width = max(len(d) for d in halves + rests)
+    x = np.array([words.pad(d, width) for d in halves], dtype=np.int16)
+    y = np.array([words.pad(d, width) for d in rests], dtype=np.int16)
+    out = bulk.batch_add(golden, x, y)
+    assert out.shape == (8, 94)
+    assert [int(v) for v in bulk.batch_decode(golden, out)] == sums

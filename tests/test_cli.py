@@ -59,6 +59,10 @@ def test_malformed_input_exit_2(capsys):
     assert "error" in err
     code, _, err = run(capsys, "decide", "--cf", "1;(1)", "--formula", "x + = y")
     assert code == 2
+    deep = "(" * 2000 + "0 = 0" + ")" * 2000
+    code, _, err = run(capsys, "decide", "--cf", "1;(1)", "--formula", deep)
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_not_quadratic_exit_3(capsys):

@@ -1,11 +1,14 @@
 import itertools
+import sys
 
 import pytest
 
 from ostrowski import (
     FormulaSyntaxError,
+    FormulaTooDeep,
     FreeVariablePresent,
     NotQuadratic,
+    OstrowskiError,
     UnboundVariable,
     compile_formula,
     convolve,
@@ -16,7 +19,7 @@ from ostrowski import (
     parse,
 )
 from ostrowski.contfrac import ContinuedFraction
-from ostrowski.logic import And, Eq, Exists, Not, Sum, VaEq, Var
+from ostrowski.logic import And, Eq, Exists, Forall, Not, Sum, VaEq, Var
 from ostrowski.recognizers import build_valid_rep
 
 
@@ -91,7 +94,8 @@ def test_parse_error_position():
 
 
 def test_parse_errors():
-    for bad in ["", "x =", "A . x = x", "V(2) = y", "x + y", "(x = y", "x ~ y"]:
+    deep = ["(" * 2000 + "0 = 0" + ")" * 2000, "~" * 5000 + "0 = 0"]
+    for bad in ["", "x =", "A . x = x", "V(2) = y", "x + y", "(x = y", "x ~ y"] + deep:
         with pytest.raises(FormulaSyntaxError):
             parse(bad)
 
@@ -203,6 +207,39 @@ def test_decide_boolean_algebra(golden):
 def test_decide_requires_sentence(golden):
     with pytest.raises(FreeVariablePresent):
         decide(golden, "x = x")
+
+
+def test_too_deep_for_compiler(golden):
+    text = "".join(f"A x{i}. " for i in range(240)) + "x0 = x0"
+    with pytest.raises(OstrowskiError):
+        decide(golden, text)
+    body = Eq(Var("x0"), Var("y"))
+    for i in range(400):
+        body = Forall(f"x{i}", body)
+    with pytest.raises(FormulaTooDeep):
+        decide(golden, Forall("y", body))
+    with pytest.raises(FormulaTooDeep):
+        compile_formula(golden, body, ["y"])
+    with pytest.raises(FormulaTooDeep):
+        enumerate_solutions(golden, body, 3)
+
+
+def test_numerals_leave_no_cache_entries(golden):
+    def cache_entries():
+        caches = {
+            id(obj): obj
+            for name, mod in list(sys.modules.items())
+            if name.split(".")[0] == "ostrowski"
+            for obj in vars(mod).values()
+            if hasattr(obj, "cache_info")
+        }
+        return sum(c.cache_info().currsize for c in caches.values())
+
+    assert decide(golden, "E x. x + x = 998")
+    before = cache_entries()
+    for c in range(1000, 1300):
+        assert decide(golden, f"E x. x + x = {c}") == (c % 2 == 0)
+    assert cache_entries() == before
 
 
 def test_numerals_denote_values(golden, sqrt2):
