@@ -2,7 +2,8 @@
 
 A recognizer is pinned by the sha256 of its ``to_text()``, which canonical
 minimization and sorted transitions make reproducible; an addition trace
-by the sha256 of its ``TraceStep`` lines joined with newlines.  Changes to
+by the sha256 of its ``TraceStep`` lines joined with newlines; a compiled
+formula by the sha256 of ``compile_formula(...).to_text()``.  Changes to
 the rewrite rules, the recognizer constructions or the automata toolkit
 that keep behaviour must keep every hash.
 
@@ -17,6 +18,7 @@ import pytest
 
 from ostrowski import ContinuedFraction, add
 from ostrowski.cli import _RELATIONS
+from ostrowski.logic import compile_formula
 
 RECOGNIZER_PINS = {
     ("1;(1)", "valid"): "29bfbff6dc44538c6705160ed8bda28292430180f9c21e31cffea1aa14cd213a",
@@ -61,6 +63,23 @@ TRACE_PINS = {
     "1;(3,1,2)": "a697eeb7fab5b52e4719f5550788ff2f3c17c855a0ffe423a3c7b44e0f15efa7",
 }
 
+# Between them: a numeral, a merged repeated variable, a permutation,
+# complement, union and projection; the last one has five tracks before
+# its projection.
+FORMULA_PINS = {
+    ("1;(1)", "x + 3 = y", "x,y"): "bb63c769146e1d956963c583888b201f03b93cbc30e54e142598c94b4416a3e9",
+    ("1;(1)", "x + x = y", "x,y"): "c48cca8c29a9425ff91ff0c1e095c40acc206cdd13efc0a66b731c7313456e10",
+    ("1;(1)", "y <= x", "x,y"): "89ac2897643b63ffd0345964283d16eb67051d9f774347f8d8524c6f0457de11",
+    ("1;(1)", "~(x = y) | V(x) = y", "x,y"): "1b7d14b7767f97f2310d56ca045cc241c2d11dcd43a775ead164f38b2252a917",
+    ("1;(1)", "E z. x + z = y & V(z) = z", "x,y"): "9827d614b8c9d5544ddaac8ac0ff422f43597d451964cb4bea7742aa77ccdbd0",
+    ("1;(1)", "E u. x + y = u & u + z = w", "x,y,z,w"): "3b97b73190968fdbfd720a42e701dd89c1c7ec5219f2320624d81be1e2136062",
+    ("1;(2)", "x + 3 = y", "x,y"): "22d2170bf3a99702f18fbee825a00a9586f0e2f4c8590401bbbd194938c21e24",
+    ("1;(2)", "x + x = y", "x,y"): "a0318b9b85cfa44d8068483633b560c26fc5d5f9ec473cfd92f3cf58d8ecfa20",
+    ("1;(2)", "y <= x", "x,y"): "3411fd810795d98b45db08142ce0835893bd806393cd1c3d3627feb41c9bd6ac",
+    ("1;(2)", "~(x = y) | V(x) = y", "x,y"): "29bfd495599e4879268ee989cf77ceef5785fdb9ac714b9d0896a973afb20235",
+    ("1;(2)", "E z. x + z = y & V(z) = z", "x,y"): "cacac85b6349829347940f813f8c90cc57595ed175f38991dbba97e4b6864aea",
+}
+
 
 def sha256(text: str) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
@@ -88,3 +107,11 @@ def test_recognizer_pinned(cf_text, relation):
 @pytest.mark.parametrize("cf_text", list(TRACE_PINS))
 def test_trace_pinned(cf_text):
     assert sha256(seeded_trace(cf_text)) == TRACE_PINS[cf_text]
+
+
+@pytest.mark.parametrize(
+    "cf_text,formula,order", list(FORMULA_PINS), ids=[f"{c}-{f}" for c, f, _ in FORMULA_PINS]
+)
+def test_formula_pinned(cf_text, formula, order):
+    automaton = compile_formula(ContinuedFraction.from_text(cf_text), formula, order.split(","))
+    assert sha256(automaton.to_text()) == FORMULA_PINS[cf_text, formula, order]
