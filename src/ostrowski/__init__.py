@@ -6,6 +6,7 @@ from .automata import Automaton, convolve
 from .contfrac import AutomatonParameters, ContinuedFraction, automaton_parameters
 from .errors import (
     ArityMismatch,
+    AutomatonTooLarge,
     CfMismatch,
     DigitOutOfRange,
     FormulaSyntaxError,
@@ -62,6 +63,7 @@ __all__ = [
     "pass3",
     "words",
     "ArityMismatch",
+    "AutomatonTooLarge",
     "CfMismatch",
     "DigitOutOfRange",
     "FormulaSyntaxError",

@@ -1,9 +1,25 @@
-"""Multi-track nondeterministic finite automata over digit-tuple alphabets.
+"""Multi-track finite automata over digit-tuple alphabets, held in integer arrays.
 
 Letters are ``arity``-tuples of digits in ``{0, ..., digit_bound}``.  Words
 are read most significant letter first.  Several digit words combine into
 one tuple word by convolution: pad the shorter words with leading zeros,
 then read off the tuples position by position.
+
+Inside an automaton a letter is an integer code: the letter read as a
+mixed-radix number in base ``digit_bound + 1`` with track 0 most
+significant, so ascending codes are the lexicographic order of letters.
+An automaton takes one of two array forms:
+
+* deterministic: one initial state and an ``int32`` table
+  ``[num_states, (digit_bound + 1) ** arity]`` of successor states, -1
+  where an arc is missing;
+* nondeterministic: CSR arrays, the arcs of state ``s`` being the codes
+  ``codes[indptr[s]:indptr[s + 1]]`` with the targets in the same slice of
+  ``dsts``, sorted by (code, dst).
+
+Letter tuples appear only at the boundaries: the validated constructor and
+``from_text``, lazy exploration (``from_lazy``, ``determinize_lazy``,
+``_ExplicitLazy``), ``arcs``/``to_text``, ``accepts`` and ``convolve``.
 
 The toolkit provides the standard closure operations (boolean ops,
 projection, cylindrification, determinization, minimization) with two
@@ -12,19 +28,29 @@ conventions that matter for numeration languages:
 * projection closes the result under adding and removing leading all-zero
   letters, so ``L = 0*L`` and padding conventions compose;
 * minimization renumbers states canonically (breadth-first from the
-  initial state over lexicographically sorted letters), so rebuilding a
-  construction yields bit-identical output.
+  initial state over ascending letters), so rebuilding a construction
+  yields bit-identical output.
+
+Products and subset constructions advance a whole breadth-first level of
+states at once, in chunks that bound their memory.  A new product state is
+keyed exactly by its pair of state ids, a new subset by its membership
+bitmap.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Hashable, Iterable, Optional, Sequence
+from typing import Hashable, Iterable, Optional, Sequence
 
-from .errors import ArityMismatch, DigitOutOfRange
+import numpy as np
+
+from .errors import ArityMismatch, AutomatonTooLarge, DigitOutOfRange
 
 Letter = tuple[int, ...]
 TupleWord = tuple[Letter, ...]
+
+_MAX_CELLS = 1 << 27  # largest table (states x letters) or state count held
+_CHUNK = 1 << 21  # array elements one step of a breadth-first level works on
 
 
 def convolve(word_list: Sequence[Sequence[int]], digit_bound: int) -> TupleWord:
@@ -40,10 +66,164 @@ def convolve(word_list: Sequence[Sequence[int]], digit_bound: int) -> TupleWord:
     return tuple(out)
 
 
-class Automaton:
-    """A finite automaton with dense integer states.
+# -- letter codes and array helpers ---------------------------------------------
 
-    ``transitions`` maps ``src -> {letter -> (dst, ...)}``.
+
+def _alphabet(arity: int, digit_bound: int) -> int:
+    """Number of letters, refused when the codes would not fit an int64."""
+    size = (digit_bound + 1) ** arity
+    if size - 1 > np.iinfo(np.int64).max:
+        raise AutomatonTooLarge(
+            f"{digit_bound + 1}**{arity} letters do not fit 64-bit letter codes"
+        )
+    return size
+
+
+def _cells(count: int, what: str) -> int:
+    if count > _MAX_CELLS:
+        raise AutomatonTooLarge(f"{what} needs {count} entries, more than {_MAX_CELLS}")
+    return count
+
+
+def _nfa_keys_fit(num_states: int, arity: int, digit_bound: int) -> None:
+    """Arcs of the nondeterministic form are searched by src * letters + code."""
+    if num_states * (digit_bound + 1) ** arity - 1 > np.iinfo(np.int64).max:
+        raise AutomatonTooLarge(
+            f"{num_states} states times {digit_bound + 1}**{arity} letters do not fit 64-bit arc keys"
+        )
+
+
+def _code(letter: Letter, arity: int, radix: int) -> int:
+    if len(letter) != arity:
+        raise ArityMismatch(f"letter {letter} has arity {len(letter)}, want {arity}")
+    code = 0
+    for d in letter:
+        if d < 0 or d >= radix:
+            raise DigitOutOfRange(f"digit {d} outside 0..{radix - 1}")
+        code = code * radix + d
+    return code
+
+
+def _letter(code: int, arity: int, radix: int) -> Letter:
+    digits = []
+    for _ in range(arity):
+        code, d = divmod(code, radix)
+        digits.append(d)
+    return tuple(reversed(digits))
+
+
+def _ranges(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenated ranges [starts[i], ends[i]): (i per element, element)."""
+    lens = ends - starts
+    pos = np.repeat(np.arange(len(starts)), lens)
+    offsets = np.arange(len(pos)) - np.repeat(np.cumsum(lens) - lens, lens)
+    return pos, starts[pos] + offsets
+
+
+def _csr(n: int, srcs, codes, dsts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted, duplicate-free CSR arrays of the arcs (srcs[i], codes[i], dsts[i])."""
+    order = np.lexsort((dsts, codes, srcs))
+    srcs, codes, dsts = srcs[order], codes[order], dsts[order]
+    keep = np.ones(len(order), bool)
+    keep[1:] = (np.diff(srcs) != 0) | (np.diff(codes) != 0) | (np.diff(dsts) != 0)
+    srcs = srcs[keep]
+    indptr = np.zeros(n + 1, np.int64)
+    np.cumsum(np.bincount(srcs, minlength=n), out=indptr[1:])
+    return indptr, codes[keep].astype(np.int64), dsts[keep].astype(np.int32)
+
+
+def _reach(n: int, srcs: np.ndarray, dsts: np.ndarray, seeds) -> np.ndarray:
+    """Mask of the states reachable from ``seeds`` along the arcs srcs -> dsts."""
+    order = np.argsort(srcs, kind="stable")
+    adj = dsts[order]
+    indptr = np.searchsorted(srcs[order], np.arange(n + 1))
+    seen = np.zeros(n, bool)
+    frontier = np.unique(np.asarray(seeds, np.int64))
+    seen[frontier] = True
+    while frontier.size:
+        _, idx = _ranges(indptr[frontier], indptr[frontier + 1])
+        met = np.zeros(n, bool)
+        met[adj[idx]] = True
+        frontier = np.flatnonzero(met & ~seen)
+        seen[frontier] = True
+    return seen
+
+
+def _complete(table: np.ndarray, sink: Optional[int] = None) -> np.ndarray:
+    """Send every missing arc to ``sink``, by default a new last state."""
+    if not (table < 0).any():
+        return table
+    if sink is None:
+        sink = table.shape[0]
+        table = np.vstack([table, np.full((1, table.shape[1]), sink, np.int32)])
+    else:
+        table = table.copy()
+    table[table < 0] = sink
+    return table
+
+
+def _state_set(states) -> frozenset[int]:
+    return frozenset(states.tolist() if isinstance(states, np.ndarray) else map(int, states))
+
+
+class _PairIndex:
+    """Exact ids of int64 keys, new keys numbered in order of first occurrence."""
+
+    def __init__(self):
+        self.keys = np.empty(0, np.int64)  # sorted
+        self.ids = np.empty(0, np.int64)
+
+    def lookup(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Ids of ``keys`` and the keys seen for the first time, in order."""
+        at = np.searchsorted(self.keys, keys)
+        found = at < len(self.keys)
+        found[found] = self.keys[at[found]] == keys[found]
+        new = np.empty(0, np.int64)
+        if not found.all():
+            fresh, first = np.unique(keys[~found], return_index=True)
+            new = fresh[np.argsort(first)]
+            ids = np.concatenate([self.ids, np.arange(len(self.ids), len(self.ids) + len(new))])
+            keys_all = np.concatenate([self.keys, new])
+            order = np.argsort(keys_all)
+            self.keys, self.ids = keys_all[order], ids[order]
+            at = np.searchsorted(self.keys, keys)
+        return self.ids[at], new
+
+
+def _product_tables(ta: np.ndarray, tb: np.ndarray, a0: int, b0: int):
+    """Reachable pairs of two DFA tables, breadth first from (a0, b0).
+
+    Returns the product table and the two components of every pair.
+    """
+    nb, size = tb.shape[0], ta.shape[1]
+    index = _PairIndex()
+    index.lookup(np.array([a0 * nb + b0], np.int64))
+    pa, pb, blocks = [a0], [b0], []
+    i = 0
+    while i < len(pa):
+        j = min(len(pa), i + max(1, _CHUNK // size))
+        rows_a, rows_b = ta[pa[i:j]], tb[pb[i:j]]
+        keys = (rows_a.astype(np.int64) * nb + rows_b).ravel()
+        live = np.flatnonzero(((rows_a >= 0) & (rows_b >= 0)).ravel())
+        ids, new = index.lookup(keys[live])
+        pa.extend((new // nb).tolist())
+        pb.extend((new % nb).tolist())
+        block = np.full(keys.size, -1, np.int32)
+        block[live] = ids
+        blocks.append(block.reshape(j - i, size))
+        _cells(len(pa) * size, "product table")
+        i = j
+    return np.concatenate(blocks), np.array(pa), np.array(pb)
+
+
+# -- automata ---------------------------------------------------------------------
+
+
+class Automaton:
+    """A finite automaton with dense integer states and integer letter codes.
+
+    The public constructor takes ``transitions`` as ``src -> {letter ->
+    dsts}``, validates it and stores it in the nondeterministic form.
     """
 
     def __init__(
@@ -54,94 +234,222 @@ class Automaton:
         initial: Iterable[int],
         finals: Iterable[int],
         transitions: dict[int, dict[Letter, tuple[int, ...]]],
-        _validate: bool = True,
     ):
+        arcs = [
+            (src, letter, t)
+            for src, letter_arcs in transitions.items()
+            for letter, targets in letter_arcs.items()
+            for t in targets
+        ]
+        srcs, letters, dsts = zip(*arcs) if arcs else ((), (), ())
+        self._load(arity, digit_bound, num_states, initial, finals, srcs, letters, dsts)
+
+    def _load(self, arity, digit_bound, num_states, initial, finals, srcs, letters, dsts):
+        """Validate and convert once; arc i is (srcs[i], letters[i], dsts[i])."""
+        if arity < 0 or digit_bound < 0:
+            raise ValueError(f"arity {arity} and digit_bound {digit_bound} must be non-negative")
+        _alphabet(arity, digit_bound)
+        _cells(num_states + 1, "state count")
+        initial, finals = list(initial), list(finals)
+        for s in itertools.chain(initial, finals, srcs, dsts):
+            if not (0 <= s < num_states):
+                raise ValueError(f"state {s} out of range")
+        code_of: dict[Letter, int] = {}
+        for letter in letters:
+            if letter not in code_of:
+                code_of[letter] = _code(letter, arity, digit_bound + 1)
+        codes = [code_of[letter] for letter in letters]
+        self._init_nfa(arity, digit_bound, num_states, initial, finals,
+                       *(np.array(a, np.int64) for a in (srcs, codes, dsts)))
+
+    def _init_nfa(self, arity, digit_bound, num_states, initial, finals, srcs, codes, dsts):
+        self._set(arity, digit_bound, num_states, initial, finals)
+        _nfa_keys_fit(self.num_states, arity, digit_bound)
+        self._table = self._search_keys = None
+        self._arrays = _csr(self.num_states, srcs, codes, dsts)
+
+    def _set(self, arity, digit_bound, num_states, initial, finals) -> None:
         self.arity = arity
         self.digit_bound = digit_bound
-        self.num_states = num_states
-        self.initial = frozenset(initial)
-        self.finals = frozenset(finals)
-        self.transitions = transitions
-        if _validate:
-            self._validate()
-        self.deterministic = self._check_deterministic()
+        self.num_states = int(num_states)
+        self.initial = _state_set(initial)
+        self.finals = _state_set(finals)
+        self._letter_codes: dict[Letter, int] = {}
 
-    def _validate(self) -> None:
-        for s in self.initial | self.finals:
-            if not (0 <= s < self.num_states):
-                raise ValueError(f"state {s} out of range")
-        for src, arcs in self.transitions.items():
-            if not (0 <= src < self.num_states):
-                raise ValueError(f"state {src} out of range")
-            for letter, dsts in arcs.items():
-                if len(letter) != self.arity:
-                    raise ArityMismatch(f"letter {letter} has arity {len(letter)}, want {self.arity}")
-                for d in letter:
-                    if d < 0 or d > self.digit_bound:
-                        raise DigitOutOfRange(f"digit {d} outside 0..{self.digit_bound}")
-                for t in dsts:
-                    if not (0 <= t < self.num_states):
-                        raise ValueError(f"state {t} out of range")
+    @classmethod
+    def _dfa(cls, arity: int, digit_bound: int, table: np.ndarray, finals) -> "Automaton":
+        """Deterministic form: successor table, initial state 0."""
+        self = cls.__new__(cls)
+        self._set(arity, digit_bound, table.shape[0], (0,), finals)
+        self._table = table.astype(np.int32, copy=False)
+        self._arrays = self._search_keys = None
+        return self
 
-    def _check_deterministic(self) -> bool:
-        if len(self.initial) != 1:
-            return False
-        return all(
-            len(dsts) <= 1 for arcs in self.transitions.values() for dsts in arcs.values()
-        )
+    @classmethod
+    def _nfa(cls, arity, digit_bound, num_states, initial, finals, srcs, codes, dsts) -> "Automaton":
+        """Nondeterministic form from arc arrays in any order."""
+        self = cls.__new__(cls)
+        self._init_nfa(arity, digit_bound, num_states, initial, finals, srcs, codes, dsts)
+        return self
+
+    @property
+    def deterministic(self) -> bool:
+        return self._table is not None
 
     @property
     def alphabet_size(self) -> int:
         return (self.digit_bound + 1) ** self.arity
 
     def is_total(self) -> bool:
-        if not self.deterministic:
-            return False
-        return all(
-            len(self.transitions.get(s, {})) == self.alphabet_size
-            for s in range(self.num_states)
-        )
+        return self.deterministic and not (self._table < 0).any()
 
     def num_transitions(self) -> int:
-        return sum(len(dsts) for arcs in self.transitions.values() for dsts in arcs.values())
+        if self.deterministic:
+            return int(np.count_nonzero(self._table >= 0))
+        return len(self._arrays[2])
+
+    # -- array access ---------------------------------------------------------
+
+    def _final_mask(self) -> np.ndarray:
+        mask = np.zeros(self.num_states, bool)
+        mask[list(self.finals)] = True
+        return mask
+
+    def _arc_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """All arcs as (srcs, codes, dsts), sorted by (src, code, dst)."""
+        if self.deterministic:
+            srcs, codes = np.nonzero(self._table >= 0)
+            return srcs, codes, self._table[srcs, codes]
+        indptr, codes, dsts = self._arrays
+        return np.repeat(np.arange(self.num_states), np.diff(indptr)), codes, dsts
+
+    def _csr_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if not self.deterministic:
+            return self._arrays
+        srcs, codes, dsts = self._arc_arrays()
+        return np.searchsorted(srcs, np.arange(self.num_states + 1)), codes, dsts
+
+    def _gather(self, states: np.ndarray, erase: Optional[int] = None):
+        """Arcs (pos, code, dst) leaving ``states[pos]``, in state order.
+
+        With ``erase`` the codes are those of the letters without that track.
+        """
+        if self.deterministic:
+            rows = self._table[states]
+            pos, codes = np.nonzero(rows >= 0)
+            dsts = rows[pos, codes]
+        else:
+            indptr, all_codes, all_dsts = self._arrays
+            pos, idx = _ranges(indptr[states], indptr[states + 1])
+            codes, dsts = all_codes[idx], all_dsts[idx]
+        if erase is not None:
+            low = (self.digit_bound + 1) ** (self.arity - 1 - erase)
+            codes = codes // (low * (self.digit_bound + 1)) * low + codes % low
+        return pos, codes, dsts
+
+    def _flat_targets(self, states, row_of, size: int, width: int, erase=None) -> np.ndarray:
+        """Indices ``(row_of[k] * size + code) * width + dst`` of the arcs of
+        ``states[k]``, codes as in ``_gather``.  A missing arc of a table
+        gives dst -1, which lands in the last column of the row before."""
+        if not self.deterministic:
+            pos, codes, dsts = self._gather(states, erase)
+            return (row_of[pos] * size + codes) * width + dsts
+        targets = self._table[states]
+        if erase is not None:
+            radix = self.digit_bound + 1
+            split = targets.reshape(len(states), radix**erase, radix, -1)
+            targets = split.transpose(0, 1, 3, 2)  # the erased digit last
+        rows = row_of[:, None] * size + np.arange(size)
+        return (rows[:, :, None] * width + targets.reshape(len(states), size, -1)).ravel()
+
+    def _accepts_all(self, tracks: Sequence[np.ndarray]) -> np.ndarray:
+        """Membership of many equal-length words of a deterministic automaton:
+        ``tracks[t][w, j]`` is the j-th digit (MSD first) of track t of word w."""
+        radix = self.digit_bound + 1
+        table = np.vstack([self._table, np.full((1, self._table.shape[1]), -1, np.int32)])
+        codes = np.zeros(tracks[0].shape, np.int64)
+        for digits in tracks:
+            codes = codes * radix + digits
+        state = np.zeros(codes.shape[0], np.int64)
+        for column in codes.T:
+            state = table[state, column]  # -1 stays on the all-missing last row
+        return np.append(self._final_mask(), False)[state]
 
     # -- run/acceptance ----------------------------------------------------
 
-    def step(self, states: frozenset[int], letter: Letter) -> frozenset[int]:
-        out: set[int] = set()
-        for s in states:
-            out.update(self.transitions.get(s, {}).get(letter, ()))
-        return frozenset(out)
+    def arcs(self):
+        """Every arc as ``(src, letter, dst)``, in the order of ``to_text``."""
+        radix = self.digit_bound + 1
+        letters: dict[int, Letter] = {}
+        srcs, codes, dsts = self._arc_arrays()
+        for src, code, dst in zip(srcs.tolist(), codes.tolist(), dsts.tolist()):
+            letter = letters.get(code)
+            if letter is None:
+                letter = letters[code] = _letter(code, self.arity, radix)
+            yield src, letter, dst
 
     def accepts(self, word: TupleWord) -> bool:
+        memo = self._letter_codes
         if self.deterministic:
-            state = next(iter(self.initial))
+            item = self._table.item
+            state = 0
             for letter in word:
-                if len(letter) != self.arity:
-                    raise ArityMismatch(
-                        f"letter {letter} has arity {len(letter)}, want {self.arity}"
-                    )
-                dsts = self.transitions.get(state, {}).get(letter)
-                if not dsts:
+                code = memo.get(letter)
+                if code is None and (code := self._new_code(letter)) < 0:
                     return False
-                state = dsts[0]
+                state = item(state, code)
+                if state < 0:
+                    return False
             return state in self.finals
-        current = self.initial
+        # The arcs of state s reading code c are those with key s * size + c
+        # in the sorted keys of all arcs.
+        keys = self._keys()
+        dsts = self._arrays[2]
+        size = self.alphabet_size
+        states = sorted(self.initial)
         for letter in word:
-            if len(letter) != self.arity:
-                raise ArityMismatch(f"letter {letter} has arity {len(letter)}, want {self.arity}")
-            if not current:
+            code = memo.get(letter)
+            if code is None and (code := self._new_code(letter)) < 0:
                 return False
-            current = self.step(current, letter)
-        return bool(current & self.finals)
+            wanted = np.array(states, np.int64) * size + code
+            reached: set[int] = set()
+            for lo, hi in zip(keys.searchsorted(wanted).tolist(),
+                              keys.searchsorted(wanted, "right").tolist()):
+                if lo < hi:
+                    reached.update(dsts[lo:hi].tolist())
+            if not reached:
+                return False
+            states = sorted(reached)
+        return not self.finals.isdisjoint(states)
+
+    def _new_code(self, letter: Letter) -> int:
+        """Code of a letter not met before, memoized; -1 when a digit is out
+        of range, since no arc carries such a letter."""
+        if len(letter) != self.arity:
+            raise ArityMismatch(f"letter {letter} has arity {len(letter)}, want {self.arity}")
+        if not all(0 <= d <= self.digit_bound for d in letter):
+            return -1
+        code = self._letter_codes[letter] = _code(letter, self.arity, self.digit_bound + 1)
+        return code
+
+    def _keys(self) -> np.ndarray:
+        """Sorted ``src * alphabet_size + code`` of every arc of the
+        nondeterministic form, built on first use."""
+        if self._search_keys is None:
+            indptr, codes, _ = self._arrays
+            srcs = np.repeat(np.arange(self.num_states, dtype=np.int64), np.diff(indptr))
+            self._search_keys = srcs * self.alphabet_size + codes
+        return self._search_keys
 
     # -- structural operations ----------------------------------------------
 
     def determinize(self, complete: bool = True) -> "Automaton":
         """Subset construction.  With ``complete`` a sink makes the result total."""
-        return determinize_lazy(
-            _ExplicitLazy(self), self.arity, self.digit_bound, complete=complete
-        )
+        if not self.deterministic:
+            return self._subsets(complete=complete)
+        if not complete or self.is_total():
+            return self
+        return Automaton._dfa(self.arity, self.digit_bound, _complete(self._table), self.finals)
 
     def minimize(self) -> "Automaton":
         """Minimal total equivalent of a deterministic automaton."""
@@ -156,96 +464,112 @@ class Automaton:
     def complement(self) -> "Automaton":
         """Complement w.r.t. all tuple words over the alphabet."""
         d = self.determinize(complete=True)
-        return Automaton(
-            d.arity,
-            d.digit_bound,
-            d.num_states,
-            d.initial,
-            frozenset(range(d.num_states)) - d.finals,
-            d.transitions,
-            _validate=False,
-        )
+        return Automaton._dfa(d.arity, d.digit_bound, d._table, np.flatnonzero(~d._final_mask()))
 
     def intersect(self, other: "Automaton") -> "Automaton":
         """Product automaton over reachable state pairs."""
         self._require_compatible(other)
-        pairs: dict[tuple[int, int], int] = {}
-        trans: dict[int, dict[Letter, tuple[int, ...]]] = {}
-        queue = []
-        for p in sorted(self.initial):
-            for q in sorted(other.initial):
-                pairs[(p, q)] = len(pairs)
-                queue.append((p, q))
-        for p, q in queue:
-            src = pairs[(p, q)]
-            arcs_p = self.transitions.get(p, {})
-            arcs_q = other.transitions.get(q, {})
-            arcs: dict[Letter, tuple[int, ...]] = {}
-            for letter in sorted(set(arcs_p) & set(arcs_q)):
-                dsts = []
-                for tp in arcs_p[letter]:
-                    for tq in arcs_q[letter]:
-                        key = (tp, tq)
-                        if key not in pairs:
-                            pairs[key] = len(pairs)
-                            queue.append(key)
-                        dsts.append(pairs[key])
-                arcs[letter] = tuple(sorted(set(dsts)))
-            if arcs:
-                trans[src] = arcs
-        finals = [
-            i for (p, q), i in pairs.items() if p in self.finals and q in other.finals
-        ]
-        return Automaton(
-            self.arity,
-            self.digit_bound,
-            len(pairs),
-            range(len(self.initial) * len(other.initial)),
-            finals,
-            trans,
-            _validate=False,
+        if self.deterministic and other.deterministic:
+            table, pa, pb = _product_tables(
+                self._table, other._table, next(iter(self.initial)), next(iter(other.initial))
+            )
+            finals = np.flatnonzero(self._final_mask()[pa] & other._final_mask()[pb])
+            return Automaton._dfa(self.arity, self.digit_bound, table, finals)
+        return self._product_nfa(other)
+
+    def _product_nfa(self, other: "Automaton") -> "Automaton":
+        """Reachable pairs of two automata in CSR form, breadth first."""
+        size = self.alphabet_size
+        ia, ca, da = self._csr_arrays()
+        ib, cb, db = other._csr_arrays()
+        nb = other.num_states
+        index = _PairIndex()
+        starts = [p * nb + q for p in sorted(self.initial) for q in sorted(other.initial)]
+        _, new = index.lookup(np.array(starts, np.int64))
+        pa, pb = (new // nb).tolist(), (new % nb).tolist()
+        srcs, codes, dsts = [], [], []
+        degree = -(-len(ca) // max(1, self.num_states))
+        per_chunk = max(1, min(_CHUNK // max(1, degree), np.iinfo(np.int64).max // size))
+        i = 0
+        while i < len(pa):
+            j = min(len(pa), i + per_chunk)
+            p, q = np.array(pa[i:j], np.int64), np.array(pb[i:j], np.int64)
+            pos_a, arc_a = _ranges(ia[p], ia[p + 1])
+            pos_b, arc_b = _ranges(ib[q], ib[q + 1])
+            key_a = pos_a * size + ca[arc_a]
+            key_b = pos_b * size + cb[arc_b]
+            hit, arc_b_hit = _ranges(
+                np.searchsorted(key_b, key_a, "left"), np.searchsorted(key_b, key_a, "right")
+            )
+            pair_keys = da[arc_a[hit]].astype(np.int64) * nb + db[arc_b[arc_b_hit]]
+            ids, new = index.lookup(pair_keys)
+            pa.extend((new // nb).tolist())
+            pb.extend((new % nb).tolist())
+            srcs.append(i + pos_a[hit])
+            codes.append(ca[arc_a[hit]])
+            dsts.append(ids)
+            i = j
+        fa, fb = self._final_mask(), other._final_mask()
+        finals = np.flatnonzero(fa[pa] & fb[pb]) if pa else []
+        empty = [np.empty(0, np.int64)]
+        return Automaton._nfa(
+            self.arity, self.digit_bound, len(pa), range(len(starts)), finals,
+            np.concatenate(srcs + empty), np.concatenate(codes + empty), np.concatenate(dsts + empty),
         )
 
     def union(self, other: "Automaton") -> "Automaton":
         """Disjoint union (nondeterministic)."""
         self._require_compatible(other)
         off = self.num_states
-        trans = {s: dict(arcs) for s, arcs in self.transitions.items()}
-        for s, arcs in other.transitions.items():
-            trans[s + off] = {
-                letter: tuple(t + off for t in dsts) for letter, dsts in arcs.items()
-            }
-        return Automaton(
+        sa, ca, da = self._arc_arrays()
+        sb, cb, db = other._arc_arrays()
+        return Automaton._nfa(
             self.arity,
             self.digit_bound,
             off + other.num_states,
-            self.initial | {s + off for s in other.initial},
-            self.finals | {s + off for s in other.finals},
-            trans,
-            _validate=False,
+            sorted(self.initial) + [s + off for s in sorted(other.initial)],
+            sorted(self.finals) + [s + off for s in sorted(other.finals)],
+            np.concatenate([sa, sb + off]),
+            np.concatenate([ca, cb]),
+            np.concatenate([da, db + off]),
         )
 
     def cylindrify(self, position: int) -> "Automaton":
         """Insert a free track at ``position`` (0-based) of every letter."""
         if not (0 <= position <= self.arity):
             raise ValueError(f"track position {position} outside 0..{self.arity}")
-        rng = range(self.digit_bound + 1)
-        trans: dict[int, dict[Letter, tuple[int, ...]]] = {}
-        for src, arcs in self.transitions.items():
-            new_arcs = {}
-            for letter, dsts in arcs.items():
-                for d in rng:
-                    new_arcs[letter[:position] + (d,) + letter[position:]] = dsts
-            trans[src] = new_arcs
-        return Automaton(
-            self.arity + 1,
-            self.digit_bound,
-            self.num_states,
-            self.initial,
-            self.finals,
-            trans,
-            _validate=False,
+        radix = self.digit_bound + 1
+        high, low = radix**position, radix ** (self.arity - position)
+        if self.deterministic:
+            n = self.num_states
+            _cells(n * self.alphabet_size * radix, "cylindrified table")
+            split = self._table.reshape(n, high, 1, low)
+            table = np.broadcast_to(split, (n, high, radix, low)).reshape(n, -1)
+            return Automaton._dfa(self.arity + 1, self.digit_bound, table, self.finals)
+        srcs, codes, dsts = self._arc_arrays()
+        spread = (codes // low * radix * low + codes % low)[:, None] + np.arange(radix) * low
+        return Automaton._nfa(
+            self.arity + 1, self.digit_bound, self.num_states, sorted(self.initial),
+            sorted(self.finals), np.repeat(srcs, radix), spread.ravel(), np.repeat(dsts, radix),
         )
+
+    def _tracks(self) -> np.ndarray:
+        """The table with one axis per track."""
+        return self._table.reshape((self.num_states,) + (self.digit_bound + 1,) * self.arity)
+
+    def _permute_tracks(self, perm: Sequence[int]) -> "Automaton":
+        """Reorder the tracks of a deterministic automaton: new track i is old track perm[i]."""
+        moved = self._tracks().transpose((0,) + tuple(1 + p for p in perm))
+        table = np.ascontiguousarray(moved).reshape(self.num_states, -1)
+        return Automaton._dfa(self.arity, self.digit_bound, table, self.finals)
+
+    def _merge_tracks(self, keep: int, drop: int) -> "Automaton":
+        """Identify two tracks of a deterministic automaton: keep letters
+        agreeing on both, drop the second."""
+        diagonal = np.diagonal(self._tracks(), axis1=1 + keep, axis2=1 + drop)
+        at = keep if keep < drop else keep - 1
+        table = np.ascontiguousarray(np.moveaxis(diagonal, -1, 1 + at)).reshape(self.num_states, -1)
+        return Automaton._dfa(self.arity - 1, self.digit_bound, table, self.finals)
 
     def project(self, track: int) -> "Automaton":
         """Erase a track and close under leading all-zero letters."""
@@ -253,92 +577,135 @@ class Automaton:
             raise ArityMismatch("cannot project a single-track automaton")
         if not (0 <= track < self.arity):
             raise ValueError(f"track {track} outside 0..{self.arity - 1}")
-        trans: dict[int, dict[Letter, tuple[int, ...]]] = {}
-        for src, arcs in self.transitions.items():
-            new_arcs: dict[Letter, set[int]] = {}
-            for letter, dsts in arcs.items():
-                new_arcs.setdefault(letter[:track] + letter[track + 1 :], set()).update(dsts)
-            trans[src] = {letter: tuple(sorted(d)) for letter, d in new_arcs.items()}
-        erased = Automaton(
-            self.arity - 1,
-            self.digit_bound,
-            self.num_states,
-            self.initial,
-            self.finals,
-            trans,
-            _validate=False,
-        )
-        return erased.zero_closure()
+        return self._subsets(erase=track, zero_closed=True)
 
     def zero_closure(self) -> "Automaton":
         """Close the language under adding/removing leading all-zero letters."""
-        zero = (0,) * self.arity
-        zreach = _closure(
-            self.initial, lambda s: self.transitions.get(s, {}).get(zero, ())
-        )
-        fresh = self.num_states
-        trans = {s: dict(arcs) for s, arcs in self.transitions.items()}
-        fresh_arcs: dict[Letter, set[int]] = {zero: {fresh}}
-        for s in zreach:
-            for letter, dsts in self.transitions.get(s, {}).items():
-                fresh_arcs.setdefault(letter, set()).update(dsts)
-        trans[fresh] = {letter: tuple(sorted(d)) for letter, d in fresh_arcs.items()}
-        finals = set(self.finals)
-        if zreach & self.finals:
-            finals.add(fresh)
-        return Automaton(
-            self.arity,
-            self.digit_bound,
-            self.num_states + 1,
-            {fresh},
-            finals,
-            trans,
-            _validate=False,
-        )
+        return self._subsets(zero_closed=True)
+
+    def _subsets(self, erase=None, zero_closed=False, complete=False) -> "Automaton":
+        """Subset construction, one chunk of a breadth-first level at a time.
+
+        ``erase`` drops that track from every letter.  ``zero_closed``
+        closes the language under leading all-zero letters: the start
+        subset holds every state reachable by zero letters and loops on the
+        zero letter, which is what a fresh start state with all their arcs
+        and a zero self-loop amounts to; bit ``num_states`` of its bitmap
+        marks it.  Each subset is keyed exactly by its membership bitmap.
+        """
+        arity = self.arity - (erase is not None)
+        size = (self.digit_bound + 1) ** arity
+        n = self.num_states
+        final = self._final_mask()
+        start = np.array(sorted(self.initial), np.int64)
+        if zero_closed:
+            seen = np.zeros(n, bool)
+            seen[start] = True
+            frontier = start
+            while frontier.size:
+                _, codes, dsts = self._gather(frontier, erase)
+                nxt = np.unique(dsts[codes == 0])
+                frontier = nxt[~seen[nxt]].astype(np.int64)
+                seen[frontier] = True
+            start = np.flatnonzero(seen)
+        start_row = np.zeros(n + 1, bool)
+        start_row[start] = True
+        start_row[n] = zero_closed
+        index = {np.packbits(start_row, bitorder="little").tobytes(): 0}
+        members = [start]
+        finals = [bool(final[start].any())]
+        degree = self.alphabet_size if self.deterministic else -(-len(self._arrays[1]) // max(1, n))
+        per_chunk = max(1, 4 * _CHUNK // _cells(size * (n + 1), "subset bitmap"))
+        blocks = []
+        i = 0
+        while i < len(members):
+            j = min(len(members), i + per_chunk)
+            while j > i + 1 and sum(len(m) for m in members[i:j]) * degree > _CHUNK:
+                j = (i + j) // 2
+            group = members[i:j]
+            owner = np.repeat(np.arange(j - i), [len(m) for m in group])
+            # one row per (subset, letter): the states, the marker, and a
+            # last column that missing arcs of a table fall into
+            hit = np.zeros((j - i) * size * (n + 2), bool)
+            hit[self._flat_targets(np.concatenate(group), owner, size, n + 2, erase)] = True
+            hit = hit.reshape(-1, n + 2)[:, : n + 1]
+            if zero_closed and i == 0:
+                hit[0] = start_row
+            packed = np.packbits(hit, axis=1, bitorder="little")
+            live = np.flatnonzero(packed.any(axis=1))
+            rows = packed[live]
+            keys, first, inverse = np.unique(
+                rows.view(np.dtype((np.void, rows.shape[1]))).ravel(),
+                return_index=True, return_inverse=True,
+            )
+            ids = np.empty(len(keys), np.int32)
+            for u in np.argsort(first):
+                key = keys[u].tobytes()
+                sid = index.get(key)
+                if sid is None:
+                    sid = index[key] = len(members)
+                    row = hit[live[first[u]], :n]
+                    members.append(np.flatnonzero(row))
+                    finals.append(bool((row & final).any()))
+                ids[u] = sid
+            _cells(len(members) * size, "subset table")
+            block = np.full((j - i) * size, -1, np.int32)
+            block[live] = ids[inverse.ravel()]
+            blocks.append(block.reshape(j - i, size))
+            i = j
+        table = np.concatenate(blocks)
+        if complete:
+            table = _complete(table, 0 if not start_row.any() else None)
+        finals += [False] * (table.shape[0] - len(finals))
+        return Automaton._dfa(arity, self.digit_bound, table, np.flatnonzero(finals))
 
     def is_empty(self) -> bool:
         return self.shortest_witness() is None
 
     def shortest_witness(self) -> Optional[TupleWord]:
-        """A shortest accepted word, or None when the language is empty."""
-        if self.initial & self.finals:
+        """A shortest accepted word, or None when the language is empty.
+
+        Of the shortest words, the one met first breadth first, from the
+        initial states in order over ascending letters.
+        """
+        final = self._final_mask()
+        frontier = np.array(sorted(self.initial), np.int64)
+        if final[frontier].any():
             return ()
-        seen = set(self.initial)
-        frontier: list[tuple[int, TupleWord]] = [(s, ()) for s in sorted(self.initial)]
-        while frontier:
-            nxt: list[tuple[int, TupleWord]] = []
-            for s, word in frontier:
-                for letter in sorted(self.transitions.get(s, {})):
-                    for t in self.transitions[s][letter]:
-                        if t in self.finals:
-                            return word + (letter,)
-                        if t not in seen:
-                            seen.add(t)
-                            nxt.append((t, word + (letter,)))
-            frontier = nxt
+        parent = np.full(self.num_states, -1, np.int64)
+        via = np.zeros(self.num_states, np.int64)
+        seen = np.zeros(self.num_states, bool)
+        seen[frontier] = True
+        while frontier.size:
+            pos, codes, dsts = self._gather(frontier)
+            hits = np.flatnonzero(final[dsts])
+            if hits.size:
+                k = hits[0]
+                word = [codes[k]]
+                state = frontier[pos[k]]
+                while parent[state] >= 0:
+                    word.append(via[state])
+                    state = parent[state]
+                radix = self.digit_bound + 1
+                return tuple(_letter(int(c), self.arity, radix) for c in reversed(word))
+            fresh = np.flatnonzero(~seen[dsts])
+            targets, first = np.unique(dsts[fresh], return_index=True)
+            order = np.argsort(first)
+            arcs = fresh[first[order]]  # the arc discovering each new state
+            new = targets[order].astype(np.int64)
+            parent[new] = frontier[pos[arcs]]
+            via[new] = codes[arcs]
+            seen[new] = True
+            frontier = new
         return None
 
     def equivalent(self, other: "Automaton") -> bool:
-        """Language equality via synchronized subset exploration."""
+        """Language equality: finality agrees on every reachable pair of the
+        completed determinized automata."""
         self._require_compatible(other)
-        start = (frozenset(self.initial), frozenset(other.initial))
-        seen = {start}
-        queue = [start]
-        while queue:
-            sa, sb = queue.pop()
-            if bool(sa & self.finals) != bool(sb & other.finals):
-                return False
-            letters = set()
-            for s in sa:
-                letters.update(self.transitions.get(s, {}))
-            for s in sb:
-                letters.update(other.transitions.get(s, {}))
-            for letter in letters:
-                key = (self.step(sa, letter), other.step(sb, letter))
-                if key not in seen:
-                    seen.add(key)
-                    queue.append(key)
-        return True
+        a, b = self.determinize(complete=True), other.determinize(complete=True)
+        _, pa, pb = _product_tables(a._table, b._table, 0, 0)
+        return bool(np.array_equal(a._final_mask()[pa], b._final_mask()[pb]))
 
     def _require_compatible(self, other: "Automaton") -> None:
         if self.arity != other.arity or self.digit_bound != other.digit_bound:
@@ -357,14 +724,9 @@ class Automaton:
             "initial " + " ".join(str(s) for s in sorted(self.initial)),
             "final " + " ".join(str(s) for s in sorted(self.finals)),
         ]
-        triples = []
-        for src in sorted(self.transitions):
-            for letter in sorted(self.transitions[src]):
-                for dst in self.transitions[src][letter]:
-                    triples.append((src, letter, dst))
-        triples.sort()
-        for src, letter, dst in triples:
-            lines.append(f"trans {src} ({','.join(str(d) for d in letter)}) {dst}")
+        lines.extend(
+            f"trans {src} ({','.join(map(str, letter))}) {dst}" for src, letter, dst in self.arcs()
+        )
         return "\n".join(lines) + "\n"
 
     @classmethod
@@ -372,7 +734,9 @@ class Automaton:
         arity = digit_bound = num_states = None
         initial: list[int] = []
         finals: list[int] = []
-        trans: dict[int, dict[Letter, list[int]]] = {}
+        srcs: list[int] = []
+        letters: list[Letter] = []
+        dsts: list[int] = []
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -393,16 +757,16 @@ class Automaton:
                 if not (letter_s.startswith("(") and letter_s.endswith(")")):
                     raise ValueError(f"line {lineno}: bad letter {letter_s!r}")
                 letter = tuple(int(t) for t in letter_s[1:-1].split(",") if t)
-                trans.setdefault(int(src_s), {}).setdefault(letter, []).append(int(dst_s))
+                srcs.append(int(src_s))
+                letters.append(letter)
+                dsts.append(int(dst_s))
             else:
                 raise ValueError(f"line {lineno}: unknown field {key!r}")
         if arity is None or digit_bound is None or num_states is None:
             raise ValueError("missing arity/digit_bound/num_states header")
-        transitions = {
-            src: {letter: tuple(sorted(dsts)) for letter, dsts in arcs.items()}
-            for src, arcs in trans.items()
-        }
-        return cls(arity, digit_bound, num_states, initial, finals, transitions)
+        self = cls.__new__(cls)
+        self._load(arity, digit_bound, num_states, initial, finals, srcs, letters, dsts)
+        return self
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -434,6 +798,9 @@ class Automaton:
 class _ExplicitLazy:
     def __init__(self, a: Automaton):
         self.a = a
+        self.letters = list(itertools.product(range(a.digit_bound + 1), repeat=a.arity))
+        indptr, codes, dsts = a._csr_arrays()
+        self.indptr, self.codes, self.dsts = indptr.tolist(), codes.tolist(), dsts.tolist()
 
     def initial_states(self):
         return sorted(self.a.initial)
@@ -442,179 +809,106 @@ class _ExplicitLazy:
         return s in self.a.finals
 
     def successors(self, s):
-        for letter, dsts in self.a.transitions.get(s, {}).items():
-            for t in dsts:
-                yield letter, t
+        letters = self.letters
+        lo, hi = self.indptr[s], self.indptr[s + 1]
+        for code, t in zip(self.codes[lo:hi], self.dsts[lo:hi]):
+            yield letters[code], t
 
 
 def from_lazy(lazy, arity: int, digit_bound: int) -> Automaton:
     """Materialize a lazily-described NFA by breadth-first exploration,
     keeping only the states both reachable and co-reachable."""
-    ids: dict[Hashable, int] = {}
-    order: list[Hashable] = []
-
-    def intern(state) -> int:
-        sid = ids.get(state)
-        if sid is None:
-            sid = len(order)
-            ids[state] = sid
-            order.append(state)
-        return sid
-
-    initial = [intern(s) for s in lazy.initial_states()]
-    srcs: list[int] = []
-    lets: list[Letter] = []
-    dsts: list[int] = []
-    letter_cache: dict[Letter, Letter] = {}
-    i = 0
-    while i < len(order):
-        state = order[i]
-        src = i
-        i += 1
-        for letter, target in lazy.successors(state):
-            letter = letter_cache.setdefault(letter, letter)
-            srcs.append(src)
-            lets.append(letter)
-            dsts.append(intern(target))
-    finals = [ids[s] for s in order if lazy.is_final(s)]
-    useful = _useful_states(len(order), initial, finals, srcs, dsts)
-    remap = {s: i for i, s in enumerate(sorted(useful))}
-    transitions: dict[int, dict[Letter, list[int]]] = {}
-    for src, letter, dst in zip(srcs, lets, dsts):
-        if src in remap and dst in remap:
-            transitions.setdefault(remap[src], {}).setdefault(letter, []).append(remap[dst])
-    initial = [remap[s] for s in initial if s in remap]
-    finals = [remap[s] for s in finals if s in remap]
-    packed = {
-        src: {letter: tuple(sorted(set(d))) for letter, d in arcs.items()}
-        for src, arcs in transitions.items()
-    }
-    return Automaton(arity, digit_bound, len(remap), initial, finals, packed, _validate=False)
-
-
-def _useful_states(n, initial, finals, srcs, dsts) -> set[int]:
-    """The states both reachable and co-reachable."""
-    adj: list[list[int]] = [[] for _ in range(n)]
-    radj: list[list[int]] = [[] for _ in range(n)]
-    for s, t in zip(srcs, dsts):
-        adj[s].append(t)
-        radj[t].append(s)
-    fwd = _closure(initial, adj.__getitem__)
-    return _closure((s for s in finals if s in fwd), lambda s: (t for t in radj[s] if t in fwd))
+    return _explore(lazy, arity, digit_bound)
 
 
 def determinize_lazy(lazy, arity: int, digit_bound: int, *, complete: bool = True) -> Automaton:
-    """Subset construction over a lazy NFA; canonical BFS state numbering."""
-    start = frozenset(lazy.initial_states())
-    ids: dict[frozenset, int] = {start: 0}
-    order = [start]
-    trans: dict[int, dict[Letter, tuple[int, ...]]] = {}
-    succ_cache: dict = {}
-    i = 0
-    while i < len(order):
-        subset = order[i]
-        src = i
-        i += 1
-        by_letter: dict[Letter, set] = {}
-        for state in subset:
-            moves = succ_cache.get(state)
-            if moves is None:
-                moves = list(lazy.successors(state))
-                succ_cache[state] = moves
-            for letter, target in moves:
-                by_letter.setdefault(letter, set()).add(target)
-        arcs = {}
-        for letter in sorted(by_letter):
-            subset2 = frozenset(by_letter[letter])
-            sid = ids.get(subset2)
-            if sid is None:
-                sid = len(order)
-                ids[subset2] = sid
-                order.append(subset2)
-            arcs[letter] = (sid,)
-        trans[src] = arcs
-    finals = [i for i, subset in enumerate(order) if any(lazy.is_final(s) for s in subset)]
+    """Subset construction over a lazy NFA, once it is materialized and
+    trimmed to its useful states; canonical BFS state numbering."""
+    return _explore(lazy, arity, digit_bound)._subsets(complete=complete)
+
+
+def _explore(lazy, arity: int, digit_bound: int) -> Automaton:
+    """Breadth-first exploration of a lazy NFA, trimmed to the states both
+    reachable and co-reachable; letters are coded once each."""
+    radix = digit_bound + 1
+    _alphabet(arity, digit_bound)
+    ids: dict[Hashable, int] = {}
+    order: list[Hashable] = []
+    for state in lazy.initial_states():
+        if state not in ids:
+            ids[state] = len(order)
+            order.append(state)
+    initial = list(range(len(order)))
+    srcs: list[int] = []
+    codes: list[int] = []
+    dsts: list[int] = []
+    code_of: dict[Letter, int] = {}
+    get_id, get_code = ids.get, code_of.get
+    for src, state in enumerate(order):  # order grows as states are met
+        for letter, target in lazy.successors(state):
+            code = get_code(letter)
+            if code is None:
+                code = code_of[letter] = _code(letter, arity, radix)
+            dst = get_id(target)
+            if dst is None:
+                dst = ids[target] = len(order)
+                order.append(target)
+            srcs.append(src)
+            codes.append(code)
+            dsts.append(dst)
     n = len(order)
-    if complete:
-        all_letters = list(itertools.product(range(digit_bound + 1), repeat=arity))
-        sink = ids.get(frozenset())
-        if sink is None and any(len(trans.get(s, {})) < len(all_letters) for s in range(n)):
-            sink = n
-            n += 1
-            trans[sink] = {}
-        if sink is not None:
-            for src in range(n):
-                arcs = trans.setdefault(src, {})
-                for letter in all_letters:
-                    arcs.setdefault(letter, (sink,))
-    return Automaton(arity, digit_bound, n, [0], finals, trans, _validate=False)
-
-
-def _minimize_dfa(dfa: Automaton) -> Automaton:
-    """Moore refinement over the completed transition table (numpy row hashing)."""
-    import numpy as np
-
-    all_letters = list(itertools.product(range(dfa.digit_bound + 1), repeat=dfa.arity))
-    letter_index = {letter: i for i, letter in enumerate(all_letters)}
-    n = dfa.num_states
-    sink = n  # virtual sink completes the table
-    table = np.full((n + 1, len(all_letters)), sink, dtype=np.int32)
-    for src, arcs in dfa.transitions.items():
-        row = table[src]
-        for letter, dsts in arcs.items():
-            if dsts:
-                row[letter_index[letter]] = dsts[0]
-    block = np.zeros(n + 1, dtype=np.int32)
-    for s in dfa.finals:
-        block[s] = 1
-    num_blocks = len(np.unique(block))
-    while True:
-        sig = np.column_stack([block, block[table]])
-        _, inverse = np.unique(sig, axis=0, return_inverse=True)
-        block = inverse.astype(np.int32)
-        count = len(np.unique(block))
-        if count == num_blocks:
-            break
-        num_blocks = count
-    rep: dict[int, int] = {}
-    for s in range(n + 1):
-        rep.setdefault(int(block[s]), s)
-    start = int(block[next(iter(dfa.initial))])
-    numbering = {start: 0}
-    order = [start]
-    trans: dict[int, dict[Letter, tuple[int, ...]]] = {}
-    i = 0
-    while i < len(order):
-        b = order[i]
-        i += 1
-        row = table[rep[b]]
-        arcs = {}
-        for li, letter in enumerate(all_letters):
-            tb = int(block[row[li]])
-            if tb not in numbering:
-                numbering[tb] = len(order)
-                order.append(tb)
-            arcs[letter] = (numbering[tb],)
-        trans[numbering[b]] = arcs
-    finals = [numbering[b] for b in order if rep[b] in dfa.finals]
-    return Automaton(
-        dfa.arity,
-        dfa.digit_bound,
-        len(order),
-        [0],
-        finals,
-        trans,
-        _validate=False,
+    finals = [k for k, s in enumerate(order) if lazy.is_final(s)]
+    srcs, codes, dsts = (np.array(a, np.int64) for a in (srcs, codes, dsts))
+    forward = _reach(n, srcs, dsts, initial)
+    inside = forward[srcs] & forward[dsts]
+    useful = _reach(n, dsts[inside], srcs[inside], [f for f in finals if forward[f]])
+    renumber = np.cumsum(useful) - 1
+    keep = useful[srcs] & useful[dsts]
+    return Automaton._nfa(
+        arity,
+        digit_bound,
+        int(useful.sum()),
+        [renumber[s] for s in initial if useful[s]],
+        [renumber[s] for s in finals if useful[s]],
+        renumber[srcs[keep]],
+        codes[keep],
+        renumber[dsts[keep]],
     )
 
 
-def _closure(seed: Iterable[int], succ: Callable[[int], Iterable[int]]) -> set[int]:
-    seen = set(seed)
-    stack = list(seen)
-    while stack:
-        s = stack.pop()
-        for t in succ(s):
-            if t not in seen:
-                seen.add(t)
-                stack.append(t)
-    return seen
+def _minimize_dfa(dfa: Automaton) -> Automaton:
+    """Moore refinement over the table completed by a virtual sink, then a
+    canonical breadth-first renumbering, one level at a time."""
+    n, size = dfa._table.shape
+    sink = n
+    table = np.vstack([np.where(dfa._table < 0, sink, dfa._table), np.full((1, size), sink)])
+    table = table.astype(np.int32)
+    block = np.append(dfa._final_mask(), False).astype(np.int32)
+    num_blocks = len(np.unique(block))
+    while True:
+        sig = np.ascontiguousarray(np.column_stack([block, block[table]]))
+        _, inverse = np.unique(sig.view(np.dtype((np.void, sig.shape[1] * 4))).ravel(),
+                               return_inverse=True)
+        block = inverse.ravel().astype(np.int32)
+        count = int(block.max()) + 1
+        if count == num_blocks:
+            break
+        num_blocks = count
+    _, rep = np.unique(block, return_index=True)
+    moves = block[table[rep]]  # block transition table
+    number = np.full(num_blocks, -1, np.int64)
+    start = block[next(iter(dfa.initial))]
+    number[start] = 0
+    level = np.array([start])
+    order = [level]
+    count = 1
+    while level.size:
+        succ = moves[level].ravel()
+        fresh, first = np.unique(succ[number[succ] < 0], return_index=True)
+        level = fresh[np.argsort(first)]
+        number[level] = np.arange(count, count + len(level))
+        count += len(level)
+        order.append(level)
+    order = np.concatenate(order)
+    final = np.append(dfa._final_mask(), False)[rep[order]]
+    return Automaton._dfa(dfa.arity, dfa.digit_bound, number[moves[order]], np.flatnonzero(final))

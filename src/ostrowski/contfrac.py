@@ -150,13 +150,6 @@ class AutomatonParameters:
     nu: int
     unrolled: tuple[int, ...]
 
-    def quotient(self, i: int) -> int:
-        """a_i for any i >= 1, reading past nu through the repeating block."""
-        if i <= self.nu:
-            return self.unrolled[i - 1]
-        span = self.nu - self.xi + 1
-        return self.unrolled[self.xi - 1 + (i - self.xi) % span]
-
 
 @functools.lru_cache(maxsize=None)
 def automaton_parameters(cf: ContinuedFraction) -> AutomatonParameters:

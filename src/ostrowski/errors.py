@@ -51,3 +51,7 @@ class FormulaSyntaxError(OstrowskiError):
 
 class FormulaTooDeep(OstrowskiError):
     """A formula is nested deeper than the recursive compiler can follow."""
+
+
+class AutomatonTooLarge(OstrowskiError):
+    """An automaton's states or alphabet exceed what its integer arrays can index."""

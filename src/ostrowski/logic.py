@@ -24,11 +24,12 @@ Numerals are syntactic sugar resolved against the ambient expansion:
 from __future__ import annotations
 
 import functools
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-from .automata import Automaton, convolve
+import numpy as np
+
+from .automata import Automaton
 from .contfrac import ContinuedFraction
 from .errors import (
     FormulaSyntaxError,
@@ -354,10 +355,10 @@ def _constant_dfa(cf, value: int) -> Automaton:
     digits = list(reversed(encode(cf, value).digits))  # MSD first
     m = cf.parameters().m
     n = len(digits)
-    trans = {0: {(0,): (0,)}}
-    for i, d in enumerate(digits):
-        trans.setdefault(i, {})[(d,)] = (i + 1,)
-    return Automaton(1, m, n + 1, [0], [n], trans)
+    table = np.full((n + 1, m + 1), -1, np.int32)
+    table[0, 0] = 0
+    table[np.arange(n), digits] = np.arange(1, n + 1)
+    return Automaton._dfa(1, m, table, [n])
 
 
 def _lift(a: Automaton, track: int, arity: int) -> Automaton:
@@ -490,13 +491,13 @@ class _Compiler:
             seen: dict[str, int] = {}
             for j, v in enumerate(names):
                 if v in seen:
-                    base = _merge_tracks(base, seen[v], j)
+                    base = base._merge_tracks(seen[v], j)
                     names = names[:j] + names[j + 1 :]
                     break
                 seen[v] = j
         order = self.sort_vars(names)
         if order != names:
-            base = _permute(base, [names.index(v) for v in order])
+            base = base._permute_tracks([names.index(v) for v in order])
         return _Node(vars=order, aut=base)
 
     # connectives ----------------------------------------------------------
@@ -558,32 +559,7 @@ def _fold(t: Term) -> Term:
 
 
 def _empty(like: Automaton) -> Automaton:
-    return Automaton(like.arity, like.digit_bound, 1, [0], [], {})
-
-
-def _merge_tracks(a: Automaton, keep: int, drop: int) -> Automaton:
-    """Identify two tracks: keep letters agreeing on both, drop the second."""
-    trans: dict[int, dict[tuple[int, ...], tuple[int, ...]]] = {}
-    for src, arcs in a.transitions.items():
-        out: dict[tuple[int, ...], set[int]] = {}
-        for letter, dsts in arcs.items():
-            if letter[keep] == letter[drop]:
-                nl = letter[:drop] + letter[drop + 1 :]
-                out.setdefault(nl, set()).update(dsts)
-        if out:
-            trans[src] = {nl: tuple(sorted(d)) for nl, d in out.items()}
-    return Automaton(
-        a.arity - 1, a.digit_bound, a.num_states, a.initial, a.finals, trans
-    )
-
-
-def _permute(a: Automaton, perm: list[int]) -> Automaton:
-    """Reorder letter components: new letter[i] = old letter[perm[i]]."""
-    trans = {
-        src: {tuple(letter[p] for p in perm): dsts for letter, dsts in arcs.items()}
-        for src, arcs in a.transitions.items()
-    }
-    return Automaton(a.arity, a.digit_bound, a.num_states, a.initial, a.finals, trans)
+    return Automaton._dfa(like.arity, like.digit_bound, np.full((1, like.alphabet_size), -1), [])
 
 
 def _insert_tracks(a: Automaton, have: tuple[str, ...], want: tuple[str, ...]) -> Automaton:
@@ -667,7 +643,7 @@ def compile_formula(
     assert not node.closed
     want = tuple(v for v in order if v in free)
     if node.vars != want:
-        aut = _permute(node.aut, [node.vars.index(v) for v in want])
+        aut = node.aut._permute_tracks([node.vars.index(v) for v in want])
     else:
         aut = node.aut
     return aut.determinize_minimize()
@@ -697,10 +673,14 @@ def enumerate_solutions(cf: ContinuedFraction, formula, bound: int) -> list[tupl
     if not free:
         raise ValueError("formula has no free variables; use decide()")
     aut = compile_formula(cf, f, free)
-    m = cf.parameters().m
-    table = [encode(cf, n).digits for n in range(bound + 1)]
-    out = []
-    for tup in itertools.product(range(bound + 1), repeat=len(free)):
-        if aut.accepts(convolve([table[n] for n in tup], m)):
-            out.append(tup)
-    return out
+    # Compiled languages are closed under leading zero columns, so every
+    # track can be padded to the width of the widest representation and all
+    # candidates run through the automaton at once, in itertools.product order.
+    reps = [encode(cf, n).digits for n in range(bound + 1)]
+    width = max(len(r) for r in reps)
+    digits = np.zeros((bound + 1, width), np.int64)
+    for n, rep in enumerate(reps):
+        digits[n, width - len(rep) :] = rep[::-1]  # MSD first
+    pick = np.indices((bound + 1,) * len(free)).reshape(len(free), -1)
+    accepted = np.flatnonzero(aut._accepts_all([digits[p] for p in pick]))
+    return [tuple(row) for row in pick[:, accepted].T.tolist()]

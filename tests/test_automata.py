@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from ostrowski import words
@@ -22,8 +23,44 @@ def enum_len(a):
 
 
 def language(a, max_len):
-    """Brute-force language of an automaton, up to a length bound."""
-    return {w for w in all_words(a.arity, a.digit_bound, max_len) if a.accepts(w)}
+    """Brute-force language up to a length bound, as a boolean mask over the
+    words of ``all_words(a.arity, a.digit_bound, max_len)`` in their order.
+
+    Every word of each length is run at once by simulating the automaton on
+    rows of state sets, read directly off its arcs: level k holds the state
+    set reached by each of the L**k prefixes, in lexicographic order, and
+    the prefixes of one level that reach the same set share one step.  The
+    last level is never held as sets, only as its acceptance mask.
+    """
+    size, n = a.alphabet_size, a.num_states
+    step = np.zeros((size, n, n), bool)  # step[letter, src, dst]
+    for src, letter, dst in a.arcs():
+        step[letter_code(letter, a.digit_bound), src, dst] = True
+    final = np.zeros(n, bool)
+    final[list(a.finals)] = True
+    sets = np.zeros((1, n), bool)
+    sets[0, list(a.initial)] = True
+    masks = [(sets & final).any(axis=1)]
+    for length in range(1, max_len + 1):
+        distinct, inverse = np.unique(sets, axis=0, return_inverse=True)
+        reached = (distinct[:, None, :, None] & step[None]).any(axis=2)  # [set, letter, dst]
+        inverse = inverse.ravel()
+        masks.append((reached & final).any(axis=2)[inverse].ravel())
+        if length < max_len:
+            sets = reached[inverse].reshape(-1, n)
+    return np.concatenate(masks)
+
+
+def letter_code(letter, bound):
+    code = 0
+    for d in letter:
+        code = code * (bound + 1) + d
+    return code
+
+
+def accepted_words(a, max_len):
+    mask = language(a, max_len)
+    return [w for w, ok in zip(all_words(a.arity, a.digit_bound, max_len), mask) if ok]
 
 
 def random_automaton(rng, arity=None, bound=None):
@@ -45,11 +82,20 @@ def random_automaton(rng, arity=None, bound=None):
     return Automaton(arity, bound, n, initial, finals, trans)
 
 
-def projection_oracle(a, track, w):
+def arc_map(a):
+    """``src -> letter -> [dst]``, read once from ``a.arcs()``."""
+    out = {}
+    for src, letter, dst in a.arcs():
+        out.setdefault(src, {}).setdefault(letter, []).append(dst)
+    return out
+
+
+def projection_oracle(a, track, w, arcs=None):
     """Membership in the projected-and-zero-closed language, by direct search
     on the original automaton: strip leading zero letters from the candidate,
     saturate the initial states under letters that are zero on the kept
     tracks, then consume the rest with the erased track unconstrained."""
+    arcs = arc_map(a) if arcs is None else arcs
     while w and all(d == 0 for d in w[0]):
         w = w[1:]
 
@@ -60,7 +106,7 @@ def projection_oracle(a, track, w):
     while True:
         grown = set(states)
         for s in states:
-            for letter, dsts in a.transitions.get(s, {}).items():
+            for letter, dsts in arcs.get(s, {}).items():
                 if all(d == 0 for d in erased(letter)):
                     grown.update(dsts)
         if grown == states:
@@ -69,7 +115,7 @@ def projection_oracle(a, track, w):
     for target in w:
         nxt = set()
         for s in states:
-            for letter, dsts in a.transitions.get(s, {}).items():
+            for letter, dsts in arcs.get(s, {}).items():
                 if erased(letter) == target:
                     nxt.update(dsts)
         states = nxt
@@ -137,7 +183,7 @@ def test_determinize_minimize_zero_star_one():
     dfa = nfa.determinize_minimize()
     assert dfa.num_states == 3  # start, accepted, sink
     assert dfa.deterministic and dfa.is_total()
-    assert language(nfa, 6) == language(dfa, 6)
+    assert np.array_equal(language(nfa, 6), language(dfa, 6))
 
 
 def test_determinize_minimize_idempotent():
@@ -155,20 +201,20 @@ def test_determinize_preserves_language():
         a = random_automaton(rng)
         d = a.determinize_minimize()
         n = enum_len(a)
-        assert language(a, n) == language(d, n)
+        assert np.array_equal(language(a, n), language(d, n))
 
 
-def distinguishable(d, p, q):
+def distinguishable(d, p, q, arcs=None):
     """Some word separates states p and q of a total DFA (pair search)."""
+    arcs = arc_map(d) if arcs is None else arcs
     seen = {(p, q)}
     queue = [(p, q)]
     while queue:
         p, q = queue.pop()
         if (p in d.finals) != (q in d.finals):
             return True
-        for letter in d.transitions.get(p, {}):
-            pn = d.transitions[p][letter][0]
-            qn = d.transitions[q][letter][0]
+        for letter, (pn,) in arcs.get(p, {}).items():
+            (qn,) = arcs[q][letter]
             if (pn, qn) not in seen:
                 seen.add((pn, qn))
                 queue.append((pn, qn))
@@ -179,9 +225,10 @@ def test_minimal_states_pairwise_distinguishable():
     rng = random.Random(2)
     for _ in range(10):
         d = random_automaton(rng).determinize_minimize()
+        arcs = arc_map(d)
         for p in range(d.num_states):
             for q in range(p + 1, d.num_states):
-                assert distinguishable(d, p, q)
+                assert distinguishable(d, p, q, arcs)
 
 
 # -- boolean operations ---------------------------------------------------------
@@ -212,10 +259,9 @@ def test_boolean_ops_against_brute_force():
         b = random_automaton(rng, arity, bound)
         n = enum_len(a)
         la, lb = language(a, n), language(b, n)
-        every = set(all_words(arity, bound, n))
-        assert language(a.intersect(b), n) == la & lb
-        assert language(a.union(b), n) == la | lb
-        assert language(a.complement(), n) == every - la
+        assert np.array_equal(language(a.intersect(b), n), la & lb)
+        assert np.array_equal(language(a.union(b), n), la | lb)
+        assert np.array_equal(language(a.complement(), n), ~la)
 
 
 def test_intersect_valid_with_first_digit_zero(golden):
@@ -228,8 +274,9 @@ def test_intersect_valid_with_first_digit_zero(golden):
         {0: {(d,): (0, 1) if d == 0 else (0,) for d in range(m + 1)}},
     )
     combined = valid.intersect(last_zero)
-    lv = {w for w in language(valid, 6) if w}  # valid words minus the empty word
-    assert language(combined, 6) == lv
+    lv = language(valid, 6)
+    lv[0] = False  # valid words minus the empty word
+    assert np.array_equal(language(combined, 6), lv)
 
 
 def test_boolean_requires_compatible():
@@ -249,8 +296,9 @@ def test_cylindrify_project_identity():
         lifted = a.cylindrify(1)
         assert lifted.arity == 2
         back = lifted.project(1)
+        arcs = arc_map(lifted)
         for w in all_words(1, 2, 5):
-            assert back.accepts(w) == projection_oracle(lifted, 1, w)
+            assert back.accepts(w) == projection_oracle(lifted, 1, w, arcs)
 
 
 def test_project_single_track_errors():
@@ -266,8 +314,9 @@ def test_project_against_brute_force():
         a = random_automaton(rng, arity=2, bound=bound)
         track = rng.choice([0, 1])
         p = a.project(track)
+        arcs = arc_map(a)
         for w in all_words(1, bound, 5):
-            assert p.accepts(w) == projection_oracle(a, track, w)
+            assert p.accepts(w) == projection_oracle(a, track, w, arcs)
 
 
 def test_zero_closure_property():
@@ -275,7 +324,7 @@ def test_zero_closure_property():
     for _ in range(10):
         a = random_automaton(rng, arity=1, bound=2).zero_closure()
         zero = (0,)
-        for w in language(a, 4):  # alphabet 3: cheap
+        for w in accepted_words(a, 4):  # alphabet 3: cheap
             assert a.accepts((zero,) + w)
             if w and w[0] == zero:
                 assert a.accepts(w[1:])

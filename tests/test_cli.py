@@ -2,7 +2,9 @@ import json
 
 import pytest
 
+from ostrowski.automata import Automaton
 from ostrowski.cli import main
+from ostrowski.errors import AutomatonTooLarge
 
 
 def run(capsys, *argv):
@@ -84,6 +86,22 @@ def test_build_and_run(capsys, tmp_path):
         capsys, "run", "--automaton", path, "--word", "1 0", "--word", "1 0 0", "--word", "1 0 1"
     )
     assert (code, out) == (1, "rejected\n")
+
+
+def test_run_oversized_automaton_exit_2(capsys, tmp_path):
+    # A declared state count or an alphabet past the integer arrays (10**12
+    # states; 16**40 letters, past any 64-bit letter code) is refused with a
+    # typed error, not a MemoryError or a wrapped letter code.
+    many_states = "arity 1\ndigit_bound 1\nnum_states 1000000000000\ninitial 0\nfinal 1\ntrans 0 (1) 1\n"
+    wide = "arity 40\ndigit_bound 15\nnum_states 2\ninitial 0\nfinal 1\ntrans 0 (" + ",".join(["1"] * 40) + ") 1\n"
+    for text, arity in ((many_states, 1), (wide, 40)):
+        with pytest.raises(AutomatonTooLarge):
+            Automaton.from_text(text)
+        path = tmp_path / "big.aut"
+        path.write_text(text)
+        code, out, err = run(capsys, "run", "--automaton", str(path), *["--word", "1"] * arity)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_build_stdout_is_interchange(capsys):

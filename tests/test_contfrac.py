@@ -92,9 +92,9 @@ def test_parameters_invariants(any_cf):
     assert p.nu - p.xi >= 3
     for i in range(1, p.nu + 1):
         assert p.unrolled[i - 1] == any_cf.partial_quotient(i)
-    # reading past nu through the block still matches the expansion
+    # past nu the expansion repeats the block a_xi .. a_nu
     for i in range(p.nu + 1, p.nu + 12):
-        assert p.quotient(i) == any_cf.partial_quotient(i)
+        assert p.unrolled[p.xi - 1 + (i - p.xi) % (p.nu - p.xi + 1)] == any_cf.partial_quotient(i)
 
 
 def test_parameters_require_period():
