@@ -69,25 +69,16 @@ def convolve(word_list: Sequence[Sequence[int]], digit_bound: int) -> TupleWord:
 # -- letter codes and array helpers ---------------------------------------------
 
 
-def _alphabet(arity: int, digit_bound: int) -> int:
-    """Number of letters, refused when the codes would not fit an int64."""
-    size = (digit_bound + 1) ** arity
-    if size - 1 > np.iinfo(np.int64).max:
-        raise AutomatonTooLarge(
-            f"{digit_bound + 1}**{arity} letters do not fit 64-bit letter codes"
-        )
-    return size
-
-
 def _cells(count: int, what: str) -> int:
     if count > _MAX_CELLS:
         raise AutomatonTooLarge(f"{what} needs {count} entries, more than {_MAX_CELLS}")
     return count
 
 
-def _nfa_keys_fit(num_states: int, arity: int, digit_bound: int) -> None:
-    """Arcs of the nondeterministic form are searched by src * letters + code."""
-    if num_states * (digit_bound + 1) ** arity - 1 > np.iinfo(np.int64).max:
+def _check_keys(num_states: int, arity: int, digit_bound: int) -> None:
+    """Arcs of the nondeterministic form are searched by the int64 key
+    ``src * letters + code``, so also every letter code fits an int64."""
+    if max(num_states, 1) * (digit_bound + 1) ** arity - 1 > np.iinfo(np.int64).max:
         raise AutomatonTooLarge(
             f"{num_states} states times {digit_bound + 1}**{arity} letters do not fit 64-bit arc keys"
         )
@@ -248,7 +239,7 @@ class Automaton:
         """Validate and convert once; arc i is (srcs[i], letters[i], dsts[i])."""
         if arity < 0 or digit_bound < 0:
             raise ValueError(f"arity {arity} and digit_bound {digit_bound} must be non-negative")
-        _alphabet(arity, digit_bound)
+        _check_keys(num_states, arity, digit_bound)
         _cells(num_states + 1, "state count")
         initial, finals = list(initial), list(finals)
         for s in itertools.chain(initial, finals, srcs, dsts):
@@ -264,7 +255,7 @@ class Automaton:
 
     def _init_nfa(self, arity, digit_bound, num_states, initial, finals, srcs, codes, dsts):
         self._set(arity, digit_bound, num_states, initial, finals)
-        _nfa_keys_fit(self.num_states, arity, digit_bound)
+        _check_keys(self.num_states, arity, digit_bound)
         self._table = self._search_keys = None
         self._arrays = _csr(self.num_states, srcs, codes, dsts)
 
@@ -831,7 +822,6 @@ def _explore(lazy, arity: int, digit_bound: int) -> Automaton:
     """Breadth-first exploration of a lazy NFA, trimmed to the states both
     reachable and co-reachable; letters are coded once each."""
     radix = digit_bound + 1
-    _alphabet(arity, digit_bound)
     ids: dict[Hashable, int] = {}
     order: list[Hashable] = []
     for state in lazy.initial_states():
@@ -857,6 +847,7 @@ def _explore(lazy, arity: int, digit_bound: int) -> Automaton:
             codes.append(code)
             dsts.append(dst)
     n = len(order)
+    _check_keys(n, arity, digit_bound)
     finals = [k for k, s in enumerate(order) if lazy.is_final(s)]
     srcs, codes, dsts = (np.array(a, np.int64) for a in (srcs, codes, dsts))
     forward = _reach(n, srcs, dsts, initial)

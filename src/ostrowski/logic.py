@@ -601,6 +601,8 @@ def _rename_term(t: Term, env: dict[str, str]) -> Term:
 
 # -- public operations ----------------------------------------------------------
 
+_CANDIDATES_PER_RUN = 1 << 16  # enumeration candidates held at once
+
 
 def _as_formula(f) -> Formula:
     return parse(f) if isinstance(f, str) else f
@@ -674,13 +676,19 @@ def enumerate_solutions(cf: ContinuedFraction, formula, bound: int) -> list[tupl
         raise ValueError("formula has no free variables; use decide()")
     aut = compile_formula(cf, f, free)
     # Compiled languages are closed under leading zero columns, so every
-    # track can be padded to the width of the widest representation and all
-    # candidates run through the automaton at once, in itertools.product order.
+    # track can be padded to the width of the widest representation and the
+    # candidates run through the automaton many at a time, in
+    # itertools.product order.
     reps = [encode(cf, n).digits for n in range(bound + 1)]
-    width = max(len(r) for r in reps)
+    width = max((len(r) for r in reps), default=0)
     digits = np.zeros((bound + 1, width), np.int64)
     for n, rep in enumerate(reps):
         digits[n, width - len(rep) :] = rep[::-1]  # MSD first
-    pick = np.indices((bound + 1,) * len(free)).reshape(len(free), -1)
-    accepted = np.flatnonzero(aut._accepts_all([digits[p] for p in pick]))
-    return [tuple(row) for row in pick[:, accepted].T.tolist()]
+    shape = (bound + 1,) * len(free)
+    total = (bound + 1) ** len(free)
+    found = [np.empty((len(free), 0), np.int64)]
+    for start in range(0, total, _CANDIDATES_PER_RUN):
+        pick = np.unravel_index(np.arange(start, min(total, start + _CANDIDATES_PER_RUN)), shape)
+        accepted = aut._accepts_all([digits[p] for p in pick])
+        found.append(np.stack(pick)[:, accepted])
+    return [tuple(row) for row in np.concatenate(found, axis=1).T.tolist()]
