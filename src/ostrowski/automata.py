@@ -18,8 +18,8 @@ An automaton takes one of two array forms:
   ``dsts``, sorted by (code, dst).
 
 Letter tuples appear only at the boundaries: the validated constructor and
-``from_text``, lazy exploration (``from_lazy``, ``determinize_lazy``,
-``_ExplicitLazy``), ``arcs``/``to_text``, ``accepts`` and ``convolve``.
+``from_text``, lazy exploration (``from_lazy``), ``arcs``/``to_text``,
+``accepts`` and ``convolve``.
 
 The toolkit provides the standard closure operations (boolean ops,
 projection, cylindrification, determinization, minimization) with two
@@ -34,7 +34,8 @@ conventions that matter for numeration languages:
 Products and subset constructions advance a whole breadth-first level of
 states at once, in chunks that bound their memory.  A new product state is
 keyed exactly by its pair of state ids, a new subset by its membership
-bitmap.
+bitmap.  Subset constructions leave out the states that cannot reach a
+final state, so the dead pairs of a product never inflate them.
 """
 
 from __future__ import annotations
@@ -320,6 +321,26 @@ class Automaton:
         srcs, codes, dsts = self._arc_arrays()
         return np.searchsorted(srcs, np.arange(self.num_states + 1)), codes, dsts
 
+    def _useful(self) -> np.ndarray:
+        """Mask of the states from which a final state can be reached."""
+        useful = self._final_mask()
+        if not self.deterministic:
+            srcs, _, dsts = self._arc_arrays()
+            return _reach(self.num_states, dsts, srcs, np.flatnonzero(useful))
+        # a fixpoint over the rows still outside the mask, a chunk of rows at
+        # a time; a missing arc (-1) reads the appended False
+        step = max(1, _CHUNK // self.alphabet_size)
+        grew = True
+        while grew:
+            grew = False
+            rest = np.flatnonzero(~useful)
+            for lo in range(0, len(rest), step):
+                rows = rest[lo : lo + step]
+                more = rows[np.append(useful, False)[self._table[rows]].any(axis=1)]
+                useful[more] = True
+                grew |= more.size > 0
+        return useful
+
     def _gather(self, states: np.ndarray, erase: Optional[int] = None):
         """Arcs (pos, code, dst) leaving ``states[pos]``, in state order.
 
@@ -582,12 +603,14 @@ class Automaton:
         subset holds every state reachable by zero letters and loops on the
         zero letter, which is what a fresh start state with all their arcs
         and a zero self-loop amounts to; bit ``num_states`` of its bitmap
-        marks it.  Each subset is keyed exactly by its membership bitmap.
+        marks it.  Each subset is keyed exactly by its membership bitmap
+        and holds only states from which a final state can be reached.
         """
         arity = self.arity - (erase is not None)
         size = (self.digit_bound + 1) ** arity
         n = self.num_states
         final = self._final_mask()
+        useful = self._useful()
         start = np.array(sorted(self.initial), np.int64)
         if zero_closed:
             seen = np.zeros(n, bool)
@@ -599,6 +622,11 @@ class Automaton:
                 frontier = nxt[~seen[nxt]].astype(np.int64)
                 seen[frontier] = True
             start = np.flatnonzero(seen)
+        start = start[useful[start]]
+        if not start.size:  # the language is empty
+            table = np.full((1, size), 0 if complete else -1, np.int32)
+            return Automaton._dfa(arity, self.digit_bound, table, [])
+        keep = np.append(useful, True)  # and the zero-closure marker
         start_row = np.zeros(n + 1, bool)
         start_row[start] = True
         start_row[n] = zero_closed
@@ -619,7 +647,7 @@ class Automaton:
             # last column that missing arcs of a table fall into
             hit = np.zeros((j - i) * size * (n + 2), bool)
             hit[self._flat_targets(np.concatenate(group), owner, size, n + 2, erase)] = True
-            hit = hit.reshape(-1, n + 2)[:, : n + 1]
+            hit = hit.reshape(-1, n + 2)[:, : n + 1] & keep
             if zero_closed and i == 0:
                 hit[0] = start_row
             packed = np.packbits(hit, axis=1, bitorder="little")
@@ -646,7 +674,7 @@ class Automaton:
             i = j
         table = np.concatenate(blocks)
         if complete:
-            table = _complete(table, 0 if not start_row.any() else None)
+            table = _complete(table)
         finals += [False] * (table.shape[0] - len(finals))
         return Automaton._dfa(arity, self.digit_bound, table, np.flatnonzero(finals))
 
@@ -786,41 +814,10 @@ class Automaton:
 #     successors(state) -> iterable of (letter, state)
 
 
-class _ExplicitLazy:
-    def __init__(self, a: Automaton):
-        self.a = a
-        self.letters = list(itertools.product(range(a.digit_bound + 1), repeat=a.arity))
-        indptr, codes, dsts = a._csr_arrays()
-        self.indptr, self.codes, self.dsts = indptr.tolist(), codes.tolist(), dsts.tolist()
-
-    def initial_states(self):
-        return sorted(self.a.initial)
-
-    def is_final(self, s) -> bool:
-        return s in self.a.finals
-
-    def successors(self, s):
-        letters = self.letters
-        lo, hi = self.indptr[s], self.indptr[s + 1]
-        for code, t in zip(self.codes[lo:hi], self.dsts[lo:hi]):
-            yield letters[code], t
-
-
 def from_lazy(lazy, arity: int, digit_bound: int) -> Automaton:
     """Materialize a lazily-described NFA by breadth-first exploration,
-    keeping only the states both reachable and co-reachable."""
-    return _explore(lazy, arity, digit_bound)
-
-
-def determinize_lazy(lazy, arity: int, digit_bound: int, *, complete: bool = True) -> Automaton:
-    """Subset construction over a lazy NFA, once it is materialized and
-    trimmed to its useful states; canonical BFS state numbering."""
-    return _explore(lazy, arity, digit_bound)._subsets(complete=complete)
-
-
-def _explore(lazy, arity: int, digit_bound: int) -> Automaton:
-    """Breadth-first exploration of a lazy NFA, trimmed to the states both
-    reachable and co-reachable; letters are coded once each."""
+    keeping only the states from which a final state can be reached
+    (exploration meets only reachable ones); letters are coded once each."""
     radix = digit_bound + 1
     ids: dict[Hashable, int] = {}
     order: list[Hashable] = []
@@ -850,9 +847,7 @@ def _explore(lazy, arity: int, digit_bound: int) -> Automaton:
     _check_keys(n, arity, digit_bound)
     finals = [k for k, s in enumerate(order) if lazy.is_final(s)]
     srcs, codes, dsts = (np.array(a, np.int64) for a in (srcs, codes, dsts))
-    forward = _reach(n, srcs, dsts, initial)
-    inside = forward[srcs] & forward[dsts]
-    useful = _reach(n, dsts[inside], srcs[inside], [f for f in finals if forward[f]])
+    useful = _reach(n, dsts, srcs, finals)
     renumber = np.cumsum(useful) - 1
     keep = useful[srcs] & useful[dsts]
     return Automaton._nfa(

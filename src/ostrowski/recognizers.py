@@ -24,10 +24,11 @@ leading zero columns, and equally force a rejected run whenever the pass
 would carry beyond the padded length, so the relations compose soundly
 under convolution padding.
 
-The composed adder intersects digit-sum, the three pass relations and
-validity of the result, projects away the intermediate tracks, and
-determinizes; by construction it accepts conv(0*rho(M), 0*rho(N),
-0*rho(M+N)) and nothing else.
+The composed adder joins digit-sum, the three pass relations and
+validity of the result with the toolkit's closure operations, one stage
+per pass: cylindrify, intersect, project the intermediate track (which
+closes under leading zero columns), minimize.  By construction it
+accepts conv(0*rho(M), 0*rho(N), 0*rho(M+N)) and nothing else.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .automata import Automaton, _ExplicitLazy, determinize_lazy, from_lazy
+from .automata import Automaton, from_lazy
 from .contfrac import AutomatonParameters, ContinuedFraction, automaton_parameters
 from .errors import NotQuadratic
 from .rules import Window, c_preimages, window_a, window_b, window_c
@@ -483,58 +484,25 @@ class _SumPass1Lazy:
                         yield (x, y, u1), (j, l2, nfzx, nfzy, nv, nw)
 
 
-class _ComposeLazy:
-    """Join ``left`` (letters ending in a middle track) with a 2-track
-    ``right`` relation on (middle, out); the middle track is projected on
-    the fly, so the result's letters end in ``out`` instead."""
-
-    def __init__(self, left, right):
-        self.left = left
-        self.right = right
-        self._rmap_cache: dict = {}
-
-    def initial_states(self):
-        return [
-            (ls, rs)
-            for ls in self.left.initial_states()
-            for rs in self.right.initial_states()
-        ]
-
-    def is_final(self, state) -> bool:
-        return self.left.is_final(state[0]) and self.right.is_final(state[1])
-
-    def successors(self, state):
-        ls, rs = state
-        rmap = self._rmap_cache.get(rs)
-        if rmap is None:
-            rmap = {}
-            for (mid, out), rt in self.right.successors(rs):
-                rmap.setdefault(mid, []).append((out, rt))
-            self._rmap_cache[rs] = rmap
-        for letter, lt in self.left.successors(ls):
-            for out, rt in rmap.get(letter[-1], ()):
-                yield letter[:-1] + (out,), (lt, rt)
-
-
 @functools.lru_cache(maxsize=None)
 def build_adder(cf: ContinuedFraction) -> Automaton:
     """Deterministic minimal automaton for conv(rho(M), rho(N), rho(M+N)).
 
-    Stages the intersection-and-projection pipeline pairwise: starting
-    from the digit-sum relation, each pass relation is joined onto the
-    running (x, y, intermediate) automaton while the previous intermediate
-    track is projected away; the join is determinized and minimized before
-    the next stage to keep the state count small.  Validity of the result
-    track, closure under leading zero columns, and a final minimization
-    finish the construction.
+    Stages the intersection-and-projection pipeline pairwise, with the
+    toolkit's own operations: starting from the fused digit-sum and pass-1
+    relation on (x, y, u), each further pass relation on (u, u') is
+    intersected with the running automaton cylindrified to (x, y, u, u'),
+    the track u is projected away (which closes the stage under leading
+    zero columns), and the result is minimized before the next stage to
+    keep the state count small.  Validity of the result track, closure
+    under leading zero columns, and a final minimization finish the
+    construction.
     """
     params = _params(cf)
-    m = params.m
-    dfa = determinize_lazy(_SumPass1Lazy(params), 3, m, complete=False).minimize()
+    dfa = from_lazy(_SumPass1Lazy(params), 3, params.m).determinize(complete=False).minimize()
     for pass_no in (2, 3):
         pass_dfa = build_pass_automaton(cf, pass_no).determinize(complete=False).minimize()
-        joined = _ComposeLazy(_ExplicitLazy(dfa), _ExplicitLazy(pass_dfa))
-        dfa = determinize_lazy(joined, 3, m, complete=False).minimize()
+        dfa = dfa.cylindrify(3).intersect(pass_dfa.cylindrify(0).cylindrify(0)).project(2).minimize()
     valid_z = build_valid_rep(cf).cylindrify(0).cylindrify(0)
     final = dfa.intersect(valid_z).zero_closure()
     return final.determinize_minimize()

@@ -204,6 +204,26 @@ def test_determinize_preserves_language():
         assert np.array_equal(language(a, n), language(d, n))
 
 
+def test_subsets_skip_dead_states():
+    # state 2 cannot reach the final state 1, so no subset holds it
+    nfa = Automaton(1, 1, 3, [0], [1], {0: {(0,): (1, 2), (1,): (2,)}, 2: {(0,): (2,)}})
+    dfa = nfa.determinize(complete=False)
+    assert dfa.num_states == 2
+    assert np.array_equal(language(nfa, 6), language(dfa, 6))
+
+
+def test_no_final_state_reachable():
+    # the final state 1 is not reachable from the initial state 0
+    nfa = Automaton(2, 1, 2, [0], [1], {0: {(0, 0): (0,), (1, 0): (0,)}, 1: {(0, 1): (1,)}})
+    for a in (nfa, nfa.determinize()):
+        for out in (a.determinize(), a.project(0), a.zero_closure()):
+            assert out.deterministic and out.is_empty()
+            assert Automaton.from_text(out.to_text()).to_text() == out.to_text()
+        comp = a.complement()
+        assert comp.is_total()
+        assert language(comp, 3).all()
+
+
 def distinguishable(d, p, q, arcs=None):
     """Some word separates states p and q of a total DFA (pair search)."""
     arcs = arc_map(d) if arcs is None else arcs
