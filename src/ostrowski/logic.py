@@ -167,9 +167,9 @@ class _Tokens:
                     i += len(sym)
                     break
             else:
-                if c.isdigit():
+                if "0" <= c <= "9":  # ASCII only: int() would also read other digits
                     j = i
-                    while j < len(text) and text[j].isdigit():
+                    while j < len(text) and "0" <= text[j] <= "9":
                         j += 1
                     self.items.append(("num", text[i:j], i))
                     i = j

@@ -95,7 +95,7 @@ def test_parse_error_position():
 
 def test_parse_errors():
     deep = ["(" * 2000 + "0 = 0" + ")" * 2000, "~" * 5000 + "0 = 0"]
-    for bad in ["", "x =", "A . x = x", "V(2) = y", "x + y", "(x = y", "x ~ y"] + deep:
+    for bad in ["", "x =", "A . x = x", "V(2) = y", "x + y", "(x = y", "x ~ y", "E x. x = ²"] + deep:
         with pytest.raises(FormulaSyntaxError):
             parse(bad)
 
