@@ -141,15 +141,12 @@ def _reach(n: int, srcs: np.ndarray, dsts: np.ndarray, seeds) -> np.ndarray:
     return seen
 
 
-def _complete(table: np.ndarray, sink: Optional[int] = None) -> np.ndarray:
-    """Send every missing arc to ``sink``, by default a new last state."""
+def _complete(table: np.ndarray) -> np.ndarray:
+    """Send every missing arc to a new last state, a sink."""
     if not (table < 0).any():
         return table
-    if sink is None:
-        sink = table.shape[0]
-        table = np.vstack([table, np.full((1, table.shape[1]), sink, np.int32)])
-    else:
-        table = table.copy()
+    sink = table.shape[0]
+    table = np.vstack([table, np.full((1, table.shape[1]), sink, np.int32)])
     table[table < 0] = sink
     return table
 
