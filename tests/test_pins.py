@@ -6,8 +6,6 @@ by the sha256 of its ``TraceStep`` lines joined with newlines; a compiled
 formula by the sha256 of ``compile_formula(...).to_text()``.  Changes to
 the rewrite rules, the recognizer constructions or the automata toolkit
 that keep behaviour must keep every hash.
-
-Left out for its build time: pass 1 on ``1;(3,1,2)``.
 """
 
 import hashlib
@@ -49,6 +47,7 @@ RECOGNIZER_PINS = {
     ("0;1,(1,2)", "va"): "e84d45a0e303a6adb3f37f19a2c9095a99bf75bce80e00477cafe4d301417cee",
     ("1;(3,1,2)", "valid"): "cae82e913c384b51ae790f8afbfa7a581e7487fa8f705935fee43184db1a09fb",
     ("1;(3,1,2)", "sum"): "3b0c66b03bb4f9ca8160ece16c0ecf7620e4fb399f2dd14f2c5c72dc98639e3d",
+    ("1;(3,1,2)", "pass1"): "468deac74bfc4b0792f6d2579ccb4a4ea148115d476216f3207cdeaea3e7b33a",
     ("1;(3,1,2)", "pass2"): "a43a8969a2ecb2e82ccbfc13c392649504a0e2cb6d253cd5bd2f36acaa013503",
     ("1;(3,1,2)", "pass3"): "da7b0efb7fe80479b0750c897c9a4c49f8bbc80b59a81fda7844b2c067e177de",
     ("1;(3,1,2)", "adder"): "5c9b3c9c57fc781c8f8598b5a74d0f46706468d57e9aa6720c97b6340e08497b",
