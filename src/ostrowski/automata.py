@@ -18,8 +18,7 @@ An automaton takes one of two array forms:
   ``dsts``, sorted by (code, dst).
 
 Letter tuples appear only at the boundaries: the validated constructor and
-``from_text``, lazy exploration (``from_lazy``), ``arcs``/``to_text``,
-``accepts`` and ``convolve``.
+``from_text``, ``arcs``/``to_text``, ``accepts`` and ``convolve``.
 
 The toolkit provides the standard closure operations (boolean ops,
 projection, cylindrification, determinization, minimization) with two
@@ -31,17 +30,20 @@ conventions that matter for numeration languages:
   initial state over ascending letters), so rebuilding a construction
   yields bit-identical output.
 
-Products and subset constructions advance a whole breadth-first level of
-states at once, in chunks that bound their memory.  A new product state is
-keyed exactly by its pair of state ids, a new subset by its membership
-bitmap.  Subset constructions leave out the states that cannot reach a
-final state, so the dead pairs of a product never inflate them.
+Products, subset constructions and lazy exploration advance a whole
+breadth-first level of states at once, in chunks that bound their memory.
+A new product state is keyed exactly by its pair of state ids, a new
+subset by its membership bitmap, and a state of a lazily described
+automaton (``from_lazy``) by the int64 key its recognizer packs it into;
+the recognizer steps whole arrays of keys and hands back letter codes.
+Subset constructions and ``from_lazy`` leave out the states that cannot
+reach a final state, so dead pairs and dead guesses never inflate them.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Hashable, Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -126,9 +128,9 @@ def _csr(n: int, srcs, codes, dsts) -> tuple[np.ndarray, np.ndarray, np.ndarray]
 
 def _reach(n: int, srcs: np.ndarray, dsts: np.ndarray, seeds) -> np.ndarray:
     """Mask of the states reachable from ``seeds`` along the arcs srcs -> dsts."""
-    order = np.argsort(srcs, kind="stable")
-    adj = dsts[order]
-    indptr = np.searchsorted(srcs[order], np.arange(n + 1))
+    adj = dsts[np.argsort(srcs)]
+    indptr = np.zeros(n + 1, np.int64)
+    np.cumsum(np.bincount(srcs, minlength=n), out=indptr[1:])
     seen = np.zeros(n, bool)
     frontier = np.unique(np.asarray(seeds, np.int64))
     seen[frontier] = True
@@ -167,16 +169,25 @@ class _PairIndex:
         at = np.searchsorted(self.keys, keys)
         found = at < len(self.keys)
         found[found] = self.keys[at[found]] == keys[found]
-        new = np.empty(0, np.int64)
-        if not found.all():
-            fresh, first = np.unique(keys[~found], return_index=True)
-            new = fresh[np.argsort(first)]
-            ids = np.concatenate([self.ids, np.arange(len(self.ids), len(self.ids) + len(new))])
-            keys_all = np.concatenate([self.keys, new])
-            order = np.argsort(keys_all)
-            self.keys, self.ids = keys_all[order], ids[order]
-            at = np.searchsorted(self.keys, keys)
-        return self.ids[at], new
+        ids = np.empty(len(keys), np.int64)
+        ids[found] = self.ids[at[found]]
+        missing = np.flatnonzero(~found)
+        if not missing.size:
+            return ids, missing
+        fresh, first, inverse = np.unique(keys[missing], return_index=True, return_inverse=True)
+        order = np.argsort(first)
+        fresh_ids = np.empty(len(fresh), np.int64)
+        fresh_ids[order] = np.arange(len(self.ids), len(self.ids) + len(fresh))
+        ids[missing] = fresh_ids[inverse.ravel()]
+        # merge the new keys into the sorted ones
+        slot = np.searchsorted(self.keys, fresh) + np.arange(len(fresh))
+        old = np.ones(len(self.keys) + len(fresh), bool)
+        old[slot] = False
+        merged_keys, merged_ids = np.empty(len(old), np.int64), np.empty(len(old), np.int64)
+        merged_keys[slot], merged_ids[slot] = fresh, fresh_ids
+        merged_keys[old], merged_ids[old] = self.keys, self.ids
+        self.keys, self.ids = merged_keys, merged_ids
+        return ids, fresh[order]
 
 
 def _product_tables(ta: np.ndarray, tb: np.ndarray, a0: int, b0: int):
@@ -254,7 +265,7 @@ class Automaton:
     def _init_nfa(self, arity, digit_bound, num_states, initial, finals, srcs, codes, dsts):
         self._set(arity, digit_bound, num_states, initial, finals)
         _check_keys(self.num_states, arity, digit_bound)
-        self._table = self._search_keys = None
+        self._table = self._arcs_by_key = None
         self._arrays = _csr(self.num_states, srcs, codes, dsts)
 
     def _set(self, arity, digit_bound, num_states, initial, finals) -> None:
@@ -271,7 +282,7 @@ class Automaton:
         self = cls.__new__(cls)
         self._set(arity, digit_bound, table.shape[0], (0,), finals)
         self._table = table.astype(np.int32, copy=False)
-        self._arrays = self._search_keys = None
+        self._arrays = self._arcs_by_key = None
         return self
 
     @classmethod
@@ -356,14 +367,14 @@ class Automaton:
             codes = codes // (low * (self.digit_bound + 1)) * low + codes % low
         return pos, codes, dsts
 
-    def _flat_targets(self, states, row_of, size: int, width: int, erase=None) -> np.ndarray:
-        """Indices ``(row_of[k] * size + code) * width + dst`` of the arcs of
-        ``states[k]``, codes as in ``_gather``.  A missing arc of a table
-        gives dst -1, which lands in the last column of the row before."""
+    def _flat_targets(self, states, row_of, size: int, width: int, column, erase=None) -> np.ndarray:
+        """Indices ``(row_of[k] * size + code) * width + column[dst]`` of the
+        arcs of ``states[k]``, codes as in ``_gather``; a missing arc of a
+        table reads ``column[-1]``."""
         if not self.deterministic:
             pos, codes, dsts = self._gather(states, erase)
-            return (row_of[pos] * size + codes) * width + dsts
-        targets = self._table[states]
+            return (row_of[pos] * size + codes) * width + column[dsts]
+        targets = column[self._table[states]]
         if erase is not None:
             radix = self.digit_bound + 1
             split = targets.reshape(len(states), radix**erase, radix, -1)
@@ -410,25 +421,19 @@ class Automaton:
                 if state < 0:
                     return False
             return state in self.finals
-        # The arcs of state s reading code c are those with key s * size + c
-        # in the sorted keys of all arcs.
-        keys = self._keys()
-        dsts = self._arrays[2]
+        arcs = self._arc_dict()
         size = self.alphabet_size
-        states = sorted(self.initial)
+        states = self.initial
         for letter in word:
             code = memo.get(letter)
             if code is None and (code := self._new_code(letter)) < 0:
                 return False
-            wanted = np.array(states, np.int64) * size + code
             reached: set[int] = set()
-            for lo, hi in zip(keys.searchsorted(wanted).tolist(),
-                              keys.searchsorted(wanted, "right").tolist()):
-                if lo < hi:
-                    reached.update(dsts[lo:hi].tolist())
+            for s in states:
+                reached.update(arcs.get(s * size + code, ()))
             if not reached:
                 return False
-            states = sorted(reached)
+            states = reached
         return not self.finals.isdisjoint(states)
 
     def _new_code(self, letter: Letter) -> int:
@@ -441,14 +446,16 @@ class Automaton:
         code = self._letter_codes[letter] = _code(letter, self.arity, self.digit_bound + 1)
         return code
 
-    def _keys(self) -> np.ndarray:
-        """Sorted ``src * alphabet_size + code`` of every arc of the
-        nondeterministic form, built on first use."""
-        if self._search_keys is None:
-            indptr, codes, _ = self._arrays
-            srcs = np.repeat(np.arange(self.num_states, dtype=np.int64), np.diff(indptr))
-            self._search_keys = srcs * self.alphabet_size + codes
-        return self._search_keys
+    def _arc_dict(self) -> dict[int, list[int]]:
+        """Targets of the nondeterministic form by ``src * alphabet_size +
+        code``, built on first use."""
+        if self._arcs_by_key is None:
+            srcs, codes, dsts = self._arc_arrays()
+            keys = srcs.astype(np.int64) * self.alphabet_size + codes
+            self._arcs_by_key = arcs = {}
+            for key, dst in zip(keys.tolist(), dsts.tolist()):
+                arcs.setdefault(key, []).append(dst)
+        return self._arcs_by_key
 
     # -- structural operations ----------------------------------------------
 
@@ -599,9 +606,9 @@ class Automaton:
         closes the language under leading all-zero letters: the start
         subset holds every state reachable by zero letters and loops on the
         zero letter, which is what a fresh start state with all their arcs
-        and a zero self-loop amounts to; bit ``num_states`` of its bitmap
-        marks it.  Each subset is keyed exactly by its membership bitmap
-        and holds only states from which a final state can be reached.
+        and a zero self-loop amounts to; a bit after the states marks it.
+        Each subset holds only states from which a final state can be
+        reached, and is keyed exactly by its membership bitmap over them.
         """
         arity = self.arity - (erase is not None)
         size = (self.digit_bound + 1) ** arity
@@ -623,15 +630,21 @@ class Automaton:
         if not start.size:  # the language is empty
             table = np.full((1, size), 0 if complete else -1, np.int32)
             return Automaton._dfa(arity, self.digit_bound, table, [])
-        keep = np.append(useful, True)  # and the zero-closure marker
-        start_row = np.zeros(n + 1, bool)
-        start_row[start] = True
-        start_row[n] = zero_closed
+        # Bitmap columns: one per useful state, then the zero-closure
+        # marker, then one that the other targets and missing arcs fall into.
+        kept = np.flatnonzero(useful)
+        u = len(kept)
+        column = np.full(n + 1, u + 1, np.int64)
+        column[kept] = np.arange(u)
+        start_row = np.zeros(u + 1, bool)
+        start_row[column[start]] = True
+        start_row[u] = zero_closed
         index = {np.packbits(start_row, bitorder="little").tobytes(): 0}
         members = [start]
         finals = [bool(final[start].any())]
+        final = final[kept]
         degree = self.alphabet_size if self.deterministic else -(-len(self._arrays[1]) // max(1, n))
-        per_chunk = max(1, 4 * _CHUNK // _cells(size * (n + 1), "subset bitmap"))
+        per_chunk = max(1, 4 * _CHUNK // _cells(size * (u + 1), "subset bitmap"))
         blocks = []
         i = 0
         while i < len(members):
@@ -640,11 +653,9 @@ class Automaton:
                 j = (i + j) // 2
             group = members[i:j]
             owner = np.repeat(np.arange(j - i), [len(m) for m in group])
-            # one row per (subset, letter): the states, the marker, and a
-            # last column that missing arcs of a table fall into
-            hit = np.zeros((j - i) * size * (n + 2), bool)
-            hit[self._flat_targets(np.concatenate(group), owner, size, n + 2, erase)] = True
-            hit = hit.reshape(-1, n + 2)[:, : n + 1] & keep
+            hit = np.zeros((j - i) * size * (u + 2), bool)  # a row per (subset, letter)
+            hit[self._flat_targets(np.concatenate(group), owner, size, u + 2, column, erase)] = True
+            hit = hit.reshape(-1, u + 2)[:, : u + 1]
             if zero_closed and i == 0:
                 hit[0] = start_row
             packed = np.packbits(hit, axis=1, bitorder="little")
@@ -655,15 +666,15 @@ class Automaton:
                 return_index=True, return_inverse=True,
             )
             ids = np.empty(len(keys), np.int32)
-            for u in np.argsort(first):
-                key = keys[u].tobytes()
+            for k in np.argsort(first):
+                key = keys[k].tobytes()
                 sid = index.get(key)
                 if sid is None:
                     sid = index[key] = len(members)
-                    row = hit[live[first[u]], :n]
-                    members.append(np.flatnonzero(row))
+                    row = hit[live[first[k]], :u]
+                    members.append(kept[row])
                     finals.append(bool((row & final).any()))
-                ids[u] = sid
+                ids[k] = sid
             _cells(len(members) * size, "subset table")
             block = np.full((j - i) * size, -1, np.int32)
             block[live] = ids[inverse.ravel()]
@@ -803,56 +814,62 @@ class Automaton:
 
 # -- lazy construction -------------------------------------------------------
 #
-# Recognizer builders describe automata by successor rules over structured
-# (hashable) states; these helpers explore them breadth-first.  A lazy
-# automaton is any object with:
-#     initial_states() -> iterable of hashable states
-#     is_final(state)  -> bool
-#     successors(state) -> iterable of (letter, state)
+# Recognizer builders describe automata by frames over packed states: each
+# state is one int64 key, and a step takes a whole array of keys at once.
+# A lazy automaton is any object with:
+#     initial_keys() -> int64 array of the initial states' keys, in order
+#     final(keys)    -> bool mask of the final keys
+#     fanout         -> the grid cells one state's step works on, at most
+#     step(keys)     -> (pos, codes, targets): every arc leaving keys[pos],
+#                       grouped by ascending pos; the order within a state
+#                       is the order in which its new targets are numbered
 
 
 def from_lazy(lazy, arity: int, digit_bound: int) -> Automaton:
-    """Materialize a lazily-described NFA by breadth-first exploration,
-    keeping only the states from which a final state can be reached
-    (exploration meets only reachable ones); letters are coded once each."""
-    radix = digit_bound + 1
-    ids: dict[Hashable, int] = {}
-    order: list[Hashable] = []
-    for state in lazy.initial_states():
-        if state not in ids:
-            ids[state] = len(order)
-            order.append(state)
-    initial = list(range(len(order)))
-    srcs: list[int] = []
-    codes: list[int] = []
-    dsts: list[int] = []
-    code_of: dict[Letter, int] = {}
-    get_id, get_code = ids.get, code_of.get
-    for src, state in enumerate(order):  # order grows as states are met
-        for letter, target in lazy.successors(state):
-            code = get_code(letter)
-            if code is None:
-                code = code_of[letter] = _code(letter, arity, radix)
-            dst = get_id(target)
-            if dst is None:
-                dst = ids[target] = len(order)
-                order.append(target)
-            srcs.append(src)
-            codes.append(code)
-            dsts.append(dst)
-    n = len(order)
+    """Materialize a lazily described NFA breadth first, one level at a
+    time, keeping only the states from which a final state can be reached.
+
+    Each level is stepped in chunks of at most ``_CHUNK`` grid cells, and
+    its targets are numbered in one lookup, new keys in order of first
+    occurrence: the ids come out as a state-by-state exploration would
+    assign them.
+    """
+    index = _PairIndex()
+    _, level = index.lookup(np.asarray(lazy.initial_keys(), np.int64))
+    levels = [level]
+    code_type = np.int32 if (digit_bound + 1) ** arity <= 1 << 31 else np.int64
+    srcs, codes, dsts = [], [], []
+    per_chunk = max(1, _CHUNK // lazy.fanout)
+    count = 0  # states of the levels before this one
+    while level.size:
+        targets = []
+        for lo in range(0, len(level), per_chunk):
+            pos, code, target = lazy.step(level[lo : lo + per_chunk])
+            srcs.append((count + lo + pos).astype(np.int32))
+            codes.append(code.astype(code_type))
+            targets.append(target)
+        ids, level = index.lookup(np.concatenate(targets))
+        dsts.append(ids.astype(np.int32))
+        levels.append(level)
+        count += len(levels[-2])
+        _cells(count + len(level), "explored state count")
+    keys = np.concatenate(levels)
+    n = len(keys)
     _check_keys(n, arity, digit_bound)
-    finals = [k for k, s in enumerate(order) if lazy.is_final(s)]
-    srcs, codes, dsts = (np.array(a, np.int64) for a in (srcs, codes, dsts))
+    finals = np.flatnonzero(lazy.final(keys))
+    srcs = np.concatenate(srcs)
+    codes = np.concatenate(codes)
+    dsts = np.concatenate(dsts)
     useful = _reach(n, dsts, srcs, finals)
     renumber = np.cumsum(useful) - 1
     keep = useful[srcs] & useful[dsts]
+    initial = np.arange(len(levels[0]))
     return Automaton._nfa(
         arity,
         digit_bound,
         int(useful.sum()),
-        [renumber[s] for s in initial if useful[s]],
-        [renumber[s] for s in finals if useful[s]],
+        renumber[initial[useful[initial]]],
+        renumber[finals[useful[finals]]],
         renumber[srcs[keep]],
         codes[keep],
         renumber[dsts[keep]],

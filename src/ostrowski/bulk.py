@@ -4,13 +4,11 @@ The three addition passes touch each digit position a constant number of
 times, so a large family of additions vectorizes cleanly: stack the digit
 words of all pairs into an integer matrix (one row per addition, columns
 LSD first) and run each pass as a short loop over positions with numpy
-masks over the rows.  Internally the matrices are processed transposed so
-each position is a contiguous row.  The window invariants of the scalar
-passes are asserted the same way, as row masks; any violating row aborts
-the batch with ``InternalInvariantError``.
-
-The rule conditions here are an independent twin of the scalar rules in
-``rules``; the tests compare the two.  Digits stay far below int16.
+masks over the rows: the array forms of the window rules in ``rules``,
+added in place.  Internally the matrices are processed transposed so each
+position is a contiguous row.  The window invariants of the scalar passes
+are asserted the same way, as row masks; any violating row aborts the
+batch with ``InternalInvariantError``.  Digits stay far below int16.
 Decoding is exact: it uses int64 while every row's value provably fits
 63 bits and Python integers beyond.
 """
@@ -22,6 +20,7 @@ import numpy as np
 from .contfrac import ContinuedFraction
 from .errors import InternalInvariantError
 from .numeration import encode
+from .rules import window_a_delta, window_b_delta, window_c_delta
 
 
 def encode_table(cf: ContinuedFraction, limit: int, width: int | None = None) -> np.ndarray:
@@ -47,25 +46,15 @@ def _pass1_t(cf: ContinuedFraction, z: np.ndarray, check: bool) -> None:
         w1, w2, w3, w4 = z[k - 1], z[k - 2], z[k - 3], z[k - 4]
         if check:
             _assert_window_lemmas(k, a_k, a_k1, a_k2, w1, w2, w3)
-        low1 = w1 < a_k
-        fire1 = (low1 & (w2 > a_k1) & (w3 == 0)).astype(np.int16)
-        fire2 = (low1 & (w2 >= a_k1) & (w2 <= 2 * a_k1) & (w3 > 0)).astype(np.int16)
-        z[k - 1] += fire1 + fire2
-        z[k - 2] -= fire1 * (a_k1 + 1) + fire2 * a_k1
-        z[k - 3] += fire1 * (a_k2 - 1 - w3) - fire2
-        z[k - 4] += fire1
-    a3, a2, a1 = aks[2], aks[1], aks[0]
-    b3, b2, b1 = z[2], z[1], z[0]
+        _add(z, (k - 1, k - 2, k - 3, k - 4), window_a_delta((a_k, a_k1, a_k2), (w1, w2, w3, w4)))
     if check:
-        _assert_window_lemmas(3, a3, a2, a1, b3, b2, b1)
-    low3 = b3 < a3
-    fb1 = (low3 & (b2 > a2) & (b1 == 0)).astype(np.int16)
-    fb2 = (low3 & (b2 >= a2) & (b1 >= 1) & (b1 <= a1)).astype(np.int16)
-    fb3 = (low3 & (b2 >= a2) & (b1 > a1)).astype(np.int16)
-    fb4 = ((b2 < a2) & (b1 >= a1)).astype(np.int16)
-    z[2] += fb1 + fb2 + fb3
-    z[1] += -fb1 * (a2 + 1) - (fb2 + fb3) * a2 + fb3 + fb4
-    z[0] += fb1 * (a1 - 1 - b1) - fb2 - fb3 * (a1 + 1) - fb4 * a1
+        _assert_window_lemmas(3, aks[2], aks[1], aks[0], z[2], z[1], z[0])
+    _add(z, (2, 1, 0), window_b_delta((aks[2], aks[1], aks[0]), (z[2], z[1], z[0])))
+
+
+def _add(arr: np.ndarray, rows, delta) -> None:
+    for row, d in zip(rows, delta):
+        arr[row] += d
 
 
 def _assert_window_lemmas(k, a_k, a_k1, a_k2, w1, w2, w3) -> None:
@@ -114,11 +103,7 @@ def _pass3_t(cf: ContinuedFraction, v: np.ndarray, check: bool) -> None:
 
 
 def _apply_c_t(arr: np.ndarray, k: int, a_k: int, a_k1: int) -> None:
-    w1, w2, w3 = arr[k - 1], arr[k - 2], arr[k - 3]
-    fire = ((w1 < a_k) & (w2 == a_k1) & (w3 > 0)).astype(np.int16)
-    arr[k - 1] += fire
-    arr[k - 2] -= fire * w2
-    arr[k - 3] -= fire
+    _add(arr, (k - 1, k - 2, k - 3), window_c_delta((a_k, a_k1), (arr[k - 1], arr[k - 2], arr[k - 3])))
 
 
 def _extend_t(arr_t: np.ndarray) -> np.ndarray:

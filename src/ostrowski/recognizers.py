@@ -13,10 +13,10 @@ word length.
 
 The three pass automata recognize { conv(z, z') : pass_i(z) = z' } for
 the addition passes.  They verify the pass's window arithmetic (the
-rewrite rules defined in ``rules``, the functions the scalar passes call)
-while reading both tracks in parallel; since a window's result is only
-known a few letters after the automaton has read the claimed output
-digit, each state buffers the digits awaiting verification (three for the width-4
+rewrite rules of ``rules``, in the array forms ``bulk`` also uses) while
+reading both tracks in parallel; since a window's result is only known a
+few letters after the automaton has read the claimed output digit, each
+state buffers the digits awaiting verification (three for the width-4
 pass, two for the width-3 passes; the backward pass buffers input digits
 instead, because it verifies its windows against the stream two letters
 late).  The initial all-zero buffers make the language closed under
@@ -24,57 +24,78 @@ leading zero columns, and equally force a rejected run whenever the pass
 would carry beyond the padded length, so the relations compose soundly
 under convolution padding.
 
+Each recognizer is a frame for ``automata.from_lazy``: it packs a state
+(phase id, buffers, flags) into one int64 key with ``_Key`` and steps a
+whole frontier of keys at once.  A step lays out, per state, a grid over
+its choices (input digits, claimed digits, successor phases) in the order
+that numbers new states, masks the cells the rules allow, and reads off
+the arcs of the cells left.  An expansion whose keys could pass 64 bits
+raises ``AutomatonTooLarge`` before anything is explored.
+
 The composed adder joins digit-sum, the three pass relations and
 validity of the result with the toolkit's closure operations, one stage
 per pass: cylindrify, intersect, project the intermediate track (which
-closes under leading zero columns), minimize.  By construction it
+closes under leading zero columns), minimize.  Its first stage is the
+width-4 frame reading x + y from two valid tracks.  By construction it
 accepts conv(0*rho(M), 0*rho(N), 0*rho(M+N)) and nothing else.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
+import math
 
-from .automata import Automaton, from_lazy
+import numpy as np
+
+from .automata import Automaton, _ranges, from_lazy
 from .contfrac import AutomatonParameters, ContinuedFraction, automaton_parameters
-from .errors import NotQuadratic
-from .rules import Window, c_preimages, window_a, window_b, window_c
+from .errors import AutomatonTooLarge, NotQuadratic
+from .rules import Window, c_preimages_array, rewrite, window_a_delta, window_b_delta, window_c_delta
 
 
-# -- phase bookkeeping --------------------------------------------------------
+# -- phases and state keys ------------------------------------------------------
 
 
 class _Phases:
     """(i, l) phase table with quotient-cap windows and wrap transitions.
 
-    ``lo`` is the smallest l = 0 index a builder uses.  The only branching
-    successor is (xi, 1): the run either wraps to (nu, 1) for another copy
-    of the block or commits to (nu, 0), declaring the copy just read to be
-    the one ending at position nu.
+    Phases are numbered 0..count-1 (``id``); ``i`` and ``cap`` hold each
+    phase's countdown and quotient a_i, and ``next`` its successors, -1
+    padded.  ``lo`` is the smallest l = 0 index a builder uses.  The only
+    branching successor is (xi, 1): the run either wraps to (nu, 1) for
+    another copy of the block or commits to (nu, 0), declaring the copy
+    just read to be the one ending at position nu.
     """
 
     def __init__(self, params: AutomatonParameters, lo: int):
         self.params = params
-        self.lo = lo
+        xi, nu = params.xi, params.nu
+        self.pairs = [(i, 0) for i in range(lo, nu + 1)] + [(i, 1) for i in range(xi, nu + 1)]
+        self.id = {pair: p for p, pair in enumerate(self.pairs)}
+        self.count = len(self.pairs)
+        self.i = np.array([i for i, _ in self.pairs])
+        self.cap = np.array([self.quot(i) for i, _ in self.pairs])
+        self.next = np.full((self.count, 2), -1, np.int64)
+        for p, (i, l) in enumerate(self.pairs):
+            if l == 1 and i == xi:
+                succ = [(nu, 1), (nu, 0)]
+            else:
+                succ = [(i - 1, l)] if l == 1 or i > lo else []
+            self.next[p, : len(succ)] = [self.id[pair] for pair in succ]
 
     def quot(self, i: int) -> int:
         return self.params.unrolled[i - 1]
 
-    def initial(self, kmin: int):
-        for i in range(max(kmin, self.lo), self.params.nu + 1):
-            yield (i, 0)
-        for i in range(self.params.xi, self.params.nu + 1):
-            yield (i, 1)
+    def initial(self, kmin: int) -> list[int]:
+        xi, nu = self.params.xi, self.params.nu
+        starts = [(i, 0) for i in range(kmin, nu + 1)] + [(i, 1) for i in range(xi, nu + 1)]
+        return [self.id[pair] for pair in starts]
 
-    def successors(self, i: int, l: int):
-        if l == 1:
-            if i == self.params.xi:
-                return ((self.params.nu, 1), (self.params.nu, 0))
-            return ((i - 1, 1),)
-        if i - 1 >= self.lo:
-            return ((i - 1, 0),)
-        return ()
+    def windows(self, width: int) -> np.ndarray:
+        """Quotient windows of every phase, one row each: ``p_tuple`` for
+        width 4, ``q_tuple`` for width 3."""
+        window = self.p_tuple if width == 4 else self.q_tuple
+        return np.array([window(i, l) for i, l in self.pairs])
 
     def p_tuple(self, i: int, l: int) -> Window:
         xi, nu = self.params.xi, self.params.nu
@@ -97,82 +118,173 @@ class _Phases:
         return (a(i), a(i - 1), a(i - 2))
 
 
+class _Key:
+    """Mixed-radix packing of a state's fields into one int64 key, field 0
+    most significant.  Keys that could pass 2**63 - 1 are refused."""
+
+    def __init__(self, *radices: int):
+        if math.prod(radices) > 1 << 63:
+            raise AutomatonTooLarge(f"states with fields of {radices} values do not fit 64-bit keys")
+        self.radices = radices
+
+    def pack(self, *fields) -> np.ndarray:
+        key = np.asarray(fields[0], np.int64)
+        for field, radix in zip(fields[1:], self.radices[1:]):
+            key = key * radix + field
+        return key
+
+    def unpack(self, keys: np.ndarray) -> list[np.ndarray]:
+        """The fields of each key as columns, which broadcast over grid axes."""
+        fields = []
+        for radix in reversed(self.radices[1:]):
+            keys, field = np.divmod(keys, radix)
+            fields.append(field[:, None])
+        return [keys[:, None]] + fields[::-1]
+
+
 def _params(cf: ContinuedFraction) -> AutomatonParameters:
     if not cf.is_quadratic:
         raise NotQuadratic("recognizers require an eventually periodic expansion")
     return automaton_parameters(cf)
 
 
+def _allowed(digits, cap, first, forced):
+    """Digits a valid track may take at a position with quotient ``cap``:
+    only 0 right after a capped digit, and below the cap at position 1."""
+    return (digits <= cap - first) & (~forced | (digits == 0))
+
+
+def _digit_grid(k: int, mu: int) -> np.ndarray:
+    """Every k-tuple of digits 0..mu, track 0 most significant: ``[k, (mu+1)**k]``."""
+    return np.indices((mu + 1,) * k).reshape(k, -1)
+
+
 # -- pass automata ------------------------------------------------------------
 
 
-class _Pass1Lazy:
-    """Two-track automaton for the width-4 pass.
+class _DigitInput:
+    """Input of the width-4 pass automaton: one digit z, any of 0..m."""
 
-    State (i, l, v, w): phase for the upcoming window step, the three
-    pending window digits v, and the three claimed output digits w still
-    awaiting verification.  Reading (x, y) verifies that the window
-    (v, x) rewrites to (w1, v') and shifts y into the buffer.  The step
-    reaching phase 3 additionally verifies the final width-3 rewrite
-    against the last three claimed digits.
-    """
+    flag_radix = 1
 
     def __init__(self, params: AutomatonParameters):
-        self.params = params
+        self.letter = np.arange(params.m + 1)
+
+    def read(self, cap, last, flags):
+        """Per input: allowed, the digit fed to the window, the next flags."""
+        return True, self.letter[None, :], 0
+
+
+class _SumInput:
+    """Input of the fused first adder stage: x + y over two valid tracks.
+
+    The flags (2 for x, 1 for y) say which track sat at its cap, which
+    forces a 0 next; the middle track u0 = x + y never appears, the window
+    consumes the sum directly.
+    """
+
+    flag_radix = 4
+
+    def __init__(self, params: AutomatonParameters):
+        self.x, self.y = _digit_grid(2, params.mu)
+        self.letter = self.x * (params.m + 1) + self.y
+
+    def read(self, cap, last, flags):
+        ok = _allowed(self.x, cap, last, flags >= 2) & _allowed(self.y, cap, last, flags % 2 == 1)
+        return ok, self.x + self.y, (self.x == cap) * 2 + (self.y == cap)
+
+
+class _Pass1Lazy:
+    """The width-4 pass over an input: tracks (z, z') with ``_DigitInput``,
+    or (x, y, z') for z = x + y with ``_SumInput``.
+
+    State (phase, flags, v, w): phase for the upcoming window step, the
+    input's flags, the three pending window digits v, and the three
+    claimed output digits w still awaiting verification.  Reading an input
+    digit s and a claim verifies that the window (v, s) rewrites to
+    (w1, v') and shifts the claim into the buffer.  The step reaching
+    phase 3 additionally verifies the final width-3 rewrite against the
+    last three claimed digits, which leaves one claim, and clears the
+    flags.  With the sum input the phase runs three ahead of the position
+    being read, so that position's cap is the last quotient of the window.
+
+    Grid per state: input, claimed digit, successor phase.
+    """
+
+    def __init__(self, params: AutomatonParameters, hook):
+        self.m = params.m
+        self.hook = hook
         self.phases = _Phases(params, lo=3)
+        self.key = _Key(self.phases.count, hook.flag_radix, *(params.m + 1,) * 6)
+        self.u = self.phases.windows(4)
+        self.ub = self.phases.q_tuple(3, 0)
+        self.last, self.done = self.phases.id[4, 0], self.phases.id[3, 0]
+        self.fanout = len(hook.letter) * (params.m + 1) * 2
 
-    def initial_states(self):
-        zero = (0, 0, 0)
-        return [(i, l, zero, zero) for (i, l) in self.phases.initial(4)]
+    def initial_keys(self) -> np.ndarray:
+        return self.key.pack(self.phases.initial(4), 0, 0, 0, 0, 0, 0, 0)
 
-    def is_final(self, state) -> bool:
-        return state[0] == 3 and state[1] == 0
+    def final(self, keys: np.ndarray) -> np.ndarray:
+        return self.key.unpack(keys)[0][:, 0] == self.done
 
-    def successors(self, state):
-        i, l, v, w = state
-        if i == 3 and l == 0:
-            return
-        m = self.params.m
-        u = self.phases.p_tuple(i, l)
-        if i == 4 and l == 0:
-            ub = self.phases.q_tuple(3, 0)
-            for x in range(m + 1):
-                _, full = window_a(u, (v[0], v[1], v[2], x))
-                if full[0] != w[0] or full[3] > m:
-                    continue
-                nv = full[1:]
-                _, out = window_b(ub, nv)
-                if out[0] == w[1] and out[1] == w[2] and out[2] <= m:
-                    yield (x, out[2]), (3, 0, nv, (w[1], w[2], out[2]))
-            return
-        targets = self.phases.successors(i, l)
-        for x in range(m + 1):
-            _, full = window_a(u, (v[0], v[1], v[2], x))
-            if full[0] != w[0] or full[3] > m:
-                continue
-            nv = full[1:]
-            for y in range(m + 1):
-                nw = (w[1], w[2], y)
-                for j, l2 in targets:
-                    if j == 3:
-                        continue  # phase 3 is entered only through the final check
-                    yield (x, y), (j, l2, nv, nw)
+    def step(self, keys: np.ndarray):
+        m = self.m
+        p, flags, v0, v1, v2, w0, w1, w2 = self.key.unpack(keys)
+        u = self.u[p[:, 0]].T[..., None]
+        last = p == self.last
+        ok, s, flags = self.hook.read(u[3], last, flags)
+        full = rewrite(window_a_delta, u, (v0, v1, v2, s))
+        ok = ok & (full[0] == w0) & (full[3] <= m)
+        pos, c = np.nonzero(ok)
+        flags, *nv = (np.broadcast_to(a, ok.shape)[pos, c] for a in (flags, *full[1:]))
+        # the final step: the last three claims must be what the width-3
+        # rewrite leaves, and it claims the output digit that rewrite settles
+        closing = last[pos, 0]
+        out = rewrite(window_b_delta, self.ub, nv)
+        closes = (out[0] == w1[pos, 0]) & (out[1] == w2[pos, 0]) & (out[2] <= m)
+        keep = np.flatnonzero(~closing | closes)
+        pos, c, flags, closing, settled = pos[keep], c[keep], flags[keep], closing[keep], out[2][keep]
+        nv = [a[keep] for a in nv]
+        # other steps take every claim; each claim goes to each successor phase
+        nxt = self.phases.next[p[pos, 0]]
+        fan = (nxt >= 0).sum(axis=1)
+        arc, k = _ranges(np.zeros_like(pos), np.where(closing, 1, m + 1) * fan)
+        y = np.where(closing[arc], settled[arc], k // fan[arc])
+        flags = np.where(closing, 0, flags)[arc]
+        pos, c = pos[arc], c[arc]
+        nv = [a[arc] for a in nv]
+        target = self.key.pack(nxt[arc, k % fan[arc]], flags, *nv, w1[pos, 0], w2[pos, 0], y)
+        return pos, self.hook.letter[c] * (m + 1) + y, target
 
 
 class _Width3Lazy:
-    """State frame of the width-3 pass automata: (i, l, v, w) with two-digit
-    buffers v and w, and phases counting down to 2."""
+    """State frame of the width-3 pass automata: (phase, v, w) with
+    two-digit buffers v and w, and phases counting down to 2.  The step
+    into phase 2 verifies the first window of the pass outright, which
+    leaves one output digit, and clears v.
+
+    Grid per state: pass 3 reads input x, claim y, successor phase; pass 2
+    reads claim y, preimage, input x, successor phase.
+    """
 
     def __init__(self, params: AutomatonParameters):
-        self.params = params
+        self.m = params.m
         self.phases = _Phases(params, lo=2)
+        self.key = _Key(self.phases.count, *(params.m + 1,) * 4)
+        self.u = self.phases.windows(3)
+        self.last, self.done = self.phases.id[3, 0], self.phases.id[2, 0]
+        self.fanout = 4 * (params.m + 1) ** 2
 
-    def initial_states(self):
-        zero = (0, 0)
-        return [(i, l, zero, zero) for (i, l) in self.phases.initial(3)]
+    def initial_keys(self) -> np.ndarray:
+        return self.key.pack(self.phases.initial(3), 0, 0, 0, 0)
 
-    def is_final(self, state) -> bool:
-        return state[0] == 2 and state[1] == 0
+    def final(self, keys: np.ndarray) -> np.ndarray:
+        return self.key.unpack(keys)[0][:, 0] == self.done
+
+    def _fields(self, keys: np.ndarray):
+        p, v0, v1, w0, w1 = self.key.unpack(keys)
+        u = self.u[p[:, 0]].T[..., None]
+        return p == self.last, (v0, v1), (w0, w1), u, self.phases.next[p[:, 0]]
 
 
 class _Pass2Lazy(_Width3Lazy):
@@ -185,29 +297,22 @@ class _Pass2Lazy(_Width3Lazy):
     final step verifies the first window of the pass outright.
     """
 
-    def successors(self, state):
-        i, l, v, w = state
-        if i == 2 and l == 0:
-            return
-        m = self.params.m
-        if i == 3 and l == 0:
-            u = self.phases.q_tuple(3, 0)
-            for x in range(m + 1):
-                _, out = window_c(u, (w[0], w[1], x))
-                if out[0] == v[0] and out[1] == v[1]:
-                    yield (x, out[2]), (2, 0, (0, 0), (w[1], x))
-            return
-        u = self.phases.q_tuple(i, l)
-        targets = [t for t in self.phases.successors(i, l) if t[0] != 2]
-        for y in range(m + 1):
-            for before in c_preimages(u, (v[0], v[1], y), m):
-                if before[0] != w[0]:
-                    continue
-                nv = (before[1], before[2])
-                for x in range(m + 1):
-                    nw = (w[1], x)
-                    for j, l2 in targets:
-                        yield (x, y), (j, l2, nv, nw)
+    def step(self, keys: np.ndarray):
+        last, (v0, v1), (w0, w1), u, nxt = self._fields(keys)
+        digits = np.arange(self.m + 1)
+        exists, before = c_preimages_array(u, (v0, v1, digits), self.m)
+        general = exists & (before[0] == w0[..., None])
+        # The final step reads (x, out2) for each x.  Since out2 never
+        # decreases as x grows, its arcs sit in the cells y = out2 of the
+        # first preimage in the order of x.
+        out = rewrite(window_c_delta, u, (w0, w1, digits))
+        closes = ((out[0] == v0) & (out[1] == v1))[:, None, :] & (digits[:, None] == out[2][:, None, :])
+        closes = closes[:, :, None, :] & (np.arange(2) == 0)[:, None]
+        cells = np.where(last[..., None, None], closes, general[..., None])
+        pos, y, k, x, t = np.nonzero(cells[..., None] & (nxt >= 0)[:, None, None, None, :])
+        nv = [np.where(last[pos, 0], 0, b[pos, y, k]) for b in before[1:]]
+        target = self.key.pack(nxt[pos, t], *nv, w1[pos, 0], x)
+        return pos, x * (self.m + 1) + y, target
 
 
 class _Pass3Lazy(_Width3Lazy):
@@ -219,31 +324,16 @@ class _Pass3Lazy(_Width3Lazy):
     its settled digit with the oldest buffered claim.
     """
 
-    def successors(self, state):
-        i, l, v, w = state
-        if i == 2 and l == 0:
-            return
-        m = self.params.m
-        if i == 3 and l == 0:
-            u = self.phases.q_tuple(3, 0)
-            for x in range(m + 1):
-                _, out = window_c(u, (v[0], v[1], x))
-                if out[0] == w[0] and out[1] == w[1]:
-                    yield (x, out[2]), (2, 0, (0, 0), (w[1], out[2]))
-            return
-        u = self.phases.q_tuple(i, l)
-        targets = [t for t in self.phases.successors(i, l) if t[0] != 2]
-        for x in range(m + 1):
-            _, out = window_c(u, (v[0], v[1], x))
-            if out[0] != w[0]:
-                continue
-            nv = (out[1], out[2])
-            for y in range(m + 1):
-                for j, l2 in targets:
-                    yield (x, y), (j, l2, nv, (w[1], y))
-
-
-_PASS_LAZY = {1: _Pass1Lazy, 2: _Pass2Lazy, 3: _Pass3Lazy}
+    def step(self, keys: np.ndarray):
+        last, (v0, v1), (w0, w1), u, nxt = self._fields(keys)
+        digits = np.arange(self.m + 1)
+        out = rewrite(window_c_delta, u, (v0, v1, digits))
+        ok = (out[0] == w0) & (~last | (out[1] == w1))
+        claims = ok[..., None] & (~last[..., None] | (digits == out[2][..., None]))
+        pos, x, y, t = np.nonzero(claims[..., None] & (nxt >= 0)[:, None, None, :])
+        nv = [np.where(last, 0, a)[pos, x] for a in out[1:]]
+        target = self.key.pack(nxt[pos, t], *nv, w1[pos, 0], y)
+        return pos, x * (self.m + 1) + y, target
 
 
 @functools.lru_cache(maxsize=None)
@@ -254,56 +344,52 @@ def build_pass_automaton(cf: ContinuedFraction, pass_no: int) -> Automaton:
     convention of the composed adder: the pass is evaluated on the padded
     input, and any carry beyond the shared length rejects.
     """
-    if pass_no not in _PASS_LAZY:
+    if pass_no not in (1, 2, 3):
         raise ValueError(f"pass number must be 1, 2 or 3, got {pass_no}")
     params = _params(cf)
-    lazy = _PASS_LAZY[pass_no](params)
+    if pass_no == 1:
+        lazy = _Pass1Lazy(params, _DigitInput(params))
+    else:
+        lazy = (_Pass2Lazy if pass_no == 2 else _Pass3Lazy)(params)
     return from_lazy(lazy, 2, params.m)
 
 
 # -- base relations -----------------------------------------------------------
 
 
-def _track_digits(cap: int, first: bool, forced: bool):
-    """Digits a valid track may take at a position with quotient ``cap``:
-    only 0 right after a capped digit, and below the cap at position 1."""
-    if forced:
-        return (0,)
-    return range(cap if first else cap + 1)
-
-
 class _ValidTracks:
     """k tracks of 0*-padded valid representations, read as one letter.
 
-    State (i, l, forced): phase countdown and, per track, whether the
-    previous digit sat at its cap, which forces a 0 next.  ``letter`` maps
-    the k digits read to the automaton's letter.
+    State (phase, forced): phase countdown and, per track, whether the
+    previous digit sat at its cap, which forces a 0 next (bit k - 1 - j
+    for track j).  ``letter`` maps the k digit arrays read and the radix
+    m + 1 to the automaton's letter codes.  Grid per state: digits, track
+    0 most significant, then successor phase.
     """
 
     def __init__(self, params: AutomatonParameters, k: int, letter):
         self.phases = _Phases(params, lo=0)
-        self.k = k
-        self.letter = letter
+        self.digits = _digit_grid(k, params.mu)
+        self.codes = letter(*self.digits, params.m + 1)
+        self.key = _Key(self.phases.count, 2**k)
+        self.fanout = 2 * self.digits.shape[1]
 
-    def initial_states(self):
-        free = (False,) * self.k
-        return [(0, 0, free)] + [(i, l, free) for i, l in self.phases.initial(1)]
+    def initial_keys(self) -> np.ndarray:
+        return self.key.pack([self.phases.id[0, 0]] + self.phases.initial(1), 0)
 
-    def is_final(self, state) -> bool:
-        return state[0] == 0
+    def final(self, keys: np.ndarray) -> np.ndarray:
+        return self.key.unpack(keys)[0][:, 0] == self.phases.id[0, 0]
 
-    def successors(self, state):
-        i, l, forced = state
-        if i == 0:
-            return
-        cap = self.phases.quot(i)
-        targets = self.phases.successors(i, l)
-        digits = [_track_digits(cap, i == 1, f) for f in forced]
-        for ds in itertools.product(*digits):
-            letter = self.letter(ds)
-            capped = tuple(d == cap for d in ds)
-            for j, l2 in targets:
-                yield letter, (j, l2, capped)
+    def step(self, keys: np.ndarray):
+        p, forced = self.key.unpack(keys)
+        cap, first = self.phases.cap[p], self.phases.i[p] == 1
+        ok, capped = True, 0
+        for bit, d in zip(reversed(range(len(self.digits))), self.digits):
+            ok = ok & _allowed(d, cap, first, (forced >> bit) % 2 == 1)
+            capped = capped + (d == cap) * (1 << bit)
+        nxt = self.phases.next[p[:, 0]]
+        pos, c, t = np.nonzero(ok[..., None] & (nxt >= 0)[:, None, :])
+        return pos, self.codes[c], self.key.pack(nxt[pos, t], capped[pos, c])
 
 
 class _LessThanLazy:
@@ -312,30 +398,34 @@ class _LessThanLazy:
     Valid representations of equal padded length compare like their
     values under the lexicographic order (every proper suffix is worth
     less than the next place value), so the automaton tracks validity of
-    both tracks and whether a strict x < y difference has been seen.
+    both tracks (flags as in the sum input) and whether a strict x < y
+    difference has been seen.
     """
 
     def __init__(self, params: AutomatonParameters):
         self.phases = _Phases(params, lo=0)
+        self.x, self.y = _digit_grid(2, params.mu)
+        self.codes = self.x * (params.m + 1) + self.y
+        self.key = _Key(self.phases.count, 4, 2)
+        self.fanout = 2 * len(self.x)
 
-    def initial_states(self):
-        return [(i, l, False, False, False) for i, l in self.phases.initial(1)]
+    def initial_keys(self) -> np.ndarray:
+        return self.key.pack(self.phases.initial(1), 0, 0)
 
-    def is_final(self, state) -> bool:
-        return state[0] == 0 and state[4]
+    def final(self, keys: np.ndarray) -> np.ndarray:
+        p, _, lt = self.key.unpack(keys)
+        return ((p == self.phases.id[0, 0]) & (lt == 1))[:, 0]
 
-    def successors(self, state):
-        i, l, fzx, fzy, lt = state
-        if i == 0:
-            return
-        cap = self.phases.quot(i)
-        for x in _track_digits(cap, i == 1, fzx):
-            for y in _track_digits(cap, i == 1, fzy):
-                if not lt and x > y:
-                    continue
-                nlt = lt or x < y
-                for j, l2 in self.phases.successors(i, l):
-                    yield (x, y), (j, l2, x == cap, y == cap, nlt)
+    def step(self, keys: np.ndarray):
+        p, forced, lt = self.key.unpack(keys)
+        x, y = self.x, self.y
+        cap, first = self.phases.cap[p], self.phases.i[p] == 1
+        ok = _allowed(x, cap, first, forced >= 2) & _allowed(y, cap, first, forced % 2 == 1)
+        ok &= (lt == 1) | (x <= y)
+        nxt = self.phases.next[p[:, 0]]
+        pos, c, t = np.nonzero(ok[..., None] & (nxt >= 0)[:, None, :])
+        capped = (x[c] == cap[pos, 0]) * 2 + (y[c] == cap[pos, 0])
+        return pos, self.codes[c], self.key.pack(nxt[pos, t], capped, lt[pos, 0] | (x[c] < y[c]))
 
 
 class _VaGraphLazy:
@@ -346,68 +436,70 @@ class _VaGraphLazy:
     position k, also for k = 1 since then a_1 >= 2), below it both tracks
     are zero.  Zero branch: x is all zeros and y is rho(1), whose single 1
     sits at position 2 when a_1 = 1 and at position 1 otherwise.
+
+    State (zero, phase, fz, below): the branch, the phase, whether x's last
+    digit sat at its cap, and whether the lowest nonzero digit of x has
+    been read.  Grid per state: digit d of x, successor phase, and b, the
+    digit of y (b = 1 ends the main branch's free part); the zero branch
+    and the part below read one letter each, in the cell d = b = 0.
     """
 
     def __init__(self, params: AutomatonParameters):
         self.phases = _Phases(params, lo=0)
         self.one_pos = 2 if params.unrolled[0] == 1 else 1
+        self.radix = params.m + 1
+        self.key = _Key(2, self.phases.count, 2, 2)
+        self.fanout = 4 * (params.mu + 1)
+        self.d = np.arange(params.mu + 1)[:, None]
 
-    def initial_states(self):
-        out = []
-        for i, l in self.phases.initial(1):
-            out.append(("m", i, l, False, False))
+    def initial_keys(self) -> np.ndarray:
+        keys = []
+        for p in self.phases.initial(1):
+            i, l = self.phases.pairs[p]
+            keys.append(self.key.pack(0, p, 0, 0))
             if l == 1 or i >= self.one_pos:
-                out.append(("z", i, l))
-        return out
+                keys.append(self.key.pack(1, p, 0, 0))
+        return np.array(keys)
 
-    def is_final(self, state) -> bool:
-        if state[0] == "m":
-            return state[1] == 0 and state[4]
-        return state[1] == 0
+    def final(self, keys: np.ndarray) -> np.ndarray:
+        zero, p, _, below = self.key.unpack(keys)
+        return ((p == self.phases.id[0, 0]) & ((zero == 1) | (below == 1)))[:, 0]
 
-    def successors(self, state):
-        if state[0] == "z":
-            _, i, l = state
-            if i == 0:
-                return
-            y = 1 if (i == self.one_pos and l == 0) else 0
-            for j, l2 in self.phases.successors(i, l):
-                yield (0, y), ("z", j, l2)
-            return
-        _, i, l, fz, below = state
-        if i == 0:
-            return
-        cap = self.phases.quot(i)
-        if below:
-            for j, l2 in self.phases.successors(i, l):
-                yield (0, 0), ("m", j, l2, False, True)
-            return
-        for d in _track_digits(cap, i == 1, fz):
-            for j, l2 in self.phases.successors(i, l):
-                yield (d, 0), ("m", j, l2, d == cap, False)
-                if d >= 1:
-                    yield (d, 1), ("m", j, l2, False, True)
+    def step(self, keys: np.ndarray):
+        zero, p, fz, below = self.key.unpack(keys)
+        d, b = self.d, np.arange(2)
+        cap, first = self.phases.cap[p], self.phases.i[p] == 1
+        free = (zero == 0) & (below == 0)
+        read = _allowed(d, cap[..., None], first[..., None], fz[..., None] == 1) & ((b == 0) | (d >= 1))
+        cells = np.where(free[..., None], read, (d == 0) & (b == 0))
+        nxt = self.phases.next[p[:, 0]]
+        pos, d, t, b = np.nonzero(cells[:, :, None, :] & (nxt >= 0)[:, None, :, None])
+        zero, free, p = zero[pos, 0], free[pos, 0], p[pos, 0]
+        y = np.where(zero == 1, p == self.phases.id[self.one_pos, 0], b)
+        capped = free & (b == 0) & (d == self.phases.cap[p])
+        target = self.key.pack(zero, nxt[pos, t], capped, (zero == 0) & ((below[pos, 0] == 1) | (b == 1)))
+        return pos, d * self.radix + y, target
 
 
 @functools.lru_cache(maxsize=None)
 def build_valid_rep(cf: ContinuedFraction) -> Automaton:
     """Single-track automaton accepting exactly the 0*-padded valid words."""
     params = _params(cf)
-    return from_lazy(_ValidTracks(params, 1, lambda ds: ds), 1, params.m)
+    return from_lazy(_ValidTracks(params, 1, lambda d, r: d), 1, params.m)
 
 
 @functools.lru_cache(maxsize=None)
 def build_digit_sum(cf: ContinuedFraction) -> Automaton:
     """Three-track automaton for conv(z, z', z + z') over valid z, z'."""
     params = _params(cf)
-    return from_lazy(_ValidTracks(params, 2, lambda ds: ds + (ds[0] + ds[1],)), 3, params.m)
+    return from_lazy(_ValidTracks(params, 2, lambda x, y, r: (x * r + y) * r + x + y), 3, params.m)
 
 
 @functools.lru_cache(maxsize=None)
 def build_equality(cf: ContinuedFraction) -> Automaton:
     """Diagonal pairs of 0*-padded valid representations."""
     params = _params(cf)
-    return from_lazy(_ValidTracks(params, 1, lambda ds: ds * 2), 2, params.m)
+    return from_lazy(_ValidTracks(params, 1, lambda d, r: d * r + d), 2, params.m)
 
 
 @functools.lru_cache(maxsize=None)
@@ -425,65 +517,6 @@ def build_va_graph(cf: ContinuedFraction) -> Automaton:
 # -- the composed adder -------------------------------------------------------
 
 
-class _SumPass1Lazy:
-    """Fused digit-sum and width-4 pass over tracks (x, y, u1).
-
-    Joining the two relations with independent position phases makes
-    determinization carry every phase pair; fusing them keeps one phase.
-    The state is a pass-1 state whose step phase runs three ahead of the
-    position being read, so the cap for the current position is the last
-    component of the quotient window, and the digit-sum validity flags
-    ride along.  The middle track u0 = x + y never appears: the pass-1
-    window consumes the sum directly.
-    """
-
-    def __init__(self, params: AutomatonParameters):
-        self.params = params
-        self.phases = _Phases(params, lo=3)
-
-    def initial_states(self):
-        zero = (0, 0, 0)
-        return [(i, l, False, False, zero, zero) for (i, l) in self.phases.initial(4)]
-
-    def is_final(self, state) -> bool:
-        return state[0] == 3 and state[1] == 0
-
-    def successors(self, state):
-        i, l, fzx, fzy, v, w = state
-        if i == 3 and l == 0:
-            return
-        m = self.params.m
-        u = self.phases.p_tuple(i, l)
-        cap = u[3]  # quotient at the position being read (three below the step)
-        last = i == 4 and l == 0
-        xs = _track_digits(cap, last, fzx)
-        ys = _track_digits(cap, last, fzy)
-        if last:
-            ub = self.phases.q_tuple(3, 0)
-            for x in xs:
-                for y in ys:
-                    _, full = window_a(u, (v[0], v[1], v[2], x + y))
-                    if full[0] != w[0] or full[3] > m:
-                        continue
-                    nv = full[1:]
-                    _, out = window_b(ub, nv)
-                    if out[0] == w[1] and out[1] == w[2] and out[2] <= m:
-                        yield (x, y, out[2]), (3, 0, False, False, nv, (w[1], w[2], out[2]))
-            return
-        targets = [t for t in self.phases.successors(i, l) if t[0] != 3]
-        for x in xs:
-            for y in ys:
-                _, full = window_a(u, (v[0], v[1], v[2], x + y))
-                if full[0] != w[0] or full[3] > m:
-                    continue
-                nv = full[1:]
-                nfzx, nfzy = x == cap, y == cap
-                for u1 in range(m + 1):
-                    nw = (w[1], w[2], u1)
-                    for j, l2 in targets:
-                        yield (x, y, u1), (j, l2, nfzx, nfzy, nv, nw)
-
-
 @functools.lru_cache(maxsize=None)
 def build_adder(cf: ContinuedFraction) -> Automaton:
     """Deterministic minimal automaton for conv(rho(M), rho(N), rho(M+N)).
@@ -497,9 +530,14 @@ def build_adder(cf: ContinuedFraction) -> Automaton:
     keep the state count small.  Validity of the result track, closure
     under leading zero columns, and a final minimization finish the
     construction.
+
+    The fused first stage keeps one phase where joining digit-sum and pass
+    1 with independent phases would make determinization carry every
+    phase pair.
     """
     params = _params(cf)
-    dfa = from_lazy(_SumPass1Lazy(params), 3, params.m).determinize(complete=False).minimize()
+    first = _Pass1Lazy(params, _SumInput(params))
+    dfa = from_lazy(first, 3, params.m).determinize(complete=False).minimize()
     for pass_no in (2, 3):
         pass_dfa = build_pass_automaton(cf, pass_no).determinize(complete=False).minimize()
         dfa = dfa.cylindrify(3).intersect(pass_dfa.cylindrify(0).cylindrify(0)).project(2).minimize()

@@ -7,12 +7,19 @@ name of the rule that applies and the window after it.  Every rewrite is
 an instance of the place-value recurrence q_{k+1} = a_{k+1} q_k + q_{k-1},
 so no rule changes the value a window represents.
 
-The scalar passes in ``addition`` and the pass automata in ``recognizers``
-both call these functions; ``bulk`` keeps an independent vectorized twin,
-which the tests compare against the scalar passes.
+Each rule has two forms.  The scalar form serves the traced passes in
+``addition``.  The array form (``*_delta``) takes the window as a tuple
+of digit arrays and the caps as numbers or arrays that broadcast with
+them, computes every rule as a numpy mask, and returns what the rewrite
+adds to each digit (zero where no rule applies).  ``bulk`` adds it in
+place to whole batches of additions; the pass automata in
+``recognizers`` rewrite whole frontiers of states with ``rewrite``.  The
+tests check the two forms against each other on every small window.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 Window = tuple[int, ...]
 
@@ -46,11 +53,63 @@ def window_c(u: Window, v: Window) -> tuple[str, Window]:
     return "skip", v
 
 
-def c_preimages(u: Window, after: Window, bound: int) -> list[Window]:
-    """The windows over digits 0..``bound`` that ``window_c`` maps to ``after``:
-    ``after`` itself unless rule C applies to it, and the window rule C
-    turns into ``after``, when there is one."""
-    pre = [] if window_c(u, after)[0] == "C" else [after]
-    if after[1] == 0 and 0 < after[0] <= u[0] and after[2] < bound:
-        pre.append((after[0] - 1, u[1], after[2] + 1))
-    return pre
+def _flags(dtype, *masks):
+    return tuple(mask.astype(dtype) for mask in masks)
+
+
+def window_a_delta(u, v):
+    """Array form of ``window_a``: what A1 or A2 adds to each digit."""
+    v0, v1, v2, _ = v
+    low = v0 < u[0]
+    a1, a2 = _flags(
+        np.result_type(*v),
+        low & (v1 > u[1]) & (v2 == 0),
+        low & (v1 >= u[1]) & (v1 <= 2 * u[1]) & (v2 > 0),
+    )
+    return a1 + a2, -(u[1] + 1) * a1 - u[1] * a2, (u[2] - 1 - v2) * a1 - a2, a1
+
+
+def window_b_delta(u, v):
+    """Array form of ``window_b``: what B1 to B4 add to each digit."""
+    v0, v1, v2 = v
+    low, high = v0 < u[0], v1 >= u[1]
+    b1, b2, b3, b4 = _flags(
+        np.result_type(*v),
+        low & (v1 > u[1]) & (v2 == 0),
+        low & high & (v2 > 0) & (v2 <= u[2]),
+        low & high & (v2 > u[2]),
+        ~high & (v2 >= u[2]),
+    )
+    return (
+        b1 + b2 + b3,
+        -b1 * (u[1] + 1) - (b2 + b3) * u[1] + b3 + b4,
+        b1 * (u[2] - 1 - v2) - b2 - b3 * (u[2] + 1) - b4 * u[2],
+    )
+
+
+def _c_fires(u, v):
+    return (v[0] < u[0]) & (v[1] == u[1]) & (v[2] > 0)
+
+
+def window_c_delta(u, v):
+    """Array form of ``window_c``: what C adds to each digit."""
+    (fire,) = _flags(np.result_type(*v), _c_fires(u, v))
+    return fire, -u[1] * fire, -fire
+
+
+def rewrite(delta, u, v):
+    """The window ``v`` after the rule whose array form is ``delta``."""
+    return tuple(d + c for d, c in zip(v, delta(u, v)))
+
+
+def c_preimages_array(u, after, bound: int):
+    """The windows over digits 0..``bound`` that rule C (or its skip) maps to
+    ``after``: ``after`` itself unless rule C applies to it, and the window
+    rule C turns into ``after``, when there is one.  Both candidates are
+    stacked on a new last axis, with a mask of those that exist."""
+    a0, a1, a2 = np.broadcast_arrays(*after)
+    exists = np.stack(
+        [~_c_fires(u, after), (a1 == 0) & (0 < a0) & (a0 <= u[0]) & (a2 < bound)], axis=-1
+    )
+    moved = (a0 - 1, np.broadcast_to(u[1], a1.shape), a2 + 1)
+    return exists, tuple(np.stack([a, b], axis=-1) for a, b in zip((a0, a1, a2), moved))

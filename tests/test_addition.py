@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import numpy as np
@@ -19,6 +20,16 @@ from ostrowski import (
 )
 from ostrowski.addition import _pass1_core, _width3_core
 from ostrowski.errors import CfMismatch, DigitOutOfRange, InputTooShort
+from ostrowski.rules import (
+    c_preimages_array,
+    rewrite,
+    window_a,
+    window_a_delta,
+    window_b,
+    window_b_delta,
+    window_c,
+    window_c_delta,
+)
 
 
 def msd(text):
@@ -225,3 +236,26 @@ def test_bulk_decode_exact_past_int64(golden):
     out = bulk.batch_add(golden, x, y)
     assert out.shape == (8, 94)
     assert [int(v) for v in bulk.batch_decode(golden, out)] == sums
+
+
+@pytest.mark.parametrize("dtype", [np.int16, np.int64])
+def test_array_rules_match_scalar(dtype):
+    # every window over digits 0..6 under every cap triple in 1..3
+    for width, scalar, delta in ((4, window_a, window_a_delta), (3, window_b, window_b_delta),
+                                 (3, window_c, window_c_delta)):
+        windows = np.array(list(itertools.product(range(7), repeat=width)), dtype).T
+        for u in itertools.product(range(1, 4), repeat=3):
+            got = np.stack(rewrite(delta, u, tuple(windows)))
+            want = np.array([scalar(u, tuple(map(int, v)))[1] for v in windows.T]).T
+            assert got.dtype == dtype and np.array_equal(got, want), (scalar.__name__, u)
+
+
+def test_c_preimages_array():
+    bound = 5
+    windows = list(itertools.product(range(bound + 1), repeat=3))
+    after = tuple(np.array(windows).T)
+    for u in itertools.product(range(1, 4), repeat=2):
+        exists, before = c_preimages_array(u, after, bound)
+        for k, w in enumerate(windows):
+            got = sorted(tuple(int(b[k, j]) for b in before) for j in range(2) if exists[k, j])
+            assert got == [v for v in windows if window_c(u, v)[1] == w], (u, w)

@@ -1,9 +1,13 @@
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ostrowski import (
+    AutomatonTooLarge,
     ContinuedFraction,
     NotQuadratic,
     build_adder,
@@ -22,6 +26,8 @@ from ostrowski import (
     pass3,
     words,
 )
+from ostrowski.contfrac import automaton_parameters
+from ostrowski.recognizers import _DigitInput, _Pass1Lazy
 
 from oracles import differential_pass_check, pass_oracle
 
@@ -181,6 +187,54 @@ def test_adder_deterministic_minimal_canonical(golden):
     assert aut.deterministic and aut.is_total()
     rebuilt = build_adder.__wrapped__(golden)
     assert rebuilt.to_text() == aut.to_text()
+
+
+def test_adder_matches_unfused_composition(any_cf):
+    # build_adder reads x + y in its first stage; compose digit-sum and the
+    # three pass relations one by one instead, with the same operations
+    dfa = build_digit_sum(any_cf)
+    for pass_no in (1, 2, 3):
+        relation = build_pass_automaton(any_cf, pass_no).cylindrify(0).cylindrify(0)
+        dfa = dfa.cylindrify(3).intersect(relation).project(2).minimize()
+    valid_z = build_valid_rep(any_cf).cylindrify(0).cylindrify(0)
+    composed = dfa.intersect(valid_z).zero_closure().determinize_minimize()
+    assert composed.to_text() == build_adder(any_cf).to_text()
+
+
+@settings(max_examples=6, deadline=None, database=None)
+@given(
+    preperiod=st.lists(st.integers(1, 2), max_size=2),
+    period=st.lists(st.integers(1, 2), min_size=1, max_size=3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_recognizers_beyond_fixtures(preperiod, period, seed):
+    cf = ContinuedFraction(1, tuple(preperiod), tuple(period))
+    m = cf.parameters().m
+    rng = random.Random(seed)
+    inputs = [tuple(rng.randrange(m + 1) for _ in range(rng.randint(1, 8))) for _ in range(150)]
+    for pass_no in (1, 2, 3):
+        differential_pass_check(cf, pass_no, inputs, rng, rejects_per_word=2)
+    adder = build_adder(cf)
+    for _ in range(100):
+        a, b = rng.randrange(1000), rng.randrange(1000)
+        x, y = encode(cf, a).digits, encode(cf, b).digits
+        assert adder.accepts(convolve([x, y, encode(cf, a + b).digits], m))
+        assert not adder.accepts(convolve([x, y, encode(cf, a + b + 1).digits], m))
+        if a + b:
+            assert not adder.accepts(convolve([x, y, encode(cf, a + b - 1).digits], m))
+
+
+def test_state_keys_that_overflow_int64_refused():
+    # pass-1 keys take 11 phases times (2q + 2)**6 buffer values on 1;(q),
+    # which passes 2**63 from q = 485 on; the adder's first stage has two
+    # flags more, and passes it from q = 385 on
+    fits = automaton_parameters(ContinuedFraction.from_text("1;(484)"))
+    frame = _Pass1Lazy(fits, _DigitInput(fits))
+    assert math.prod(frame.key.radices) <= 2**63
+    with pytest.raises(AutomatonTooLarge):
+        build_pass_automaton(ContinuedFraction.from_text("1;(485)"), 1)
+    with pytest.raises(AutomatonTooLarge):
+        build_adder(ContinuedFraction.from_text("1;(385)"))
 
 
 def test_adder_functional(golden):
