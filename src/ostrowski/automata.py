@@ -814,7 +814,7 @@ class Automaton:
 
 # -- lazy construction -------------------------------------------------------
 #
-# Recognizer builders describe automata by frames over packed states: each
+# Recognizers describe automata by frames over packed states: each
 # state is one int64 key, and a step takes a whole array of keys at once.
 # A lazy automaton is any object with:
 #     initial_keys() -> int64 array of the initial states' keys, in order

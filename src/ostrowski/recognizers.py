@@ -61,7 +61,7 @@ class _Phases:
 
     Phases are numbered 0..count-1 (``id``); ``i`` and ``cap`` hold each
     phase's countdown and quotient a_i, and ``next`` its successors, -1
-    padded.  ``lo`` is the smallest l = 0 index a builder uses.  The only
+    padded.  ``lo`` is the smallest l = 0 index a recognizer uses.  The only
     branching successor is (xi, 1): the run either wraps to (nu, 1) for
     another copy of the block or commits to (nu, 0), declaring the copy
     just read to be the one ending at position nu.
