@@ -5,10 +5,19 @@ times, so a large family of additions vectorizes cleanly: stack the digit
 words of all pairs into an integer matrix (one row per addition, columns
 LSD first) and run each pass as a short loop over positions with numpy
 masks over the rows: the array forms of the window rules in ``rules``,
-added in place.  Internally the matrices are processed transposed so each
-position is a contiguous row.  The window invariants of the scalar passes
-are asserted the same way, as row masks; any violating row aborts the
-batch with ``InternalInvariantError``.  Digits stay far below int16.
+added in place.  ``batch_add`` works on one block of rows at a time: it
+sums the block's inputs into one preallocated scratch buffer, held
+transposed so each position is a contiguous row, runs all three passes
+there, and copies the block's result (and, on request, its stages) into
+preallocated outputs.  A block has at most ``_CELLS`` digit cells, so the
+rows each numpy operation reads and writes stay in cache from the first
+pass to the last.  The window invariants of the scalar passes are
+asserted the same way, as row masks; any violating row aborts the batch
+with ``InternalInvariantError`` naming the row's index in the batch.
+
+Digits are int16 while every pass digit and every term of the rules fits
+it, which holds for partial quotients up to 8,190; larger quotients take
+int32 or int64 (``_digit_dtype``), so a large digit never wraps.
 Decoding is exact: it uses int64 while every row's value provably fits
 63 bits and Python integers beyond.
 """
@@ -18,9 +27,23 @@ from __future__ import annotations
 import numpy as np
 
 from .contfrac import ContinuedFraction
-from .errors import InternalInvariantError
+from .errors import DigitOutOfRange, InternalInvariantError
 from .numeration import encode
 from .rules import window_a_delta, window_b_delta, window_c_delta
+
+_CELLS = 1 << 20  # digit cells of one block of batch_add's scratch buffer
+
+
+def _digit_dtype(aks) -> np.dtype:
+    """Smallest signed integer type for the digits of words under the caps
+    ``aks``: pass digits stay within 0..2a+2 for the largest cap a, and no
+    term the window rules or the invariant checks compute is more than
+    twice that."""
+    top = 4 * max(aks, default=0) + 4
+    for dtype in (np.int16, np.int32, np.int64):
+        if top <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    raise DigitOutOfRange(f"partial quotient {max(aks)} is too large for machine-integer digits")
 
 
 def encode_table(cf: ContinuedFraction, limit: int, width: int | None = None) -> np.ndarray:
@@ -31,24 +54,29 @@ def encode_table(cf: ContinuedFraction, limit: int, width: int | None = None) ->
         width = need
     elif width < need:
         raise ValueError(f"width {width} too small, need {need}")
-    table = np.zeros((limit + 1, width), dtype=np.int16)
+    table = np.zeros((limit + 1, width), dtype=_digit_dtype(cf.quotients(need)))
     for i, r in enumerate(rows):
         table[i, : len(r)] = r
     return table
 
 
-def _pass1_t(cf: ContinuedFraction, z: np.ndarray, check: bool) -> None:
-    """In-place first pass on a transposed (width, batch) digit matrix."""
-    length = z.shape[0]
-    aks = cf.quotients(length)
-    for k in range(length, 3, -1):
+def _raise_rows(bad: np.ndarray, lo: int, message: str) -> None:
+    """Abort the batch if any row of a block starting at batch row ``lo`` is bad."""
+    if bad.any():
+        rows = lo + np.flatnonzero(bad)[:5]
+        raise InternalInvariantError(f"{message}, rows {rows}")
+
+
+def _pass1_t(aks, z: np.ndarray, check: bool, lo: int) -> None:
+    """In-place first pass on a transposed (width, rows) digit block."""
+    for k in range(z.shape[0], 3, -1):
         a_k, a_k1, a_k2 = aks[k - 1], aks[k - 2], aks[k - 3]
         w1, w2, w3, w4 = z[k - 1], z[k - 2], z[k - 3], z[k - 4]
         if check:
-            _assert_window_lemmas(k, a_k, a_k1, a_k2, w1, w2, w3)
+            _assert_window_lemmas(k, a_k, a_k1, a_k2, w1, w2, w3, lo)
         _add(z, (k - 1, k - 2, k - 3, k - 4), window_a_delta((a_k, a_k1, a_k2), (w1, w2, w3, w4)))
     if check:
-        _assert_window_lemmas(3, aks[2], aks[1], aks[0], z[2], z[1], z[0])
+        _assert_window_lemmas(3, aks[2], aks[1], aks[0], z[2], z[1], z[0], lo)
     _add(z, (2, 1, 0), window_b_delta((aks[2], aks[1], aks[0]), (z[2], z[1], z[0])))
 
 
@@ -57,21 +85,18 @@ def _add(arr: np.ndarray, rows, delta) -> None:
         arr[row] += d
 
 
-def _assert_window_lemmas(k, a_k, a_k1, a_k2, w1, w2, w3) -> None:
+def _assert_window_lemmas(k, a_k, a_k1, a_k2, w1, w2, w3, lo) -> None:
     bad = (
         ((w2 == 2 * a_k1 + 1) & (w3 != 0))
         | ((w2 == 2 * a_k1) & (w3 > a_k2))
         | ((w2 > a_k1) & (w1 >= a_k))
         | ((w2 == a_k1) & (w3 > 0) & (w1 >= a_k))
     )
-    if bad.any():
-        rows = np.flatnonzero(bad)[:5]
-        raise InternalInvariantError(f"pass 1 window invariant violated at step {k}, rows {rows}")
+    _raise_rows(bad, lo, f"pass 1 window invariant violated at step {k}")
 
 
-def _pass2_t(cf: ContinuedFraction, w: np.ndarray, check: bool) -> None:
+def _pass2_t(aks, w: np.ndarray, check: bool, lo: int) -> None:
     length = w.shape[0] - 1
-    aks = cf.quotients(length + 1)
     for k in range(3, length + 2):
         _apply_c_t(w, k, aks[k - 1], aks[k - 2])
     if check:
@@ -82,35 +107,21 @@ def _pass2_t(cf: ContinuedFraction, w: np.ndarray, check: bool) -> None:
                 & (w[k - 3] == aks[k - 3])
                 & (w[k - 4] > 0)
             )
-            if bad.any():
-                raise InternalInvariantError(
-                    f"pass 2 output shows the forbidden capped pattern at position {k}"
-                )
+            _raise_rows(bad, lo, f"pass 2 output shows the forbidden capped pattern at position {k}")
 
 
-def _pass3_t(cf: ContinuedFraction, v: np.ndarray, check: bool) -> None:
+def _pass3_t(aks, v: np.ndarray, check: bool, lo: int) -> None:
     length = v.shape[0] - 1
-    aks = cf.quotients(length + 1)
     for k in range(length + 1, 2, -1):
         _apply_c_t(v, k, aks[k - 1], aks[k - 2])
     if check:
         for k in range(2, length + 2):
             bad = (v[k - 1] == aks[k - 1]) & (v[k - 2] > 0)
-            if bad.any():
-                raise InternalInvariantError(
-                    f"pass 3 output has capped digit at position {k} followed by nonzero"
-                )
+            _raise_rows(bad, lo, f"pass 3 output has capped digit at position {k} followed by nonzero")
 
 
 def _apply_c_t(arr: np.ndarray, k: int, a_k: int, a_k1: int) -> None:
     _add(arr, (k - 1, k - 2, k - 3), window_c_delta((a_k, a_k1), (arr[k - 1], arr[k - 2], arr[k - 3])))
-
-
-def _extend_t(arr_t: np.ndarray) -> np.ndarray:
-    """One extra zero position on the significant end of a transposed matrix."""
-    out = np.zeros((arr_t.shape[0] + 1, arr_t.shape[1]), dtype=np.int16)
-    out[:-1] = arr_t
-    return out
 
 
 def batch_add(
@@ -123,22 +134,36 @@ def batch_add(
     """Add row-aligned digit matrices through the three passes.
 
     Returns the result digit matrix, or with ``return_stages`` the tuple
-    (s, z3, w, v3) of all intermediate words.
+    (s, z3, w, v3) of all intermediate words.  For inputs ``w`` columns
+    wide, s and z3 have max(w + 1, 4) columns, w one more and v3 two more.
     """
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch {x.shape} vs {y.shape}")
-    width = max(x.shape[1] + 1, 4)
-    st = np.zeros((width, x.shape[0]), dtype=np.int16)
-    st[: x.shape[1]] = x.T + y.T
-    z3t = st.copy() if return_stages else st
-    _pass1_t(cf, z3t, check)
-    wt = _extend_t(z3t)
-    _pass2_t(cf, wt, check)
-    v3t = _extend_t(wt)
-    _pass3_t(cf, v3t, check)
-    if return_stages:
-        return st.T.copy(), z3t.T.copy(), wt.T.copy(), v3t.T.copy()
-    return v3t.T.copy()
+    count, given = x.shape
+    width = max(given + 1, 4)
+    aks = cf.quotients(width + 2)
+    dtype = _digit_dtype(aks)
+    block = max(1, _CELLS // (width + 2))
+    buf = np.empty((width + 2, min(block, count)), dtype)
+    widths = (width, width, width + 1, width + 2) if return_stages else (width + 2,)
+    outs = [np.empty((count, n), dtype) for n in widths]
+    for lo in range(0, count, block):
+        hi = min(lo + block, count)
+        b, result = buf[:, : hi - lo], outs[-1][lo:hi]
+        np.add(x[lo:hi], y[lo:hi], out=result[:, :given], dtype=dtype)
+        b[:given] = result[:, :given].T
+        b[given:] = 0
+        if return_stages:
+            outs[0][lo:hi] = b[:width].T
+        _pass1_t(aks, b[:width], check, lo)
+        if return_stages:
+            outs[1][lo:hi] = b[:width].T
+        _pass2_t(aks, b[: width + 1], check, lo)
+        if return_stages:
+            outs[2][lo:hi] = b[: width + 1].T
+        _pass3_t(aks, b, check, lo)
+        result[...] = b.T
+    return tuple(outs) if return_stages else outs[0]
 
 
 def batch_decode(cf: ContinuedFraction, digits: np.ndarray) -> np.ndarray:
@@ -155,8 +180,10 @@ def batch_is_valid(cf: ContinuedFraction, digits: np.ndarray) -> np.ndarray:
     length = digits.shape[1]
     aks = cf.quotients(length)
     dt = digits.T
-    ok = dt[0] <= aks[0] - 1
+    ok = (digits >= 0).all(axis=1)
+    if length:
+        ok &= dt[0] <= aks[0] - 1
     for k in range(2, length + 1):
         col, below = dt[k - 1], dt[k - 2]
-        ok = ok & (col <= aks[k - 1]) & ((col != aks[k - 1]) | (below == 0))
+        ok &= (col <= aks[k - 1]) & ((col != aks[k - 1]) | (below == 0))
     return ok

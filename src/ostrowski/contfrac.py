@@ -43,6 +43,9 @@ class ContinuedFraction:
         for a in self.preperiod + self.period:
             if a < 1:
                 raise ValueError(f"partial quotient {a!r} must be >= 1")
+        # [a_1, a_2, ...] as far as computed: not a field, so equality and
+        # hashing ignore it; it is replaced whole, never changed in place.
+        object.__setattr__(self, "_known", list(self.preperiod))
 
     @property
     def is_quadratic(self) -> bool:
@@ -62,15 +65,24 @@ class ContinuedFraction:
 
     def quotients(self, n: int) -> list[int]:
         """Return [a_1, ..., a_n], extending periodically."""
-        known = len(self.preperiod)
-        if n <= known:
-            return list(self.preperiod[:n])
+        if n < 0:
+            raise ValueError(f"n must be >= 0, got {n}")
+        known = self._known
+        if n > len(known):
+            known = self._extend(n)
+        return known[:n]
+
+    def _extend(self, n: int) -> list[int]:
+        """Compute at least a_1 .. a_n, doubling what is known, and keep it."""
+        pre = len(self.preperiod)
         if not self.period:
             raise IndexBeyondKnownPrefix(
-                f"a_{known + 1} requested but only {known} partial quotients are known"
+                f"a_{pre + 1} requested but only {pre} partial quotients are known"
             )
-        reps = -(-(n - known) // len(self.period))
-        return list(self.preperiod + self.period * reps)[:n]
+        reps = -(-(max(n, 2 * len(self._known)) - pre) // len(self.period))
+        known = list(self.preperiod + self.period * reps)
+        object.__setattr__(self, "_known", known)
+        return known
 
     def convergent_denominators(self, n: int) -> list[int]:
         """Return [q_0, ..., q_n].  Exact integers of arbitrary size."""

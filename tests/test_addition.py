@@ -1,8 +1,11 @@
 import itertools
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ostrowski import (
     ContinuedFraction,
@@ -19,7 +22,7 @@ from ostrowski import (
     words,
 )
 from ostrowski.addition import _pass1_core, _width3_core
-from ostrowski.errors import CfMismatch, DigitOutOfRange, InputTooShort
+from ostrowski.errors import CfMismatch, DigitOutOfRange, InputTooShort, InternalInvariantError
 from ostrowski.rules import (
     c_preimages_array,
     rewrite,
@@ -220,6 +223,10 @@ def test_bulk_decode_and_valid(any_cf):
     bad = np.array(table[:50])
     bad[:, 0] = any_cf.partial_quotient(1)  # violates b_1 < a_1
     assert not bulk.batch_is_valid(any_cf, bad).any()
+    for row in [(-1,), (0, -1), (0, 0, -2)]:  # negative digits
+        assert not is_valid(any_cf, row)
+        assert not bulk.batch_is_valid(any_cf, np.array([row], dtype=np.int16)).any()
+    assert bulk.batch_is_valid(any_cf, np.zeros((2, 0), dtype=np.int16)).all()
 
 
 def test_bulk_decode_exact_past_int64(golden):
@@ -236,6 +243,86 @@ def test_bulk_decode_exact_past_int64(golden):
     out = bulk.batch_add(golden, x, y)
     assert out.shape == (8, 94)
     assert [int(v) for v in bulk.batch_decode(golden, out)] == sums
+
+
+def test_bulk_large_quotients_do_not_wrap():
+    # 2 * 29997 passes int16: the digits must be held wider
+    cf = ContinuedFraction.from_text("1;(30000)")
+    a = 29999 * 30001 + 29999
+    assert encode(cf, a).digits == (29997, 0, 1)
+    x = np.array([encode(cf, a).digits], dtype=np.int16)
+    out = bulk.batch_add(cf, x, x)
+    assert out.dtype == np.int32
+    assert [int(v) for v in bulk.batch_decode(cf, out)] == [2 * a]
+    want = add(cf, a, a).digits
+    assert tuple(out[0, : len(want)]) == want and not out[0, len(want):].any()
+    big = ContinuedFraction.from_text("0;(40000)")
+    table = bulk.encode_table(big, 39999)  # digits up to 39999
+    assert table.dtype == np.int32
+    assert list(bulk.batch_decode(big, table)) == list(range(40000))
+
+
+def test_bulk_blocks_keep_global_rows(golden):
+    # a batch over two and a half blocks at the real block size
+    table = bulk.encode_table(golden, 2000)
+    block = bulk._CELLS // (max(table.shape[1] + 1, 4) + 2)
+    rng = np.random.default_rng(11)
+    ia, ib = rng.integers(0, 1001, 5 * block // 2), rng.integers(0, 1001, 5 * block // 2)
+    out = bulk.batch_add(golden, table[ia], table[ib])
+    assert np.array_equal(out[:, : table.shape[1]], table[ia + ib])
+    assert not out[:, table.shape[1]:].any()
+    # an invalid row past the first block makes pass 1 raise, naming it
+    x = np.zeros((2 * block, 6), dtype=np.int16)
+    row = block + 41
+    x[row] = (0, 0, 0, 0, 2, 2)
+    with pytest.raises(InternalInvariantError, match=rf"pass 1 .* rows \[{row}\]"):
+        bulk.batch_add(golden, x, np.zeros_like(x))
+
+
+FIXTURES = ("1;(1)", "1;(2)", "0;1,(1,2)", "1;(3,1,2)")
+small_expansions = st.builds(
+    ContinuedFraction,
+    st.just(1),
+    st.lists(st.integers(1, 5), max_size=3).map(tuple),
+    st.lists(st.integers(1, 5), min_size=1, max_size=3).map(tuple),
+)
+magnitudes = st.one_of(  # small, or with 6, 60 or 300 decimal digits
+    st.integers(0, 1000), st.sampled_from((6, 60, 300)).flatmap(lambda d: st.integers(10 ** (d - 1), 10**d))
+)
+
+
+@settings(max_examples=40, deadline=None, database=None)
+@given(
+    cf=st.one_of(st.sampled_from(FIXTURES).map(ContinuedFraction.from_text), small_expansions),
+    pairs=st.lists(st.tuples(magnitudes, magnitudes), max_size=4),
+    pad=st.integers(0, 2),
+    block_rows=st.integers(1, 3),
+)
+@example(cf=ContinuedFraction.from_text("1;(1)"), pairs=[], pad=0, block_rows=1)  # the empty batch
+@example(cf=ContinuedFraction.from_text("1;(1)"), pairs=[(0, 0), (0, 0)], pad=0, block_rows=1)  # zero-width
+@example(cf=ContinuedFraction.from_text("1;(2)"), pairs=[(10**300, 7), (3, 10**299), (0, 10**300)], pad=1, block_rows=2)
+def test_batch_add_matches_scalar_add(cf, pairs, pad, block_rows):
+    xs = [encode(cf, m_value).digits for m_value, _ in pairs]
+    ys = [encode(cf, n_value).digits for _, n_value in pairs]
+    given_width = max(map(len, xs + ys), default=0) + pad
+    x = np.array([words.pad(d, given_width) for d in xs], dtype=np.int16).reshape(len(pairs), given_width)
+    y = np.array([words.pad(d, given_width) for d in ys], dtype=np.int16).reshape(len(pairs), given_width)
+    width = max(given_width + 1, 4)
+    stages = bulk.batch_add(cf, x, y, return_stages=True)
+    assert [a.shape for a in stages] == [(len(pairs), n) for n in (width, width, width + 1, width + 2)]
+    assert all(a.dtype == np.int16 for a in stages)
+    v3 = bulk.batch_add(cf, x, y)
+    assert v3.dtype == np.int16 and np.array_equal(v3, stages[3])
+    for row, (m_value, n_value) in enumerate(pairs):
+        want = add(cf, m_value, n_value).digits
+        assert want == encode(cf, m_value + n_value).digits
+        for got, scalar in zip(stages, stage_words(cf, m_value, n_value)):
+            assert tuple(got[row, : len(scalar)]) == scalar and not got[row, len(scalar):].any()
+        assert tuple(v3[row, : len(want)]) == want
+    # blocks of a few rows each give the same bytes
+    with mock.patch.object(bulk, "_CELLS", block_rows * (width + 2)):
+        blocked = bulk.batch_add(cf, x, y, return_stages=True)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(stages, blocked))
 
 
 @pytest.mark.parametrize("dtype", [np.int16, np.int64])

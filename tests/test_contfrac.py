@@ -28,6 +28,24 @@ def test_partial_quotient_beyond_prefix_raises():
         cf.partial_quotient(3)
 
 
+def test_quotients_kept_between_calls():
+    cf = ContinuedFraction(0, (1, 2), (3, 1, 4))
+    want = [cf.partial_quotient(k) for k in range(1, 41)]
+    for n in (0, 2, 3, 40, 7, 17, 40):
+        got = cf.quotients(n)
+        assert got == want[:n]
+        got.append(99)  # each call returns a list of its own
+    assert cf.quotients(40) == want
+    assert cf == ContinuedFraction(0, (1, 2), (3, 1, 4))
+    assert hash(cf) == hash(ContinuedFraction(0, (1, 2), (3, 1, 4)))
+    with pytest.raises(ValueError):
+        cf.quotients(-1)
+    prefix_only = ContinuedFraction(2, (5, 3), ())
+    assert prefix_only.quotients(2) == [5, 3]
+    with pytest.raises(IndexBeyondKnownPrefix):
+        prefix_only.quotients(3)
+
+
 def test_fibonacci_denominators(golden):
     assert golden.convergent_denominators(6) == [1, 1, 2, 3, 5, 8, 13]
 
