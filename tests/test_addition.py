@@ -245,21 +245,25 @@ def test_bulk_decode_exact_past_int64(golden):
     assert [int(v) for v in bulk.batch_decode(golden, out)] == sums
 
 
-def test_bulk_large_quotients_do_not_wrap():
-    # 2 * 29997 passes int16: the digits must be held wider
-    cf = ContinuedFraction.from_text("1;(30000)")
-    a = 29999 * 30001 + 29999
-    assert encode(cf, a).digits == (29997, 0, 1)
-    x = np.array([encode(cf, a).digits], dtype=np.int16)
-    out = bulk.batch_add(cf, x, x)
-    assert out.dtype == np.int32
-    assert [int(v) for v in bulk.batch_decode(cf, out)] == [2 * a]
-    want = add(cf, a, a).digits
-    assert tuple(out[0, : len(want)]) == want and not out[0, len(want):].any()
-    big = ContinuedFraction.from_text("0;(40000)")
-    table = bulk.encode_table(big, 39999)  # digits up to 39999
-    assert table.dtype == np.int32
-    assert list(bulk.batch_decode(big, table)) == list(range(40000))
+@pytest.mark.parametrize("cap, dtype", [(8190, np.int16), (8191, np.int32), (30000, np.int32)])
+def test_bulk_large_quotients_do_not_wrap(cap, dtype):
+    # digits at the caps, so pass digits near 2 * cap: on 1;(30000),
+    # cap * cap + cap - 2 has digits (29997, 0, 1), and twice it needs int32
+    cf = ContinuedFraction(1, (), (cap,))
+    values = [cap * cap + cap - 2, cap * cap, cap * cap - 1, 2 * cap * cap + cap + 1, cap**3 + cap * cap - 1]
+    assert encode(cf, values[0]).digits == (cap - 3, 0, 1)
+    pairs = list(itertools.product(values, repeat=2))
+    width = max(len(encode(cf, v).digits) for v in values)
+    x = np.array([words.pad(encode(cf, m_value).digits, width) for m_value, _ in pairs], dtype=np.int16)
+    y = np.array([words.pad(encode(cf, n_value).digits, width) for _, n_value in pairs], dtype=np.int16)
+    out = bulk.batch_add(cf, x, y)
+    assert out.dtype == dtype
+    for row, (m_value, n_value) in enumerate(pairs):
+        want = add(cf, m_value, n_value).digits
+        assert tuple(out[row, : len(want)]) == want and not out[row, len(want):].any()
+    table = bulk.encode_table(cf, cap - 1)  # first digits up to cap - 1
+    assert table.dtype == dtype
+    assert list(bulk.batch_decode(cf, table)) == list(range(cap))
 
 
 def test_bulk_blocks_keep_global_rows(golden):
