@@ -17,7 +17,9 @@ with ``InternalInvariantError`` naming the row's index in the batch.
 
 Digits are int16 while every pass digit and every term of the rules fits
 it, which holds for partial quotients up to 8,190; larger quotients take
-int32 or int64 (``_digit_dtype``), so a large digit never wraps.
+int32 or int64 (``_digit_dtype``), so a large digit never wraps; with the
+checks on, an input digit outside 0..2a for the largest quotient a is
+refused before it is cast.
 Decoding is exact: it uses int64 while every row's value provably fits
 63 bits and Python integers beyond.
 """
@@ -60,11 +62,19 @@ def encode_table(cf: ContinuedFraction, limit: int, width: int | None = None) ->
     return table
 
 
-def _raise_rows(bad: np.ndarray, lo: int, message: str) -> None:
+def _raise_rows(bad: np.ndarray, lo: int, message: str, error=InternalInvariantError) -> None:
     """Abort the batch if any row of a block starting at batch row ``lo`` is bad."""
     if bad.any():
         rows = lo + np.flatnonzero(bad)[:5]
-        raise InternalInvariantError(f"{message}, rows {rows}")
+        raise error(f"{message}, rows {rows}")
+
+
+def _check_digits(z: np.ndarray, top: int, lo: int) -> None:
+    """Abort the batch if an input block holds a digit outside 0..top; read
+    as unsigned, a negative digit is larger than any top."""
+    u = z.view(f"u{z.itemsize}")
+    if u.max(initial=0) > top:
+        _raise_rows((u > top).any(axis=1), lo, f"input digit outside 0..{top}", DigitOutOfRange)
 
 
 def _pass1_t(aks, z: np.ndarray, check: bool, lo: int) -> None:
@@ -136,13 +146,16 @@ def batch_add(
     Returns the result digit matrix, or with ``return_stages`` the tuple
     (s, z3, w, v3) of all intermediate words.  For inputs ``w`` columns
     wide, s and z3 have max(w + 1, 4) columns, w one more and v3 two more.
+    With ``check`` an input digit outside 0..2a, for the largest partial
+    quotient a over the width, raises ``DigitOutOfRange``: past it a sum
+    could leave the working digit type.
     """
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch {x.shape} vs {y.shape}")
     count, given = x.shape
     width = max(given + 1, 4)
     aks = cf.quotients(width + 2)
-    dtype = _digit_dtype(aks)
+    dtype, top = _digit_dtype(aks), 2 * max(aks)
     block = max(1, _CELLS // (width + 2))
     buf = np.empty((width + 2, min(block, count)), dtype)
     widths = (width, width, width + 1, width + 2) if return_stages else (width + 2,)
@@ -150,6 +163,9 @@ def batch_add(
     for lo in range(0, count, block):
         hi = min(lo + block, count)
         b, result = buf[:, : hi - lo], outs[-1][lo:hi]
+        if check:
+            _check_digits(x[lo:hi], top, lo)
+            _check_digits(y[lo:hi], top, lo)
         np.add(x[lo:hi], y[lo:hi], out=result[:, :given], dtype=dtype)
         b[:given] = result[:, :given].T
         b[given:] = 0

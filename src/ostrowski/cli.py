@@ -30,7 +30,7 @@ from . import words
 from .addition import add, digitwise_sum, pass1, pass2, pass3
 from .automata import Automaton, convolve
 from .contfrac import ContinuedFraction
-from .errors import FreeVariablePresent, NotQuadratic, OstrowskiError
+from .errors import NotQuadratic, OstrowskiError
 from .logic import Exists, decide, enumerate_solutions, free_vars, parse
 from .logic import compile_formula
 from .numeration import decode, encode, is_valid
@@ -161,10 +161,6 @@ def cmd_run(args) -> int:
 def cmd_decide(args) -> int:
     cf = _cf(args)
     formula = parse(args.formula)
-    if free_vars(formula):
-        raise FreeVariablePresent(
-            f"sentence expected; free variables {sorted(free_vars(formula))}"
-        )
     verdict = decide(cf, formula)
     witness = None
     if args.witness and verdict:

@@ -14,8 +14,11 @@ existential quantification is track projection followed by the leading-
 zero closure, and negation is complement *relativized to the valid-word
 universe* on every track: the plain complement would accept junk digit
 strings that represent nothing.  Universal quantifiers reduce to negated
-existentials.  A sentence compiles to a truth value via automaton
-emptiness.
+existentials.  A sentence is the case of no free variables: it compiles to
+a zero-track automaton, which reads only the empty letter and accepts
+something exactly when the sentence is true.  Each quantifier projects its
+variable out of its own body, so a bound name never reaches a track
+outside its scope and shadowing needs no renaming.
 
 Numerals are syntactic sugar resolved against the ambient expansion:
 ``2`` always denotes the number two, whatever digit string represents it.
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Iterable, NamedTuple, Union
 
 import numpy as np
 
@@ -342,12 +345,17 @@ def _valid_dfa(cf):
 def _universe(cf, arity: int) -> Automaton:
     """All arity-tuples whose tracks are 0*-padded valid representations."""
     u = _valid_dfa(cf)
-    if arity == 1:
-        return u
-    out = _lift(u, 0, arity)
-    for t in range(1, arity):
-        out = out.intersect(_lift(u, t, arity))
+    tracks = tuple(range(arity))
+    out = _insert_tracks(_zero_track(u.digit_bound, True), (), tracks)
+    for t in tracks:
+        out = out.intersect(_insert_tracks(u, (t,), tracks))
     return out.determinize_minimize()
+
+
+def _zero_track(m: int, holds: bool) -> Automaton:
+    """Automaton of a sentence: no tracks, one state looping on the empty
+    letter, final when the sentence holds."""
+    return Automaton._dfa(0, m, np.zeros((1, 1), np.int32), [0] if holds else [])
 
 
 def _constant_dfa(cf, value: int) -> Automaton:
@@ -361,29 +369,11 @@ def _constant_dfa(cf, value: int) -> Automaton:
     return Automaton._dfa(1, m, table, [n])
 
 
-def _lift(a: Automaton, track: int, arity: int) -> Automaton:
-    """Embed a single-track automaton as the given track of an arity-tuple."""
-    out = a
-    for _ in range(track):
-        out = out.cylindrify(0)
-    while out.arity < arity:
-        out = out.cylindrify(out.arity)
-    return out
+class _Node(NamedTuple):
+    """Compilation result: an automaton over the named tracks (none for a sentence)."""
 
-
-class _Node:
-    """Compilation result: an automaton over named tracks, or a truth value."""
-
-    __slots__ = ("vars", "aut", "truth")
-
-    def __init__(self, vars=(), aut=None, truth=None):
-        self.vars = tuple(vars)
-        self.aut = aut
-        self.truth = truth
-
-    @property
-    def closed(self) -> bool:
-        return self.aut is None
+    vars: tuple[str, ...]
+    aut: Automaton
 
 
 class _Compiler:
@@ -451,7 +441,7 @@ class _Compiler:
         left, right = _fold(f.left), _fold(f.right)
         if isinstance(left, Const) and isinstance(right, Const):
             ok = left.value == right.value if isinstance(f, Eq) else left.value <= right.value
-            return _Node(truth=ok)
+            return _Node((), _zero_track(self.m, ok))
         lname, ldefs, laux = self._flatten(left)
         rname, rdefs, raux = self._flatten(right)
         if isinstance(f, Eq):
@@ -498,17 +488,11 @@ class _Compiler:
         order = self.sort_vars(names)
         if order != names:
             base = base._permute_tracks([names.index(v) for v in order])
-        return _Node(vars=order, aut=base)
+        return _Node(order, base)
 
     # connectives ----------------------------------------------------------
 
     def _conjoin(self, a: _Node, b: _Node) -> _Node:
-        if a.closed:
-            if not a.truth:
-                return _Node(truth=False) if b.closed else _Node(b.vars, _empty(b.aut))
-            return b
-        if b.closed:
-            return self._conjoin(b, a)
         merged = self.sort_vars(set(a.vars) | set(b.vars))
         aa = _insert_tracks(a.aut, a.vars, merged)
         bb = _insert_tracks(b.aut, b.vars, merged)
@@ -517,14 +501,6 @@ class _Compiler:
     def _disjoin(self, a: _Node, b: _Node) -> _Node:
         # Compiled languages live inside the valid-word universe, so their
         # union needs re-relativizing only on freshly cylindrified tracks.
-        if a.closed:
-            if not a.truth:
-                return b
-            if b.closed:
-                return _Node(truth=True)
-            return _Node(b.vars, _universe(self.cf, len(b.vars)))
-        if b.closed:
-            return self._disjoin(b, a)
         merged = self.sort_vars(set(a.vars) | set(b.vars))
         aa = _insert_tracks(a.aut, a.vars, merged)
         bb = _insert_tracks(b.aut, b.vars, merged)
@@ -534,16 +510,14 @@ class _Compiler:
         return _Node(merged, joined.determinize_minimize())
 
     def _negate(self, a: _Node) -> _Node:
-        if a.closed:
-            return _Node(truth=not a.truth)
         comp = a.aut.complement().intersect(_universe(self.cf, len(a.vars)))
         return _Node(a.vars, comp.determinize_minimize())
 
     def _project_var(self, a: _Node, var: str) -> _Node:
-        if a.closed or var not in a.vars:
+        if var not in a.vars:
             return a
-        if len(a.vars) == 1:
-            return _Node(truth=not a.aut.is_empty())
+        if len(a.vars) == 1:  # a track automaton cannot erase its last track
+            return _Node((), _zero_track(self.m, not a.aut.is_empty()))
         track = a.vars.index(var)
         rest = a.vars[:track] + a.vars[track + 1 :]
         return _Node(rest, a.aut.project(track).determinize_minimize())
@@ -558,45 +532,12 @@ def _fold(t: Term) -> Term:
     return t
 
 
-def _empty(like: Automaton) -> Automaton:
-    return Automaton._dfa(like.arity, like.digit_bound, np.full((1, like.alphabet_size), -1), [])
-
-
-def _insert_tracks(a: Automaton, have: tuple[str, ...], want: tuple[str, ...]) -> Automaton:
+def _insert_tracks(a: Automaton, have: tuple, want: tuple) -> Automaton:
     out = a
     for pos, name in enumerate(want):
         if name not in have:
             out = out.cylindrify(pos)
     return out
-
-
-def _rename_bound(f: Formula, env: dict[str, str], counter: list[int]) -> Formula:
-    """Alpha-rename bound variables apart so shadowing cannot confuse tracks."""
-    if isinstance(f, (Eq, Le)):
-        return type(f)(_rename_term(f.left, env), _rename_term(f.right, env))
-    if isinstance(f, VaEq):
-        return VaEq(env.get(f.x, f.x), env.get(f.y, f.y))
-    if isinstance(f, Not):
-        return Not(_rename_bound(f.body, env, counter))
-    if isinstance(f, (And, Or, Implies)):
-        return type(f)(
-            _rename_bound(f.left, env, counter), _rename_bound(f.right, env, counter)
-        )
-    if isinstance(f, (Exists, Forall)):
-        counter[0] += 1
-        fresh = f"{f.var}#{counter[0]}"
-        inner = dict(env)
-        inner[f.var] = fresh
-        return type(f)(fresh, _rename_bound(f.body, inner, counter))
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _rename_term(t: Term, env: dict[str, str]) -> Term:
-    if isinstance(t, Var):
-        return Var(env.get(t.name, t.name))
-    if isinstance(t, Sum):
-        return Sum(_rename_term(t.left, env), _rename_term(t.right, env))
-    return t
 
 
 # -- public operations ----------------------------------------------------------
@@ -639,29 +580,20 @@ def compile_formula(
     if not free:
         raise ValueError("formula has no free variables; use decide()")
     comp = _Compiler(cf)
-    for name in order:
+    for name in order:  # tracks are sorted by rank, so they come out in var_order
         comp.rank_of(name)
-    node = comp.compile(_rename_bound(f, {}, [0]))
-    assert not node.closed
-    want = tuple(v for v in order if v in free)
-    if node.vars != want:
-        aut = node.aut._permute_tracks([node.vars.index(v) for v in want])
-    else:
-        aut = node.aut
-    return aut.determinize_minimize()
+    return comp.compile(f).aut.determinize_minimize()
 
 
 @_depth_checked
 def decide(cf: ContinuedFraction, sentence) -> bool:
-    """Truth of a sentence in the structure (N, +, V) for this expansion."""
+    """Whether a sentence holds in the structure (N, +, V) for this
+    expansion: whether its compiled zero-track automaton accepts anything."""
     f = _as_formula(sentence)
     free = free_vars(f)
     if free:
         raise FreeVariablePresent(f"sentence expected, free variables {sorted(free)}")
-    comp = _Compiler(cf)
-    node = comp.compile(_rename_bound(f, {}, [0]))
-    assert node.closed
-    return node.truth
+    return not _Compiler(cf).compile(f).aut.is_empty()
 
 
 @_depth_checked

@@ -50,7 +50,7 @@ import numpy as np
 from .automata import Automaton, _ranges, from_lazy
 from .contfrac import AutomatonParameters, ContinuedFraction, automaton_parameters
 from .errors import AutomatonTooLarge, NotQuadratic
-from .rules import Window, c_preimages_array, rewrite, window_a_delta, window_b_delta, window_c_delta
+from .rules import c_preimages_array, rewrite, window_a_delta, window_b_delta, window_c_delta
 
 
 # -- phases and state keys ------------------------------------------------------
@@ -74,7 +74,8 @@ class _Phases:
         self.id = {pair: p for p, pair in enumerate(self.pairs)}
         self.count = len(self.pairs)
         self.i = np.array([i for i, _ in self.pairs])
-        self.cap = np.array([self.quot(i) for i, _ in self.pairs])
+        self.l = np.array([l for _, l in self.pairs])
+        self.cap = self.windows(1)[:, 0]
         self.next = np.full((self.count, 2), -1, np.int64)
         for p, (i, l) in enumerate(self.pairs):
             if l == 1 and i == xi:
@@ -83,39 +84,19 @@ class _Phases:
                 succ = [(i - 1, l)] if l == 1 or i > lo else []
             self.next[p, : len(succ)] = [self.id[pair] for pair in succ]
 
-    def quot(self, i: int) -> int:
-        return self.params.unrolled[i - 1]
-
     def initial(self, kmin: int) -> list[int]:
         xi, nu = self.params.xi, self.params.nu
         starts = [(i, 0) for i in range(kmin, nu + 1)] + [(i, 1) for i in range(xi, nu + 1)]
         return [self.id[pair] for pair in starts]
 
     def windows(self, width: int) -> np.ndarray:
-        """Quotient windows of every phase, one row each: ``p_tuple`` for
-        width 4, ``q_tuple`` for width 3."""
-        window = self.p_tuple if width == 4 else self.q_tuple
-        return np.array([window(i, l) for i, l in self.pairs])
-
-    def p_tuple(self, i: int, l: int) -> Window:
+        """Quotient caps of the positions i, i - 1, ..., i - width + 1 of
+        every phase, one row each.  An l = 1 position below xi lies in the
+        previous copy of the block, so it moves up by the period nu - xi + 1."""
         xi, nu = self.params.xi, self.params.nu
-        a = self.quot
-        if l == 1 and i == xi + 2:
-            return (a(i), a(i - 1), a(i - 2), a(nu))
-        if l == 1 and i == xi + 1:
-            return (a(i), a(i - 1), a(nu), a(nu - 1))
-        if l == 1 and i == xi:
-            return (a(i), a(nu), a(nu - 1), a(nu - 2))
-        return (a(i), a(i - 1), a(i - 2), a(i - 3))
-
-    def q_tuple(self, i: int, l: int) -> Window:
-        xi, nu = self.params.xi, self.params.nu
-        a = self.quot
-        if l == 1 and i == xi + 1:
-            return (a(i), a(i - 1), a(nu))
-        if l == 1 and i == xi:
-            return (a(i), a(nu), a(nu - 1))
-        return (a(i), a(i - 1), a(i - 2))
+        pos = self.i[:, None] - np.arange(width)
+        pos += ((self.l[:, None] == 1) & (pos < xi)) * (nu - xi + 1)
+        return np.array(self.params.unrolled)[pos - 1]
 
 
 class _Key:
@@ -217,7 +198,7 @@ class _Pass1Lazy:
         self.phases = _Phases(params, lo=3)
         self.key = _Key(self.phases.count, hook.flag_radix, *(params.m + 1,) * 6)
         self.u = self.phases.windows(4)
-        self.ub = self.phases.q_tuple(3, 0)
+        self.ub = self.phases.windows(3)[self.phases.id[3, 0]]
         self.last, self.done = self.phases.id[4, 0], self.phases.id[3, 0]
         self.fanout = len(hook.letter) * (params.m + 1) * 2
 
@@ -537,9 +518,9 @@ def build_adder(cf: ContinuedFraction) -> Automaton:
     """
     params = _params(cf)
     first = _Pass1Lazy(params, _SumInput(params))
-    dfa = from_lazy(first, 3, params.m).determinize(complete=False).minimize()
+    dfa = from_lazy(first, 3, params.m).determinize_minimize()
     for pass_no in (2, 3):
-        pass_dfa = build_pass_automaton(cf, pass_no).determinize(complete=False).minimize()
+        pass_dfa = build_pass_automaton(cf, pass_no).determinize_minimize()
         dfa = dfa.cylindrify(3).intersect(pass_dfa.cylindrify(0).cylindrify(0)).project(2).minimize()
     valid_z = build_valid_rep(cf).cylindrify(0).cylindrify(0)
     final = dfa.intersect(valid_z).zero_closure()

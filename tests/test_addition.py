@@ -283,6 +283,22 @@ def test_bulk_blocks_keep_global_rows(golden):
         bulk.batch_add(golden, x, np.zeros_like(x))
 
 
+def test_bulk_rejects_input_digits_out_of_range(golden):
+    # an int64 digit past int16 would wrap when cast, and a negative one
+    # would pass through the passes unchanged; both are refused by row
+    for row, dtype in (((40000, 0, 0), np.int64), ((-1, 0, 0), np.int16)):
+        x = np.zeros((6, 3), dtype)
+        x[4] = row
+        for args in ((x, np.zeros_like(x)), (np.zeros_like(x), x)):
+            with pytest.raises(DigitOutOfRange, match=r"rows \[4\]"):
+                bulk.batch_add(golden, *args)
+    # a digit of 2 * mu passes the input check; the pass invariants judge it
+    x = np.full((1, 3), 2, np.int16)
+    bulk.batch_add(golden, x, x, check=False)
+    with pytest.raises(InternalInvariantError):
+        bulk.batch_add(golden, x, x)
+
+
 FIXTURES = ("1;(1)", "1;(2)", "0;1,(1,2)", "1;(3,1,2)")
 small_expansions = st.builds(
     ContinuedFraction,

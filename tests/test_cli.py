@@ -67,6 +67,12 @@ def test_malformed_input_exit_2(capsys):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_decide_free_variable_exit_2(capsys):
+    code, out, err = run(capsys, "decide", "--cf", "1;(1)", "--formula", "x = x")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_not_quadratic_exit_3(capsys):
     code, _, err = run(capsys, "build", "--cf", "2;3,4", "--relation", "adder")
     assert code == 3

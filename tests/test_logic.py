@@ -2,6 +2,8 @@ import itertools
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ostrowski import (
     FormulaSyntaxError,
@@ -19,7 +21,7 @@ from ostrowski import (
     parse,
 )
 from ostrowski.contfrac import ContinuedFraction
-from ostrowski.logic import And, Eq, Exists, Forall, Not, Sum, VaEq, Var
+from ostrowski.logic import And, Const, Eq, Exists, Forall, Implies, Le, Not, Or, Sum, VaEq, Var
 from ostrowski.recognizers import build_valid_rep
 
 
@@ -314,3 +316,94 @@ def test_formula_objects_accepted(golden):
     # E y. V(x) = y & y = y + y forces V(x) = 0, which never holds
     f = Exists("y", And(VaEq("x", "y"), Eq(Var("y"), Sum(Var("y"), Var("y")))))
     assert enumerate_solutions(golden, f, 30) == []
+
+
+# -- random formulas ----------------------------------------------------------------
+
+NAMES = ("x", "y", "z")
+
+
+def terms(names=NAMES):
+    leaf = st.one_of(st.integers(0, 3).map(Const), st.sampled_from(names).map(Var))
+    return st.one_of(leaf, st.builds(Sum, leaf, leaf))
+
+
+@st.composite
+def bounded(draw, body):
+    """``E v. v <= t & body`` or ``A v. v <= t -> body``, with v one of the
+    names, free or bound outside, and t free of v."""
+    v = draw(st.sampled_from(NAMES))
+    guard = Le(Var(v), draw(terms(tuple(n for n in NAMES if n != v))))
+    if draw(st.booleans()):
+        return Exists(v, And(guard, draw(body)))
+    return Forall(v, Implies(guard, draw(body)))
+
+
+def formulas(depth):
+    atoms = st.one_of(
+        st.builds(Eq, terms(), terms()),
+        st.builds(Le, terms(), terms()),
+        st.builds(VaEq, st.sampled_from(NAMES), st.sampled_from(NAMES)),
+    )
+    if depth == 0:
+        return atoms
+    sub = formulas(depth - 1)
+    return st.one_of(
+        bounded(sub),
+        st.builds(And, sub, sub),
+        st.builds(Or, sub, sub),
+        st.builds(Implies, sub, sub),
+        st.builds(Not, sub),
+        atoms,
+    )
+
+
+def term_max(t, top):
+    if isinstance(t, Var):
+        return top[t.name]
+    if isinstance(t, Const):
+        return t.value
+    return term_max(t.left, top) + term_max(t.right, top)
+
+
+def quantifier_range(f, top):
+    """A bound no quantified value needs to pass, given the largest value
+    ``top`` of each free name: the guard of a bounded quantifier settles
+    every value past its term."""
+    if isinstance(f, (Exists, Forall)):
+        most = term_max(f.body.left.right, top)
+        return max(most, quantifier_range(f.body.right, {**top, f.var: most}))
+    if isinstance(f, Not):
+        return quantifier_range(f.body, top)
+    if isinstance(f, (And, Or, Implies)):
+        return max(quantifier_range(f.left, top), quantifier_range(f.right, top))
+    return 0
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(
+    cf_text=st.sampled_from(("1;(1)", "1;(2)")),
+    f=formulas(3),
+    closing=st.lists(st.tuples(st.booleans(), st.integers(0, 4)), min_size=3, max_size=3),
+)
+def test_random_formulas_match_naive_eval(cf_text, f, closing):
+    # bounded quantifiers reusing x, y and z, so bound names shadow free
+    # and bound ones; enumeration and decide against the brute force
+    cf = ContinuedFraction.from_text(cf_text)
+    bound = 4
+    names = sorted(free_vars(f))
+    if names:
+        reach = quantifier_range(f, dict.fromkeys(names, bound))
+        got = set(enumerate_solutions(cf, f, bound))
+        want = {
+            tup
+            for tup in itertools.product(range(bound + 1), repeat=len(names))
+            if naive_eval(cf, f, dict(zip(names, tup)), reach)
+        }
+        assert got == want, (cf_text, f)
+    sentence = f
+    for name, (exists, most) in zip(names, closing):
+        guard = Le(Var(name), Const(most))
+        sentence = Exists(name, And(guard, sentence)) if exists else Forall(name, Implies(guard, sentence))
+    reach = quantifier_range(sentence, {})
+    assert decide(cf, sentence) == naive_eval(cf, sentence, {}, reach), (cf_text, sentence)
