@@ -70,11 +70,9 @@ def _raise_rows(bad: np.ndarray, lo: int, message: str, error=InternalInvariantE
 
 
 def _check_digits(z: np.ndarray, top: int, lo: int) -> None:
-    """Abort the batch if an input block holds a digit outside 0..top; read
-    as unsigned, a negative digit is larger than any top."""
-    u = z.view(f"u{z.itemsize}")
-    if u.max(initial=0) > top:
-        _raise_rows((u > top).any(axis=1), lo, f"input digit outside 0..{top}", DigitOutOfRange)
+    """Abort the batch if an input block holds a digit outside 0..top."""
+    if z.min(initial=0) < 0 or z.max(initial=0) > top:
+        _raise_rows(((z < 0) | (z > top)).any(axis=1), lo, f"input digit outside 0..{top}", DigitOutOfRange)
 
 
 def _pass1_t(aks, z: np.ndarray, check: bool, lo: int) -> None:
