@@ -10,7 +10,6 @@ from .errors import (
     CfMismatch,
     DigitOutOfRange,
     FormulaSyntaxError,
-    FormulaTooDeep,
     FreeVariablePresent,
     IndexBeyondKnownPrefix,
     InputTooShort,
@@ -67,7 +66,6 @@ __all__ = [
     "CfMismatch",
     "DigitOutOfRange",
     "FormulaSyntaxError",
-    "FormulaTooDeep",
     "FreeVariablePresent",
     "IndexBeyondKnownPrefix",
     "InputTooShort",

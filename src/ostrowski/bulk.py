@@ -146,10 +146,14 @@ def batch_add(
     wide, s and z3 have max(w + 1, 4) columns, w one more and v3 two more.
     With ``check`` an input digit outside 0..2a, for the largest partial
     quotient a over the width, raises ``DigitOutOfRange``: past it a sum
-    could leave the working digit type.
+    could leave the working digit type.  A digit matrix that is not of an
+    integer type raises ``DigitOutOfRange`` whatever ``check`` is.
     """
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch {x.shape} vs {y.shape}")
+    for z in (x, y):
+        if z.dtype.kind not in "iu":
+            raise DigitOutOfRange(f"digit matrix of type {z.dtype}, not of integers")
     count, given = x.shape
     width = max(given + 1, 4)
     aks = cf.quotients(width + 2)

@@ -49,9 +49,5 @@ class FormulaSyntaxError(OstrowskiError):
         self.position = position
 
 
-class FormulaTooDeep(OstrowskiError):
-    """A formula is nested deeper than the recursive compiler can follow."""
-
-
 class AutomatonTooLarge(OstrowskiError):
     """An automaton's states or alphabet exceed what its integer arrays can index."""

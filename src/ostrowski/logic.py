@@ -5,20 +5,23 @@ atoms ``t = t``, ``t <= t`` and ``V(x) = y``, the connectives ``~ & | ->``
 and the quantifiers ``A x.`` / ``E x.`` (ASCII for forall/exists, scope
 extending as far to the right as possible).
 
-Compilation is by structural recursion into multi-track automata over a
-fixed quadratic expansion: every variable owns a track carrying its
-0*-padded representation.  Atoms with compound terms are flattened
-through fresh auxiliary variables (one adder automaton per ``+``, one
-singleton automaton per numeral), conjunction is automaton intersection,
-existential quantification is track projection followed by the leading-
-zero closure, and negation is complement *relativized to the valid-word
-universe* on every track: the plain complement would accept junk digit
-strings that represent nothing.  Universal quantifiers reduce to negated
-existentials.  A sentence is the case of no free variables: it compiles to
-a zero-track automaton, which reads only the empty letter and accepts
-something exactly when the sentence is true.  Each quantifier projects its
-variable out of its own body, so a bound name never reaches a track
-outside its scope and shadowing needs no renaming.
+Compilation is a post-order walk over an explicit work stack, each
+subformula after its operands, into multi-track automata over a fixed
+quadratic expansion; parsing is one loop over an operand stack and an
+operator stack, so no depth of nesting exhausts the Python stack.  Every
+variable owns a track carrying its 0*-padded representation.  Atoms with
+compound terms are flattened through fresh auxiliary variables (one adder
+automaton per ``+``, one singleton automaton per numeral), conjunction is
+automaton intersection, existential quantification is track projection
+followed by the leading-zero closure, and negation is complement
+*relativized to the valid-word universe* on every track: the plain
+complement would accept junk digit strings that represent nothing.
+Universal quantifiers reduce to negated existentials.  A sentence is the
+case of no free variables: it compiles to a zero-track automaton, which
+reads only the empty letter and accepts something exactly when the
+sentence is true.  Each quantifier projects its variable out of its own
+body, so a bound name never reaches a track outside its scope and
+shadowing needs no renaming.
 
 Numerals are syntactic sugar resolved against the ambient expansion:
 ``2`` always denotes the number two, whatever digit string represents it.
@@ -33,10 +36,10 @@ from typing import Iterable, NamedTuple, Union
 import numpy as np
 
 from .automata import Automaton
+from .bulk import encode_table
 from .contfrac import ContinuedFraction
 from .errors import (
     FormulaSyntaxError,
-    FormulaTooDeep,
     FreeVariablePresent,
     NotQuadratic,
     UnboundVariable,
@@ -128,35 +131,53 @@ class Forall:
 Formula = Union[Eq, Le, VaEq, Not, And, Or, Implies, Exists, Forall]
 
 
-def term_vars(t: Term) -> frozenset[str]:
-    if isinstance(t, Var):
-        return frozenset((t.name,))
-    if isinstance(t, Const):
-        return frozenset()
-    return term_vars(t.left) | term_vars(t.right)
+def _postorder(t: Term) -> list[Term]:
+    """The subterms of ``t``, each after its left and right operands."""
+    out, work = [], [t]
+    while work:
+        s = work.pop()
+        out.append(s)
+        if isinstance(s, Sum):
+            work += [s.left, s.right]
+    return out[::-1]
 
 
-def free_vars(f: Formula) -> frozenset[str]:
-    if isinstance(f, (Eq, Le)):
-        return term_vars(f.left) | term_vars(f.right)
-    if isinstance(f, VaEq):
-        return frozenset((f.x, f.y))
-    if isinstance(f, Not):
-        return free_vars(f.body)
-    if isinstance(f, (And, Or, Implies)):
-        return free_vars(f.left) | free_vars(f.right)
-    return free_vars(f.body) - {f.var}
+def free_vars(f: Formula | Term) -> frozenset[str]:
+    """Variables of a formula or term that no quantifier around them binds."""
+    free: set[str] = set()
+    bound: dict[str, int] = {}  # quantifiers binding each name around the walk
+    work: list = [f]
+    while work:
+        g = work.pop()
+        if isinstance(g, str):  # the walk leaves the scope of a quantifier
+            bound[g] -= 1
+        elif isinstance(g, (Exists, Forall)):
+            bound[g.var] = bound.get(g.var, 0) + 1
+            work += [g.var, g.body]
+        elif isinstance(g, Not):
+            work.append(g.body)
+        elif isinstance(g, VaEq):
+            work += [Var(g.x), Var(g.y)]
+        elif isinstance(g, Var):
+            if not bound.get(g.name):
+                free.add(g.name)
+        elif not isinstance(g, Const):
+            work += [g.left, g.right]
+    return frozenset(free)
 
 
 # -- parser -------------------------------------------------------------------
 
 _KEYWORDS = {"A", "E", "V"}
 _SYMBOLS = ("->", "<=", "(", ")", "+", "=", "~", "&", "|", ".")
+# Binding powers: an operator takes as operands what binds more tightly.
+_POWER = {"A": 0, "E": 0, "->": 1, "|": 2, "&": 3, "~": 4, "=": 5, "<=": 5, "+": 6}
+_TERM_OPS = ("=", "<=", "+")  # the operators whose operands are terms
+_BINARY = {"->": Implies, "|": Or, "&": And, "=": Eq, "<=": Le, "+": Sum}
 
 
 class _Tokens:
     def __init__(self, text: str):
-        self.text = text
         self.items: list[tuple[str, str, int]] = []  # (kind, value, position)
         i = 0
         while i < len(text):
@@ -184,138 +205,118 @@ class _Tokens:
                     i = j
                 else:
                     raise FormulaSyntaxError(f"unexpected character {c!r}", i)
+        self.items.append(("eof", "end of input", len(text)))
         self.pos = 0
 
-    def peek(self):
-        if self.pos < len(self.items):
-            return self.items[self.pos]
-        return ("eof", "", len(self.text))
-
     def next(self):
-        tok = self.peek()
         self.pos += 1
-        return tok
+        return self.items[self.pos - 1]
 
     def expect(self, value: str):
         kind, val, at = self.next()
         if val != value:
-            raise FormulaSyntaxError(f"expected {value!r}, found {val or 'end of input'!r}", at)
+            raise FormulaSyntaxError(f"expected {value!r}, found {val!r}", at)
 
-    def error(self, message: str):
-        _, val, at = self.peek()
-        raise FormulaSyntaxError(f"{message}, found {val or 'end of input'!r}", at)
+    def variable(self, message: str) -> str:
+        kind, val, at = self.next()
+        if kind != "name" or val in _KEYWORDS:
+            raise FormulaSyntaxError(message, at)
+        return val
 
 
 def parse(text: str) -> Formula:
-    """Parse formula text; raises FormulaSyntaxError with a position."""
+    """Parse formula text; raises FormulaSyntaxError with a position.
+
+    Operators by binding power, loosest first: the quantifiers ``A x.`` and
+    ``E x.`` (0: the scope extends as far as it can), ``->`` (1, grouping
+    to the right), ``|`` (2), ``&`` (3), prefix ``~`` (4), ``=`` and ``<=``
+    (5, not chained) and ``+`` (6); ``|``, ``&`` and ``+`` group to the
+    left.  Parentheses hold a formula or a term; a malformed group opened
+    where a formula may start is reported where it stops reading as a
+    term.
+    """
     toks = _Tokens(text)
+    ops: list[tuple[str, object]] = []
     try:
-        f = _parse_implies(toks)
-    except RecursionError:
-        # Caught here only: _parse_atom backtracks on FormulaSyntaxError.
-        raise FormulaSyntaxError("formula nested too deeply", toks.peek()[2]) from None
-    if toks.peek()[0] != "eof":
-        toks.error("trailing input")
-    return f
+        return _read(toks, ops)
+    except FormulaSyntaxError as exc:
+        error = exc
+    opened = next((start for op, start in ops if op == "("), None)  # outermost group
+    if opened is not None:  # it is no formula: raise where it stops reading as a term
+        toks.pos = opened + 1
+        _read(toks, [("(", None)])
+    raise error
 
 
-def _parse_implies(toks) -> Formula:
-    lhs = _parse_or(toks)
-    if toks.peek()[1] == "->":
-        toks.next()
-        return Implies(lhs, _parse_implies(toks))
-    return lhs
-
-
-def _parse_or(toks) -> Formula:
-    f = _parse_and(toks)
-    while toks.peek()[1] == "|":
-        toks.next()
-        f = Or(f, _parse_and(toks))
-    return f
-
-
-def _parse_and(toks) -> Formula:
-    f = _parse_unary(toks)
-    while toks.peek()[1] == "&":
-        toks.next()
-        f = And(f, _parse_unary(toks))
-    return f
-
-
-def _parse_unary(toks) -> Formula:
-    kind, val, at = toks.peek()
-    if val == "~":
-        toks.next()
-        return Not(_parse_unary(toks))
-    if kind == "name" and val in ("A", "E"):
-        toks.next()
-        vkind, vname, vat = toks.next()
-        if vkind != "name" or vname in _KEYWORDS:
-            raise FormulaSyntaxError(f"expected a variable after {val!r}", vat)
-        toks.expect(".")
-        body = _parse_implies(toks)  # quantifier scope extends maximally
-        return Forall(vname, body) if val == "A" else Exists(vname, body)
-    return _parse_atom(toks)
-
-
-def _parse_atom(toks) -> Formula:
-    kind, val, at = toks.peek()
-    if val == "V":
-        toks.next()
-        toks.expect("(")
-        xk, xn, xa = toks.next()
-        if xk != "name" or xn in _KEYWORDS:
-            raise FormulaSyntaxError("expected a variable inside V(...)", xa)
-        toks.expect(")")
-        toks.expect("=")
-        yk, yn, ya = toks.next()
-        if yk != "name" or yn in _KEYWORDS:
-            raise FormulaSyntaxError("expected a variable after V(...) =", ya)
-        return VaEq(xn, yn)
-    if val == "(":
-        # Could be a parenthesized formula or a parenthesized term; try the
-        # formula reading first and fall back to a relation.
-        save = toks.pos
-        try:
-            toks.next()
-            f = _parse_implies(toks)
+def _read(toks: _Tokens, ops: list) -> Formula:
+    """One pass over an operand stack and a stack ``ops`` of pending
+    operators and open parentheses; a parenthesis carries the index of its
+    token, or None when it opens inside a term."""
+    operands: list = []
+    while True:
+        # an operand, after any prefix operators and opening parentheses
+        kind, val, at = toks.next()
+        in_term = bool(ops) and (ops[-1][0] in _TERM_OPS or ops[-1] == ("(", None))
+        if val == "(":
+            ops.append(("(", None if in_term else toks.pos - 1))
+            continue
+        if kind == "num":
+            operands.append(Const(int(val)))
+        elif kind == "name" and val not in _KEYWORDS:
+            operands.append(Var(val))
+        elif in_term or val not in ("~", "A", "E", "V"):
+            problem = f"{val!r} is reserved" if kind == "name" else f"expected a term, found {val!r}"
+            raise FormulaSyntaxError(problem, at)
+        elif val == "V":
+            toks.expect("(")
+            x = toks.variable("expected a variable inside V(...)")
             toks.expect(")")
-            return f
-        except FormulaSyntaxError:
-            toks.pos = save
-    left = _parse_term(toks)
-    op = toks.peek()[1]
-    if op == "=":
-        toks.next()
-        return Eq(left, _parse_term(toks))
-    if op == "<=":
-        toks.next()
-        return Le(left, _parse_term(toks))
-    toks.error("expected '=' or '<='")
+            toks.expect("=")
+            operands.append(VaEq(x, toks.variable("expected a variable after V(...) =")))
+        else:
+            var = None
+            if val != "~":
+                var = toks.variable(f"expected a variable after {val!r}")
+                toks.expect(".")
+            ops.append((val, var))
+            continue
+        # operators and closing parentheses, until the next operand
+        while True:
+            tok = kind, val, at = toks.next()
+            if kind != "eof" and val not in _BINARY and val != ")":
+                raise FormulaSyntaxError(f"expected an operator, found {val!r}", at)
+            _reduce(operands, ops, _POWER.get(val, 0) + (val == "->"), tok)
+            if val == ")":
+                if not ops:
+                    raise FormulaSyntaxError("')' closes no parenthesis", at)
+                ops.pop()
+                continue
+            if ops and (kind == "eof" or val != "+" and ops[-1] == ("(", None)):
+                raise FormulaSyntaxError(f"expected ')', found {val!r}", at)
+            if isinstance(operands[-1], Term) != (val in _TERM_OPS):
+                need = "a term before" if val in _TERM_OPS else "'=' or '<=', found"
+                raise FormulaSyntaxError(f"expected {need} {val!r}", at)
+            if kind == "eof":
+                return operands[0]
+            ops.append((val, None))
+            break
 
 
-def _parse_term(toks) -> Term:
-    t = _parse_summand(toks)
-    while toks.peek()[1] == "+":
-        toks.next()
-        t = Sum(t, _parse_summand(toks))
-    return t
-
-
-def _parse_summand(toks) -> Term:
-    kind, val, at = toks.next()
-    if kind == "num":
-        return Const(int(val))
-    if kind == "name":
-        if val in _KEYWORDS:
-            raise FormulaSyntaxError(f"{val!r} is reserved", at)
-        return Var(val)
-    if val == "(":
-        t = _parse_term(toks)
-        toks.expect(")")
-        return t
-    raise FormulaSyntaxError(f"expected a term, found {val or 'end of input'!r}", at)
+def _reduce(operands: list, ops: list, power: int, tok) -> None:
+    """Apply the pending operators that bind at least ``power``; ``tok``
+    is the token that ends their operands."""
+    while ops and ops[-1][0] != "(" and _POWER[ops[-1][0]] >= power:
+        op, var = ops.pop()
+        right = operands.pop()
+        if op not in _TERM_OPS and isinstance(right, Term):
+            raise FormulaSyntaxError(f"expected '=' or '<=', found {tok[1]!r}", tok[2])
+        if op in _BINARY:
+            right = _BINARY[op](operands.pop(), right)
+        elif op == "~":
+            right = Not(right)
+        else:
+            right = (Forall if op == "A" else Exists)(var, right)
+        operands.append(right)
 
 
 # -- compiler -----------------------------------------------------------------
@@ -384,7 +385,6 @@ class _Compiler:
         self.m = cf.parameters().m
         self.rank: dict[str, int] = {}
         self.fresh_counter = 0
-        self.cache: dict[Formula, _Node] = {}
 
     def rank_of(self, name: str) -> int:
         if name not in self.rank:
@@ -401,39 +401,42 @@ class _Compiler:
     # formula compilation --------------------------------------------------
 
     def compile(self, f: Formula) -> _Node:
-        hit = self.cache.get(f)
-        if hit is None:
-            hit = self._compile(f)
-            self.cache[f] = hit
-        return hit
-
-    def _compile(self, f: Formula) -> _Node:
-        if isinstance(f, (Eq, Le)):
-            return self._atom(f)
-        if isinstance(f, VaEq):
-            if f.x == f.y:
+        """Compile in post-order over a work stack of subformulas still to
+        compile and ``(combine, operand count)`` steps, the left operand of
+        a connective before the right."""
+        done: list[_Node] = []
+        work: list = [f]
+        while work:
+            f = work.pop()
+            if isinstance(f, tuple):
+                combine, count = f
+                operands = done[-count:]
+                del done[-count:]
+                done.append(combine(*operands))
+            elif isinstance(f, (Eq, Le)):
+                done.append(self._atom(f))
+            elif isinstance(f, VaEq) and f.x == f.y:
                 aux = self.fresh()
-                return self.compile(Exists(aux, And(VaEq(f.x, aux), Eq(Var(aux), Var(f.y)))))
-            base = _va_dfa(self.cf)
-            return self._relation(base, (f.x, f.y))
-        if isinstance(f, Not):
-            if isinstance(f.body, Not):
-                return self.compile(f.body.body)
-            if isinstance(f.body, Forall):
-                return self.compile(Exists(f.body.var, Not(f.body.body)))
-            return self._negate(self.compile(f.body))
-        if isinstance(f, Implies):
-            return self.compile(Or(Not(f.left), f.right))
-        if isinstance(f, And):
-            return self._conjoin(self.compile(f.left), self.compile(f.right))
-        if isinstance(f, Or):
-            return self._disjoin(self.compile(f.left), self.compile(f.right))
-        if isinstance(f, Forall):
-            return self.compile(Not(Exists(f.var, Not(f.body))))
-        if isinstance(f, Exists):
-            body = self.compile(f.body)
-            return self._project_var(body, f.var)
-        raise TypeError(f"not a formula: {f!r}")
+                work.append(Exists(aux, And(VaEq(f.x, aux), Eq(Var(aux), Var(f.y)))))
+            elif isinstance(f, VaEq):
+                done.append(self._relation(_va_dfa(self.cf), (f.x, f.y)))
+            elif isinstance(f, Not) and isinstance(f.body, Not):
+                work.append(f.body.body)
+            elif isinstance(f, Not) and isinstance(f.body, Forall):
+                work.append(Exists(f.body.var, Not(f.body.body)))
+            elif isinstance(f, Not):
+                work += [(self._negate, 1), f.body]
+            elif isinstance(f, Implies):
+                work.append(Or(Not(f.left), f.right))
+            elif isinstance(f, (And, Or)):
+                work += [(self._conjoin if isinstance(f, And) else self._disjoin, 2), f.right, f.left]
+            elif isinstance(f, Forall):
+                work.append(Not(Exists(f.var, Not(f.body))))
+            elif isinstance(f, Exists):
+                work += [(functools.partial(self._project_var, var=f.var), 1), f.body]
+            else:
+                raise TypeError(f"not a formula: {f!r}")
+        return done[0]
 
     # atoms ----------------------------------------------------------------
 
@@ -459,16 +462,24 @@ class _Compiler:
         return node
 
     def _flatten(self, t: Term) -> tuple[str, list[_Node], list[str]]:
-        if isinstance(t, Var):
-            return t.name, [], []
-        if isinstance(t, Const):
+        """The track naming ``t``, and the definitions of the auxiliary
+        tracks it needs, each with its track, operands first."""
+        names: list[str] = []
+        defs: list[_Node] = []
+        auxes: list[str] = []
+        for s in _postorder(t):
+            if isinstance(s, Var):
+                names.append(s.name)
+                continue
             aux = self.fresh()
-            return aux, [self._relation(_constant_dfa(self.cf, t.value), (aux,))], [aux]
-        lname, ldefs, laux = self._flatten(t.left)
-        rname, rdefs, raux = self._flatten(t.right)
-        aux = self.fresh()
-        plus = self._relation(build_adder(self.cf), (lname, rname, aux))
-        return aux, ldefs + rdefs + [plus], laux + raux + [aux]
+            if isinstance(s, Const):
+                defs.append(self._relation(_constant_dfa(self.cf, s.value), (aux,)))
+            else:
+                right, left = names.pop(), names.pop()
+                defs.append(self._relation(build_adder(self.cf), (left, right, aux)))
+            names.append(aux)
+            auxes.append(aux)
+        return names[0], defs, auxes
 
     def _relation(self, base: Automaton, names: tuple[str, ...]) -> _Node:
         """Attach an automaton over the given named tracks, normalizing order.
@@ -524,12 +535,15 @@ class _Compiler:
 
 
 def _fold(t: Term) -> Term:
-    if isinstance(t, Sum):
-        left, right = _fold(t.left), _fold(t.right)
-        if isinstance(left, Const) and isinstance(right, Const):
-            return Const(left.value + right.value)
-        return Sum(left, right)
-    return t
+    """``t`` with every sum of two numerals replaced by its value."""
+    done: list[Term] = []
+    for s in _postorder(t):
+        if isinstance(s, Sum):
+            right, left = done.pop(), done.pop()
+            both = isinstance(left, Const) and isinstance(right, Const)
+            s = Const(left.value + right.value) if both else Sum(left, right)
+        done.append(s)
+    return done[0]
 
 
 def _insert_tracks(a: Automaton, have: tuple, want: tuple) -> Automaton:
@@ -549,20 +563,6 @@ def _as_formula(f) -> Formula:
     return parse(f) if isinstance(f, str) else f
 
 
-def _depth_checked(fn):
-    """Report a formula too deep for the recursive compiler as FormulaTooDeep."""
-
-    @functools.wraps(fn)
-    def checked(*args, **kwargs):
-        try:
-            return fn(*args, **kwargs)
-        except RecursionError:
-            raise FormulaTooDeep("formula nested too deeply to compile") from None
-
-    return checked
-
-
-@_depth_checked
 def compile_formula(
     cf: ContinuedFraction, formula, var_order: Iterable[str]
 ) -> Automaton:
@@ -585,7 +585,6 @@ def compile_formula(
     return comp.compile(f).aut.determinize_minimize()
 
 
-@_depth_checked
 def decide(cf: ContinuedFraction, sentence) -> bool:
     """Whether a sentence holds in the structure (N, +, V) for this
     expansion: whether its compiled zero-track automaton accepts anything."""
@@ -596,7 +595,6 @@ def decide(cf: ContinuedFraction, sentence) -> bool:
     return not _Compiler(cf).compile(f).aut.is_empty()
 
 
-@_depth_checked
 def enumerate_solutions(cf: ContinuedFraction, formula, bound: int) -> list[tuple[int, ...]]:
     """All tuples over 0..bound satisfying the formula.
 
@@ -611,11 +609,7 @@ def enumerate_solutions(cf: ContinuedFraction, formula, bound: int) -> list[tupl
     # track can be padded to the width of the widest representation and the
     # candidates run through the automaton many at a time, in
     # itertools.product order.
-    reps = [encode(cf, n).digits for n in range(bound + 1)]
-    width = max((len(r) for r in reps), default=0)
-    digits = np.zeros((bound + 1, width), np.int64)
-    for n, rep in enumerate(reps):
-        digits[n, width - len(rep) :] = rep[::-1]  # MSD first
+    digits = encode_table(cf, bound)[:, ::-1]  # MSD first
     shape = (bound + 1,) * len(free)
     total = (bound + 1) ** len(free)
     found = [np.empty((len(free), 0), np.int64)]

@@ -299,6 +299,16 @@ def test_bulk_rejects_input_digits_out_of_range(golden):
         bulk.batch_add(golden, x, x)
 
 
+def test_bulk_rejects_non_integer_digits(golden):
+    # refused before numpy adds them, whether the checks are on or off
+    good = np.zeros((3, 3), np.int16)
+    for bad in (np.zeros((3, 3), np.float64), np.zeros((3, 3), object)):
+        for args in ((bad, good), (good, bad)):
+            for check in (True, False):
+                with pytest.raises(DigitOutOfRange, match="not of integers"):
+                    bulk.batch_add(golden, *args, check=check)
+
+
 FIXTURES = ("1;(1)", "1;(2)", "0;1,(1,2)", "1;(3,1,2)")
 small_expansions = st.builds(
     ContinuedFraction,

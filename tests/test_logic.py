@@ -7,10 +7,8 @@ from hypothesis import strategies as st
 
 from ostrowski import (
     FormulaSyntaxError,
-    FormulaTooDeep,
     FreeVariablePresent,
     NotQuadratic,
-    OstrowskiError,
     UnboundVariable,
     compile_formula,
     convolve,
@@ -87,6 +85,7 @@ def test_parse_sentence():
 def test_parse_free_vars():
     f = parse("E y. V(x) = y & y <= x")
     assert free_vars(f) == frozenset({"x"})
+    assert free_vars(Sum(Var("z"), Sum(Const(1), Var("z")))) == frozenset({"z"})
 
 
 def test_parse_error_position():
@@ -96,10 +95,15 @@ def test_parse_error_position():
 
 
 def test_parse_errors():
-    deep = ["(" * 2000 + "0 = 0" + ")" * 2000, "~" * 5000 + "0 = 0"]
-    for bad in ["", "x =", "A . x = x", "V(2) = y", "x + y", "(x = y", "x ~ y", "E x. x = ²"] + deep:
+    for bad in ["", "x =", "A . x = x", "V(2) = y", "x + y", "(x = y", "x ~ y", "E x. x = ²"]:
         with pytest.raises(FormulaSyntaxError):
             parse(bad)
+
+
+def test_deep_sentences_decide(golden):
+    # parsing and compiling keep their own stacks, so nesting has no limit
+    for deep in ["(" * 2000 + "0 = 0" + ")" * 2000, "~" * 5000 + "0 = 0"]:
+        assert decide(golden, deep) is True
 
 
 def test_parse_shapes():
@@ -211,19 +215,19 @@ def test_decide_requires_sentence(golden):
         decide(golden, "x = x")
 
 
-def test_too_deep_for_compiler(golden):
-    text = "".join(f"A x{i}. " for i in range(240)) + "x0 = x0"
-    with pytest.raises(OstrowskiError):
-        decide(golden, text)
+def test_deep_formulas_compile(golden):
+    # A x399. ... A x0. x0 = y holds for no y
     body = Eq(Var("x0"), Var("y"))
     for i in range(400):
         body = Forall(f"x{i}", body)
-    with pytest.raises(FormulaTooDeep):
-        decide(golden, Forall("y", body))
-    with pytest.raises(FormulaTooDeep):
-        compile_formula(golden, body, ["y"])
-    with pytest.raises(FormulaTooDeep):
-        enumerate_solutions(golden, body, 3)
+    assert decide(golden, Forall("y", body)) is False
+    assert compile_formula(golden, body, ["y"]).is_empty()
+    assert enumerate_solutions(golden, body, 3) == []
+    text = "".join(f"A x{i}. " for i in range(2000)) + "x0 = x0"
+    assert decide(golden, text) is True
+    ones = " + ".join(["1"] * 3000)
+    assert decide(golden, f"{ones} = 3000") is True
+    assert decide(golden, f"E x. x + 1 = {ones}") is True
 
 
 def test_numerals_leave_no_cache_entries(golden):
@@ -298,18 +302,13 @@ def test_enumerate_matches_naive_eval(golden, sqrt2):
 
 
 def test_enumerate_desk_scale(golden):
-    # bound 200 against the naive evaluator; the quantified z never exceeds
-    # the free values, so bound + 1 is a sufficient quantifier range
-    for text in ["E z. x + z = y", "V(x) = y"]:
-        f = parse(text)
-        names = sorted(free_vars(f))
-        got = set(enumerate_solutions(golden, f, 200))
-        want = {
-            tup
-            for tup in itertools.product(range(201), repeat=len(names))
-            if naive_eval(golden, f, dict(zip(names, tup)), 201)
-        }
-        assert got == want
+    # bound 200 against the sets as defined: E z. x + z = y is x <= y, and
+    # V(x) = y pairs each x with v_of(x)
+    r = range(201)
+    got = set(enumerate_solutions(golden, "E z. x + z = y", 200))
+    assert got == {(x, y) for x in r for y in r if x <= y}
+    got = set(enumerate_solutions(golden, "V(x) = y", 200))
+    assert got == {(x, v_of(golden, x)) for x in r if v_of(golden, x) <= 200}
 
 
 def test_formula_objects_accepted(golden):
@@ -407,3 +406,47 @@ def test_random_formulas_match_naive_eval(cf_text, f, closing):
         sentence = Exists(name, And(guard, sentence)) if exists else Forall(name, Implies(guard, sentence))
     reach = quantifier_range(sentence, {})
     assert decide(cf, sentence) == naive_eval(cf, sentence, {}, reach), (cf_text, sentence)
+
+
+POWERS = {Sum: 6, Eq: 5, Le: 5, VaEq: 5, Not: 4, And: 3, Or: 2, Implies: 1, Exists: 0, Forall: 0}
+INFIX = {Sum: "+", Eq: "=", Le: "<=", And: "&", Or: "|", Implies: "->"}
+
+
+def render(f, minimal, bound=0, tail=False):
+    """Text of a formula or term with every compound in parentheses, or
+    (``minimal``) only where the binding powers need them: ``bound`` is the
+    least power the context takes bare, and ``tail`` says whether text
+    follows, which a bare quantifier's scope would swallow."""
+    if isinstance(f, Var):
+        return f.name
+    if isinstance(f, Const):
+        return str(f.value)
+    power = POWERS[type(f)]
+    quantifier = isinstance(f, (Exists, Forall))
+    wrap = not minimal or (tail if quantifier else power < bound)
+    tail = tail and not wrap
+    if isinstance(f, VaEq):
+        text = f"V({f.x}) = {f.y}"
+    elif isinstance(f, Not):
+        text = "~ " + render(f.body, minimal, power, tail)
+    elif quantifier:
+        text = f"{'E' if isinstance(f, Exists) else 'A'} {f.var}. " + render(f.body, minimal)
+    else:
+        # -> groups to the right, = and <= do not chain, the rest group left
+        left = power + 1 if isinstance(f, (Implies, Eq, Le)) else power
+        right = power if isinstance(f, Implies) else power + 1
+        text = f"{render(f.left, minimal, left, True)} {INFIX[type(f)]} {render(f.right, minimal, right, tail)}"
+    return f"({text})" if wrap else text
+
+
+sums = st.recursive(terms(), lambda inner: st.builds(Sum, inner, inner), max_leaves=6)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(f=st.one_of(formulas(3), st.builds(Le, sums, sums)))
+def test_parse_round_trip(f):
+    # the tree comes back from full parentheses and from the fewest the
+    # binding powers allow, which pins precedence and grouping
+    full, bare = render(f, False), render(f, True)
+    assert parse(full) == f, full
+    assert parse(bare) == f, bare
