@@ -30,6 +30,10 @@ conventions that matter for numeration languages:
   initial state over ascending letters), so rebuilding a construction
   yields bit-identical output.
 
+Adding, reordering and identifying tracks is one gather of letter codes:
+each new letter code reads as one old code, so a table takes its columns
+in that order and an arc goes to every new code reading as its own.
+
 Products, subset constructions and lazy exploration advance a whole
 breadth-first level of states at once, in chunks that bound their memory.
 A new product state is keyed exactly by its pair of state ids, a new
@@ -80,8 +84,10 @@ def _cells(count: int, what: str) -> int:
 
 def _check_keys(num_states: int, arity: int, digit_bound: int) -> None:
     """Arcs of the nondeterministic form are searched by the int64 key
-    ``src * letters + code``, so also every letter code fits an int64."""
-    if max(num_states, 1) * (digit_bound + 1) ** arity - 1 > np.iinfo(np.int64).max:
+    ``src * letters + code``, so also every letter code fits an int64; 2**64
+    letters never do, and their count is not computed."""
+    wide = digit_bound >= 1 and arity >= 64
+    if wide or max(num_states, 1) * (digit_bound + 1) ** arity - 1 > np.iinfo(np.int64).max:
         raise AutomatonTooLarge(
             f"{num_states} states times {digit_bound + 1}**{arity} letters do not fit 64-bit arc keys"
         )
@@ -554,38 +560,30 @@ class Automaton:
         """Insert a free track at ``position`` (0-based) of every letter."""
         if not (0 <= position <= self.arity):
             raise ValueError(f"track position {position} outside 0..{self.arity}")
+        return self._place([t + (t >= position) for t in range(self.arity)], self.arity + 1)
+
+    def _place(self, tracks: Sequence[int], arity: int) -> "Automaton":
+        """The automaton over ``arity`` tracks whose track ``tracks[i]``
+        carries old track i.  A new track no old track lands on is free; old
+        tracks landing on the same new track merge, so only letters agreeing
+        on them survive.  New letter code c reads as old code ``old[c]``."""
         radix = self.digit_bound + 1
-        high, low = radix**position, radix ** (self.arity - position)
+        new = np.arange(_cells(radix**arity, "placed alphabet"))
+        old = np.zeros_like(new)
+        for t in tracks:
+            old = old * radix + new // radix ** (arity - 1 - t) % radix
         if self.deterministic:
-            n = self.num_states
-            _cells(n * self.alphabet_size * radix, "cylindrified table")
-            split = self._table.reshape(n, high, 1, low)
-            table = np.broadcast_to(split, (n, high, radix, low)).reshape(n, -1)
-            return Automaton._dfa(self.arity + 1, self.digit_bound, table, self.finals)
+            _cells(self.num_states * len(new), "placed table")
+            table = np.take(self._table, old, axis=1)
+            return Automaton._dfa(arity, self.digit_bound, table, self.finals)
         srcs, codes, dsts = self._arc_arrays()
-        spread = (codes // low * radix * low + codes % low)[:, None] + np.arange(radix) * low
+        order = np.argsort(old, kind="stable")
+        ranked = old[order]  # an arc goes to every new code c with old[c] == its code
+        pos, at = _ranges(np.searchsorted(ranked, codes, "left"), np.searchsorted(ranked, codes, "right"))
         return Automaton._nfa(
-            self.arity + 1, self.digit_bound, self.num_states, sorted(self.initial),
-            sorted(self.finals), np.repeat(srcs, radix), spread.ravel(), np.repeat(dsts, radix),
+            arity, self.digit_bound, self.num_states, sorted(self.initial), sorted(self.finals),
+            srcs[pos], order[at], dsts[pos],
         )
-
-    def _tracks(self) -> np.ndarray:
-        """The table with one axis per track."""
-        return self._table.reshape((self.num_states,) + (self.digit_bound + 1,) * self.arity)
-
-    def _permute_tracks(self, perm: Sequence[int]) -> "Automaton":
-        """Reorder the tracks of a deterministic automaton: new track i is old track perm[i]."""
-        moved = self._tracks().transpose((0,) + tuple(1 + p for p in perm))
-        table = np.ascontiguousarray(moved).reshape(self.num_states, -1)
-        return Automaton._dfa(self.arity, self.digit_bound, table, self.finals)
-
-    def _merge_tracks(self, keep: int, drop: int) -> "Automaton":
-        """Identify two tracks of a deterministic automaton: keep letters
-        agreeing on both, drop the second."""
-        diagonal = np.diagonal(self._tracks(), axis1=1 + keep, axis2=1 + drop)
-        at = keep if keep < drop else keep - 1
-        table = np.ascontiguousarray(np.moveaxis(diagonal, -1, 1 + at)).reshape(self.num_states, -1)
-        return Automaton._dfa(self.arity - 1, self.digit_bound, table, self.finals)
 
     def project(self, track: int) -> "Automaton":
         """Erase a track and close under leading all-zero letters."""

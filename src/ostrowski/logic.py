@@ -9,19 +9,21 @@ Compilation is a post-order walk over an explicit work stack, each
 subformula after its operands, into multi-track automata over a fixed
 quadratic expansion; parsing is one loop over an operand stack and an
 operator stack, so no depth of nesting exhausts the Python stack.  Every
-variable owns a track carrying its 0*-padded representation.  Atoms with
-compound terms are flattened through fresh auxiliary variables (one adder
-automaton per ``+``, one singleton automaton per numeral), conjunction is
-automaton intersection, existential quantification is track projection
-followed by the leading-zero closure, and negation is complement
-*relativized to the valid-word universe* on every track: the plain
-complement would accept junk digit strings that represent nothing.
-Universal quantifiers reduce to negated existentials.  A sentence is the
-case of no free variables: it compiles to a zero-track automaton, which
-reads only the empty letter and accepts something exactly when the
-sentence is true.  Each quantifier projects its variable out of its own
-body, so a bound name never reaches a track outside its scope and
-shadowing needs no renaming.
+variable owns a track carrying its 0*-padded representation, and one
+gather of letter codes adds, reorders and merges tracks: a variable
+named twice in an atom (``x + x``, ``V(x) = x``) merges its two tracks
+there.  Atoms with compound terms are flattened through fresh auxiliary
+variables (one adder automaton per ``+``, one singleton automaton per
+numeral), conjunction is automaton intersection, existential
+quantification is track projection followed by the leading-zero closure,
+and negation is complement *relativized to the valid-word universe* on
+every track: the plain complement would accept junk digit strings that
+represent nothing.  Universal quantifiers reduce to negated
+existentials.  A sentence is the case of no free variables: it compiles
+to a zero-track automaton, which reads only the empty letter and accepts
+something exactly when the sentence is true.  Each quantifier projects
+its variable out of its own body, so a bound name never reaches a track
+outside its scope and shadowing needs no renaming.
 
 Numerals are syntactic sugar resolved against the ambient expansion:
 ``2`` always denotes the number two, whatever digit string represents it.
@@ -231,37 +233,22 @@ def parse(text: str) -> Formula:
     ``E x.`` (0: the scope extends as far as it can), ``->`` (1, grouping
     to the right), ``|`` (2), ``&`` (3), prefix ``~`` (4), ``=`` and ``<=``
     (5, not chained) and ``+`` (6); ``|``, ``&`` and ``+`` group to the
-    left.  Parentheses hold a formula or a term; a malformed group opened
-    where a formula may start is reported where it stops reading as a
-    term.
+    left.  Parentheses hold a formula or a term.  One pass runs over an
+    operand stack and a stack of pending operators and open parentheses,
+    each parenthesis marked with whether it opens inside a term.
     """
     toks = _Tokens(text)
-    ops: list[tuple[str, object]] = []
-    try:
-        return _read(toks, ops)
-    except FormulaSyntaxError as exc:
-        error = exc
-    opened = next((start for op, start in ops if op == "("), None)  # outermost group
-    if opened is not None:  # it is no formula: raise where it stops reading as a term
-        toks.pos = opened + 1
-        _read(toks, [("(", None)])
-    raise error
-
-
-def _read(toks: _Tokens, ops: list) -> Formula:
-    """One pass over an operand stack and a stack ``ops`` of pending
-    operators and open parentheses; a parenthesis carries the index of its
-    token, or None when it opens inside a term."""
     operands: list = []
+    ops: list[tuple[str, object]] = []
     while True:
         # an operand, after any prefix operators and opening parentheses
         kind, val, at = toks.next()
-        in_term = bool(ops) and (ops[-1][0] in _TERM_OPS or ops[-1] == ("(", None))
+        in_term = bool(ops) and (ops[-1][0] in _TERM_OPS or ops[-1] == ("(", True))
         if val == "(":
-            ops.append(("(", None if in_term else toks.pos - 1))
+            ops.append(("(", in_term))
             continue
         if kind == "num":
-            operands.append(Const(int(val)))
+            operands.append(Const(_numeral(val)))
         elif kind == "name" and val not in _KEYWORDS:
             operands.append(Var(val))
         elif in_term or val not in ("~", "A", "E", "V"):
@@ -291,7 +278,7 @@ def _read(toks: _Tokens, ops: list) -> Formula:
                     raise FormulaSyntaxError("')' closes no parenthesis", at)
                 ops.pop()
                 continue
-            if ops and (kind == "eof" or val != "+" and ops[-1] == ("(", None)):
+            if ops and (kind == "eof" or val != "+" and ops[-1] == ("(", True)):
                 raise FormulaSyntaxError(f"expected ')', found {val!r}", at)
             if isinstance(operands[-1], Term) != (val in _TERM_OPS):
                 need = "a term before" if val in _TERM_OPS else "'=' or '<=', found"
@@ -300,6 +287,16 @@ def _read(toks: _Tokens, ops: list) -> Formula:
                 return operands[0]
             ops.append((val, None))
             break
+
+
+def _numeral(digits: str) -> int:
+    """The value of a decimal numeral of any length, read in chunks short
+    enough for ``int``."""
+    value = 0
+    for i in range(0, len(digits), 4000):
+        chunk = digits[i : i + 4000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
 
 
 def _reduce(operands: list, ops: list, power: int, tok) -> None:
@@ -415,9 +412,6 @@ class _Compiler:
                 done.append(combine(*operands))
             elif isinstance(f, (Eq, Le)):
                 done.append(self._atom(f))
-            elif isinstance(f, VaEq) and f.x == f.y:
-                aux = self.fresh()
-                work.append(Exists(aux, And(VaEq(f.x, aux), Eq(Var(aux), Var(f.y)))))
             elif isinstance(f, VaEq):
                 done.append(self._relation(_va_dfa(self.cf), (f.x, f.y)))
             elif isinstance(f, Not) and isinstance(f.body, Not):
@@ -447,16 +441,10 @@ class _Compiler:
             return _Node((), _zero_track(self.m, ok))
         lname, ldefs, laux = self._flatten(left)
         rname, rdefs, raux = self._flatten(right)
-        if isinstance(f, Eq):
-            if lname == rname:
-                base = self._relation(_valid_dfa(self.cf), (lname,))
-            else:
-                base = self._relation(_eq_dfa(self.cf), (lname, rname))
-        else:
-            base = self._relation(_le_dfa(self.cf), (lname, rname))
+        base = (_eq_dfa if isinstance(f, Eq) else _le_dfa)(self.cf)
+        node = self._relation(base, (lname, rname))
         # Conjoin definitions innermost-last and project each auxiliary as
         # soon as both its occurrences are present, keeping the arity low.
-        node = base
         for d, aux in reversed(list(zip(ldefs + rdefs, laux + raux))):
             node = self._project_var(self._conjoin(node, d), aux)
         return node
@@ -482,24 +470,11 @@ class _Compiler:
         return names[0], defs, auxes
 
     def _relation(self, base: Automaton, names: tuple[str, ...]) -> _Node:
-        """Attach an automaton over the given named tracks, normalizing order.
-
-        A variable naming several tracks (as in ``x + x``) merges them:
-        only letters agreeing on the duplicated tracks survive.
-        """
-        names = tuple(names)
-        while len(set(names)) != len(names):
-            seen: dict[str, int] = {}
-            for j, v in enumerate(names):
-                if v in seen:
-                    base = base._merge_tracks(seen[v], j)
-                    names = names[:j] + names[j + 1 :]
-                    break
-                seen[v] = j
-        order = self.sort_vars(names)
-        if order != names:
-            base = base._permute_tracks([names.index(v) for v in order])
-        return _Node(order, base)
+        """Attach an automaton over the given named tracks, in rank order; a
+        variable naming several tracks (``x + x``) keeps the letters agreeing
+        on them."""
+        order = self.sort_vars(dict.fromkeys(names))
+        return _Node(order, _insert_tracks(base, names, order))
 
     # connectives ----------------------------------------------------------
 
@@ -547,11 +522,12 @@ def _fold(t: Term) -> Term:
 
 
 def _insert_tracks(a: Automaton, have: tuple, want: tuple) -> Automaton:
-    out = a
-    for pos, name in enumerate(want):
-        if name not in have:
-            out = out.cylindrify(pos)
-    return out
+    """``a`` over the tracks ``want``, each track of ``have`` moved to its
+    name there: repeated names merge, and names not in ``have`` are free."""
+    tracks = [want.index(v) for v in have]
+    if tracks == list(range(len(want))):
+        return a
+    return a._place(tracks, len(want))
 
 
 # -- public operations ----------------------------------------------------------

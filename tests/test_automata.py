@@ -321,6 +321,46 @@ def test_cylindrify_project_identity():
             assert back.accepts(w) == projection_oracle(lifted, 1, w, arcs)
 
 
+def placed_language(a, tracks, arity, max_len):
+    """Brute-force language of ``a`` with old track i placed on new track
+    ``tracks[i]``, as a mask over ``all_words(arity, a.digit_bound,
+    max_len)``: a word is in it when reading each letter back on the old
+    tracks gives a word of ``a``."""
+    old = language(a, max_len)
+    size = a.alphabet_size
+    out = []
+    for w in all_words(arity, a.digit_bound, max_len):
+        code = 0
+        for letter in w:
+            code = code * size + letter_code(tuple(letter[t] for t in tracks), a.digit_bound)
+        out.append(old[sum(size**k for k in range(len(w))) + code])
+    return np.array(out, bool)
+
+
+def test_place_against_brute_force():
+    # insertions, permutations and repeated tracks (merges), on both forms
+    rng = random.Random(12)
+    cases = [(Automaton(0, 2, 1, [0], [0], {0: {(): (0,)}}), [], 2)]
+    for _ in range(40):
+        a = random_automaton(rng, arity=rng.choice([1, 2]), bound=rng.choice([1, 2]))
+        if rng.random() < 0.5:
+            a = a.determinize(complete=rng.random() < 0.5)
+        arity = rng.randint(1, 3)
+        cases.append((a, [rng.randrange(arity) for _ in range(a.arity)], arity))
+    for a, tracks, arity in cases:
+        placed = a._place(tracks, arity)
+        assert (placed.arity, placed.deterministic) == (arity, a.deterministic)
+        max_len = enum_len(placed) if placed.alphabet_size <= 9 else 2
+        assert np.array_equal(language(placed, max_len), placed_language(a, tracks, arity, max_len))
+
+
+def test_cylindrify_position_errors():
+    a = Automaton(1, 1, 1, [0], [0], {})
+    for position in (-1, 2):
+        with pytest.raises(ValueError):
+            a.cylindrify(position)
+
+
 def test_project_single_track_errors():
     a = Automaton(1, 1, 1, [0], [0], {})
     with pytest.raises(ArityMismatch):

@@ -109,6 +109,26 @@ def test_run_oversized_automaton_exit_2(capsys, tmp_path):
         assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_run_huge_arity_exit_2(capsys, tmp_path):
+    # 2**10**12 letters are refused without computing their count
+    text = "arity 1000000000000\ndigit_bound 1\nnum_states 1\ninitial 0\nfinal 0\n"
+    with pytest.raises(AutomatonTooLarge):
+        Automaton.from_text(text)
+    path = tmp_path / "wide.aut"
+    path.write_text(text)
+    code, out, err = run(capsys, "run", "--automaton", str(path), "--word", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_decide_long_numerals(capsys):
+    n, n1 = "9" * 5000, "1" + "0" * 5000
+    code, out, _ = run(capsys, "decide", "--cf", "1;(1)", "--formula", f"{n} + 1 = {n1}")
+    assert (code, out) == (0, "true\n")
+    code, out, _ = run(capsys, "decide", "--cf", "1;(1)", "--formula", f"{n} = {n1}")
+    assert (code, out) == (1, "false\n")
+
+
 def test_build_stdout_is_interchange(capsys):
     code, out, _ = run(capsys, "build", "--cf", "1;(1)", "--relation", "eq")
     assert code == 0

@@ -94,6 +94,14 @@ def test_parse_error_position():
     assert info.value.position == 4
 
 
+def test_parse_error_positions_in_groups():
+    # a malformed group is reported where it stops reading as a formula
+    for text, position in (("(x = y", 6), ("((x = y) & z)", 12)):
+        with pytest.raises(FormulaSyntaxError) as info:
+            parse(text)
+        assert info.value.position == position
+
+
 def test_parse_errors():
     for bad in ["", "x =", "A . x = x", "V(2) = y", "x + y", "(x = y", "x ~ y", "E x. x = ²"]:
         with pytest.raises(FormulaSyntaxError):
@@ -193,6 +201,7 @@ SENTENCES = [
     ("A x. E y. x <= y & ~ x = y", True),
     ("E x. A y. x <= y", True),
     ("A x. V(x) = x", False),
+    ("A x. x <= x", True),
 ]
 
 
@@ -246,6 +255,13 @@ def test_numerals_leave_no_cache_entries(golden):
     for c in range(1000, 1300):
         assert decide(golden, f"E x. x + x = {c}") == (c % 2 == 0)
     assert cache_entries() == before
+
+
+def test_long_numerals_read_exactly(golden):
+    # past the 4300 digits int() reads at once; both atoms fold to constants
+    n, n1 = "9" * 5000, "1" + "0" * 5000
+    assert decide(golden, f"{n} + 1 = {n1}") is True
+    assert decide(golden, f"{n} = {n1}") is False
 
 
 def test_numerals_denote_values(golden, sqrt2):
