@@ -8,14 +8,12 @@ then read off the tuples position by position.
 Inside an automaton a letter is an integer code: the letter read as a
 mixed-radix number in base ``digit_bound + 1`` with track 0 most
 significant, so ascending codes are the lexicographic order of letters.
-An automaton takes one of two array forms:
-
-* deterministic: one initial state and an ``int32`` table
-  ``[num_states, (digit_bound + 1) ** arity]`` of successor states, -1
-  where an arc is missing;
-* nondeterministic: CSR arrays, the arcs of state ``s`` being the codes
-  ``codes[indptr[s]:indptr[s + 1]]`` with the targets in the same slice of
-  ``dsts``, sorted by (code, dst).
+Every automaton holds its arcs in one form, CSR arrays: the arcs of state
+``s`` are the codes ``codes[indptr[s]:indptr[s + 1]]`` with the targets in
+the same slice of ``dsts``, sorted by (code, dst).  A deterministic
+automaton has the initial state 0 and at most one arc per (state, code);
+a missing arc leads to a dead state that is never built, so its work
+follows its live arcs, not the ``(digit_bound + 1) ** arity`` letters.
 
 Letter tuples appear only at the boundaries: the validated constructor and
 ``from_text``, ``arcs``/``to_text``, ``accepts`` and ``convolve``.
@@ -28,20 +26,27 @@ conventions that matter for numeration languages:
   letters, so ``L = 0*L`` and padding conventions compose;
 * minimization renumbers states canonically (breadth-first from the
   initial state over ascending letters), so rebuilding a construction
-  yields bit-identical output.
+  yields bit-identical output.  It comes in two forms: total, with the
+  dead state and an arc for every letter, for the public results; and
+  trim, without the dead state, for the intermediate steps of a
+  construction, whose products then never walk pairs with a dead state.
 
 Adding, reordering and identifying tracks is one gather of letter codes:
-each new letter code reads as one old code, so a table takes its columns
-in that order and an arc goes to every new code reading as its own.
+each new letter code reads as one old code, and an arc goes to every new
+code reading as its own.
 
 Products, subset constructions and lazy exploration advance a whole
 breadth-first level of states at once, in chunks that bound their memory.
 A new product state is keyed exactly by its pair of state ids, a new
-subset by its membership bitmap, and a state of a lazily described
+subset by the sorted ranks of its states, and a state of a lazily described
 automaton (``from_lazy``) by the int64 key its recognizer packs it into;
 the recognizer steps whole arrays of keys and hands back letter codes.
 Subset constructions and ``from_lazy`` leave out the states that cannot
 reach a final state, so dead pairs and dead guesses never inflate them.
+A difference (and so a complement) is a product whose right side moves
+to its dead state where it lacks an arc.  Only minimization and batch
+membership (``_accepts_all``) build a successor table, under the
+``_MAX_CELLS`` guard.
 """
 
 from __future__ import annotations
@@ -56,8 +61,9 @@ from .errors import ArityMismatch, AutomatonTooLarge, DigitOutOfRange
 Letter = tuple[int, ...]
 TupleWord = tuple[Letter, ...]
 
-_MAX_CELLS = 1 << 27  # largest table (states x letters) or state count held
+_MAX_CELLS = 1 << 27  # largest table (states x letters), arc count or state count held
 _CHUNK = 1 << 21  # array elements one step of a breadth-first level works on
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 def convolve(word_list: Sequence[Sequence[int]], digit_bound: int) -> TupleWord:
@@ -83,11 +89,11 @@ def _cells(count: int, what: str) -> int:
 
 
 def _check_keys(num_states: int, arity: int, digit_bound: int) -> None:
-    """Arcs of the nondeterministic form are searched by the int64 key
-    ``src * letters + code``, so also every letter code fits an int64; 2**64
+    """Arcs are sorted and searched by the int64 key ``src * letters +
+    code``, so also every letter code fits an int64; 2**64
     letters never do, and their count is not computed."""
     wide = digit_bound >= 1 and arity >= 64
-    if wide or max(num_states, 1) * (digit_bound + 1) ** arity - 1 > np.iinfo(np.int64).max:
+    if wide or max(num_states, 1) * (digit_bound + 1) ** arity - 1 > _INT64_MAX:
         raise AutomatonTooLarge(
             f"{num_states} states times {digit_bound + 1}**{arity} letters do not fit 64-bit arc keys"
         )
@@ -120,16 +126,20 @@ def _ranges(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return pos, starts[pos] + offsets
 
 
-def _csr(n: int, srcs, codes, dsts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sorted, duplicate-free CSR arrays of the arcs (srcs[i], codes[i], dsts[i])."""
-    order = np.lexsort((dsts, codes, srcs))
-    srcs, codes, dsts = srcs[order], codes[order], dsts[order]
-    keep = np.ones(len(order), bool)
-    keep[1:] = (np.diff(srcs) != 0) | (np.diff(codes) != 0) | (np.diff(dsts) != 0)
-    srcs = srcs[keep]
-    indptr = np.zeros(n + 1, np.int64)
-    np.cumsum(np.bincount(srcs, minlength=n), out=indptr[1:])
-    return indptr, codes[keep].astype(np.int64), dsts[keep].astype(np.int32)
+def _csr(n: int, letters: int, srcs, codes, dsts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted, duplicate-free CSR arrays of the arcs (srcs[i], codes[i], dsts[i]).
+    Arcs already in strictly ascending (src, code, dst) order, as most
+    constructions emit them, are taken as they come."""
+    srcs, codes, dsts = (np.asarray(a, np.int64) for a in (srcs, codes, dsts))
+    key = srcs * letters + codes
+    step = key[1:] - key[:-1]
+    if not ((step > 0) | (step == 0) & (dsts[1:] > dsts[:-1])).all():
+        order = np.lexsort((dsts, key))
+        key, srcs, codes, dsts = key[order], srcs[order], codes[order], dsts[order]
+        keep = np.ones(len(order), bool)
+        keep[1:] = (key[1:] != key[:-1]) | (dsts[1:] != dsts[:-1])
+        srcs, codes, dsts = srcs[keep], codes[keep], dsts[keep]
+    return np.searchsorted(srcs, np.arange(n + 1)), codes, dsts.astype(np.int32)
 
 
 def _reach(n: int, srcs: np.ndarray, dsts: np.ndarray, seeds) -> np.ndarray:
@@ -149,29 +159,35 @@ def _reach(n: int, srcs: np.ndarray, dsts: np.ndarray, seeds) -> np.ndarray:
     return seen
 
 
-def _complete(table: np.ndarray) -> np.ndarray:
-    """Send every missing arc to a new last state, a sink."""
-    if not (table < 0).any():
-        return table
-    sink = table.shape[0]
-    table = np.vstack([table, np.full((1, table.shape[1]), sink, np.int32)])
-    table[table < 0] = sink
-    return table
-
-
 def _state_set(states) -> frozenset[int]:
     return frozenset(states.tolist() if isinstance(states, np.ndarray) else map(int, states))
 
 
 class _PairIndex:
-    """Exact ids of int64 keys, new keys numbered in order of first occurrence."""
+    """Exact ids of int64 keys, new keys numbered in order of first occurrence.
 
-    def __init__(self):
+    Keys known to lie in ``range(space)``, for a space of at most ``_CHUNK``
+    keys, are looked up in a table of ids; others in the sorted keys seen.
+    """
+
+    def __init__(self, space: Optional[int] = None):
+        self.table = np.full(space, -1, np.int64) if space is not None and space <= _CHUNK else None
         self.keys = np.empty(0, np.int64)  # sorted
         self.ids = np.empty(0, np.int64)
+        self.count = 0
 
     def lookup(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Ids of ``keys`` and the keys seen for the first time, in order."""
+        if self.table is not None:
+            ids = self.table[keys]
+            missing = np.flatnonzero(ids < 0)
+            if not missing.size:
+                return ids, missing
+            fresh, first = np.unique(keys[missing], return_index=True)
+            fresh = fresh[np.argsort(first)]
+            self.table[fresh] = np.arange(self.count, self.count + len(fresh))
+            self.count += len(fresh)
+            return self.table[keys], fresh
         at = np.searchsorted(self.keys, keys)
         found = at < len(self.keys)
         found[found] = self.keys[at[found]] == keys[found]
@@ -183,7 +199,8 @@ class _PairIndex:
         fresh, first, inverse = np.unique(keys[missing], return_index=True, return_inverse=True)
         order = np.argsort(first)
         fresh_ids = np.empty(len(fresh), np.int64)
-        fresh_ids[order] = np.arange(len(self.ids), len(self.ids) + len(fresh))
+        fresh_ids[order] = np.arange(self.count, self.count + len(fresh))
+        self.count += len(fresh)
         ids[missing] = fresh_ids[inverse.ravel()]
         # merge the new keys into the sorted ones
         slot = np.searchsorted(self.keys, fresh) + np.arange(len(fresh))
@@ -196,32 +213,6 @@ class _PairIndex:
         return ids, fresh[order]
 
 
-def _product_tables(ta: np.ndarray, tb: np.ndarray, a0: int, b0: int):
-    """Reachable pairs of two DFA tables, breadth first from (a0, b0).
-
-    Returns the product table and the two components of every pair.
-    """
-    nb, size = tb.shape[0], ta.shape[1]
-    index = _PairIndex()
-    index.lookup(np.array([a0 * nb + b0], np.int64))
-    pa, pb, blocks = [a0], [b0], []
-    i = 0
-    while i < len(pa):
-        j = min(len(pa), i + max(1, _CHUNK // size))
-        rows_a, rows_b = ta[pa[i:j]], tb[pb[i:j]]
-        keys = (rows_a.astype(np.int64) * nb + rows_b).ravel()
-        live = np.flatnonzero(((rows_a >= 0) & (rows_b >= 0)).ravel())
-        ids, new = index.lookup(keys[live])
-        pa.extend((new // nb).tolist())
-        pb.extend((new % nb).tolist())
-        block = np.full(keys.size, -1, np.int32)
-        block[live] = ids
-        blocks.append(block.reshape(j - i, size))
-        _cells(len(pa) * size, "product table")
-        i = j
-    return np.concatenate(blocks), np.array(pa), np.array(pb)
-
-
 # -- automata ---------------------------------------------------------------------
 
 
@@ -229,7 +220,7 @@ class Automaton:
     """A finite automaton with dense integer states and integer letter codes.
 
     The public constructor takes ``transitions`` as ``src -> {letter ->
-    dsts}``, validates it and stores it in the nondeterministic form.
+    dsts}``, validates it and stores it as a nondeterministic automaton.
     """
 
     def __init__(
@@ -265,53 +256,43 @@ class Automaton:
             if letter not in code_of:
                 code_of[letter] = _code(letter, arity, digit_bound + 1)
         codes = [code_of[letter] for letter in letters]
-        self._init_nfa(arity, digit_bound, num_states, initial, finals,
-                       *(np.array(a, np.int64) for a in (srcs, codes, dsts)))
+        self._init(arity, digit_bound, num_states, initial, finals, srcs, codes, dsts, False)
 
-    def _init_nfa(self, arity, digit_bound, num_states, initial, finals, srcs, codes, dsts):
-        self._set(arity, digit_bound, num_states, initial, finals)
-        _check_keys(self.num_states, arity, digit_bound)
-        self._table = self._arcs_by_key = None
-        self._arrays = _csr(self.num_states, srcs, codes, dsts)
-
-    def _set(self, arity, digit_bound, num_states, initial, finals) -> None:
+    def _init(self, arity, digit_bound, num_states, initial, finals, srcs, codes, dsts, deterministic):
         self.arity = arity
         self.digit_bound = digit_bound
         self.num_states = int(num_states)
         self.initial = _state_set(initial)
         self.finals = _state_set(finals)
+        self.deterministic = deterministic
         self._letter_codes: dict[Letter, int] = {}
+        self._arcs_by_key = None
+        _check_keys(self.num_states, arity, digit_bound)
+        self._arrays = _csr(self.num_states, self.alphabet_size, srcs, codes, dsts)
 
     @classmethod
-    def _dfa(cls, arity: int, digit_bound: int, table: np.ndarray, finals) -> "Automaton":
-        """Deterministic form: successor table, initial state 0."""
+    def _build(cls, arity, digit_bound, num_states, initial, finals, srcs, codes, dsts,
+               deterministic: bool) -> "Automaton":
+        """An automaton from arc arrays in any order.  A deterministic one has
+        the initial state 0 and at most one arc per (state, code)."""
         self = cls.__new__(cls)
-        self._set(arity, digit_bound, table.shape[0], (0,), finals)
-        self._table = table.astype(np.int32, copy=False)
-        self._arrays = self._arcs_by_key = None
+        self._init(arity, digit_bound, num_states, initial, finals, srcs, codes, dsts, deterministic)
         return self
 
     @classmethod
-    def _nfa(cls, arity, digit_bound, num_states, initial, finals, srcs, codes, dsts) -> "Automaton":
-        """Nondeterministic form from arc arrays in any order."""
-        self = cls.__new__(cls)
-        self._init_nfa(arity, digit_bound, num_states, initial, finals, srcs, codes, dsts)
-        return self
-
-    @property
-    def deterministic(self) -> bool:
-        return self._table is not None
+    def _everything(cls, arity: int, digit_bound: int) -> "Automaton":
+        """All tuple words: one final state looping on every letter."""
+        codes = np.arange(_cells((digit_bound + 1) ** arity, "alphabet"))
+        return cls._build(arity, digit_bound, 1, [0], [0], codes * 0, codes, codes * 0, True)
 
     @property
     def alphabet_size(self) -> int:
         return (self.digit_bound + 1) ** self.arity
 
     def is_total(self) -> bool:
-        return self.deterministic and not (self._table < 0).any()
+        return self.deterministic and self.num_transitions() == self.num_states * self.alphabet_size
 
     def num_transitions(self) -> int:
-        if self.deterministic:
-            return int(np.count_nonzero(self._table >= 0))
         return len(self._arrays[2])
 
     # -- array access ---------------------------------------------------------
@@ -323,82 +304,43 @@ class Automaton:
 
     def _arc_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """All arcs as (srcs, codes, dsts), sorted by (src, code, dst)."""
-        if self.deterministic:
-            srcs, codes = np.nonzero(self._table >= 0)
-            return srcs, codes, self._table[srcs, codes]
         indptr, codes, dsts = self._arrays
         return np.repeat(np.arange(self.num_states), np.diff(indptr)), codes, dsts
 
-    def _csr_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if not self.deterministic:
-            return self._arrays
-        srcs, codes, dsts = self._arc_arrays()
-        return np.searchsorted(srcs, np.arange(self.num_states + 1)), codes, dsts
-
     def _useful(self) -> np.ndarray:
         """Mask of the states from which a final state can be reached."""
-        useful = self._final_mask()
-        if not self.deterministic:
-            srcs, _, dsts = self._arc_arrays()
-            return _reach(self.num_states, dsts, srcs, np.flatnonzero(useful))
-        # a fixpoint over the rows still outside the mask, a chunk of rows at
-        # a time; a missing arc (-1) reads the appended False
-        step = max(1, _CHUNK // self.alphabet_size)
-        grew = True
-        while grew:
-            grew = False
-            rest = np.flatnonzero(~useful)
-            for lo in range(0, len(rest), step):
-                rows = rest[lo : lo + step]
-                more = rows[np.append(useful, False)[self._table[rows]].any(axis=1)]
-                useful[more] = True
-                grew |= more.size > 0
-        return useful
+        srcs, _, dsts = self._arc_arrays()
+        return _reach(self.num_states, dsts, srcs, sorted(self.finals))
 
     def _gather(self, states: np.ndarray, erase: Optional[int] = None):
         """Arcs (pos, code, dst) leaving ``states[pos]``, in state order.
 
         With ``erase`` the codes are those of the letters without that track.
         """
-        if self.deterministic:
-            rows = self._table[states]
-            pos, codes = np.nonzero(rows >= 0)
-            dsts = rows[pos, codes]
-        else:
-            indptr, all_codes, all_dsts = self._arrays
-            pos, idx = _ranges(indptr[states], indptr[states + 1])
-            codes, dsts = all_codes[idx], all_dsts[idx]
+        indptr, all_codes, all_dsts = self._arrays
+        pos, idx = _ranges(indptr[states], indptr[states + 1])
+        codes, dsts = all_codes[idx], all_dsts[idx]
         if erase is not None:
             low = (self.digit_bound + 1) ** (self.arity - 1 - erase)
             codes = codes // (low * (self.digit_bound + 1)) * low + codes % low
         return pos, codes, dsts
 
-    def _flat_targets(self, states, row_of, size: int, width: int, column, erase=None) -> np.ndarray:
-        """Indices ``(row_of[k] * size + code) * width + column[dst]`` of the
-        arcs of ``states[k]``, codes as in ``_gather``; a missing arc of a
-        table reads ``column[-1]``."""
-        if not self.deterministic:
-            pos, codes, dsts = self._gather(states, erase)
-            return (row_of[pos] * size + codes) * width + column[dsts]
-        targets = column[self._table[states]]
-        if erase is not None:
-            radix = self.digit_bound + 1
-            split = targets.reshape(len(states), radix**erase, radix, -1)
-            targets = split.transpose(0, 1, 3, 2)  # the erased digit last
-        rows = row_of[:, None] * size + np.arange(size)
-        return (rows[:, :, None] * width + targets.reshape(len(states), size, -1)).ravel()
-
     def _accepts_all(self, tracks: Sequence[np.ndarray]) -> np.ndarray:
         """Membership of many equal-length words of a deterministic automaton:
-        ``tracks[t][w, j]`` is the j-th digit (MSD first) of track t of word w."""
-        radix = self.digit_bound + 1
-        table = np.vstack([self._table, np.full((1, self._table.shape[1]), -1, np.int32)])
+        ``tracks[t][w, j]`` is the j-th digit (MSD first) of track t of word w.
+        The words run through a successor table built here, whose last row,
+        a dead state, takes every missing arc."""
+        n, radix = self.num_states, self.digit_bound + 1
+        _cells((n + 1) * self.alphabet_size, "membership table")
+        table = np.full((n + 1, self.alphabet_size), n, np.int32)
+        srcs, codes, dsts = self._arc_arrays()
+        table[srcs, codes] = dsts
         codes = np.zeros(tracks[0].shape, np.int64)
         for digits in tracks:
             codes = codes * radix + digits
         state = np.zeros(codes.shape[0], np.int64)
         for column in codes.T:
-            state = table[state, column]  # -1 stays on the all-missing last row
+            state = table[state, column]
         return np.append(self._final_mask(), False)[state]
 
     # -- run/acceptance ----------------------------------------------------
@@ -416,17 +358,6 @@ class Automaton:
 
     def accepts(self, word: TupleWord) -> bool:
         memo = self._letter_codes
-        if self.deterministic:
-            item = self._table.item
-            state = 0
-            for letter in word:
-                code = memo.get(letter)
-                if code is None and (code := self._new_code(letter)) < 0:
-                    return False
-                state = item(state, code)
-                if state < 0:
-                    return False
-            return state in self.finals
         arcs = self._arc_dict()
         size = self.alphabet_size
         states = self.initial
@@ -453,8 +384,7 @@ class Automaton:
         return code
 
     def _arc_dict(self) -> dict[int, list[int]]:
-        """Targets of the nondeterministic form by ``src * alphabet_size +
-        code``, built on first use."""
+        """Targets by ``src * alphabet_size + code``, built on first use."""
         if self._arcs_by_key is None:
             srcs, codes, dsts = self._arc_arrays()
             keys = srcs.astype(np.int64) * self.alphabet_size + codes
@@ -466,77 +396,97 @@ class Automaton:
     # -- structural operations ----------------------------------------------
 
     def determinize(self, complete: bool = True) -> "Automaton":
-        """Subset construction.  With ``complete`` a sink makes the result total."""
-        if not self.deterministic:
-            return self._subsets(complete=complete)
-        if not complete or self.is_total():
-            return self
-        return Automaton._dfa(self.arity, self.digit_bound, _complete(self._table), self.finals)
+        """Subset construction; a deterministic automaton stays as it is.
+        With ``complete`` a dead state takes every missing arc, so the result
+        is total."""
+        d = self if self.deterministic else self._subsets()
+        if complete and not d.is_total():
+            return Automaton._everything(d.arity, d.digit_bound)._product(d, lambda a, b: b, dead=True)
+        return d
 
-    def minimize(self) -> "Automaton":
-        """Minimal total equivalent of a deterministic automaton."""
+    def minimize(self, total: bool = True) -> "Automaton":
+        """Minimal equivalent of a deterministic automaton, canonically
+        numbered: total, or with ``total=False`` trim, without the dead state
+        (the empty language keeps its initial state, with no arcs)."""
         if not self.deterministic:
             raise ValueError("minimize requires a deterministic automaton")
-        return _minimize_dfa(self)
+        return _minimize_dfa(self, total)
 
-    def determinize_minimize(self) -> "Automaton":
-        """Equivalent deterministic, total, minimal automaton, canonically numbered."""
-        return self.determinize(complete=False).minimize()
+    def determinize_minimize(self, total: bool = True) -> "Automaton":
+        """Equivalent deterministic minimal automaton, canonically numbered;
+        total unless ``total=False``."""
+        return self.determinize(complete=False).minimize(total)
 
     def complement(self) -> "Automaton":
-        """Complement w.r.t. all tuple words over the alphabet."""
-        d = self.determinize(complete=True)
-        return Automaton._dfa(d.arity, d.digit_bound, d._table, np.flatnonzero(~d._final_mask()))
+        """Complement w.r.t. all tuple words over the alphabet, total."""
+        return Automaton._everything(self.arity, self.digit_bound).difference(self)
 
     def intersect(self, other: "Automaton") -> "Automaton":
         """Product automaton over reachable state pairs."""
-        self._require_compatible(other)
-        if self.deterministic and other.deterministic:
-            table, pa, pb = _product_tables(
-                self._table, other._table, next(iter(self.initial)), next(iter(other.initial))
-            )
-            finals = np.flatnonzero(self._final_mask()[pa] & other._final_mask()[pb])
-            return Automaton._dfa(self.arity, self.digit_bound, table, finals)
-        return self._product_nfa(other)
+        return self._product(other, np.logical_and)
 
-    def _product_nfa(self, other: "Automaton") -> "Automaton":
-        """Reachable pairs of two automata in CSR form, breadth first."""
+    def difference(self, other: "Automaton") -> "Automaton":
+        """The words of ``self`` that ``other`` rejects: a product with
+        ``other`` determinized, whose dead state is never built."""
+        return self._product(other.determinize(complete=False), lambda a, b: a & ~b, dead=True)
+
+    def _product(self, other: "Automaton", final, dead: bool = False) -> "Automaton":
+        """Reachable pairs of states, breadth first, a chunk of pairs at a
+        time: a pair moves on each letter both components move on, so it
+        costs the arcs of its components and no letter more.  With ``dead``
+        (``other`` deterministic) a letter only ``self`` reads moves ``other``
+        to a dead state without arcs, numbered ``other.num_states``.
+        ``final`` combines the final masks of the components, pair by pair.
+        """
+        self._require_compatible(other)
         size = self.alphabet_size
-        ia, ca, da = self._csr_arrays()
-        ib, cb, db = other._csr_arrays()
-        nb = other.num_states
-        index = _PairIndex()
+        ia, ca, da = self._arrays
+        sb, cb, db = other._arc_arrays()
+        keys_b = np.append(sb * size + cb, -1)  # ascending, then one no letter matches
+        nb = other.num_states + dead
+        fa, fb = self._final_mask(), np.append(other._final_mask(), False)[:nb]  # the dead state rejects
+        db = np.append(db, nb - 1)  # the dead state, where no arc matches
+        index = _PairIndex(self.num_states * nb)
         starts = [p * nb + q for p in sorted(self.initial) for q in sorted(other.initial)]
-        _, new = index.lookup(np.array(starts, np.int64))
-        pa, pb = (new // nb).tolist(), (new % nb).tolist()
+        _, level = index.lookup(np.array(starts, np.int64))
+        levels = [level]
         srcs, codes, dsts = [], [], []
         degree = -(-len(ca) // max(1, self.num_states))
-        per_chunk = max(1, min(_CHUNK // max(1, degree), np.iinfo(np.int64).max // size))
-        i = 0
-        while i < len(pa):
-            j = min(len(pa), i + per_chunk)
-            p, q = np.array(pa[i:j], np.int64), np.array(pb[i:j], np.int64)
-            pos_a, arc_a = _ranges(ia[p], ia[p + 1])
-            pos_b, arc_b = _ranges(ib[q], ib[q + 1])
-            key_a = pos_a * size + ca[arc_a]
-            key_b = pos_b * size + cb[arc_b]
-            hit, arc_b_hit = _ranges(
-                np.searchsorted(key_b, key_a, "left"), np.searchsorted(key_b, key_a, "right")
-            )
-            pair_keys = da[arc_a[hit]].astype(np.int64) * nb + db[arc_b[arc_b_hit]]
-            ids, new = index.lookup(pair_keys)
-            pa.extend((new // nb).tolist())
-            pb.extend((new % nb).tolist())
-            srcs.append(i + pos_a[hit])
-            codes.append(ca[arc_a[hit]])
+        per_chunk = max(1, _CHUNK // max(1, degree))
+        count = arcs = 0  # pairs of the levels before this one, arcs found
+        while level.size:
+            found = []
+            for lo in range(0, len(level), per_chunk):
+                p, q = np.divmod(level[lo : lo + per_chunk], nb)
+                pos, arc = _ranges(ia[p], ia[p + 1])
+                want = q[pos] * size + ca[arc]
+                first = np.searchsorted(keys_b[:-1], want)
+                if other.deterministic:  # at most one arc of other matches
+                    hit = keys_b[first] == want
+                    if dead:  # every arc of self moves
+                        first[~hit] = len(keys_b) - 1
+                    else:
+                        pos, arc, first = pos[hit], arc[hit], first[hit]
+                    to_b = db[first]
+                else:
+                    hit, match = _ranges(first, np.searchsorted(keys_b[:-1], want, "right"))
+                    pos, arc, to_b = pos[hit], arc[hit], db[match]
+                srcs.append(count + lo + pos)
+                codes.append(ca[arc])
+                found.append(da[arc].astype(np.int64) * nb + to_b)
+            ids, level = index.lookup(np.concatenate(found))
             dsts.append(ids)
-            i = j
-        fa, fb = self._final_mask(), other._final_mask()
-        finals = np.flatnonzero(fa[pa] & fb[pb]) if pa else []
+            count += len(levels[-1])
+            levels.append(level)
+            arcs += len(ids)
+            _cells(arcs + count + len(level), "product arcs and states")
+        pairs = np.concatenate(levels)
         empty = [np.empty(0, np.int64)]
-        return Automaton._nfa(
-            self.arity, self.digit_bound, len(pa), range(len(starts)), finals,
+        return Automaton._build(
+            self.arity, self.digit_bound, len(pairs), range(len(starts)),
+            np.flatnonzero(final(fa[pairs // nb], fb[pairs % nb])),
             np.concatenate(srcs + empty), np.concatenate(codes + empty), np.concatenate(dsts + empty),
+            self.deterministic and other.deterministic,
         )
 
     def union(self, other: "Automaton") -> "Automaton":
@@ -545,15 +495,11 @@ class Automaton:
         off = self.num_states
         sa, ca, da = self._arc_arrays()
         sb, cb, db = other._arc_arrays()
-        return Automaton._nfa(
-            self.arity,
-            self.digit_bound,
-            off + other.num_states,
+        return Automaton._build(
+            self.arity, self.digit_bound, off + other.num_states,
             sorted(self.initial) + [s + off for s in sorted(other.initial)],
             sorted(self.finals) + [s + off for s in sorted(other.finals)],
-            np.concatenate([sa, sb + off]),
-            np.concatenate([ca, cb]),
-            np.concatenate([da, db + off]),
+            np.concatenate([sa, sb + off]), np.concatenate([ca, cb]), np.concatenate([da, db + off]), False,
         )
 
     def cylindrify(self, position: int) -> "Automaton":
@@ -566,23 +512,23 @@ class Automaton:
         """The automaton over ``arity`` tracks whose track ``tracks[i]``
         carries old track i.  A new track no old track lands on is free; old
         tracks landing on the same new track merge, so only letters agreeing
-        on them survive.  New letter code c reads as old code ``old[c]``."""
+        on them survive.  New letter code c reads as old code ``old[c]``, and
+        an arc goes to every new code reading as its own, so a deterministic
+        automaton stays deterministic."""
         radix = self.digit_bound + 1
         new = np.arange(_cells(radix**arity, "placed alphabet"))
         old = np.zeros_like(new)
         for t in tracks:
             old = old * radix + new // radix ** (arity - 1 - t) % radix
-        if self.deterministic:
-            _cells(self.num_states * len(new), "placed table")
-            table = np.take(self._table, old, axis=1)
-            return Automaton._dfa(arity, self.digit_bound, table, self.finals)
-        srcs, codes, dsts = self._arc_arrays()
         order = np.argsort(old, kind="stable")
         ranked = old[order]  # an arc goes to every new code c with old[c] == its code
-        pos, at = _ranges(np.searchsorted(ranked, codes, "left"), np.searchsorted(ranked, codes, "right"))
-        return Automaton._nfa(
+        srcs, codes, dsts = self._arc_arrays()
+        lo, hi = np.searchsorted(ranked, codes, "left"), np.searchsorted(ranked, codes, "right")
+        _cells(int((hi - lo).sum()), "placed arcs")
+        pos, at = _ranges(lo, hi)
+        return Automaton._build(
             arity, self.digit_bound, self.num_states, sorted(self.initial), sorted(self.finals),
-            srcs[pos], order[at], dsts[pos],
+            srcs[pos], order[at], dsts[pos], self.deterministic,
         )
 
     def project(self, track: int) -> "Automaton":
@@ -597,16 +543,19 @@ class Automaton:
         """Close the language under adding/removing leading all-zero letters."""
         return self._subsets(zero_closed=True)
 
-    def _subsets(self, erase=None, zero_closed=False, complete=False) -> "Automaton":
+    def _subsets(self, erase=None, zero_closed=False) -> "Automaton":
         """Subset construction, one chunk of a breadth-first level at a time.
 
         ``erase`` drops that track from every letter.  ``zero_closed``
         closes the language under leading all-zero letters: the start
         subset holds every state reachable by zero letters and loops on the
         zero letter, which is what a fresh start state with all their arcs
-        and a zero self-loop amounts to; a bit after the states marks it.
+        and a zero self-loop amounts to; an extra rank marks it.
         Each subset holds only states from which a final state can be
-        reached, and is keyed exactly by its membership bitmap over them.
+        reached, and is keyed exactly by their sorted ranks among those.
+        Only the live (subset, letter) pairs, those with an arc into such a
+        state, are met, so the work follows the arcs.  The result is
+        deterministic and trim.
         """
         arity = self.arity - (erase is not None)
         size = (self.digit_bound + 1) ** arity
@@ -615,74 +564,69 @@ class Automaton:
         useful = self._useful()
         start = np.array(sorted(self.initial), np.int64)
         if zero_closed:
-            seen = np.zeros(n, bool)
-            seen[start] = True
-            frontier = start
-            while frontier.size:
-                _, codes, dsts = self._gather(frontier, erase)
-                nxt = np.unique(dsts[codes == 0])
-                frontier = nxt[~seen[nxt]].astype(np.int64)
-                seen[frontier] = True
-            start = np.flatnonzero(seen)
+            srcs, codes, dsts = self._gather(np.arange(n), erase)
+            zero = codes == 0
+            start = np.flatnonzero(_reach(n, srcs[zero], dsts[zero], start))
         start = start[useful[start]]
         if not start.size:  # the language is empty
-            table = np.full((1, size), 0 if complete else -1, np.int32)
-            return Automaton._dfa(arity, self.digit_bound, table, [])
-        # Bitmap columns: one per useful state, then the zero-closure
-        # marker, then one that the other targets and missing arcs fall into.
+            none = np.empty(0, np.int64)
+            return Automaton._build(arity, self.digit_bound, 1, [0], [], none, none, none, True)
+        # A subset is keyed by the bytes of the sorted ranks of its states
+        # among the useful ones, then rank u marking the zero-closed start;
+        # an arc into any other state is dropped.
         kept = np.flatnonzero(useful)
         u = len(kept)
-        column = np.full(n + 1, u + 1, np.int64)
-        column[kept] = np.arange(u)
-        start_row = np.zeros(u + 1, bool)
-        start_row[column[start]] = True
-        start_row[u] = zero_closed
-        index = {np.packbits(start_row, bitorder="little").tobytes(): 0}
-        members = [start]
-        finals = [bool(final[start].any())]
-        final = final[kept]
-        degree = self.alphabet_size if self.deterministic else -(-len(self._arrays[1]) // max(1, n))
-        per_chunk = max(1, 4 * _CHUNK // _cells(size * (u + 1), "subset bitmap"))
-        blocks = []
-        i = 0
+        rank = np.full(n, u, np.int64)
+        rank[kept] = np.arange(u)
+        start_key = np.append(rank[start], u) if zero_closed else rank[start]
+        index = {start_key.astype(np.int32).tobytes(): 0}
+        degree = np.diff(self._arrays[0])
+        members, load, finals = [start], [int(degree[start].sum())], [bool(final[start].any())]
+        load_of, final_of = np.append(degree[kept], 0), np.append(final[kept], False)  # by rank
+        budget = max(1, min(_CHUNK, _INT64_MAX // (size * (u + 1))))
+        srcs, codes_out, dsts = [], [], []
+        arcs = i = 0
         while i < len(members):
-            j = min(len(members), i + per_chunk)
-            while j > i + 1 and sum(len(m) for m in members[i:j]) * degree > _CHUNK:
-                j = (i + j) // 2
+            j, work = i + 1, load[i]  # subsets whose arcs fit the budget
+            while j < len(members) and j - i < budget and work + load[j] <= budget:
+                work += load[j]
+                j += 1
             group = members[i:j]
             owner = np.repeat(np.arange(j - i), [len(m) for m in group])
-            hit = np.zeros((j - i) * size * (u + 2), bool)  # a row per (subset, letter)
-            hit[self._flat_targets(np.concatenate(group), owner, size, u + 2, column, erase)] = True
-            hit = hit.reshape(-1, u + 2)[:, : u + 1]
-            if zero_closed and i == 0:
-                hit[0] = start_row
-            packed = np.packbits(hit, axis=1, bitorder="little")
-            live = np.flatnonzero(packed.any(axis=1))
-            rows = packed[live]
-            keys, first, inverse = np.unique(
-                rows.view(np.dtype((np.void, rows.shape[1]))).ravel(),
-                return_index=True, return_inverse=True,
-            )
-            ids = np.empty(len(keys), np.int32)
-            for k in np.argsort(first):
-                key = keys[k].tobytes()
+            pos, codes, targets = self._gather(np.concatenate(group), erase)
+            ranks = rank[targets]
+            live = ranks < u
+            # the distinct pairs (row, rank), a row per (subset, letter)
+            pairs = (owner[pos[live]] * size + codes[live]) * (u + 1) + ranks[live]
+            if zero_closed and i == 0:  # the start subset loops on the zero letter
+                pairs = np.concatenate([start_key, pairs])
+            rows, ranks = np.divmod(np.unique(pairs), u + 1)
+            head = np.flatnonzero(np.diff(rows, prepend=-1))  # the first pair of each row
+            rows = rows[head]
+            row_load = np.add.reduceat(load_of[ranks], head).tolist()
+            row_final = np.logical_or.reduceat(final_of[ranks], head).tolist()
+            bounds = np.append(head, len(ranks)).tolist()
+            keys = ranks.astype(np.int32).tobytes()
+            ids = []
+            for r, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+                key = keys[4 * lo : 4 * hi]
                 sid = index.get(key)
                 if sid is None:
                     sid = index[key] = len(members)
-                    row = hit[live[first[k]], :u]
-                    members.append(kept[row])
-                    finals.append(bool((row & final).any()))
-                ids[k] = sid
-            _cells(len(members) * size, "subset table")
-            block = np.full((j - i) * size, -1, np.int32)
-            block[live] = ids[inverse.ravel()]
-            blocks.append(block.reshape(j - i, size))
+                    members.append(kept[ranks[lo:hi]])
+                    load.append(row_load[r])
+                    finals.append(row_final[r])
+                ids.append(sid)
+            srcs.append(i + rows // size)
+            codes_out.append(rows % size)
+            dsts.append(np.array(ids, np.int64))
+            arcs += len(rows)
+            _cells(arcs + len(members), "subset arcs and states")
             i = j
-        table = np.concatenate(blocks)
-        if complete:
-            table = _complete(table)
-        finals += [False] * (table.shape[0] - len(finals))
-        return Automaton._dfa(arity, self.digit_bound, table, np.flatnonzero(finals))
+        return Automaton._build(
+            arity, self.digit_bound, len(members), [0], np.flatnonzero(finals),
+            np.concatenate(srcs), np.concatenate(codes_out), np.concatenate(dsts), True,
+        )
 
     def is_empty(self) -> bool:
         return self.shortest_witness() is None
@@ -725,12 +669,9 @@ class Automaton:
         return None
 
     def equivalent(self, other: "Automaton") -> bool:
-        """Language equality: finality agrees on every reachable pair of the
-        completed determinized automata."""
-        self._require_compatible(other)
-        a, b = self.determinize(complete=True), other.determinize(complete=True)
-        _, pa, pb = _product_tables(a._table, b._table, 0, 0)
-        return bool(np.array_equal(a._final_mask()[pa], b._final_mask()[pb]))
+        """Language equality: neither difference accepts a word."""
+        a, b = self.determinize(complete=False), other.determinize(complete=False)
+        return a.difference(b).is_empty() and b.difference(a).is_empty()
 
     def _require_compatible(self, other: "Automaton") -> None:
         if self.arity != other.arity or self.digit_bound != other.digit_bound:
@@ -855,46 +796,51 @@ def from_lazy(lazy, arity: int, digit_bound: int) -> Automaton:
     n = len(keys)
     _check_keys(n, arity, digit_bound)
     finals = np.flatnonzero(lazy.final(keys))
-    srcs = np.concatenate(srcs)
-    codes = np.concatenate(codes)
-    dsts = np.concatenate(dsts)
+    srcs, codes, dsts = (np.concatenate(a) for a in (srcs, codes, dsts))
     useful = _reach(n, dsts, srcs, finals)
     renumber = np.cumsum(useful) - 1
     keep = useful[srcs] & useful[dsts]
     initial = np.arange(len(levels[0]))
-    return Automaton._nfa(
-        arity,
-        digit_bound,
-        int(useful.sum()),
-        renumber[initial[useful[initial]]],
-        renumber[finals[useful[finals]]],
-        renumber[srcs[keep]],
-        codes[keep],
-        renumber[dsts[keep]],
+    return Automaton._build(
+        arity, digit_bound, int(useful.sum()), renumber[initial[useful[initial]]],
+        renumber[finals[useful[finals]]], renumber[srcs[keep]], codes[keep], renumber[dsts[keep]], False,
     )
 
 
-def _minimize_dfa(dfa: Automaton) -> Automaton:
-    """Moore refinement over the table completed by a virtual sink, then a
-    canonical breadth-first renumbering, one level at a time."""
-    n, size = dfa._table.shape
-    sink = n
-    table = np.vstack([np.where(dfa._table < 0, sink, dfa._table), np.full((1, size), sink)])
-    table = table.astype(np.int32)
+def _minimize_dfa(dfa: Automaton, total: bool) -> Automaton:
+    """Moore refinement over the successor table completed by a virtual dead
+    state, then a canonical breadth-first renumbering, one level at a time.
+
+    The total form keeps the block of the dead state; the trim form drops
+    it with every arc into it, and its table takes only the columns of the
+    codes some arc reads, since every other code leads to the dead state.
+    """
+    n = dfa.num_states
+    srcs, codes, dsts = dfa._arc_arrays()
+    used = np.ones(dfa.alphabet_size, bool) if total else np.bincount(codes, minlength=dfa.alphabet_size) > 0
+    cols = np.flatnonzero(used)
+    _cells((n + 1) * len(cols), "minimization table")
+    table = np.full((n + 1, len(cols)), n, np.int32)
+    table[srcs, (np.cumsum(used) - 1)[codes]] = dsts
     block = np.append(dfa._final_mask(), False).astype(np.int32)
-    num_blocks = len(np.unique(block))
+    num_blocks = 1 + int(block.max() != block.min())
+    sig = np.empty((n + 1, len(cols) + 1), np.int32)
+    rows = sig.view(np.dtype((np.void, sig.shape[1] * 4))).ravel()  # a state's signature
     while True:
-        sig = np.ascontiguousarray(np.column_stack([block, block[table]]))
-        _, inverse = np.unique(sig.view(np.dtype((np.void, sig.shape[1] * 4))).ravel(),
-                               return_inverse=True)
+        sig[:, 0], sig[:, 1:] = block, block[table]
+        _, inverse = np.unique(rows, return_inverse=True)
         block = inverse.ravel().astype(np.int32)
         count = int(block.max()) + 1
         if count == num_blocks:
             break
         num_blocks = count
-    _, rep = np.unique(block, return_index=True)
+    rep = np.empty(num_blocks, np.int64)
+    rep[block] = np.arange(n + 1)  # a state of each block: all move alike
     moves = block[table[rep]]  # block transition table
+    dead = block[n]
     number = np.full(num_blocks, -1, np.int64)
+    if not total:
+        number[dead] = -2  # never numbered, unless it is the start
     start = block[next(iter(dfa.initial))]
     number[start] = 0
     level = np.array([start])
@@ -902,11 +848,14 @@ def _minimize_dfa(dfa: Automaton) -> Automaton:
     count = 1
     while level.size:
         succ = moves[level].ravel()
-        fresh, first = np.unique(succ[number[succ] < 0], return_index=True)
+        fresh, first = np.unique(succ[number[succ] == -1], return_index=True)
         level = fresh[np.argsort(first)]
         number[level] = np.arange(count, count + len(level))
         count += len(level)
         order.append(level)
     order = np.concatenate(order)
     final = np.append(dfa._final_mask(), False)[rep[order]]
-    return Automaton._dfa(dfa.arity, dfa.digit_bound, number[moves[order]], np.flatnonzero(final))
+    rows = moves[order]
+    pos, col = np.nonzero(rows >= 0 if total else rows != dead)
+    return Automaton._build(dfa.arity, dfa.digit_bound, len(order), [0], np.flatnonzero(final),
+                            pos, cols[col], number[rows[pos, col]], True)

@@ -59,9 +59,19 @@ _RELATIONS = {
 
 def _emit(args, command: str, result, plain: str) -> None:
     if args.json:
-        print(json.dumps({"command": command, "result": result}, sort_keys=True))
+        # an int is written in chunks: json.dumps refuses ints past 4,300 digits
+        value = words.to_decimal(result) if type(result) is int else json.dumps(result, sort_keys=True)
+        print(f'{{"command": {json.dumps(command)}, "result": {value}}}')
     else:
         print(plain)
+
+
+def _integer(text: str) -> int:
+    """An integer argument of any length: ASCII digits after an optional sign."""
+    digits = text[1:] if text[:1] in "+-" else text
+    if not digits or not all("0" <= c <= "9" for c in digits):
+        raise argparse.ArgumentTypeError(f"invalid integer value: {text!r}")
+    return words.decimal(digits) * (-1 if text[:1] == "-" else 1)
 
 
 def _cf(args) -> ContinuedFraction:
@@ -101,7 +111,7 @@ def cmd_encode(args) -> int:
 def cmd_decode(args) -> int:
     cf = _cf(args)
     value = decode(cf, words.from_text(args.word))
-    _emit(args, "decode", value, str(value))
+    _emit(args, "decode", value, words.to_decimal(value))
     return 0
 
 
@@ -173,7 +183,7 @@ def cmd_decide(args) -> int:
     else:
         print("true" if verdict else "false")
         if witness is not None:
-            print("witness: " + " ".join(str(n) for n in witness))
+            print("witness: " + " ".join(words.to_decimal(n) for n in witness))
     return 0 if verdict else 1
 
 
@@ -271,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("encode", help="number to digit word")
     common(p)
-    p.add_argument("value", type=int)
+    p.add_argument("value", type=_integer)
     p.set_defaults(func=cmd_encode)
 
     p = sub.add_parser("decode", help="digit word to number")
@@ -286,8 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("add", help="three-pass addition")
     common(p)
-    p.add_argument("m", type=int)
-    p.add_argument("n", type=int)
+    p.add_argument("m", type=_integer)
+    p.add_argument("n", type=_integer)
     p.add_argument("--trace", action="store_true", help="print window steps")
     p.set_defaults(func=cmd_add)
 
@@ -312,12 +322,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="satisfying tuples up to a bound")
     common(p)
     p.add_argument("--formula", required=True)
-    p.add_argument("--bound", type=int, required=True)
+    p.add_argument("--bound", type=_integer, required=True)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("selftest", help="run quick differential suites")
     common(p)
-    p.add_argument("--max", type=int, default=200)
+    p.add_argument("--max", type=_integer, default=200)
     p.set_defaults(func=cmd_selftest)
 
     return parser

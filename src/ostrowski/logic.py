@@ -8,19 +8,23 @@ extending as far to the right as possible).
 Compilation is a post-order walk over an explicit work stack, each
 subformula after its operands, into multi-track automata over a fixed
 quadratic expansion; parsing is one loop over an operand stack and an
-operator stack, so no depth of nesting exhausts the Python stack.  Every
-variable owns a track carrying its 0*-padded representation, and one
-gather of letter codes adds, reorders and merges tracks: a variable
-named twice in an atom (``x + x``, ``V(x) = x``) merges its two tracks
-there.  Atoms with compound terms are flattened through fresh auxiliary
-variables (one adder automaton per ``+``, one singleton automaton per
-numeral), conjunction is automaton intersection, existential
-quantification is track projection followed by the leading-zero closure,
-and negation is complement *relativized to the valid-word universe* on
-every track: the plain complement would accept junk digit strings that
-represent nothing.  Universal quantifiers reduce to negated
-existentials.  A sentence is the case of no free variables: it compiles
-to a zero-track automaton, which reads only the empty letter and accepts
+operator stack, and formula objects compare, hash and print off a stack
+too, so no depth of nesting exhausts the Python stack.  Every variable
+owns a track carrying its 0*-padded representation, and one gather of
+letter codes adds, reorders and merges tracks: a variable named twice in
+an atom (``x + x``, ``V(x) = x``) merges its two tracks there.  Atoms
+with compound terms are flattened through fresh auxiliary variables (one
+adder automaton per ``+``, one singleton automaton per numeral),
+conjunction is automaton intersection, existential quantification is
+track projection followed by the leading-zero closure, and negation is
+complement *relativized to the valid-word universe* on every track, the
+difference of the two: the plain complement would accept junk digit
+strings that represent nothing.  Universal quantifiers reduce to negated
+existentials.  The intermediate automata are deterministic, and every
+minimization on the way keeps the trim form, without a dead state, so no
+product walks dead pairs; only ``compile_formula`` returns the total
+form.  A sentence is the case of no free variables: it compiles to a
+zero-track automaton, which reads only the empty letter and accepts
 something exactly when the sentence is true.  Each quantifier projects
 its variable out of its own body, so a bound name never reaches a track
 outside its scope and shadowing needs no renaming.
@@ -37,6 +41,7 @@ from typing import Iterable, NamedTuple, Union
 
 import numpy as np
 
+from . import words
 from .automata import Automaton
 from .bulk import encode_table
 from .contfrac import ContinuedFraction
@@ -58,18 +63,49 @@ from .recognizers import (
 # -- syntax -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Var:
+class _Syntax:
+    """Base of the syntax classes, each made a frozen dataclass with this
+    ``repr``, equality and hashing.  ``repr`` walks the tree on an explicit
+    stack, so no depth of nesting exhausts the Python stack, and it is
+    exact: equality and hashing read it."""
+
+    def __init_subclass__(cls):
+        dataclass(cls, frozen=True, eq=False, repr=False)
+
+    def __repr__(self):
+        out: list[str] = []
+        work: list = [self]
+        while work:
+            g = work.pop()
+            if isinstance(g, tuple):  # literal text
+                out.append(g[0])
+            elif isinstance(g, _Syntax):
+                items: list = [(f"{type(g).__qualname__}(",)]
+                for k, name in enumerate(g.__dataclass_fields__):
+                    items += [(f"{', ' if k else ''}{name}=",), getattr(g, name)]
+                work.extend(reversed(items + [(")",)]))
+            else:
+                out.append(words.to_decimal(g) if type(g) is int else repr(g))
+        return "".join(out)
+
+    def __eq__(self, other):
+        if not isinstance(other, _Syntax):
+            return NotImplemented
+        return type(other) is type(self) and repr(self) == repr(other)
+
+    def __hash__(self):
+        return hash(repr(self))
+
+
+class Var(_Syntax):
     name: str
 
 
-@dataclass(frozen=True)
-class Const:
+class Const(_Syntax):
     value: int
 
 
-@dataclass(frozen=True)
-class Sum:
+class Sum(_Syntax):
     left: "Term"
     right: "Term"
 
@@ -77,55 +113,46 @@ class Sum:
 Term = Union[Var, Const, Sum]
 
 
-@dataclass(frozen=True)
-class Eq:
+class Eq(_Syntax):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
-class Le:
+class Le(_Syntax):
     left: Term
     right: Term
 
 
-@dataclass(frozen=True)
-class VaEq:
+class VaEq(_Syntax):
     x: str
     y: str
 
 
-@dataclass(frozen=True)
-class Not:
+class Not(_Syntax):
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class And:
+class And(_Syntax):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Or:
+class Or(_Syntax):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Implies:
+class Implies(_Syntax):
     left: "Formula"
     right: "Formula"
 
 
-@dataclass(frozen=True)
-class Exists:
+class Exists(_Syntax):
     var: str
     body: "Formula"
 
 
-@dataclass(frozen=True)
-class Forall:
+class Forall(_Syntax):
     var: str
     body: "Formula"
 
@@ -248,7 +275,7 @@ def parse(text: str) -> Formula:
             ops.append(("(", in_term))
             continue
         if kind == "num":
-            operands.append(Const(_numeral(val)))
+            operands.append(Const(words.decimal(val)))
         elif kind == "name" and val not in _KEYWORDS:
             operands.append(Var(val))
         elif in_term or val not in ("~", "A", "E", "V"):
@@ -289,16 +316,6 @@ def parse(text: str) -> Formula:
             break
 
 
-def _numeral(digits: str) -> int:
-    """The value of a decimal numeral of any length, read in chunks short
-    enough for ``int``."""
-    value = 0
-    for i in range(0, len(digits), 4000):
-        chunk = digits[i : i + 4000]
-        value = value * 10 ** len(chunk) + int(chunk)
-    return value
-
-
 def _reduce(operands: list, ops: list, power: int, tok) -> None:
     """Apply the pending operators that bind at least ``power``; ``tok``
     is the token that ends their operands."""
@@ -321,22 +338,27 @@ def _reduce(operands: list, ops: list, power: int, tok) -> None:
 
 @functools.lru_cache(maxsize=None)
 def _eq_dfa(cf):
-    return build_equality(cf).determinize_minimize()
+    return build_equality(cf).determinize_minimize(total=False)
 
 
 @functools.lru_cache(maxsize=None)
 def _le_dfa(cf):
-    return build_less_than(cf).union(build_equality(cf)).determinize_minimize()
+    return build_less_than(cf).union(build_equality(cf)).determinize_minimize(total=False)
 
 
 @functools.lru_cache(maxsize=None)
 def _va_dfa(cf):
-    return build_va_graph(cf).determinize_minimize()
+    return build_va_graph(cf).determinize_minimize(total=False)
 
 
 @functools.lru_cache(maxsize=None)
 def _valid_dfa(cf):
-    return build_valid_rep(cf).determinize_minimize()
+    return build_valid_rep(cf).determinize_minimize(total=False)
+
+
+@functools.lru_cache(maxsize=None)
+def _add_dfa(cf):
+    return build_adder(cf).minimize(total=False)
 
 
 @functools.lru_cache(maxsize=None)
@@ -347,24 +369,21 @@ def _universe(cf, arity: int) -> Automaton:
     out = _insert_tracks(_zero_track(u.digit_bound, True), (), tracks)
     for t in tracks:
         out = out.intersect(_insert_tracks(u, (t,), tracks))
-    return out.determinize_minimize()
+    return out.minimize(total=False)
 
 
 def _zero_track(m: int, holds: bool) -> Automaton:
     """Automaton of a sentence: no tracks, one state looping on the empty
     letter, final when the sentence holds."""
-    return Automaton._dfa(0, m, np.zeros((1, 1), np.int32), [0] if holds else [])
+    return Automaton._build(0, m, 1, [0], [0] if holds else [], [0], [0], [0], True)
 
 
 def _constant_dfa(cf, value: int) -> Automaton:
     """Single-track automaton accepting exactly 0*rho(value)."""
     digits = list(reversed(encode(cf, value).digits))  # MSD first
-    m = cf.parameters().m
     n = len(digits)
-    table = np.full((n + 1, m + 1), -1, np.int32)
-    table[0, 0] = 0
-    table[np.arange(n), digits] = np.arange(1, n + 1)
-    return Automaton._dfa(1, m, table, [n])
+    return Automaton._build(1, cf.parameters().m, n + 1, [0], [n], [0, *range(n)], [0, *digits],
+                            [0, *range(1, n + 1)], True)
 
 
 class _Node(NamedTuple):
@@ -464,7 +483,7 @@ class _Compiler:
                 defs.append(self._relation(_constant_dfa(self.cf, s.value), (aux,)))
             else:
                 right, left = names.pop(), names.pop()
-                defs.append(self._relation(build_adder(self.cf), (left, right, aux)))
+                defs.append(self._relation(_add_dfa(self.cf), (left, right, aux)))
             names.append(aux)
             auxes.append(aux)
         return names[0], defs, auxes
@@ -493,11 +512,11 @@ class _Compiler:
         joined = aa.union(bb)
         if merged != a.vars or merged != b.vars:
             joined = joined.intersect(_universe(self.cf, len(merged)))
-        return _Node(merged, joined.determinize_minimize())
+        return _Node(merged, joined.determinize_minimize(total=False))
 
     def _negate(self, a: _Node) -> _Node:
-        comp = a.aut.complement().intersect(_universe(self.cf, len(a.vars)))
-        return _Node(a.vars, comp.determinize_minimize())
+        comp = _universe(self.cf, len(a.vars)).difference(a.aut)
+        return _Node(a.vars, comp.minimize(total=False))
 
     def _project_var(self, a: _Node, var: str) -> _Node:
         if var not in a.vars:
@@ -506,7 +525,7 @@ class _Compiler:
             return _Node((), _zero_track(self.m, not a.aut.is_empty()))
         track = a.vars.index(var)
         rest = a.vars[:track] + a.vars[track + 1 :]
-        return _Node(rest, a.aut.project(track).determinize_minimize())
+        return _Node(rest, a.aut.project(track).minimize(total=False))
 
 
 def _fold(t: Term) -> Term:

@@ -518,10 +518,11 @@ def build_adder(cf: ContinuedFraction) -> Automaton:
     """
     params = _params(cf)
     first = _Pass1Lazy(params, _SumInput(params))
-    dfa = from_lazy(first, 3, params.m).determinize_minimize()
+    dfa = from_lazy(first, 3, params.m).determinize_minimize(total=False)
     for pass_no in (2, 3):
-        pass_dfa = build_pass_automaton(cf, pass_no).determinize_minimize()
-        dfa = dfa.cylindrify(3).intersect(pass_dfa.cylindrify(0).cylindrify(0)).project(2).minimize()
+        pass_dfa = build_pass_automaton(cf, pass_no).determinize_minimize(total=False)
+        stage = dfa.cylindrify(3).intersect(pass_dfa.cylindrify(0).cylindrify(0))
+        dfa = stage.project(2).minimize(total=False)
     valid_z = build_valid_rep(cf).cylindrify(0).cylindrify(0)
     final = dfa.intersect(valid_z).zero_closure()
     return final.determinize_minimize()

@@ -27,6 +27,27 @@ def from_text(text: str) -> Word:
     return tuple(reversed(digits))
 
 
+_CHUNK = 4000  # decimal digits converted at once, within the limit of int and str
+
+
+def decimal(digits: str) -> int:
+    """The value of ASCII decimal digits of any length, read in chunks."""
+    value = 0
+    for i in range(0, len(digits), _CHUNK):
+        chunk = digits[i : i + _CHUNK]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+def to_decimal(value: int) -> str:
+    """Decimal text of a natural number of any size, converted in chunks."""
+    chunks = []
+    while value >= 10**_CHUNK:
+        value, low = divmod(value, 10**_CHUNK)
+        chunks.append(str(low).zfill(_CHUNK))
+    return str(value) + "".join(reversed(chunks))
+
+
 def to_text(word: Word) -> str:
     if not word:
         return "0"

@@ -224,6 +224,29 @@ def test_no_final_state_reachable():
         assert language(comp, 3).all()
 
 
+def test_trim_minimal_is_total_without_dead_state():
+    # the total minimal DFA has at most one dead state, and the trim one
+    # drops it, unless it is the initial state of the empty language
+    rng = random.Random(13)
+    dropped = 0
+    for _ in range(40):
+        a = random_automaton(rng)
+        total, trim = a.determinize_minimize(), a.determinize_minimize(total=False)
+        assert total.is_total() and trim.deterministic
+        assert trim.determinize(complete=True).equivalent(total)
+        assert trim.minimize(total=False).to_text() == trim.to_text()
+        dead = int((~total._useful()).sum())
+        assert dead <= 1
+        if total.is_empty():
+            assert trim.num_states == total.num_states == 1 and trim.num_transitions() == 0
+        elif dead:
+            assert trim.num_states == total.num_states - 1 and trim._useful().all()
+            dropped += 1
+        else:
+            assert trim.to_text() == total.to_text()
+    assert dropped >= 10
+
+
 def distinguishable(d, p, q, arcs=None):
     """Some word separates states p and q of a total DFA (pair search)."""
     arcs = arc_map(d) if arcs is None else arcs

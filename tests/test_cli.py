@@ -129,6 +129,24 @@ def test_decide_long_numerals(capsys):
     assert (code, out) == (1, "false\n")
 
 
+def test_long_integer_arguments(capsys):
+    # past the 4300 digits int() reads and writes at once
+    n = 10**5000 - 1
+    code, word, _ = run(capsys, "encode", "--cf", "1;(1)", "9" * 5000)
+    assert code == 0
+    code, out, _ = run(capsys, "decode", "--cf", "1;(1)", word.strip())
+    assert (code, out) == (0, "9" * 5000 + "\n")
+    code, out, _ = run(capsys, "decode", "--cf", "1;(1)", "--json", word.strip())
+    assert (code, out) == (0, '{"command": "decode", "result": ' + "9" * 5000 + "}\n")
+    code, out, _ = run(capsys, "add", "--cf", "1;(1)", str(n // 10**800), "+1")
+    assert code == 0
+    for bad in ("12x", "", "-", "1_000", "١"):
+        with pytest.raises(SystemExit) as exc:
+            main(["encode", "--cf", "1;(1)", bad])
+        assert exc.value.code == 2
+        assert "invalid integer value" in capsys.readouterr().err
+
+
 def test_build_stdout_is_interchange(capsys):
     code, out, _ = run(capsys, "build", "--cf", "1;(1)", "--relation", "eq")
     assert code == 0

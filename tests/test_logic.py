@@ -114,6 +114,19 @@ def test_deep_sentences_decide(golden):
         assert decide(golden, deep) is True
 
 
+def test_deep_formula_objects_compare_hash_and_print():
+    # equality, hashing and repr walk their own stacks too
+    deep = parse("~" * 5000 + "0 = 0")
+    assert deep == parse("~" * 5000 + "0 = 0")
+    assert deep != parse("~" * 5000 + "0 = 1")
+    assert deep != parse("~" * 4999 + "0 = 0")
+    assert hash(deep) == hash(parse("~" * 5000 + "0 = 0"))
+    text = repr(deep)
+    assert text == "Not(body=" * 5000 + "Eq(left=Const(value=0), right=Const(value=0))" + ")" * 5000
+    assert repr(parse("E x. V(x) = y")) == "Exists(var='x', body=VaEq(x='x', y='y'))"
+    assert len({deep, parse("~" * 5000 + "0 = 0"), Not(Eq(Const(0), Const(0)))}) == 2
+
+
 def test_parse_shapes():
     f = parse("~ x = y -> y <= x + 1")
     assert free_vars(f) == {"x", "y"}
@@ -209,6 +222,11 @@ def test_decide_suite(golden, sqrt2):
     for cf in (golden, sqrt2):
         for text, expected in SENTENCES:
             assert decide(cf, text) == expected, (str(cf), text)
+
+
+def test_associativity_on_every_fixture(any_cf):
+    # five tracks at once on the widest alphabet of the fixtures
+    assert decide(any_cf, "A x. A y. A z. (x + y) + z = x + (y + z)") is True
 
 
 def test_decide_boolean_algebra(golden):

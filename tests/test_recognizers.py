@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -17,8 +18,8 @@ from ostrowski import (
     build_pass_automaton,
     build_va_graph,
     build_valid_rep,
+    bulk,
     convolve,
-    decode,
     encode,
     is_valid,
     pass1,
@@ -191,11 +192,12 @@ def test_adder_deterministic_minimal_canonical(golden):
 
 def test_adder_matches_unfused_composition(any_cf):
     # build_adder reads x + y in its first stage; compose digit-sum and the
-    # three pass relations one by one instead, with the same operations
+    # three pass relations one by one instead, with the same operations and
+    # the same trim stages
     dfa = build_digit_sum(any_cf)
     for pass_no in (1, 2, 3):
         relation = build_pass_automaton(any_cf, pass_no).cylindrify(0).cylindrify(0)
-        dfa = dfa.cylindrify(3).intersect(relation).project(2).minimize()
+        dfa = dfa.cylindrify(3).intersect(relation).project(2).minimize(total=False)
     valid_z = build_valid_rep(any_cf).cylindrify(0).cylindrify(0)
     composed = dfa.intersect(valid_z).zero_closure().determinize_minimize()
     assert composed.to_text() == build_adder(any_cf).to_text()
@@ -238,18 +240,28 @@ def test_state_keys_that_overflow_int64_refused():
 
 
 def test_adder_functional(golden):
-    # each (x, y) prefix has exactly one completing valid third track
+    # each (x, y) prefix has exactly one completing valid third track; every
+    # third track of the given length is a candidate, checked a block at a time
     aut = build_adder(golden)
     m = golden.parameters().m
     for a, b in [(3, 4), (12, 9), (54, 33), (0, 88)]:
         x, y = encode(golden, a).digits, encode(golden, b).digits
         length = len(encode(golden, a + b).digits) + 2
         completions = set()
-        xs, ys = words.pad(x, length), words.pad(y, length)
-        for cand in itertools.product(range(m + 1), repeat=length):
-            lsd = tuple(reversed(cand))
-            if is_valid(golden, lsd) and aut.accepts(convolve([xs, ys, lsd], m)):
-                completions.add(decode(golden, lsd))
+        xs, ys = (np.array(words.pad(w, length)[::-1]) for w in (x, y))  # MSD first
+        total = (m + 1) ** length
+        for start in range(0, total, 1 << 20):
+            # the candidates in itertools.product order, one row of digits
+            # per position, MSD first
+            rest = np.arange(start, min(total, start + (1 << 20)))
+            digits = np.empty((length, len(rest)), np.uint8)
+            for j in reversed(range(length)):
+                rest, digits[j] = np.divmod(rest, m + 1)
+            lsd = digits[::-1].T
+            valid = lsd[bulk.batch_is_valid(golden, lsd)]
+            fixed = [np.broadcast_to(t, valid.shape) for t in (xs, ys)]
+            accepted = valid[aut._accepts_all(fixed + [valid[:, ::-1]])]
+            completions.update(bulk.batch_decode(golden, accepted).tolist())
         assert completions == {a + b}
 
 
