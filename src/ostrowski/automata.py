@@ -127,18 +127,14 @@ def _ranges(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def _csr(n: int, letters: int, srcs, codes, dsts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sorted, duplicate-free CSR arrays of the arcs (srcs[i], codes[i], dsts[i]).
-    Arcs already in strictly ascending (src, code, dst) order, as most
-    constructions emit them, are taken as they come."""
+    """Sorted, duplicate-free CSR arrays of the arcs (srcs[i], codes[i], dsts[i])."""
     srcs, codes, dsts = (np.asarray(a, np.int64) for a in (srcs, codes, dsts))
     key = srcs * letters + codes
-    step = key[1:] - key[:-1]
-    if not ((step > 0) | (step == 0) & (dsts[1:] > dsts[:-1])).all():
-        order = np.lexsort((dsts, key))
-        key, srcs, codes, dsts = key[order], srcs[order], codes[order], dsts[order]
-        keep = np.ones(len(order), bool)
-        keep[1:] = (key[1:] != key[:-1]) | (dsts[1:] != dsts[:-1])
-        srcs, codes, dsts = srcs[keep], codes[keep], dsts[keep]
+    order = np.lexsort((dsts, key))
+    key, srcs, codes, dsts = key[order], srcs[order], codes[order], dsts[order]
+    keep = np.ones(len(order), bool)
+    keep[1:] = (key[1:] != key[:-1]) | (dsts[1:] != dsts[:-1])
+    srcs, codes, dsts = srcs[keep], codes[keep], dsts[keep]
     return np.searchsorted(srcs, np.arange(n + 1)), codes, dsts.astype(np.int32)
 
 
@@ -164,30 +160,14 @@ def _state_set(states) -> frozenset[int]:
 
 
 class _PairIndex:
-    """Exact ids of int64 keys, new keys numbered in order of first occurrence.
+    """Exact ids of int64 keys, new keys numbered in order of first occurrence."""
 
-    Keys known to lie in ``range(space)``, for a space of at most ``_CHUNK``
-    keys, are looked up in a table of ids; others in the sorted keys seen.
-    """
-
-    def __init__(self, space: Optional[int] = None):
-        self.table = np.full(space, -1, np.int64) if space is not None and space <= _CHUNK else None
+    def __init__(self):
         self.keys = np.empty(0, np.int64)  # sorted
         self.ids = np.empty(0, np.int64)
-        self.count = 0
 
     def lookup(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Ids of ``keys`` and the keys seen for the first time, in order."""
-        if self.table is not None:
-            ids = self.table[keys]
-            missing = np.flatnonzero(ids < 0)
-            if not missing.size:
-                return ids, missing
-            fresh, first = np.unique(keys[missing], return_index=True)
-            fresh = fresh[np.argsort(first)]
-            self.table[fresh] = np.arange(self.count, self.count + len(fresh))
-            self.count += len(fresh)
-            return self.table[keys], fresh
         at = np.searchsorted(self.keys, keys)
         found = at < len(self.keys)
         found[found] = self.keys[at[found]] == keys[found]
@@ -199,8 +179,7 @@ class _PairIndex:
         fresh, first, inverse = np.unique(keys[missing], return_index=True, return_inverse=True)
         order = np.argsort(first)
         fresh_ids = np.empty(len(fresh), np.int64)
-        fresh_ids[order] = np.arange(self.count, self.count + len(fresh))
-        self.count += len(fresh)
+        fresh_ids[order] = np.arange(len(self.keys), len(self.keys) + len(fresh))
         ids[missing] = fresh_ids[inverse.ravel()]
         # merge the new keys into the sorted ones
         slot = np.searchsorted(self.keys, fresh) + np.arange(len(fresh))
@@ -444,9 +423,10 @@ class Automaton:
         sb, cb, db = other._arc_arrays()
         keys_b = np.append(sb * size + cb, -1)  # ascending, then one no letter matches
         nb = other.num_states + dead
+        _check_keys(nb, self.arity, self.digit_bound)  # the dead state's keys too
         fa, fb = self._final_mask(), np.append(other._final_mask(), False)[:nb]  # the dead state rejects
         db = np.append(db, nb - 1)  # the dead state, where no arc matches
-        index = _PairIndex(self.num_states * nb)
+        index = _PairIndex()
         starts = [p * nb + q for p in sorted(self.initial) for q in sorted(other.initial)]
         _, level = index.lookup(np.array(starts, np.int64))
         levels = [level]
@@ -583,6 +563,7 @@ class Automaton:
         degree = np.diff(self._arrays[0])
         members, load, finals = [start], [int(degree[start].sum())], [bool(final[start].any())]
         load_of, final_of = np.append(degree[kept], 0), np.append(final[kept], False)  # by rank
+        _check_keys(u + 1, arity, self.digit_bound)  # a pair (row, rank) packs into an int64
         budget = max(1, min(_CHUNK, _INT64_MAX // (size * (u + 1))))
         srcs, codes_out, dsts = [], [], []
         arcs = i = 0
@@ -817,11 +798,14 @@ def _minimize_dfa(dfa: Automaton, total: bool) -> Automaton:
     """
     n = dfa.num_states
     srcs, codes, dsts = dfa._arc_arrays()
-    used = np.ones(dfa.alphabet_size, bool) if total else np.bincount(codes, minlength=dfa.alphabet_size) > 0
-    cols = np.flatnonzero(used)
-    _cells((n + 1) * len(cols), "minimization table")
+    if total:
+        _cells((n + 1) * dfa.alphabet_size, "minimization table")
+        cols = np.arange(dfa.alphabet_size)
+    else:
+        cols = np.unique(codes)
+        _cells((n + 1) * len(cols), "minimization table")
     table = np.full((n + 1, len(cols)), n, np.int32)
-    table[srcs, (np.cumsum(used) - 1)[codes]] = dsts
+    table[srcs, np.searchsorted(cols, codes)] = dsts
     block = np.append(dfa._final_mask(), False).astype(np.int32)
     num_blocks = 1 + int(block.max() != block.min())
     sig = np.empty((n + 1, len(cols) + 1), np.int32)

@@ -59,11 +59,21 @@ _RELATIONS = {
 
 def _emit(args, command: str, result, plain: str) -> None:
     if args.json:
-        # an int is written in chunks: json.dumps refuses ints past 4,300 digits
-        value = words.to_decimal(result) if type(result) is int else json.dumps(result, sort_keys=True)
-        print(f'{{"command": {json.dumps(command)}, "result": {value}}}')
+        print(f'{{"command": {json.dumps(command)}, "result": {_json(result)}}}')
     else:
         print(plain)
+
+
+def _json(value) -> str:
+    """``json.dumps(value, sort_keys=True)``, but every int, at any depth, is
+    written in chunks: json.dumps refuses ints past 4,300 digits."""
+    if type(value) is int:
+        return "-" * (value < 0) + words.to_decimal(abs(value))
+    if isinstance(value, dict):
+        return "{" + ", ".join(f"{json.dumps(k)}: {_json(value[k])}" for k in sorted(value)) + "}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(_json(v) for v in value) + "]"
+    return json.dumps(value)
 
 
 def _integer(text: str) -> int:
@@ -211,7 +221,7 @@ def cmd_enumerate(args) -> int:
         _emit(args, "enumerate", [list(t) for t in sols], "")
     else:
         for tup in sols:
-            print(" ".join(str(n) for n in tup))
+            print(" ".join(words.to_decimal(n) for n in tup))
     return 0
 
 

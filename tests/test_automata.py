@@ -6,7 +6,7 @@ import pytest
 
 from ostrowski import words
 from ostrowski.automata import Automaton, convolve
-from ostrowski.errors import ArityMismatch, DigitOutOfRange
+from ostrowski.errors import ArityMismatch, AutomatonTooLarge, DigitOutOfRange
 from ostrowski.numeration import is_valid
 from ostrowski.recognizers import build_valid_rep
 
@@ -262,6 +262,32 @@ def distinguishable(d, p, q, arcs=None):
                 seen.add((pn, qn))
                 queue.append((pn, qn))
     return False
+
+
+def test_wide_alphabet_tables_refused_first():
+    # 2**40 letters: the total minimal DFA needs a table of 3 * 2**40 cells
+    # and is refused before any array that long is made; the trim one holds
+    # only the letters its arcs read
+    a = Automaton(40, 1, 2, [0], [1], {0: {(1,) * 40: (1,)}})
+    with pytest.raises(AutomatonTooLarge):
+        a.determinize_minimize()
+    trim = a.determinize_minimize(total=False)
+    assert (trim.num_states, trim.num_transitions()) == (2, 1)
+    assert trim.accepts(((1,) * 40,)) and not trim.accepts(((0,) * 40,))
+
+
+def test_keys_past_int64_refused():
+    # 2**62 letters: a subset key packs a letter with one of 3 ranks (two
+    # useful states and the mark of none), and a difference with a 2-state
+    # DFA one of 3 states (two and the dead one); 3 * 2**62 keys pass 2**63
+    a = Automaton(62, 1, 2, [0], [0, 1], {0: {(1,) * 62: (1,)}})
+    with pytest.raises(AutomatonTooLarge):
+        a.determinize(complete=False)
+    loop = Automaton(62, 1, 1, [0], [0], {0: {(1,) * 62: (0,)}})
+    dfa = loop.zero_closure()
+    assert dfa.deterministic and dfa.num_states == 2
+    with pytest.raises(AutomatonTooLarge):
+        loop.difference(dfa)
 
 
 def test_minimal_states_pairwise_distinguishable():

@@ -2,9 +2,12 @@ import json
 
 import pytest
 
+from ostrowski import cli, words
 from ostrowski.automata import Automaton
 from ostrowski.cli import main
+from ostrowski.contfrac import ContinuedFraction
 from ostrowski.errors import AutomatonTooLarge
+from ostrowski.numeration import decode
 
 
 def run(capsys, *argv):
@@ -138,13 +141,25 @@ def test_long_integer_arguments(capsys):
     assert (code, out) == (0, "9" * 5000 + "\n")
     code, out, _ = run(capsys, "decode", "--cf", "1;(1)", "--json", word.strip())
     assert (code, out) == (0, '{"command": "decode", "result": ' + "9" * 5000 + "}\n")
-    code, out, _ = run(capsys, "add", "--cf", "1;(1)", str(n // 10**800), "+1")
+    code, out, _ = run(capsys, "add", "--cf", "1;(1)", "9" * 5000, "+" + "8" * 5000)
     assert code == 0
+    assert decode(ContinuedFraction.from_text("1;(1)"), words.from_text(out)) == n + n // 9 * 8
+    code, payload, _ = run(capsys, "add", "--cf", "1;(1)", "9" * 5000, "8" * 5000, "--json")
+    assert (code, json.loads(payload)) == (0, {"command": "add", "result": {"sum": out.strip()}})
     for bad in ("12x", "", "-", "1_000", "١"):
         with pytest.raises(SystemExit) as exc:
             main(["encode", "--cf", "1;(1)", bad])
         assert exc.value.code == 2
         assert "invalid integer value" in capsys.readouterr().err
+
+
+def test_long_witness_output(capsys, monkeypatch):
+    # a witness past the 4300 digits int() writes at once, in plain and JSON output
+    monkeypatch.setattr(cli, "_witness", lambda cf, formula: [10**5000 - 1, 0])
+    code, out, _ = run(capsys, "decide", "--cf", "1;(1)", "--witness", "--formula", "E x. x = 1")
+    assert (code, out) == (0, "true\nwitness: " + "9" * 5000 + " 0\n")
+    code, out, _ = run(capsys, "decide", "--cf", "1;(1)", "--json", "--witness", "--formula", "E x. x = 1")
+    assert (code, out) == (0, '{"command": "decide", "result": {"verdict": true, "witness": [' + "9" * 5000 + ", 0]}}\n")
 
 
 def test_build_stdout_is_interchange(capsys):
