@@ -163,8 +163,8 @@ class _PairIndex:
     """Exact ids of int64 keys, new keys numbered in order of first occurrence.
 
     Keys known to lie in ``range(space)``, at most ``_CHUNK`` keys (most
-    products), are looked up in a table of ids, whose fewer array calls make
-    many small products about 9 % faster; others in the sorted keys seen."""
+    products), are looked up in a table of ids, in fewer array calls than
+    the sorted keys seen take, which serve the others."""
 
     def __init__(self, space: Optional[int] = None):
         self.table = np.full(space, -1, np.int64) if space is not None and space <= _CHUNK else None
