@@ -35,18 +35,24 @@ Adding, reordering and identifying tracks is one gather of letter codes:
 each new letter code reads as one old code, and an arc goes to every new
 code reading as its own.
 
-Products, subset constructions and lazy exploration advance a whole
-breadth-first level of states at once, in chunks that bound their memory.
-A new product state is keyed exactly by its pair of state ids, a new
-subset by the sorted ranks of its states, and a state of a lazily described
-automaton (``from_lazy``) by the int64 key its recognizer packs it into;
-the recognizer steps whole arrays of keys and hands back letter codes.
-Subset constructions and ``from_lazy`` leave out the states that cannot
-reach a final state, so dead pairs and dead guesses never inflate them.
-A difference (and so a complement) is a product whose right side moves
-to its dead state where it lacks an arc.  Only minimization and batch
-membership (``_accepts_all``) build a successor table, under the
-``_MAX_CELLS`` guard.
+One explorer, ``_explore``, numbers the states of every construction that
+numbers them breadth first: lazy exploration (``from_lazy``), products,
+the canonical renumbering of minimization and the shortest witness.  It
+advances a whole level of int64 keys at once, in chunks that bound its
+memory, numbers new keys in order of first occurrence, and holds its arcs
+plus states under the ``_MAX_CELLS`` guard.  A product state is keyed
+exactly by its pair of state ids, a minimized state by its block, and a
+state of a lazily described automaton by the int64 key its recognizer
+packs it into; the recognizer steps whole arrays of keys and hands back
+letter codes.  Two searches keep their own levels: subset constructions,
+which key a subset by the bytes of the sorted ranks of its states, and
+``_reach``, which marks the states reachable along arcs without holding
+any (emptiness, and the trims).  Subset constructions and ``from_lazy``
+leave out the states that cannot reach a final state, so dead pairs and
+dead guesses never inflate them.  A difference (and so a complement) is a
+product whose right side moves to its dead state where it lacks an arc.
+Only minimization and batch membership (``_accepts_all``) build a
+successor table, under the same guard.
 """
 
 from __future__ import annotations
@@ -160,53 +166,92 @@ def _state_set(states) -> frozenset[int]:
 
 
 class _PairIndex:
-    """Exact ids of int64 keys, new keys numbered in order of first occurrence.
+    """Exact int32 ids of int64 keys, new keys numbered in order of first
+    occurrence.
 
     Keys known to lie in ``range(space)``, at most ``_CHUNK`` keys (most
-    products), are looked up in a table of ids, in fewer array calls than
-    the sorted keys seen take, which serve the others."""
+    products and minimizations), are looked up in a table of ids, in fewer
+    array calls than the sorted keys seen take, which serve the others."""
 
     def __init__(self, space: Optional[int] = None):
-        self.table = np.full(space, -1, np.int64) if space is not None and space <= _CHUNK else None
+        self.table = np.full(space, -1, np.int32) if space is not None and space <= _CHUNK else None
         self.keys = np.empty(0, np.int64)  # sorted
-        self.ids = np.empty(0, np.int64)
+        self.ids = np.empty(0, np.int32)
         self.count = 0
 
     def lookup(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Ids of ``keys`` and the keys seen for the first time, in order."""
         if self.table is not None:
             ids = self.table[keys]
-            missing = np.flatnonzero(ids < 0)
+            missing = (ids < 0).nonzero()[0]
             if not missing.size:
                 return ids, missing
-            fresh, first = np.unique(keys[missing], return_index=True)
-            fresh = fresh[np.argsort(first)]
-            self.table[fresh] = np.arange(self.count, self.count + len(fresh))
+            new, at = keys[missing], np.arange(len(missing), dtype=np.int32)
+            self.table[new] = len(new)  # each new key's entry falls to its first position
+            np.minimum.at(self.table, new, at)
+            fresh = new[self.table[new] == at]
+            self.table[fresh] = np.arange(self.count, self.count + len(fresh), dtype=np.int32)
             self.count += len(fresh)
             return self.table[keys], fresh
         at = np.searchsorted(self.keys, keys)
         found = at < len(self.keys)
         found[found] = self.keys[at[found]] == keys[found]
-        ids = np.empty(len(keys), np.int64)
+        ids = np.empty(len(keys), np.int32)
         ids[found] = self.ids[at[found]]
-        missing = np.flatnonzero(~found)
+        missing = (~found).nonzero()[0]
         if not missing.size:
             return ids, missing
         fresh, first, inverse = np.unique(keys[missing], return_index=True, return_inverse=True)
-        order = np.argsort(first)
-        fresh_ids = np.empty(len(fresh), np.int64)
-        fresh_ids[order] = np.arange(self.count, self.count + len(fresh))
+        order = first.argsort()
+        fresh_ids = np.empty(len(fresh), np.int32)
+        fresh_ids[order] = np.arange(self.count, self.count + len(fresh), dtype=np.int32)
         self.count += len(fresh)
         ids[missing] = fresh_ids[inverse.ravel()]
         # merge the new keys into the sorted ones
         slot = np.searchsorted(self.keys, fresh) + np.arange(len(fresh))
         old = np.ones(len(self.keys) + len(fresh), bool)
         old[slot] = False
-        merged_keys, merged_ids = np.empty(len(old), np.int64), np.empty(len(old), np.int64)
+        merged_keys, merged_ids = np.empty(len(old), np.int64), np.empty(len(old), np.int32)
         merged_keys[slot], merged_ids[slot] = fresh, fresh_ids
         merged_keys[old], merged_ids[old] = self.keys, self.ids
         self.keys, self.ids = merged_keys, merged_ids
         return ids, fresh[order]
+
+
+def _explore(starts, step, fanout: int, space: Optional[int] = None):
+    """Breadth-first exploration from the keys ``starts``, one level at a time.
+
+    ``step(keys)`` gives every arc ``(pos, codes, targets)`` leaving
+    ``keys[pos]``, grouped by ascending pos; a level is stepped in chunks of
+    at most ``_CHUNK`` cells, ``fanout`` of them per key.  States are
+    numbered in order of first occurrence, the starts first, then each
+    level's targets in arc order: so over ascending letters the ids come out
+    as a state-by-state exploration would assign them.  Keys known to lie in
+    ``range(space)`` are numbered through a table (``_PairIndex``).  Returns
+    the keys by id and the arcs (srcs, codes, dsts) in that order, with int32
+    ids; arcs and states together stay within ``_MAX_CELLS``.
+    """
+    index = _PairIndex(space)
+    _, level = index.lookup(np.asarray(starts, np.int64))
+    levels, degrees, codes, dsts = [level], [], [], []
+    per_chunk = max(1, _CHUNK // max(1, fanout))
+    arcs = 0
+    while level.size:
+        targets = []
+        for lo in range(0, len(level), per_chunk):
+            keys = level[lo : lo + per_chunk]
+            pos, code, target = step(keys)
+            degrees.append(np.bincount(pos, minlength=len(keys)))
+            codes.append(code)
+            targets.append(target)
+        ids, level = index.lookup(targets[0] if len(targets) == 1 else np.concatenate(targets))
+        dsts.append(ids)
+        levels.append(level)
+        arcs += len(ids)
+        _cells(arcs + index.count, "explored arcs and states")
+    keys, none = np.concatenate(levels), [np.empty(0, np.int32)]
+    srcs = np.repeat(np.arange(len(keys), dtype=np.int32), np.concatenate(degrees + none))
+    return keys, srcs, np.concatenate(codes + none), np.concatenate(dsts + none)
 
 
 # -- automata ---------------------------------------------------------------------
@@ -235,8 +280,8 @@ class Automaton:
             for t in targets
         ]
         srcs, letters, dsts = zip(*arcs) if arcs else ((), (), ())
-        if arity < 0 or digit_bound < 0:
-            raise ValueError(f"arity {arity} and digit_bound {digit_bound} must be non-negative")
+        if min(arity, digit_bound, num_states) < 0:
+            raise ValueError(f"negative arity, bound or state count: {arity}, {digit_bound}, {num_states}")
         _cells(num_states + 1, "state count")
         initial, finals = list(initial), list(finals)
         for s in itertools.chain(initial, finals, srcs, dsts):
@@ -285,6 +330,10 @@ class Automaton:
 
     def num_transitions(self) -> int:
         return len(self._arrays[2])
+
+    def _degree(self) -> int:
+        """Arcs per state, rounded up: the cells one state's step works on."""
+        return -(-self.num_transitions() // max(1, self.num_states))
 
     # -- array access ---------------------------------------------------------
 
@@ -422,12 +471,12 @@ class Automaton:
         return self._product(other.determinize(complete=False), lambda a, b: a & ~b, dead=True)
 
     def _product(self, other: "Automaton", final, dead: bool = False) -> "Automaton":
-        """Reachable pairs of states, breadth first, a chunk of pairs at a
-        time: a pair moves on each letter both components move on, so it
-        costs the arcs of its components and no letter more.  With ``dead``
-        (``other`` deterministic) a letter only ``self`` reads moves ``other``
-        to a dead state without arcs, numbered ``other.num_states``.
-        ``final`` combines the final masks of the components, pair by pair.
+        """Reachable pairs of states, explored breadth first: a pair moves on
+        each letter both components move on, so it costs the arcs of its
+        components and no letter more.  With ``dead`` (``other``
+        deterministic) a letter only ``self`` reads moves ``other`` to a dead
+        state without arcs, numbered ``other.num_states``.  ``final``
+        combines the final masks of the components, pair by pair.
         """
         self._require_compatible(other)
         size = self.alphabet_size
@@ -438,46 +487,29 @@ class Automaton:
         _check_keys(nb, self.arity, self.digit_bound)  # the dead state's keys too
         fa, fb = self._final_mask(), np.append(other._final_mask(), False)[:nb]  # the dead state rejects
         db = np.append(db, nb - 1)  # the dead state, where no arc matches
-        index = _PairIndex(self.num_states * nb)
-        starts = [p * nb + q for p in sorted(self.initial) for q in sorted(other.initial)]
-        _, level = index.lookup(np.array(starts, np.int64))
-        levels = [level]
-        srcs, codes, dsts = [], [], []
-        degree = -(-len(ca) // max(1, self.num_states))
-        per_chunk = max(1, _CHUNK // max(1, degree))
-        count = arcs = 0  # pairs of the levels before this one, arcs found
-        while level.size:
-            found = []
-            for lo in range(0, len(level), per_chunk):
-                p, q = np.divmod(level[lo : lo + per_chunk], nb)
-                pos, arc = _ranges(ia[p], ia[p + 1])
-                want = q[pos] * size + ca[arc]
-                first = np.searchsorted(keys_b[:-1], want)
-                if other.deterministic:  # at most one arc of other matches
-                    hit = keys_b[first] == want
-                    if dead:  # every arc of self moves
-                        first[~hit] = len(keys_b) - 1
-                    else:
-                        pos, arc, first = pos[hit], arc[hit], first[hit]
-                    to_b = db[first]
+
+        def step(pairs):
+            p, q = np.divmod(pairs, nb)
+            pos, arc = _ranges(ia[p], ia[p + 1])
+            want = q[pos] * size + ca[arc]
+            first = np.searchsorted(keys_b[:-1], want)
+            if other.deterministic:  # at most one arc of other matches
+                hit = keys_b[first] == want
+                if dead:  # every arc of self moves
+                    first[~hit] = len(keys_b) - 1
                 else:
-                    hit, match = _ranges(first, np.searchsorted(keys_b[:-1], want, "right"))
-                    pos, arc, to_b = pos[hit], arc[hit], db[match]
-                srcs.append(count + lo + pos)
-                codes.append(ca[arc])
-                found.append(da[arc].astype(np.int64) * nb + to_b)
-            ids, level = index.lookup(np.concatenate(found))
-            dsts.append(ids)
-            count += len(levels[-1])
-            levels.append(level)
-            arcs += len(ids)
-            _cells(arcs + count + len(level), "product arcs and states")
-        pairs = np.concatenate(levels)
-        empty = [np.empty(0, np.int64)]
+                    pos, arc, first = pos[hit], arc[hit], first[hit]
+                to_b = db[first]
+            else:
+                hit, match = _ranges(first, np.searchsorted(keys_b[:-1], want, "right"))
+                pos, arc, to_b = pos[hit], arc[hit], db[match]
+            return pos, ca[arc], da[arc].astype(np.int64) * nb + to_b
+
+        starts = [p * nb + q for p in sorted(self.initial) for q in sorted(other.initial)]
+        pairs, srcs, codes, dsts = _explore(starts, step, self._degree(), self.num_states * nb)
         return Automaton._build(
             self.arity, self.digit_bound, len(pairs), range(len(starts)),
-            np.flatnonzero(final(fa[pairs // nb], fb[pairs % nb])),
-            np.concatenate(srcs + empty), np.concatenate(codes + empty), np.concatenate(dsts + empty),
+            np.flatnonzero(final(fa[pairs // nb], fb[pairs % nb])), srcs, codes, dsts,
             self.deterministic and other.deterministic,
         )
 
@@ -622,44 +654,31 @@ class Automaton:
         )
 
     def is_empty(self) -> bool:
-        return self.shortest_witness() is None
+        srcs, _, dsts = self._arc_arrays()
+        reached = _reach(self.num_states, srcs, dsts, sorted(self.initial))
+        return not (reached & self._final_mask()).any()
 
     def shortest_witness(self) -> Optional[TupleWord]:
         """A shortest accepted word, or None when the language is empty.
 
         Of the shortest words, the one met first breadth first, from the
-        initial states in order over ascending letters.
+        initial states in order over ascending letters: on a deterministic
+        automaton, the lexicographically least.  It is the path of arcs
+        that first met each state, back from the final state met first.
         """
-        final = self._final_mask()
-        frontier = np.array(sorted(self.initial), np.int64)
-        if final[frontier].any():
-            return ()
-        parent = np.full(self.num_states, -1, np.int64)
-        via = np.zeros(self.num_states, np.int64)
-        seen = np.zeros(self.num_states, bool)
-        seen[frontier] = True
-        while frontier.size:
-            pos, codes, dsts = self._gather(frontier)
-            hits = np.flatnonzero(final[dsts])
-            if hits.size:
-                k = hits[0]
-                word = [codes[k]]
-                state = frontier[pos[k]]
-                while parent[state] >= 0:
-                    word.append(via[state])
-                    state = parent[state]
-                radix = self.digit_bound + 1
-                return tuple(_letter(int(c), self.arity, radix) for c in reversed(word))
-            fresh = np.flatnonzero(~seen[dsts])
-            targets, first = np.unique(dsts[fresh], return_index=True)
-            order = np.argsort(first)
-            arcs = fresh[first[order]]  # the arc discovering each new state
-            new = targets[order].astype(np.int64)
-            parent[new] = frontier[pos[arcs]]
-            via[new] = codes[arcs]
-            seen[new] = True
-            frontier = new
-        return None
+        start = sorted(self.initial)
+        states, srcs, codes, dsts = _explore(start, self._gather, self._degree(), self.num_states)
+        hits = np.flatnonzero(self._final_mask()[states])
+        if not hits.size:
+            return None
+        met, first = np.unique(dsts, return_index=True)
+        via = np.full(len(states), -1, np.int64)
+        via[met] = first  # the arc that first met each state
+        word, state = [], hits[0]
+        while state >= len(start):
+            word.append(int(codes[via[state]]))
+            state = srcs[via[state]]
+        return tuple(_letter(c, self.arity, self.digit_bound + 1) for c in reversed(word))
 
     def equivalent(self, other: "Automaton") -> bool:
         """Language equality: neither difference accepts a word."""
@@ -752,42 +771,26 @@ class Automaton:
 
 
 def from_lazy(lazy, arity: int, digit_bound: int) -> Automaton:
-    """Materialize a lazily described NFA breadth first, one level at a
-    time, keeping only the states from which a final state can be reached.
-
-    Each level is stepped in chunks of at most ``_CHUNK`` grid cells, and
-    its targets are numbered in one lookup, new keys in order of first
-    occurrence: the ids come out as a state-by-state exploration would
-    assign them.
+    """Materialize a lazily described NFA with ``_explore``, then keep only
+    the states from which a final state can be reached (a backward
+    ``_reach`` over the arcs).  Its keys are the recognizer's, and its
+    letter codes are held as int32 where the alphabet allows.
     """
-    index = _PairIndex()
-    _, level = index.lookup(np.asarray(lazy.initial_keys(), np.int64))
-    levels = [level]
     code_type = np.int32 if (digit_bound + 1) ** arity <= 1 << 31 else np.int64
-    srcs, codes, dsts = [], [], []
-    per_chunk = max(1, _CHUNK // lazy.fanout)
-    count = 0  # states of the levels before this one
-    while level.size:
-        targets = []
-        for lo in range(0, len(level), per_chunk):
-            pos, code, target = lazy.step(level[lo : lo + per_chunk])
-            srcs.append((count + lo + pos).astype(np.int32))
-            codes.append(code.astype(code_type))
-            targets.append(target)
-        ids, level = index.lookup(np.concatenate(targets))
-        dsts.append(ids.astype(np.int32))
-        levels.append(level)
-        count += len(levels[-2])
-        _cells(count + len(level), "explored state count")
-    keys = np.concatenate(levels)
+
+    def step(keys):
+        pos, codes, targets = lazy.step(keys)
+        return pos, codes.astype(code_type), targets
+
+    starts = np.asarray(lazy.initial_keys(), np.int64)
+    keys, srcs, codes, dsts = _explore(starts, step, lazy.fanout)
     n = len(keys)
     _check_keys(n, arity, digit_bound)
     finals = np.flatnonzero(lazy.final(keys))
-    srcs, codes, dsts = (np.concatenate(a) for a in (srcs, codes, dsts))
     useful = _reach(n, dsts, srcs, finals)
     renumber = np.cumsum(useful) - 1
     keep = useful[srcs] & useful[dsts]
-    initial = np.arange(len(levels[0]))
+    initial = np.arange(len(np.unique(starts)))
     return Automaton._build(
         arity, digit_bound, int(useful.sum()), renumber[initial[useful[initial]]],
         renumber[finals[useful[finals]]], renumber[srcs[keep]], codes[keep], renumber[dsts[keep]], False,
@@ -796,7 +799,7 @@ def from_lazy(lazy, arity: int, digit_bound: int) -> Automaton:
 
 def _minimize_dfa(dfa: Automaton, total: bool) -> Automaton:
     """Moore refinement over the successor table completed by a virtual dead
-    state, then a canonical breadth-first renumbering, one level at a time.
+    state, then a canonical renumbering of the blocks by ``_explore``.
 
     The total form keeps the block of the dead state; the trim form drops
     it with every arc into it, and its table takes only the columns of the
@@ -824,26 +827,15 @@ def _minimize_dfa(dfa: Automaton, total: bool) -> Automaton:
         num_blocks = count
     rep = np.empty(num_blocks, np.int64)
     rep[block] = np.arange(n + 1)  # a state of each block: all move alike
-    moves = block[table[rep]]  # block transition table
+    moves = block[table[rep]].astype(np.int64)  # block transition table; its entries index as keys
     dead = block[n]
-    number = np.full(num_blocks, -1, np.int64)
-    if not total:
-        number[dead] = -2  # never numbered, unless it is the start
-    start = block[next(iter(dfa.initial))]
-    number[start] = 0
-    level = np.array([start])
-    order = [level]
-    count = 1
-    while level.size:
-        succ = moves[level].ravel()
-        fresh, first = np.unique(succ[number[succ] == -1], return_index=True)
-        level = fresh[np.argsort(first)]
-        number[level] = np.arange(count, count + len(level))
-        count += len(level)
-        order.append(level)
-    order = np.concatenate(order)
+
+    def step(blocks):  # arcs by column, codes only at the end
+        rows = moves[blocks]
+        pos, col = (rows >= 0 if total else rows != dead).nonzero()
+        return pos, col, rows[pos, col]
+
+    order, srcs, col, dsts = _explore([block[next(iter(dfa.initial))]], step, len(cols), num_blocks)
     final = np.append(dfa._final_mask(), False)[rep[order]]
-    rows = moves[order]
-    pos, col = np.nonzero(rows >= 0 if total else rows != dead)
     return Automaton._build(dfa.arity, dfa.digit_bound, len(order), [0], np.flatnonzero(final),
-                            pos, cols[col], number[rows[pos, col]], True)
+                            srcs, cols[col], dsts, True)

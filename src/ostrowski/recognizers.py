@@ -129,10 +129,16 @@ def _params(cf: ContinuedFraction) -> AutomatonParameters:
     return automaton_parameters(cf)
 
 
-def _allowed(digits, cap, first, forced):
-    """Digits a valid track may take at a position with quotient ``cap``:
-    only 0 right after a capped digit, and below the cap at position 1."""
-    return (digits <= cap - first) & (~forced | (digits == 0))
+def _valid(tracks, cap, first, forced):
+    """Where k valid tracks may read the digits ``tracks`` (an array each)
+    at a position with quotient ``cap``, and the flags they leave: bit
+    k - 1 - j for track j at its cap, which forces a 0 next.  No digit
+    reaches the cap at position 1 (``first``)."""
+    ok, capped = True, 0
+    for bit, d in zip(reversed(range(len(tracks))), tracks):
+        ok = ok & (d <= cap - first) & (((forced >> bit) % 2 == 0) | (d == 0))
+        capped = capped + (d == cap) * (1 << bit)
+    return ok, capped
 
 
 def _digit_grid(k: int, mu: int) -> np.ndarray:
@@ -171,8 +177,8 @@ class _SumInput:
         self.letter = self.x * (params.m + 1) + self.y
 
     def read(self, cap, last, flags):
-        ok = _allowed(self.x, cap, last, flags >= 2) & _allowed(self.y, cap, last, flags % 2 == 1)
-        return ok, self.x + self.y, (self.x == cap) * 2 + (self.y == cap)
+        ok, capped = _valid((self.x, self.y), cap, last, flags)
+        return ok, self.x + self.y, capped
 
 
 class _Pass1Lazy:
@@ -363,11 +369,7 @@ class _ValidTracks:
 
     def step(self, keys: np.ndarray):
         p, forced = self.key.unpack(keys)
-        cap, first = self.phases.cap[p], self.phases.i[p] == 1
-        ok, capped = True, 0
-        for bit, d in zip(reversed(range(len(self.digits))), self.digits):
-            ok = ok & _allowed(d, cap, first, (forced >> bit) % 2 == 1)
-            capped = capped + (d == cap) * (1 << bit)
+        ok, capped = _valid(self.digits, self.phases.cap[p], self.phases.i[p] == 1, forced)
         nxt = self.phases.next[p[:, 0]]
         pos, c, t = np.nonzero(ok[..., None] & (nxt >= 0)[:, None, :])
         return pos, self.codes[c], self.key.pack(nxt[pos, t], capped[pos, c])
@@ -400,13 +402,11 @@ class _LessThanLazy:
     def step(self, keys: np.ndarray):
         p, forced, lt = self.key.unpack(keys)
         x, y = self.x, self.y
-        cap, first = self.phases.cap[p], self.phases.i[p] == 1
-        ok = _allowed(x, cap, first, forced >= 2) & _allowed(y, cap, first, forced % 2 == 1)
+        ok, capped = _valid((x, y), self.phases.cap[p], self.phases.i[p] == 1, forced)
         ok &= (lt == 1) | (x <= y)
         nxt = self.phases.next[p[:, 0]]
         pos, c, t = np.nonzero(ok[..., None] & (nxt >= 0)[:, None, :])
-        capped = (x[c] == cap[pos, 0]) * 2 + (y[c] == cap[pos, 0])
-        return pos, self.codes[c], self.key.pack(nxt[pos, t], capped, lt[pos, 0] | (x[c] < y[c]))
+        return pos, self.codes[c], self.key.pack(nxt[pos, t], capped[pos, c], lt[pos, 0] | (x[c] < y[c]))
 
 
 class _VaGraphLazy:
@@ -451,7 +451,7 @@ class _VaGraphLazy:
         d, b = self.d, np.arange(2)
         cap, first = self.phases.cap[p], self.phases.i[p] == 1
         free = (zero == 0) & (below == 0)
-        read = _allowed(d, cap[..., None], first[..., None], fz[..., None] == 1) & ((b == 0) | (d >= 1))
+        read = _valid((d,), cap[..., None], first[..., None], fz[..., None])[0] & ((b == 0) | (d >= 1))
         cells = np.where(free[..., None], read, (d == 0) & (b == 0))
         nxt = self.phases.next[p[:, 0]]
         pos, d, t, b = np.nonzero(cells[:, :, None, :] & (nxt >= 0)[:, None, :, None])

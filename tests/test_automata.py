@@ -4,8 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from ostrowski import words
-from ostrowski.automata import Automaton, convolve
+from ostrowski import automata, words
+from ostrowski.automata import Automaton, convolve, from_lazy
 from ostrowski.errors import ArityMismatch, AutomatonTooLarge, DigitOutOfRange
 from ostrowski.numeration import is_valid
 from ostrowski.recognizers import build_valid_rep
@@ -290,6 +290,37 @@ def test_keys_past_int64_refused():
         loop.difference(dfa)
 
 
+class _Chain:
+    """A lazy frame over one binary track: state k < 9 reads either digit
+    into state k + 1, and state 9 is final (10 states, 18 arcs)."""
+
+    fanout = 2
+
+    def initial_keys(self):
+        return np.array([0])
+
+    def final(self, keys):
+        return keys == 9
+
+    def step(self, keys):
+        pos, code = np.nonzero(np.repeat(keys[:, None] < 9, 2, axis=1))
+        return pos, code, keys[pos] + 1
+
+
+def test_explored_arcs_and_states_guarded(monkeypatch):
+    # one guard holds the arcs plus the states of every exploration: lazy
+    # (10 states alone fit a cap of 12, with their 18 arcs they do not)
+    # and products
+    assert from_lazy(_Chain(), 1, 1).num_states == 10
+    chain = Automaton(1, 1, 5, [0], [4], {s: {(0,): (s + 1,), (1,): (s + 1,)} for s in range(4)})
+    assert chain.intersect(chain).num_states == 5
+    monkeypatch.setattr(automata, "_MAX_CELLS", 12)
+    with pytest.raises(AutomatonTooLarge):
+        from_lazy(_Chain(), 1, 1)
+    with pytest.raises(AutomatonTooLarge):
+        chain.intersect(chain)  # 5 pairs and 8 arcs
+
+
 def test_minimal_states_pairwise_distinguishable():
     rng = random.Random(2)
     for _ in range(10):
@@ -448,6 +479,50 @@ def test_empty_when_no_finals():
     assert a.shortest_witness() is None
 
 
+def lex_least_shortest(a):
+    """The lexicographically least of the shortest accepted words, or None,
+    by a search over state sets read off the arcs: ``co[j]`` holds the
+    states from which some word of length exactly j is accepted."""
+    arcs = arc_map(a)
+    letters = list(itertools.product(range(a.digit_bound + 1), repeat=a.arity))
+
+    def move(states, letter):
+        return {t for s in states for t in arcs.get(s, {}).get(letter, ())}
+
+    co = [set(a.finals)]
+    for _ in range(a.num_states):
+        co.append({s for s in range(a.num_states) if any(set(d) & co[-1] for d in arcs.get(s, {}).values())})
+    # a shortest accepted word follows a path without repeated states
+    length = next((j for j in range(a.num_states) if set(a.initial) & co[j]), None)
+    if length is None:
+        return None
+    word, states = [], set(a.initial)
+    for j in range(length, 0, -1):
+        letter = next(x for x in letters if move(states, x) & co[j - 1])
+        word.append(letter)
+        states = move(states, letter)
+    return tuple(word)
+
+
+def test_shortest_witness_against_search():
+    # on a DFA the witness is the least of the shortest accepted words; on
+    # an NFA (one, several or no initial states) an accepted word of the
+    # shortest length; emptiness agrees with the witness either way
+    rng = random.Random(14)
+    for _ in range(40):
+        nfa = random_automaton(rng)
+        n, arcs = nfa.num_states, arc_map(nfa)
+        every = Automaton(nfa.arity, nfa.digit_bound, n, range(n), nfa.finals, arcs)
+        none = Automaton(nfa.arity, nfa.digit_bound, n, [], nfa.finals, arcs)
+        for a in (nfa, every, none, nfa.determinize(complete=False), nfa.determinize_minimize()):
+            least, witness = lex_least_shortest(a), a.shortest_witness()
+            assert a.is_empty() == (witness is None) == (least is None)
+            if witness is not None:
+                assert a.accepts(witness) and len(witness) == len(least)
+                if a.deterministic:
+                    assert witness == least
+
+
 def test_valid_rep_witness(golden):
     aut = build_valid_rep(golden)
     assert not aut.is_empty()
@@ -468,6 +543,11 @@ def test_not_equivalent_detects_difference():
 
 
 # -- interchange format ------------------------------------------------------------
+
+
+def test_negative_state_count_refused():
+    with pytest.raises(ValueError):
+        Automaton(1, 1, -1, [], [], {})
 
 
 def test_interchange_round_trip(tmp_path):

@@ -99,11 +99,14 @@ def test_build_and_run(capsys, tmp_path):
 def test_run_oversized_automaton_exit_2(capsys, tmp_path):
     # A declared state count or an alphabet past the integer arrays (10**12
     # states; 16**40 letters, past any 64-bit letter code) is refused with a
-    # typed error, not a MemoryError or a wrapped letter code.
+    # typed error, not a MemoryError or a wrapped letter code; a negative
+    # state count is refused too, not read as an automaton that rejects.
     many_states = "arity 1\ndigit_bound 1\nnum_states 1000000000000\ninitial 0\nfinal 1\ntrans 0 (1) 1\n"
     wide = "arity 40\ndigit_bound 15\nnum_states 2\ninitial 0\nfinal 1\ntrans 0 (" + ",".join(["1"] * 40) + ") 1\n"
-    for text, arity in ((many_states, 1), (wide, 40)):
-        with pytest.raises(AutomatonTooLarge):
+    negative = "arity 1\ndigit_bound 1\nnum_states -1\ninitial\nfinal\n"
+    for text, arity, error in ((many_states, 1, AutomatonTooLarge), (wide, 40, AutomatonTooLarge),
+                               (negative, 1, ValueError)):
+        with pytest.raises(error):
             Automaton.from_text(text)
         path = tmp_path / "big.aut"
         path.write_text(text)
