@@ -146,7 +146,7 @@ def _csr(n: int, letters: int, srcs, codes, dsts) -> tuple[np.ndarray, np.ndarra
 
 def _reach(n: int, srcs: np.ndarray, dsts: np.ndarray, seeds) -> np.ndarray:
     """Mask of the states reachable from ``seeds`` along the arcs srcs -> dsts."""
-    adj = dsts[np.argsort(srcs)]
+    adj = dsts[np.argsort(srcs)].astype(np.intp)  # gathered by index, so no cast per level
     indptr = np.zeros(n + 1, np.int64)
     np.cumsum(np.bincount(srcs, minlength=n), out=indptr[1:])
     seen = np.zeros(n, bool)
@@ -372,7 +372,7 @@ class Automaton:
         a dead state, takes every missing arc."""
         n, radix = self.num_states, self.digit_bound + 1
         _cells((n + 1) * self.alphabet_size, "membership table")
-        table = np.full((n + 1, self.alphabet_size), n, np.int32)
+        table = np.full((n + 1, self.alphabet_size), n, np.intp)  # its entries index it again
         srcs, codes, dsts = self._arc_arrays()
         table[srcs, codes] = dsts
         codes = np.zeros(tracks[0].shape, np.int64)
@@ -771,19 +771,12 @@ class Automaton:
 
 
 def from_lazy(lazy, arity: int, digit_bound: int) -> Automaton:
-    """Materialize a lazily described NFA with ``_explore``, then keep only
-    the states from which a final state can be reached (a backward
-    ``_reach`` over the arcs).  Its keys are the recognizer's, and its
-    letter codes are held as int32 where the alphabet allows.
+    """Materialize a lazily described NFA with ``_explore``, keyed by the
+    recognizer's keys, then keep only the states from which a final state
+    can be reached (a backward ``_reach`` over the arcs).
     """
-    code_type = np.int32 if (digit_bound + 1) ** arity <= 1 << 31 else np.int64
-
-    def step(keys):
-        pos, codes, targets = lazy.step(keys)
-        return pos, codes.astype(code_type), targets
-
     starts = np.asarray(lazy.initial_keys(), np.int64)
-    keys, srcs, codes, dsts = _explore(starts, step, lazy.fanout)
+    keys, srcs, codes, dsts = _explore(starts, lazy.step, lazy.fanout)
     n = len(keys)
     _check_keys(n, arity, digit_bound)
     finals = np.flatnonzero(lazy.final(keys))
@@ -811,23 +804,23 @@ def _minimize_dfa(dfa: Automaton, total: bool) -> Automaton:
         _cells((n + 1) * dfa.alphabet_size, "minimization table")
     cols = np.arange(dfa.alphabet_size) if total else np.unique(codes)
     _cells((n + 1) * len(cols), "minimization table")
-    table = np.full((n + 1, len(cols)), n, np.int32)
+    table = np.full((n + 1, len(cols)), n, np.intp)  # table and block ids index, so no cast per round
     table[srcs, np.searchsorted(cols, codes)] = dsts
-    block = np.append(dfa._final_mask(), False).astype(np.int32)
+    block = np.append(dfa._final_mask(), False).astype(np.intp)
     num_blocks = 1 + int(block.max() != block.min())
     sig = np.empty((n + 1, len(cols) + 1), np.int32)
     rows = sig.view(np.dtype((np.void, sig.shape[1] * 4))).ravel()  # a state's signature
     while True:
         sig[:, 0], sig[:, 1:] = block, block[table]
         _, inverse = np.unique(rows, return_inverse=True)
-        block = inverse.ravel().astype(np.int32)
+        block = inverse.ravel()
         count = int(block.max()) + 1
         if count == num_blocks:
             break
         num_blocks = count
     rep = np.empty(num_blocks, np.int64)
     rep[block] = np.arange(n + 1)  # a state of each block: all move alike
-    moves = block[table[rep]].astype(np.int64)  # block transition table; its entries index as keys
+    moves = block[table[rep]]  # block transition table; its entries index as keys
     dead = block[n]
 
     def step(blocks):  # arcs by column, codes only at the end

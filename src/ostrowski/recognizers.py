@@ -24,6 +24,13 @@ leading zero columns, and equally force a rejected run whenever the pass
 would carry beyond the padded length, so the relations compose soundly
 under convolution padding.
 
+Buffered claims make most states of a pass frame dead ends.  So a pass
+frame first finds, by a backward fixpoint over the window rules, the
+states without input flags from which its final phase can still be
+reached (``_viable``), and explores only those.  On the fixtures the
+three pass relations meet only the states they keep; the adder's first
+stage, whose flags the table ignores, meets up to a third more.
+
 Each recognizer is a frame for ``automata.from_lazy``: it packs a state
 (phase id, buffers, flags) into one int64 key with ``_Key`` and steps a
 whole frontier of keys at once.  A step lays out, per state, a grid over
@@ -47,7 +54,7 @@ import math
 
 import numpy as np
 
-from .automata import Automaton, _ranges, from_lazy
+from .automata import Automaton, _cells, _ranges, from_lazy
 from .contfrac import AutomatonParameters, ContinuedFraction, automaton_parameters
 from .errors import AutomatonTooLarge, NotQuadratic
 from .rules import c_preimages_array, rewrite, window_a_delta, window_b_delta, window_c_delta
@@ -181,7 +188,103 @@ class _SumInput:
         return ok, self.x + self.y, capped
 
 
-class _Pass1Lazy:
+@functools.lru_cache(maxsize=None)
+def _viable(frame: type, params: AutomatonParameters) -> np.ndarray:
+    """Which coarse states of a pass frame can still reach its final phase.
+
+    A coarse state is a frame state without its input flags: the phase,
+    the k pending digits v, and the k buffered digits w0, rest (claims;
+    the backward pass buffers inputs).  A step of phase p settles w0 from
+    v and leaves the pending digits v'; the frame's ``moves()`` lists the
+    steps that some input allows, as flat arrays (phase, head, tail) with
+    head the digits (v, w0) and tail the digits v', and the closing check
+    ``closes[v', rest]``.  A step shifts rest forward, ahead of a new
+    digit that may be anything, so (p, v, w0, rest) is viable when one of
+    its moves reaches a successor phase where (v', rest, y) is viable for
+    some y; from the last phase, when it passes the closing check.  The
+    final phase is viable throughout.
+
+    The least such table is found phase by phase: a phase is recomputed,
+    taking "for some y" as one ``any`` over the last axis, while one of
+    its successors has changed since, the lowest phase id first.  Phase
+    ids put every successor first but for the wrap to (nu, 1), so few
+    phases are recomputed twice.
+
+    Returns the table as one bool array indexed like the frame's keys
+    without the flags: phase, then the digits, most significant first.
+    It holds for every input, so pass 1 and the adder's fused first stage
+    share it.  A table the toolkit's size guard refuses is never made.
+    """
+    lazy = frame(params)
+    phases, last, done = lazy.phases, lazy.last, lazy.done
+    _cells(phases.count * lazy.digits, "table of viable pass states")
+    moves, closes = lazy.moves()
+    n_tail, n_rest = closes.shape
+    radix, count = n_tail // n_rest, phases.count
+    order = np.lexsort((moves[1], moves[0]))  # grouped by (phase, head)
+    phase, head, tail = (a[order] for a in moves)
+    bounds = np.searchsorted(phase, np.arange(count + 1))
+    succ = [[t for t in row if t >= 0] for row in phases.next.tolist()]
+    table = np.zeros((count, n_tail * radix, n_rest), bool)
+    table[done] = True
+    stale = set(range(count)) - {done}
+    while stale:
+        p = min(stale)
+        stale.remove(p)
+        heads, tails = head[bounds[p] : bounds[p + 1]], tail[bounds[p] : bounds[p + 1]]
+        if p == last:
+            reach = closes
+        else:
+            reach = np.logical_or.reduce([table[t].reshape(n_tail, n_rest, radix).any(-1) for t in succ[p]])
+        first = np.flatnonzero(np.diff(heads, prepend=-1))
+        new = np.zeros_like(table[p])
+        new[heads[first]] = np.logical_or.reduceat(reach[tails], first)
+        if not np.array_equal(new, table[p]):
+            table[p] = new
+            stale.update(q for q in range(count) if p in succ[q])
+    return table.ravel()
+
+
+class _PassLazy:
+    """State frame of the pass automata: (phase, flags, v, w) with k-digit
+    buffers v and w for windows of width k + 1, and phases counting down
+    to k, the final phase.  Only the width-4 pass has flags, its input's.
+
+    The initial keys and each step drop every key whose coarse image, the
+    key without its flags, the table of ``_viable`` rejects.  Every move
+    of a state is a move of its coarse image, so no state that can accept
+    is dropped; every path to such a state runs through such states, so
+    they are met at the same levels in the same arc order as without the
+    table, and ``from_lazy`` numbers them as before.
+    """
+
+    def __init__(self, params: AutomatonParameters, width: int, flag_radix: int = 1):
+        self.params, self.m = params, params.m
+        self.width = width
+        self.phases = _Phases(params, lo=width - 1)
+        self.digits = (params.m + 1) ** (2 * width - 2)
+        self.key = _Key(self.phases.count, flag_radix, *(params.m + 1,) * (2 * width - 2))
+        self.u = self.phases.windows(width)
+        self.last, self.done = self.phases.id[width, 0], self.phases.id[width - 1, 0]
+
+    def _viable_keys(self, keys: np.ndarray) -> np.ndarray:
+        coarse = keys // (self.key.radices[1] * self.digits) * self.digits + keys % self.digits
+        return _viable(type(self), self.params)[coarse]
+
+    def initial_keys(self) -> np.ndarray:
+        keys = self.key.pack(self.phases.initial(self.width), *[0] * (len(self.key.radices) - 1))
+        return keys[self._viable_keys(keys)]
+
+    def final(self, keys: np.ndarray) -> np.ndarray:
+        return self.key.unpack(keys)[0][:, 0] == self.done
+
+    def step(self, keys: np.ndarray):
+        pos, codes, target = self.arcs(keys)
+        keep = self._viable_keys(target)
+        return pos[keep], codes[keep], target[keep]
+
+
+class _Pass1Lazy(_PassLazy):
     """The width-4 pass over an input: tracks (z, z') with ``_DigitInput``,
     or (x, y, z') for z = x + y with ``_SumInput``.
 
@@ -198,23 +301,27 @@ class _Pass1Lazy:
     Grid per state: input, claimed digit, successor phase.
     """
 
-    def __init__(self, params: AutomatonParameters, hook):
-        self.m = params.m
+    def __init__(self, params: AutomatonParameters, hook=None):
+        hook = hook or _DigitInput(params)
+        super().__init__(params, 4, hook.flag_radix)
         self.hook = hook
-        self.phases = _Phases(params, lo=3)
-        self.key = _Key(self.phases.count, hook.flag_radix, *(params.m + 1,) * 6)
-        self.u = self.phases.windows(4)
-        self.ub = self.phases.windows(3)[self.phases.id[3, 0]]
-        self.last, self.done = self.phases.id[4, 0], self.phases.id[3, 0]
+        self.ub = self.phases.windows(3)[self.done]
         self.fanout = len(hook.letter) * (params.m + 1) * 2
 
-    def initial_keys(self) -> np.ndarray:
-        return self.key.pack(self.phases.initial(4), 0, 0, 0, 0, 0, 0, 0)
+    def moves(self):
+        """The window steps over every input digit, and the closing check."""
+        r = self.m + 1
+        v = _digit_grid(4, self.m)  # v0, v1, v2 and the input digit
+        full = rewrite(window_a_delta, self.u.T[..., None], v)
+        phase, at = np.nonzero(full[3] <= self.m)
+        full = [a[phase, at] for a in full]
+        head = np.ravel_multi_index((v[0][at], v[1][at], v[2][at], full[0]), (r,) * 4)
+        out = rewrite(window_b_delta, self.ub, _digit_grid(3, self.m))
+        w1, w2 = _digit_grid(2, self.m)
+        closes = (out[0][:, None] == w1) & (out[1][:, None] == w2) & (out[2][:, None] <= self.m)
+        return (phase, head, np.ravel_multi_index(full[1:], (r,) * 3)), closes
 
-    def final(self, keys: np.ndarray) -> np.ndarray:
-        return self.key.unpack(keys)[0][:, 0] == self.done
-
-    def step(self, keys: np.ndarray):
+    def arcs(self, keys: np.ndarray):
         m = self.m
         p, flags, v0, v1, v2, w0, w1, w2 = self.key.unpack(keys)
         u = self.u[p[:, 0]].T[..., None]
@@ -244,32 +351,27 @@ class _Pass1Lazy:
         return pos, self.hook.letter[c] * (m + 1) + y, target
 
 
-class _Width3Lazy:
+class _Width3Lazy(_PassLazy):
     """State frame of the width-3 pass automata: (phase, v, w) with
     two-digit buffers v and w, and phases counting down to 2.  The step
     into phase 2 verifies the first window of the pass outright, which
-    leaves one output digit, and clears v.
+    leaves one output digit, and clears v.  Both close where the oldest
+    pending digit left equals the buffered digit after the settled one.
 
     Grid per state: pass 3 reads input x, claim y, successor phase; pass 2
     reads claim y, preimage, input x, successor phase.
     """
 
     def __init__(self, params: AutomatonParameters):
-        self.m = params.m
-        self.phases = _Phases(params, lo=2)
-        self.key = _Key(self.phases.count, *(params.m + 1,) * 4)
-        self.u = self.phases.windows(3)
-        self.last, self.done = self.phases.id[3, 0], self.phases.id[2, 0]
+        super().__init__(params, 3)
         self.fanout = 4 * (params.m + 1) ** 2
 
-    def initial_keys(self) -> np.ndarray:
-        return self.key.pack(self.phases.initial(3), 0, 0, 0, 0)
-
-    def final(self, keys: np.ndarray) -> np.ndarray:
-        return self.key.unpack(keys)[0][:, 0] == self.done
+    def _closes(self) -> np.ndarray:
+        r = self.m + 1
+        return np.arange(r * r)[:, None] // r == np.arange(r)
 
     def _fields(self, keys: np.ndarray):
-        p, v0, v1, w0, w1 = self.key.unpack(keys)
+        p, _, v0, v1, w0, w1 = self.key.unpack(keys)
         u = self.u[p[:, 0]].T[..., None]
         return p == self.last, (v0, v1), (w0, w1), u, self.phases.next[p[:, 0]]
 
@@ -284,7 +386,24 @@ class _Pass2Lazy(_Width3Lazy):
     final step verifies the first window of the pass outright.
     """
 
-    def step(self, keys: np.ndarray):
+    def moves(self):
+        """The preimage steps over every claim, and for the last phase
+        every window (w0, w1, x) that rewrites to (v0, v1, ...), its tail
+        holding w1 for the closing check."""
+        r, count = self.m + 1, self.phases.count
+        v0, v1, y = (np.broadcast_to(a, (count, r**3)) for a in _digit_grid(3, self.m))
+        exists, before = c_preimages_array(self.u.T[..., None], (v0, v1, y), self.m)
+        exists[self.last] = False
+        phase, at, k = np.nonzero(exists)
+        head = np.ravel_multi_index((v0[phase, at], v1[phase, at], before[0][phase, at, k]), (r,) * 3)
+        tail = np.ravel_multi_index((before[1][phase, at, k], before[2][phase, at, k]), (r,) * 2)
+        w0, w1, x = _digit_grid(3, self.m)
+        out = rewrite(window_c_delta, self.u[self.last], (w0, w1, x))
+        last = np.full(len(w0), self.last)
+        moves = (phase, last), (head, np.ravel_multi_index((out[0], out[1], w0), (r,) * 3)), (tail, w1 * r)
+        return tuple(np.concatenate(a) for a in moves), self._closes()
+
+    def arcs(self, keys: np.ndarray):
         last, (v0, v1), (w0, w1), u, nxt = self._fields(keys)
         digits = np.arange(self.m + 1)
         exists, before = c_preimages_array(u, (v0, v1, digits), self.m)
@@ -298,7 +417,7 @@ class _Pass2Lazy(_Width3Lazy):
         cells = np.where(last[..., None, None], closes, general[..., None])
         pos, y, k, x, t = np.nonzero(cells[..., None] & (nxt >= 0)[:, None, None, None, :])
         nv = [np.where(last[pos, 0], 0, b[pos, y, k]) for b in before[1:]]
-        target = self.key.pack(nxt[pos, t], *nv, w1[pos, 0], x)
+        target = self.key.pack(nxt[pos, t], 0, *nv, w1[pos, 0], x)
         return pos, x * (self.m + 1) + y, target
 
 
@@ -311,7 +430,17 @@ class _Pass3Lazy(_Width3Lazy):
     its settled digit with the oldest buffered claim.
     """
 
-    def step(self, keys: np.ndarray):
+    def moves(self):
+        """The window steps over every input digit, and the closing check."""
+        r = self.m + 1
+        v0, v1, x = _digit_grid(3, self.m)
+        out = rewrite(window_c_delta, self.u.T[..., None], (v0, v1, x))
+        phase, at = np.indices(out[0].shape).reshape(2, -1)
+        out = [a.ravel() for a in out]
+        head = np.ravel_multi_index((v0[at], v1[at], out[0]), (r,) * 3)
+        return (phase, head, np.ravel_multi_index(out[1:], (r,) * 2)), self._closes()
+
+    def arcs(self, keys: np.ndarray):
         last, (v0, v1), (w0, w1), u, nxt = self._fields(keys)
         digits = np.arange(self.m + 1)
         out = rewrite(window_c_delta, u, (v0, v1, digits))
@@ -319,7 +448,7 @@ class _Pass3Lazy(_Width3Lazy):
         claims = ok[..., None] & (~last[..., None] | (digits == out[2][..., None]))
         pos, x, y, t = np.nonzero(claims[..., None] & (nxt >= 0)[:, None, None, :])
         nv = [np.where(last, 0, a)[pos, x] for a in out[1:]]
-        target = self.key.pack(nxt[pos, t], *nv, w1[pos, 0], y)
+        target = self.key.pack(nxt[pos, t], 0, *nv, w1[pos, 0], y)
         return pos, x * (self.m + 1) + y, target
 
 
@@ -335,7 +464,7 @@ def build_pass_automaton(cf: ContinuedFraction, pass_no: int) -> Automaton:
         raise ValueError(f"pass number must be 1, 2 or 3, got {pass_no}")
     params = _params(cf)
     if pass_no == 1:
-        lazy = _Pass1Lazy(params, _DigitInput(params))
+        lazy = _Pass1Lazy(params)
     else:
         lazy = (_Pass2Lazy if pass_no == 2 else _Pass3Lazy)(params)
     return from_lazy(lazy, 2, params.m)

@@ -27,8 +27,9 @@ from ostrowski import (
     pass3,
     words,
 )
+from ostrowski.automata import from_lazy
 from ostrowski.contfrac import automaton_parameters
-from ostrowski.recognizers import _DigitInput, _Pass1Lazy
+from ostrowski.recognizers import _DigitInput, _Pass1Lazy, _Pass2Lazy, _Pass3Lazy, _SumInput
 
 from oracles import differential_pass_check, pass_oracle
 
@@ -237,6 +238,54 @@ def test_state_keys_that_overflow_int64_refused():
         build_pass_automaton(ContinuedFraction.from_text("1;(485)"), 1)
     with pytest.raises(AutomatonTooLarge):
         build_adder(ContinuedFraction.from_text("1;(385)"))
+    # the keys of 1;(20) fit, but its table of viable pass-1 states would
+    # take 11 * 42**6 cells; it is refused before one is allocated
+    with pytest.raises(AutomatonTooLarge):
+        build_pass_automaton(ContinuedFraction.from_text("1;(20)"), 1)
+
+
+def unpruned(frame):
+    """The frame exploring every state, as with an all-true viability table."""
+
+    class Unpruned(frame):
+        def _viable_keys(self, keys):
+            return np.ones(len(keys), bool)
+
+    return Unpruned
+
+
+@settings(max_examples=5, deadline=None, database=None)
+@given(
+    preperiod=st.lists(st.integers(1, 2), max_size=2),
+    period=st.lists(st.integers(1, 2), min_size=1, max_size=3),
+)
+def test_viability_prune_keeps_every_pass_frame(preperiod, period):
+    params = automaton_parameters(ContinuedFraction(1, tuple(preperiod), tuple(period)))
+    frames = [
+        (_Pass1Lazy, (_DigitInput,), 2),
+        (_Pass1Lazy, (_SumInput,), 3),
+        (_Pass2Lazy, (), 2),
+        (_Pass3Lazy, (), 2),
+    ]
+    for frame, hooks, arity in frames:
+        args = [params] + [hook(params) for hook in hooks]
+        pruned = from_lazy(frame(*args), arity, params.m)
+        assert pruned.to_text() == from_lazy(unpruned(frame)(*args), arity, params.m).to_text()
+
+
+def test_pass1_explores_only_states_it_keeps(golden, sqrt2):
+    class Recorded(_Pass1Lazy):
+        def step(self, keys):
+            pos, codes, target = super().step(keys)
+            met.update(target.tolist())
+            return pos, codes, target
+
+    for cf in (golden, sqrt2):
+        params = automaton_parameters(cf)
+        frame = Recorded(params)
+        met = set(frame.initial_keys().tolist())
+        kept = from_lazy(frame, 2, params.m)
+        assert len(met) == kept.num_states == build_pass_automaton(cf, 1).num_states
 
 
 def test_adder_functional(golden):
