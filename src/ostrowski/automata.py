@@ -35,7 +35,25 @@ Adding, reordering and identifying tracks is one gather of letter codes:
 each new letter code reads as one old code, and an arc goes to every new
 code reading as its own.
 
-One explorer, ``_explore``, numbers the states of every construction that
+Products, subset constructions, reachability and minimization each have
+two kernels that give the same arrays.  The array kernels advance a whole
+breadth-first level at once in numpy, at a fixed cost of a few dozen numpy
+calls per level; the per-state kernels (``..._small``) run one state at a
+time in plain Python over the CSR arrays as lists (``_lists``), at a cost
+per arc but none per level.  So the per-state kernel runs when its
+operands hold at most ``_SMALL`` states plus arcs per breadth-first level:
+``_levels`` records the levels of the construction that made an automaton
+(1 when not known).  Small automata, most of those a sentence composes,
+and deep ones, such as the chain of a long numeral, take the per-state
+kernels; wide ones, such as the adder's stages, the array kernels.  The
+crossover was measured on the benchmark's operations.  Minimization is
+Moore refinement in the array kernel, a numpy round over the successor
+table per step of the longest distinguishing word, and Hopcroft's
+partition refinement in the per-state kernel, where a split costs only
+the states it moves; Moore rounds in Python would cost a pass over every
+state per round.
+
+One explorer, ``_explore``, numbers the states of every array kernel that
 numbers them breadth first: lazy exploration (``from_lazy``), products,
 the canonical renumbering of minimization and the shortest witness.  It
 advances a whole level of int64 keys at once, in chunks that bound its
@@ -44,15 +62,16 @@ plus states under the ``_MAX_CELLS`` guard.  A product state is keyed
 exactly by its pair of state ids, a minimized state by its block, and a
 state of a lazily described automaton by the int64 key its recognizer
 packs it into; the recognizer steps whole arrays of keys and hands back
-letter codes.  Two searches keep their own levels: subset constructions,
-which key a subset by the bytes of the sorted ranks of its states, and
-``_reach``, which marks the states reachable along arcs without holding
-any (emptiness, and the trims).  Subset constructions and ``from_lazy``
-leave out the states that cannot reach a final state, so dead pairs and
-dead guesses never inflate them.  A difference (and so a complement) is a
-product whose right side moves to its dead state where it lacks an arc.
-Only minimization and batch membership (``_accepts_all``) build a
-successor table, under the same guard.
+letter codes.  Two array kernels keep their own levels: the subset
+construction's, which keys a subset by the bytes of the sorted ranks of
+its states, and ``_reach_array``, which marks the states reachable along
+arcs without holding any (emptiness, and the trims).  Subset
+constructions and ``from_lazy`` leave out the states that cannot reach a
+final state, so dead pairs and dead guesses never inflate them.  A
+difference (and so a complement) is a product whose right side moves to
+its dead state where it lacks an arc.  Only the array minimization and
+batch membership (``_accepts_all``) build a successor table, under the
+same guard.
 """
 
 from __future__ import annotations
@@ -69,6 +88,7 @@ TupleWord = tuple[Letter, ...]
 
 _MAX_CELLS = 1 << 27  # largest table (states x letters), arc count or state count held
 _CHUNK = 1 << 21  # array elements one step of a breadth-first level works on
+_SMALL = 512  # states plus arcs per breadth-first level up to which the per-state kernels run
 _INT64_MAX = int(np.iinfo(np.int64).max)
 
 
@@ -146,6 +166,16 @@ def _csr(n: int, letters: int, srcs, codes, dsts) -> tuple[np.ndarray, np.ndarra
 
 def _reach(n: int, srcs: np.ndarray, dsts: np.ndarray, seeds) -> np.ndarray:
     """Mask of the states reachable from ``seeds`` along the arcs srcs -> dsts."""
+    if n + len(srcs) > _SMALL:
+        return _reach_array(n, srcs, dsts, seeds)
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for s, t in zip(srcs.tolist(), dsts.tolist()):
+        adj[s].append(t)
+    return np.array(_reach_small(adj, np.asarray(seeds, np.int64).tolist()), bool)
+
+
+def _reach_array(n: int, srcs: np.ndarray, dsts: np.ndarray, seeds) -> np.ndarray:
+    """``_reach`` a breadth-first level at a time."""
     adj = dsts[np.argsort(srcs)].astype(np.intp)  # gathered by index, so no cast per level
     indptr = np.zeros(n + 1, np.int64)
     np.cumsum(np.bincount(srcs, minlength=n), out=indptr[1:])
@@ -161,38 +191,37 @@ def _reach(n: int, srcs: np.ndarray, dsts: np.ndarray, seeds) -> np.ndarray:
     return seen
 
 
+def _reach_small(adj: list[list[int]], seeds) -> list[bool]:
+    """Which states are reachable from ``seeds`` along ``adj[s]``."""
+    seen = [False] * len(adj)
+    stack = []
+    for s in seeds:
+        if not seen[s]:
+            seen[s] = True
+            stack.append(s)
+    while stack:
+        for t in adj[stack.pop()]:
+            if not seen[t]:
+                seen[t] = True
+                stack.append(t)
+    return seen
+
+
 def _state_set(states) -> frozenset[int]:
     return frozenset(states.tolist() if isinstance(states, np.ndarray) else map(int, states))
 
 
 class _PairIndex:
     """Exact int32 ids of int64 keys, new keys numbered in order of first
-    occurrence.
+    occurrence, by binary search in the sorted keys seen."""
 
-    Keys known to lie in ``range(space)``, at most ``_CHUNK`` keys (most
-    products and minimizations), are looked up in a table of ids, in fewer
-    array calls than the sorted keys seen take, which serve the others."""
-
-    def __init__(self, space: Optional[int] = None):
-        self.table = np.full(space, -1, np.int32) if space is not None and space <= _CHUNK else None
+    def __init__(self):
         self.keys = np.empty(0, np.int64)  # sorted
         self.ids = np.empty(0, np.int32)
         self.count = 0
 
     def lookup(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Ids of ``keys`` and the keys seen for the first time, in order."""
-        if self.table is not None:
-            ids = self.table[keys]
-            missing = (ids < 0).nonzero()[0]
-            if not missing.size:
-                return ids, missing
-            new, at = keys[missing], np.arange(len(missing), dtype=np.int32)
-            self.table[new] = len(new)  # each new key's entry falls to its first position
-            np.minimum.at(self.table, new, at)
-            fresh = new[self.table[new] == at]
-            self.table[fresh] = np.arange(self.count, self.count + len(fresh), dtype=np.int32)
-            self.count += len(fresh)
-            return self.table[keys], fresh
         at = np.searchsorted(self.keys, keys)
         found = at < len(self.keys)
         found[found] = self.keys[at[found]] == keys[found]
@@ -218,7 +247,7 @@ class _PairIndex:
         return ids, fresh[order]
 
 
-def _explore(starts, step, fanout: int, space: Optional[int] = None):
+def _explore(starts, step, fanout: int):
     """Breadth-first exploration from the keys ``starts``, one level at a time.
 
     ``step(keys)`` gives every arc ``(pos, codes, targets)`` leaving
@@ -226,12 +255,11 @@ def _explore(starts, step, fanout: int, space: Optional[int] = None):
     at most ``_CHUNK`` cells, ``fanout`` of them per key.  States are
     numbered in order of first occurrence, the starts first, then each
     level's targets in arc order: so over ascending letters the ids come out
-    as a state-by-state exploration would assign them.  Keys known to lie in
-    ``range(space)`` are numbered through a table (``_PairIndex``).  Returns
-    the keys by id and the arcs (srcs, codes, dsts) in that order, with int32
-    ids; arcs and states together stay within ``_MAX_CELLS``.
+    as a state-by-state exploration would assign them.  Returns the keys by
+    id, the arcs (srcs, codes, dsts) in that order, with int32 ids, and the
+    number of levels; arcs and states together stay within ``_MAX_CELLS``.
     """
-    index = _PairIndex(space)
+    index = _PairIndex()
     _, level = index.lookup(np.asarray(starts, np.int64))
     levels, degrees, codes, dsts = [level], [], [], []
     per_chunk = max(1, _CHUNK // max(1, fanout))
@@ -251,7 +279,7 @@ def _explore(starts, step, fanout: int, space: Optional[int] = None):
         _cells(arcs + index.count, "explored arcs and states")
     keys, none = np.concatenate(levels), [np.empty(0, np.int32)]
     srcs = np.repeat(np.arange(len(keys), dtype=np.int32), np.concatenate(degrees + none))
-    return keys, srcs, np.concatenate(codes + none), np.concatenate(dsts + none)
+    return keys, srcs, np.concatenate(codes + none), np.concatenate(dsts + none), len(levels) - 1
 
 
 # -- automata ---------------------------------------------------------------------
@@ -294,25 +322,43 @@ class Automaton:
         codes = [code_of[letter] for letter in letters]
         self._init(arity, digit_bound, num_states, initial, finals, srcs, codes, dsts, False)
 
-    def _init(self, arity, digit_bound, num_states, initial, finals, srcs, codes, dsts, deterministic):
+    def _init(self, arity, digit_bound, num_states, initial, finals, srcs, codes, dsts, deterministic,
+              levels: int = 1):
+        self._set(arity, digit_bound, num_states, initial, finals, deterministic, levels)
+        self._arrays = _csr(self.num_states, self.alphabet_size, srcs, codes, dsts)
+
+    def _set(self, arity, digit_bound, num_states, initial, finals, deterministic, levels: int) -> None:
         self.arity = arity
         self.digit_bound = digit_bound
         self.num_states = int(num_states)
         self.initial = _state_set(initial)
         self.finals = _state_set(finals)
         self.deterministic = deterministic
+        self._levels = max(1, levels)  # breadth-first levels its construction met; 1 when not known
         self._letter_codes: dict[Letter, int] = {}
         self._arcs_by_key = None
+        self._arc_lists = None
         _check_keys(self.num_states, arity, digit_bound)
-        self._arrays = _csr(self.num_states, self.alphabet_size, srcs, codes, dsts)
 
     @classmethod
     def _build(cls, arity, digit_bound, num_states, initial, finals, srcs, codes, dsts,
-               deterministic: bool) -> "Automaton":
+               deterministic: bool, levels: int = 1) -> "Automaton":
         """An automaton from arc arrays in any order.  A deterministic one has
         the initial state 0 and at most one arc per (state, code)."""
         self = cls.__new__(cls)
-        self._init(arity, digit_bound, num_states, initial, finals, srcs, codes, dsts, deterministic)
+        self._init(arity, digit_bound, num_states, initial, finals, srcs, codes, dsts, deterministic, levels)
+        return self
+
+    @classmethod
+    def _from_rows(cls, arity, digit_bound, initial, finals, indptr: list, codes: list, dsts: list,
+                   deterministic: bool, levels: int) -> "Automaton":
+        """An automaton from CSR lists already sorted by (src, code, dst) and
+        free of duplicates, as the per-state kernels emit them; the lists
+        are kept as its ``_lists()``."""
+        self = cls.__new__(cls)
+        self._set(arity, digit_bound, len(indptr) - 1, initial, finals, deterministic, levels)
+        self._arrays = (np.array(indptr, np.int64), np.array(codes, np.int64), np.array(dsts, np.int32))
+        self._arc_lists = (indptr, codes, dsts)
         return self
 
     @classmethod
@@ -346,6 +392,17 @@ class Automaton:
         """All arcs as (srcs, codes, dsts), sorted by (src, code, dst)."""
         indptr, codes, dsts = self._arrays
         return np.repeat(np.arange(self.num_states), np.diff(indptr)), codes, dsts
+
+    def _lists(self) -> tuple[list, list, list]:
+        """The CSR arrays as Python lists, for the per-state kernels; made
+        on first use."""
+        if self._arc_lists is None:
+            self._arc_lists = tuple(a.tolist() for a in self._arrays)
+        return self._arc_lists
+
+    def _size(self) -> int:
+        """States plus arcs: what the choice between the kernels reads."""
+        return self.num_states + self.num_transitions()
 
     def _useful(self) -> np.ndarray:
         """Mask of the states from which a final state can be reached."""
@@ -400,6 +457,16 @@ class Automaton:
         memo = self._letter_codes
         arcs = self._arc_dict()
         size = self.alphabet_size
+        if self.deterministic:  # one state per letter
+            state = 0
+            for letter in word:
+                code = memo.get(letter)
+                if code is None and (code := self._new_code(letter)) < 0:
+                    return False
+                state = arcs.get(state * size + code)
+                if state is None:
+                    return False
+            return state in self.finals
         states = self.initial
         for letter in word:
             code = memo.get(letter)
@@ -423,14 +490,18 @@ class Automaton:
         code = self._letter_codes[letter] = _code(letter, self.arity, self.digit_bound + 1)
         return code
 
-    def _arc_dict(self) -> dict[int, list[int]]:
-        """Targets by ``src * alphabet_size + code``, built on first use."""
+    def _arc_dict(self) -> dict:
+        """The targets by ``src * alphabet_size + code``, built on first use:
+        the one target of a deterministic automaton, a list otherwise."""
         if self._arcs_by_key is None:
             srcs, codes, dsts = self._arc_arrays()
-            keys = srcs.astype(np.int64) * self.alphabet_size + codes
-            self._arcs_by_key = arcs = {}
-            for key, dst in zip(keys.tolist(), dsts.tolist()):
-                arcs.setdefault(key, []).append(dst)
+            keys = (srcs.astype(np.int64) * self.alphabet_size + codes).tolist()
+            if self.deterministic:
+                self._arcs_by_key = dict(zip(keys, dsts.tolist()))
+            else:
+                self._arcs_by_key = arcs = {}
+                for key, dst in zip(keys, dsts.tolist()):
+                    arcs.setdefault(key, []).append(dst)
         return self._arcs_by_key
 
     # -- structural operations ----------------------------------------------
@@ -450,7 +521,11 @@ class Automaton:
         (the empty language keeps its initial state, with no arcs)."""
         if not self.deterministic:
             raise ValueError("minimize requires a deterministic automaton")
-        return _minimize_dfa(self, total)
+        n = self.num_states
+        if total:  # refused before an array as long as the alphabet is made
+            _cells((n + 1) * self.alphabet_size, "minimization table")
+        work = n + ((n + 1) * self.alphabet_size if total else self.num_transitions())
+        return (_minimize_small if work <= _SMALL * self._levels else _minimize_array)(self, total)
 
     def determinize_minimize(self, total: bool = True) -> "Automaton":
         """Equivalent deterministic minimal automaton, canonically numbered;
@@ -479,12 +554,17 @@ class Automaton:
         combines the final masks of the components, pair by pair.
         """
         self._require_compatible(other)
+        _check_keys(other.num_states + dead, self.arity, self.digit_bound)  # the dead state's keys too
+        small = self._size() + other._size() <= _SMALL * max(self._levels, other._levels)
+        return (self._product_small if small else self._product_array)(other, final, dead)
+
+    def _product_array(self, other: "Automaton", final, dead: bool) -> "Automaton":
+        """``_product`` a breadth-first level at a time, numbered by ``_explore``."""
         size = self.alphabet_size
         ia, ca, da = self._arrays
         sb, cb, db = other._arc_arrays()
         keys_b = np.append(sb * size + cb, -1)  # ascending, then one no letter matches
         nb = other.num_states + dead
-        _check_keys(nb, self.arity, self.digit_bound)  # the dead state's keys too
         fa, fb = self._final_mask(), np.append(other._final_mask(), False)[:nb]  # the dead state rejects
         db = np.append(db, nb - 1)  # the dead state, where no arc matches
 
@@ -506,12 +586,54 @@ class Automaton:
             return pos, ca[arc], da[arc].astype(np.int64) * nb + to_b
 
         starts = [p * nb + q for p in sorted(self.initial) for q in sorted(other.initial)]
-        pairs, srcs, codes, dsts = _explore(starts, step, self._degree(), self.num_states * nb)
+        pairs, srcs, codes, dsts, levels = _explore(starts, step, self._degree())
         return Automaton._build(
             self.arity, self.digit_bound, len(pairs), range(len(starts)),
             np.flatnonzero(final(fa[pairs // nb], fb[pairs % nb])), srcs, codes, dsts,
-            self.deterministic and other.deterministic,
+            self.deterministic and other.deterministic, levels,
         )
+
+    def _product_small(self, other: "Automaton", final, dead: bool) -> "Automaton":
+        """``_product`` one pair at a time, numbering pairs on first sight: the
+        order ``_explore`` numbers them in."""
+        size = self.alphabet_size
+        ia, ca, da = self._lists()
+        arcs_b = other._arc_dict()
+        nb = other.num_states + dead
+        miss = other.num_states if dead else None  # where other goes on a letter it lacks
+        pairs = [(p, q) for p in sorted(self.initial) for q in sorted(other.initial)]
+        index = {p * nb + q: i for i, (p, q) in enumerate(pairs)}
+        starts = len(pairs)
+        level = [1] * starts  # of each pair
+        single, deterministic = other.deterministic, self.deterministic and other.deterministic
+        indptr, codes, dsts = [0], [], []
+        for i, (p, q) in enumerate(pairs):  # also the pairs appended while it runs
+            lo = len(codes)
+            for c, d in zip(ca[ia[p] : ia[p + 1]], da[ia[p] : ia[p + 1]]):
+                if single:
+                    e = arcs_b.get(q * size + c, miss)
+                    if e is None:
+                        continue
+                    targets = (e,)
+                else:
+                    targets = arcs_b.get(q * size + c, ())
+                for e in targets:
+                    j = index.setdefault(d * nb + e, len(pairs))
+                    if j == len(pairs):
+                        pairs.append((d, e))
+                        level.append(level[i] + 1)
+                    codes.append(c)
+                    dsts.append(j)
+            if not deterministic:  # several targets on one code
+                row = sorted(zip(codes[lo:], dsts[lo:]))
+                codes[lo:], dsts[lo:] = [c for c, _ in row], [j for _, j in row]
+            indptr.append(len(codes))
+            _cells(len(codes) + len(pairs), "explored arcs and states")
+        p, q = np.array(pairs, np.int64).reshape(-1, 2).T
+        fb = np.append(other._final_mask(), False)  # the dead state rejects
+        finals = np.flatnonzero(final(self._final_mask()[p], fb[q]))
+        return Automaton._from_rows(self.arity, self.digit_bound, range(starts), finals, indptr, codes, dsts,
+                                    deterministic, max(level, default=1))
 
     def union(self, other: "Automaton") -> "Automaton":
         """Disjoint union (nondeterministic)."""
@@ -524,6 +646,7 @@ class Automaton:
             sorted(self.initial) + [s + off for s in sorted(other.initial)],
             sorted(self.finals) + [s + off for s in sorted(other.finals)],
             np.concatenate([sa, sb + off]), np.concatenate([ca, cb]), np.concatenate([da, db + off]), False,
+            max(self._levels, other._levels),
         )
 
     def cylindrify(self, position: int) -> "Automaton":
@@ -552,7 +675,7 @@ class Automaton:
         pos, at = _ranges(lo, hi)
         return Automaton._build(
             arity, self.digit_bound, self.num_states, sorted(self.initial), sorted(self.finals),
-            srcs[pos], order[at], dsts[pos], self.deterministic,
+            srcs[pos], order[at], dsts[pos], self.deterministic, self._levels,
         )
 
     def project(self, track: int) -> "Automaton":
@@ -568,19 +691,23 @@ class Automaton:
         return self._subsets(zero_closed=True)
 
     def _subsets(self, erase=None, zero_closed=False) -> "Automaton":
-        """Subset construction, one chunk of a breadth-first level at a time.
+        """Subset construction, breadth first over ascending letters.
 
         ``erase`` drops that track from every letter.  ``zero_closed``
         closes the language under leading all-zero letters: the start
         subset holds every state reachable by zero letters and loops on the
         zero letter, which is what a fresh start state with all their arcs
-        and a zero self-loop amounts to; an extra rank marks it.
-        Each subset holds only states from which a final state can be
-        reached, and is keyed exactly by their sorted ranks among those.
-        Only the live (subset, letter) pairs, those with an arc into such a
-        state, are met, so the work follows the arcs.  The result is
-        deterministic and trim.
+        and a zero self-loop amounts to; a mark tells it from the subset of
+        the same states without the loop.  Each subset holds only states
+        from which a final state can be reached, so only the live (subset,
+        letter) pairs, those with an arc into such a state, are met, and the
+        work follows the arcs.  The result is deterministic and trim.
         """
+        small = self._size() <= _SMALL * self._levels
+        return (self._subsets_small if small else self._subsets_array)(erase, zero_closed)
+
+    def _subsets_array(self, erase, zero_closed: bool) -> "Automaton":
+        """``_subsets`` one chunk of a breadth-first level at a time."""
         arity = self.arity - (erase is not None)
         size = (self.digit_bound + 1) ** arity
         n = self.num_states
@@ -606,6 +733,7 @@ class Automaton:
         index = {start_key.astype(np.int32).tobytes(): 0}
         degree = np.diff(self._arrays[0])
         members, load, finals = [start], [int(degree[start].sum())], [bool(final[start].any())]
+        level = [1]  # of each subset
         load_of, final_of = np.append(degree[kept], 0), np.append(final[kept], False)  # by rank
         _check_keys(u + 1, arity, self.digit_bound)  # a pair (row, rank) packs into an int64
         budget = max(1, min(_CHUNK, _INT64_MAX // (size * (u + 1))))
@@ -632,8 +760,9 @@ class Automaton:
             row_final = np.logical_or.reduceat(final_of[ranks], head).tolist()
             bounds = np.append(head, len(ranks)).tolist()
             keys = ranks.astype(np.int32).tobytes()
+            owners = i + rows // size
             ids = []
-            for r, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+            for r, (lo, hi, owner) in enumerate(zip(bounds, bounds[1:], owners.tolist())):
                 key = keys[4 * lo : 4 * hi]
                 sid = index.get(key)
                 if sid is None:
@@ -641,8 +770,9 @@ class Automaton:
                     members.append(kept[ranks[lo:hi]])
                     load.append(row_load[r])
                     finals.append(row_final[r])
+                    level.append(level[owner] + 1)
                 ids.append(sid)
-            srcs.append(i + rows // size)
+            srcs.append(owners)
             codes_out.append(rows % size)
             dsts.append(np.array(ids, np.int64))
             arcs += len(rows)
@@ -650,8 +780,62 @@ class Automaton:
             i = j
         return Automaton._build(
             arity, self.digit_bound, len(members), [0], np.flatnonzero(finals),
-            np.concatenate(srcs), np.concatenate(codes_out), np.concatenate(dsts), True,
+            np.concatenate(srcs), np.concatenate(codes_out), np.concatenate(dsts), True, level[-1],
         )
+
+    def _subsets_small(self, erase, zero_closed: bool) -> "Automaton":
+        """``_subsets`` one subset at a time, numbering subsets on first sight
+        over ascending letters.  A subset is keyed by the tuple of its sorted
+        states, and the zero-closed start by that tuple with ``num_states``
+        appended."""
+        arity = self.arity - (erase is not None)
+        n = self.num_states
+        indptr, codes, dsts = self._lists()
+        if erase is not None:
+            low = (self.digit_bound + 1) ** (self.arity - 1 - erase)
+            high = low * (self.digit_bound + 1)
+            codes = [c // high * low + c % low for c in codes]
+        back: list[list[int]] = [[] for _ in range(n)]
+        for s in range(n):
+            for t in dsts[indptr[s] : indptr[s + 1]]:
+                back[t].append(s)
+        useful = _reach_small(back, self.finals)
+        start = sorted(self.initial)
+        if zero_closed:
+            zero = [[t for k, t in enumerate(dsts[indptr[s] : indptr[s + 1]], indptr[s]) if codes[k] == 0]
+                    for s in range(n)]
+            start = [s for s, hit in enumerate(_reach_small(zero, start)) if hit]
+        start = [s for s in start if useful[s]]
+        if not start:  # the language is empty
+            return Automaton._from_rows(arity, self.digit_bound, [0], [], [0, 0], [], [], True, 1)
+        _check_keys(sum(useful) + 1, arity, self.digit_bound)  # what the array kernel's keys refuse
+        start_key = (*start, n) if zero_closed else tuple(start)
+        index = {start_key: 0}
+        members: list = [start]
+        level = [1]  # of each subset
+        finals, indptr_out, codes_out, dsts_out = [], [0], [], []
+        for i, group in enumerate(members):  # also the subsets appended while it runs
+            if not self.finals.isdisjoint(group):
+                finals.append(i)
+            moves: dict[int, set[int]] = {}
+            for s in group:
+                for k in range(indptr[s], indptr[s + 1]):
+                    if useful[dsts[k]]:
+                        moves.setdefault(codes[k], set()).add(dsts[k])
+            keys = {c: tuple(sorted(targets)) for c, targets in moves.items()}
+            if zero_closed and i == 0:  # its zero targets are in it, and it loops on the zero letter
+                keys[0] = start_key
+            for c in sorted(keys):
+                sid = index.setdefault(keys[c], len(members))
+                if sid == len(members):
+                    members.append(keys[c])
+                    level.append(level[i] + 1)
+                codes_out.append(c)
+                dsts_out.append(sid)
+            indptr_out.append(len(codes_out))
+            _cells(len(codes_out) + len(members), "subset arcs and states")
+        return Automaton._from_rows(arity, self.digit_bound, [0], finals, indptr_out, codes_out, dsts_out, True,
+                                    level[-1])
 
     def is_empty(self) -> bool:
         srcs, _, dsts = self._arc_arrays()
@@ -667,7 +851,7 @@ class Automaton:
         that first met each state, back from the final state met first.
         """
         start = sorted(self.initial)
-        states, srcs, codes, dsts = _explore(start, self._gather, self._degree(), self.num_states)
+        states, srcs, codes, dsts, _ = _explore(start, self._gather, self._degree())
         hits = np.flatnonzero(self._final_mask()[states])
         if not hits.size:
             return None
@@ -776,7 +960,7 @@ def from_lazy(lazy, arity: int, digit_bound: int) -> Automaton:
     can be reached (a backward ``_reach`` over the arcs).
     """
     starts = np.asarray(lazy.initial_keys(), np.int64)
-    keys, srcs, codes, dsts = _explore(starts, lazy.step, lazy.fanout)
+    keys, srcs, codes, dsts, levels = _explore(starts, lazy.step, lazy.fanout)
     n = len(keys)
     _check_keys(n, arity, digit_bound)
     finals = np.flatnonzero(lazy.final(keys))
@@ -787,10 +971,14 @@ def from_lazy(lazy, arity: int, digit_bound: int) -> Automaton:
     return Automaton._build(
         arity, digit_bound, int(useful.sum()), renumber[initial[useful[initial]]],
         renumber[finals[useful[finals]]], renumber[srcs[keep]], codes[keep], renumber[dsts[keep]], False,
+        levels,
     )
 
 
-def _minimize_dfa(dfa: Automaton, total: bool) -> Automaton:
+# -- minimization ----------------------------------------------------------------
+
+
+def _minimize_array(dfa: Automaton, total: bool) -> Automaton:
     """Moore refinement over the successor table completed by a virtual dead
     state, then a canonical renumbering of the blocks by ``_explore``.
 
@@ -800,8 +988,6 @@ def _minimize_dfa(dfa: Automaton, total: bool) -> Automaton:
     """
     n = dfa.num_states
     srcs, codes, dsts = dfa._arc_arrays()
-    if total:  # refused before an array as long as the alphabet is made
-        _cells((n + 1) * dfa.alphabet_size, "minimization table")
     cols = np.arange(dfa.alphabet_size) if total else np.unique(codes)
     _cells((n + 1) * len(cols), "minimization table")
     table = np.full((n + 1, len(cols)), n, np.intp)  # table and block ids index, so no cast per round
@@ -828,7 +1014,81 @@ def _minimize_dfa(dfa: Automaton, total: bool) -> Automaton:
         pos, col = (rows >= 0 if total else rows != dead).nonzero()
         return pos, col, rows[pos, col]
 
-    order, srcs, col, dsts = _explore([block[next(iter(dfa.initial))]], step, len(cols), num_blocks)
+    order, srcs, col, dsts, levels = _explore([block[next(iter(dfa.initial))]], step, len(cols))
     final = np.append(dfa._final_mask(), False)[rep[order]]
     return Automaton._build(dfa.arity, dfa.digit_bound, len(order), [0], np.flatnonzero(final),
-                            srcs, cols[col], dsts, True)
+                            srcs, cols[col], dsts, True, levels)
+
+
+def _minimize_small(dfa: Automaton, total: bool) -> Automaton:
+    """``Automaton.minimize`` by partition refinement over the arcs
+    (Hopcroft), then the canonical renumbering of ``_minimize_array``.
+
+    The DFA is completed by a dead state, numbered ``n``, that takes every
+    missing arc.  A waiting block splits the others: it marks the states
+    with an arc into it on one letter, and the marked states of a block
+    move to a new block, so a split costs only them.  When a waiting
+    block splits, both halves wait; when another one splits, either half
+    may wait, and the smaller one does unless it holds the dead state.
+    So the dead state's block never waits, and no arc into the dead
+    state, most of which are not built, is ever read.
+    """
+    n = dfa.num_states
+    indptr, codes, dsts = dfa._lists()
+    into: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (code, src) of the arcs into a state
+    for s in range(n):
+        for k in range(indptr[s], indptr[s + 1]):
+            into[dsts[k]].append((codes[k], s))
+    finals = dfa.finals
+    block_of = [0 if s in finals else 1 for s in range(n)] + [1]
+    blocks = [set(finals), set(range(n + 1)) - finals]
+    waiting, queued = [0], [True, False]
+    while waiting:
+        splitter = waiting.pop()
+        queued[splitter] = False
+        marks: dict[int, list[int]] = {}
+        for t in blocks[splitter]:
+            for c, s in into[t]:
+                marks.setdefault(c, []).append(s)
+        for marked in marks.values():
+            touched: dict[int, list[int]] = {}
+            for s in marked:
+                touched.setdefault(block_of[s], []).append(s)
+            for y, moved in touched.items():
+                if len(moved) == len(blocks[y]):
+                    continue
+                z = len(blocks)
+                blocks[y].difference_update(moved)
+                blocks.append(set(moved))
+                for s in moved:
+                    block_of[s] = z
+                wait = z if queued[y] or n in blocks[y] or len(moved) <= len(blocks[y]) else y
+                queued.append(False)
+                if not queued[wait]:
+                    queued[wait] = True
+                    waiting.append(wait)
+    dead = block_of[n]
+    order = [block_of[next(iter(dfa.initial))]]
+    ids = {order[0]: 0}
+    level = [1]  # of each block met
+    out_finals, indptr_out, codes_out, dsts_out = [], [0], [], []
+    for i, x in enumerate(order):  # also the blocks appended while it runs
+        rep = min(blocks[x])  # all its states move alike
+        if rep in finals:
+            out_finals.append(i)
+        lo, hi = (indptr[rep], indptr[rep + 1]) if rep < n else (0, 0)
+        if total:
+            to = dict(zip(codes[lo:hi], dsts[lo:hi]))
+            moves = [(c, block_of[to[c]] if c in to else dead) for c in range(dfa.alphabet_size)]
+        else:
+            moves = [(c, block_of[t]) for c, t in zip(codes[lo:hi], dsts[lo:hi]) if block_of[t] != dead]
+        for c, y in moves:
+            j = ids.setdefault(y, len(order))
+            if j == len(order):
+                order.append(y)
+                level.append(level[i] + 1)
+            codes_out.append(c)
+            dsts_out.append(j)
+        indptr_out.append(len(codes_out))
+    return Automaton._from_rows(dfa.arity, dfa.digit_bound, [0], out_finals, indptr_out, codes_out, dsts_out,
+                                True, level[-1])

@@ -383,7 +383,7 @@ def _constant_dfa(cf, value: int) -> Automaton:
     digits = list(reversed(encode(cf, value).digits))  # MSD first
     n = len(digits)
     return Automaton._build(1, cf.parameters().m, n + 1, [0], [n], [0, *range(n)], [0, *digits],
-                            [0, *range(1, n + 1)], True)
+                            [0, *range(1, n + 1)], True, levels=n + 1)
 
 
 class _Node(NamedTuple):

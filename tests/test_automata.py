@@ -331,6 +331,60 @@ def test_minimal_states_pairwise_distinguishable():
                 assert distinguishable(d, p, q, arcs)
 
 
+# -- per-state and array kernels ------------------------------------------------
+
+
+def same_automaton(x, y):
+    assert x.to_text() == y.to_text()
+    assert (x.deterministic, x._levels) == (y.deterministic, y._levels)
+    for u, v in zip(x._arrays, y._arrays):
+        assert u.dtype == v.dtype and np.array_equal(u, v)
+
+
+def test_small_and_array_kernels_agree():
+    # each construction's per-state and array kernels, called directly on
+    # the same automata, give the same arrays, numbering and text
+    rng = random.Random(17)
+    empty = Automaton(2, 1, 2, [0, 1], [], {0: {(0, 1): (0, 1)}, 1: {(1, 1): (0,)}})
+    sentences = [Automaton._build(0, 2, 1, [0], finals, [0], [0], [0], True) for finals in ([0], [])]
+    several = 0
+    for i in range(60):
+        arity, bound = rng.choice([1, 2, 3]), rng.choice([1, 2])
+        a, b = random_automaton(rng, arity, bound), random_automaton(rng, arity, bound)
+        if i == 0:
+            arity, bound, a, b = 2, 1, empty, empty
+        several += len(a.initial) > 1
+        for erase in (None, *range(arity)):
+            for zero_closed in (False, True):
+                same_automaton(a._subsets_small(erase, zero_closed),
+                               a._subsets_array(erase, zero_closed))
+        da, db = a.determinize(complete=False), b.determinize(complete=False)
+        everything = Automaton._everything(arity, bound)
+        for x, y in ((a, b), (a, db), (da, b), (da, db)):
+            same_automaton(x._product_small(y, np.logical_and, False),
+                           x._product_array(y, np.logical_and, False))
+        for x, y in ((a, db), (da, db), (everything, da)):  # differences, and a completion
+            same_automaton(x._product_small(y, lambda p, q: p & ~q, True),
+                           x._product_array(y, lambda p, q: p & ~q, True))
+        for x in (da, a.zero_closure(), everything._product(da, lambda p, q: q, dead=True)):
+            for total in (True, False):
+                same_automaton(automata._minimize_small(x, total), automata._minimize_array(x, total))
+        srcs, _, dsts = a._arc_arrays()
+        adj = [dsts[srcs == s].tolist() for s in range(a.num_states)]
+        assert automata._reach_small(adj, sorted(a.initial)) == \
+            automata._reach_array(a.num_states, srcs, dsts, sorted(a.initial)).tolist()
+    assert several >= 10
+    for x in sentences:  # one state, no tracks
+        for zero_closed in (False, True):
+            same_automaton(x._subsets_small(None, zero_closed), x._subsets_array(None, zero_closed))
+        for y in sentences:
+            for dead in (False, True):
+                same_automaton(x._product_small(y, lambda p, q: p & ~q, dead),
+                               x._product_array(y, lambda p, q: p & ~q, dead))
+        for total in (True, False):
+            same_automaton(automata._minimize_small(x, total), automata._minimize_array(x, total))
+
+
 # -- boolean operations ---------------------------------------------------------
 
 
