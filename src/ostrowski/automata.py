@@ -43,10 +43,14 @@ time in plain Python over the CSR arrays as lists (``_lists``), at a cost
 per arc but none per level.  So the per-state kernel runs when its
 operands hold at most ``_SMALL`` states plus arcs per breadth-first level:
 ``_levels`` records the levels of the construction that made an automaton
-(1 when not known).  Small automata, most of those a sentence composes,
-and deep ones, such as the chain of a long numeral, take the per-state
-kernels; wide ones, such as the adder's stages, the array kernels.  The
-crossover was measured on the benchmark's operations.  Minimization is
+(1 when not known; ``_padded_word`` gives a numeral's chain its length).
+Small automata, most of those a sentence composes, and deep ones, such as
+the chain of a long numeral, take the per-state kernels; wide ones, such
+as the adder's stages, the array kernels.  The crossover was measured by
+timing both kernels on every call of the benchmark's operations and of
+numeral chains: on the benchmark's own operations a size-only rule at
+``_SMALL`` does about as well, and the level count is what keeps deep
+chains off the array kernels' per-level cost.  Minimization is
 Moore refinement in the array kernel, a numpy round over the successor
 table per step of the longest distinguishing word, and Hopcroft's
 partition refinement in the per-state kernel, where a split costs only
@@ -164,9 +168,10 @@ def _csr(n: int, letters: int, srcs, codes, dsts) -> tuple[np.ndarray, np.ndarra
     return np.searchsorted(srcs, np.arange(n + 1)), codes, dsts.astype(np.int32)
 
 
-def _reach(n: int, srcs: np.ndarray, dsts: np.ndarray, seeds) -> np.ndarray:
-    """Mask of the states reachable from ``seeds`` along the arcs srcs -> dsts."""
-    if n + len(srcs) > _SMALL:
+def _reach(n: int, srcs: np.ndarray, dsts: np.ndarray, seeds, levels: int) -> np.ndarray:
+    """Mask of the states reachable from ``seeds`` along the arcs srcs -> dsts
+    of an automaton whose construction met ``levels`` breadth-first levels."""
+    if n + len(srcs) > _SMALL * levels:
         return _reach_array(n, srcs, dsts, seeds)
     adj: list[list[int]] = [[] for _ in range(n)]
     for s, t in zip(srcs.tolist(), dsts.tolist()):
@@ -367,6 +372,14 @@ class Automaton:
         codes = np.arange(_cells((digit_bound + 1) ** arity, "alphabet"))
         return cls._build(arity, digit_bound, 1, [0], [0], codes * 0, codes, codes * 0, True)
 
+    @classmethod
+    def _padded_word(cls, digit_bound: int, digits: Sequence[int]) -> "Automaton":
+        """The single-track words ``0* w`` of the digit word ``w`` (no leading
+        zero): a chain of ``len(w) + 1`` states, one per breadth-first level."""
+        n = len(digits)
+        return cls._build(1, digit_bound, n + 1, [0], [n], [0, *range(n)], [0, *digits],
+                          [0, *range(1, n + 1)], True, n + 1)
+
     @property
     def alphabet_size(self) -> int:
         return (self.digit_bound + 1) ** self.arity
@@ -407,7 +420,7 @@ class Automaton:
     def _useful(self) -> np.ndarray:
         """Mask of the states from which a final state can be reached."""
         srcs, _, dsts = self._arc_arrays()
-        return _reach(self.num_states, dsts, srcs, sorted(self.finals))
+        return _reach(self.num_states, dsts, srcs, sorted(self.finals), self._levels)
 
     def _gather(self, states: np.ndarray, erase: Optional[int] = None):
         """Arcs (pos, code, dst) leaving ``states[pos]``, in state order.
@@ -717,7 +730,7 @@ class Automaton:
         if zero_closed:
             srcs, codes, dsts = self._gather(np.arange(n), erase)
             zero = codes == 0
-            start = np.flatnonzero(_reach(n, srcs[zero], dsts[zero], start))
+            start = np.flatnonzero(_reach(n, srcs[zero], dsts[zero], start, self._levels))
         start = start[useful[start]]
         if not start.size:  # the language is empty
             none = np.empty(0, np.int64)
@@ -839,7 +852,7 @@ class Automaton:
 
     def is_empty(self) -> bool:
         srcs, _, dsts = self._arc_arrays()
-        reached = _reach(self.num_states, srcs, dsts, sorted(self.initial))
+        reached = _reach(self.num_states, srcs, dsts, sorted(self.initial), self._levels)
         return not (reached & self._final_mask()).any()
 
     def shortest_witness(self) -> Optional[TupleWord]:
@@ -964,7 +977,7 @@ def from_lazy(lazy, arity: int, digit_bound: int) -> Automaton:
     n = len(keys)
     _check_keys(n, arity, digit_bound)
     finals = np.flatnonzero(lazy.final(keys))
-    useful = _reach(n, dsts, srcs, finals)
+    useful = _reach(n, dsts, srcs, finals, levels)
     renumber = np.cumsum(useful) - 1
     keep = useful[srcs] & useful[dsts]
     initial = np.arange(len(np.unique(starts)))

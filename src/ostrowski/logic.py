@@ -381,9 +381,7 @@ def _zero_track(m: int, holds: bool) -> Automaton:
 def _constant_dfa(cf, value: int) -> Automaton:
     """Single-track automaton accepting exactly 0*rho(value)."""
     digits = list(reversed(encode(cf, value).digits))  # MSD first
-    n = len(digits)
-    return Automaton._build(1, cf.parameters().m, n + 1, [0], [n], [0, *range(n)], [0, *digits],
-                            [0, *range(1, n + 1)], True, levels=n + 1)
+    return Automaton._padded_word(cf.parameters().m, digits)
 
 
 class _Node(NamedTuple):

@@ -385,6 +385,17 @@ def test_small_and_array_kernels_agree():
             same_automaton(automata._minimize_small(x, total), automata._minimize_array(x, total))
 
 
+def test_padded_word_is_a_chain_of_its_length():
+    digits = [1, 0, 2, 0]
+    a = Automaton._padded_word(2, digits)
+    assert a.deterministic and a.num_states == 5 and a._levels == 5
+    for pad in range(3):
+        assert a.accepts(tuple((d,) for d in [0] * pad + digits))
+    for other in ([1, 0, 2], [1, 0, 2, 0, 0], [2, 0, 2, 0], [0, 1, 1, 2, 0]):
+        assert not a.accepts(tuple((d,) for d in other))
+    assert Automaton._padded_word(2, []).accepts(((0,), (0,)))
+
+
 # -- boolean operations ---------------------------------------------------------
 
 
