@@ -168,6 +168,15 @@ def _csr(n: int, letters: int, srcs, codes, dsts) -> tuple[np.ndarray, np.ndarra
     return np.searchsorted(srcs, np.arange(n + 1)), codes, dsts.astype(np.int32)
 
 
+def _distinct(values) -> np.ndarray:
+    """``np.unique(values)`` of a 1-D array by a sort: numpy's hash-based
+    form imports ``numpy.ma`` on first use and is slower on int64 keys."""
+    v = np.sort(np.asarray(values))
+    keep = np.ones(len(v), bool)
+    keep[1:] = v[1:] != v[:-1]
+    return v[keep]
+
+
 def _reach(n: int, srcs: np.ndarray, dsts: np.ndarray, seeds, levels: int) -> np.ndarray:
     """Mask of the states reachable from ``seeds`` along the arcs srcs -> dsts
     of an automaton whose construction met ``levels`` breadth-first levels."""
@@ -185,7 +194,7 @@ def _reach_array(n: int, srcs: np.ndarray, dsts: np.ndarray, seeds) -> np.ndarra
     indptr = np.zeros(n + 1, np.int64)
     np.cumsum(np.bincount(srcs, minlength=n), out=indptr[1:])
     seen = np.zeros(n, bool)
-    frontier = np.unique(np.asarray(seeds, np.int64))
+    frontier = _distinct(np.asarray(seeds, np.int64))
     seen[frontier] = True
     while frontier.size:
         _, idx = _ranges(indptr[frontier], indptr[frontier + 1])
@@ -766,7 +775,7 @@ class Automaton:
             pairs = (owner[pos[live]] * size + codes[live]) * (u + 1) + ranks[live]
             if zero_closed and i == 0:  # the start subset loops on the zero letter
                 pairs = np.concatenate([start_key, pairs])
-            rows, ranks = np.divmod(np.unique(pairs), u + 1)
+            rows, ranks = np.divmod(_distinct(pairs), u + 1)
             head = np.flatnonzero(np.diff(rows, prepend=-1))  # the first pair of each row
             rows = rows[head]
             row_load = np.add.reduceat(load_of[ranks], head).tolist()
@@ -980,7 +989,7 @@ def from_lazy(lazy, arity: int, digit_bound: int) -> Automaton:
     useful = _reach(n, dsts, srcs, finals, levels)
     renumber = np.cumsum(useful) - 1
     keep = useful[srcs] & useful[dsts]
-    initial = np.arange(len(np.unique(starts)))
+    initial = np.arange(len(_distinct(starts)))
     return Automaton._build(
         arity, digit_bound, int(useful.sum()), renumber[initial[useful[initial]]],
         renumber[finals[useful[finals]]], renumber[srcs[keep]], codes[keep], renumber[dsts[keep]], False,
@@ -1001,7 +1010,7 @@ def _minimize_array(dfa: Automaton, total: bool) -> Automaton:
     """
     n = dfa.num_states
     srcs, codes, dsts = dfa._arc_arrays()
-    cols = np.arange(dfa.alphabet_size) if total else np.unique(codes)
+    cols = np.arange(dfa.alphabet_size) if total else _distinct(codes)
     _cells((n + 1) * len(cols), "minimization table")
     table = np.full((n + 1, len(cols)), n, np.intp)  # table and block ids index, so no cast per round
     table[srcs, np.searchsorted(cols, codes)] = dsts

@@ -27,33 +27,34 @@ import random
 import sys
 
 from . import words
-from .addition import add, digitwise_sum, pass1, pass2, pass3
-from .automata import Automaton, convolve
+from .addition import add, digitwise_sum, pass1
 from .contfrac import ContinuedFraction
 from .errors import NotQuadratic, OstrowskiError
-from .logic import Exists, decide, enumerate_solutions, free_vars, parse
-from .logic import compile_formula
 from .numeration import decode, encode, is_valid
-from .recognizers import (
-    build_adder,
-    build_digit_sum,
-    build_equality,
-    build_less_than,
-    build_pass_automaton,
-    build_va_graph,
-    build_valid_rep,
-)
+
+
+def _recognizer(name: str, *extra):
+    """``recognizers.<name>(cf, *extra)``, importing the automaton layers
+    only when a relation is built: the arithmetic commands never load numpy."""
+
+    def build(cf):
+        from . import recognizers
+
+        return getattr(recognizers, name)(cf, *extra)
+
+    return build
+
 
 _RELATIONS = {
-    "valid": lambda cf: build_valid_rep(cf),
-    "sum": lambda cf: build_digit_sum(cf),
-    "pass1": lambda cf: build_pass_automaton(cf, 1),
-    "pass2": lambda cf: build_pass_automaton(cf, 2),
-    "pass3": lambda cf: build_pass_automaton(cf, 3),
-    "adder": lambda cf: build_adder(cf),
-    "eq": lambda cf: build_equality(cf),
-    "lt": lambda cf: build_less_than(cf),
-    "va": lambda cf: build_va_graph(cf),
+    "valid": _recognizer("build_valid_rep"),
+    "sum": _recognizer("build_digit_sum"),
+    "pass1": _recognizer("build_pass_automaton", 1),
+    "pass2": _recognizer("build_pass_automaton", 2),
+    "pass3": _recognizer("build_pass_automaton", 3),
+    "adder": _recognizer("build_adder"),
+    "eq": _recognizer("build_equality"),
+    "lt": _recognizer("build_less_than"),
+    "va": _recognizer("build_va_graph"),
 }
 
 
@@ -82,6 +83,14 @@ def _integer(text: str) -> int:
     if not digits or not all("0" <= c <= "9" for c in digits):
         raise argparse.ArgumentTypeError(f"invalid integer value: {text!r}")
     return words.decimal(digits) * (-1 if text[:1] == "-" else 1)
+
+
+def _natural(text: str) -> int:
+    """A nonnegative integer argument of any length."""
+    value = _integer(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be nonnegative, got {text!r}")
+    return value
 
 
 def _cf(args) -> ContinuedFraction:
@@ -167,6 +176,8 @@ def cmd_build(args) -> int:
 
 
 def cmd_run(args) -> int:
+    from .automata import Automaton, convolve
+
     automaton = Automaton.load(args.automaton)
     tracks = [words.from_text(w) for w in args.word]
     if len(tracks) != automaton.arity:
@@ -179,6 +190,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_decide(args) -> int:
+    from .logic import decide, parse
+
     cf = _cf(args)
     formula = parse(args.formula)
     verdict = decide(cf, formula)
@@ -199,6 +212,8 @@ def cmd_decide(args) -> int:
 
 def _witness(cf, formula):
     """Decoded satisfying tuple for a true sentence of the form E x1...E xk. body."""
+    from .logic import Exists, compile_formula, free_vars
+
     names = []
     body = formula
     while isinstance(body, Exists):
@@ -215,6 +230,8 @@ def _witness(cf, formula):
 
 
 def cmd_enumerate(args) -> int:
+    from .logic import enumerate_solutions
+
     cf = _cf(args)
     sols = enumerate_solutions(cf, args.formula, args.bound)
     if args.json:
@@ -249,6 +266,10 @@ def cmd_selftest(args) -> int:
     )
     ok = True
     if cf.is_quadratic:
+        from .automata import convolve
+        from .logic import decide
+        from .recognizers import build_pass_automaton, build_valid_rep
+
         m = cf.parameters().m
         valid = build_valid_rep(cf)
         rng = random.Random(0)
@@ -337,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("selftest", help="run quick differential suites")
     common(p)
-    p.add_argument("--max", type=_integer, default=200)
+    p.add_argument("--max", type=_natural, default=200)
     p.set_defaults(func=cmd_selftest)
 
     return parser

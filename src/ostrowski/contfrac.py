@@ -113,6 +113,8 @@ class ContinuedFraction:
             if not sep2 or trailing.strip():
                 raise ValueError(f"unbalanced period parentheses near {rest!r}")
             period = _parse_csv(body, "period")
+            if not period:
+                raise ValueError(f"empty period '()' in {text!r}; a rational expansion has no parentheses")
             pre_text = pre_part.strip().rstrip(",")
         else:
             pre_text = tail

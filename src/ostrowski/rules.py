@@ -15,11 +15,12 @@ adds to each digit (zero where no rule applies).  ``bulk`` adds it in
 place to whole batches of additions; the pass automata in
 ``recognizers`` rewrite whole frontiers of states with ``rewrite``.  The
 tests check the two forms against each other on every small window.
+
+Only the array forms need numpy, and they import it when called, so the
+scalar passes (and a command that only adds) never load it.
 """
 
 from __future__ import annotations
-
-import numpy as np
 
 Window = tuple[int, ...]
 
@@ -59,6 +60,8 @@ def _flags(dtype, *masks):
 
 def window_a_delta(u, v):
     """Array form of ``window_a``: what A1 or A2 adds to each digit."""
+    import numpy as np
+
     v0, v1, v2, _ = v
     low = v0 < u[0]
     a1, a2 = _flags(
@@ -71,6 +74,8 @@ def window_a_delta(u, v):
 
 def window_b_delta(u, v):
     """Array form of ``window_b``: what B1 to B4 add to each digit."""
+    import numpy as np
+
     v0, v1, v2 = v
     low, high = v0 < u[0], v1 >= u[1]
     b1, b2, b3, b4 = _flags(
@@ -93,6 +98,8 @@ def _c_fires(u, v):
 
 def window_c_delta(u, v):
     """Array form of ``window_c``: what C adds to each digit."""
+    import numpy as np
+
     (fire,) = _flags(np.result_type(*v), _c_fires(u, v))
     return fire, -u[1] * fire, -fire
 
@@ -107,6 +114,8 @@ def c_preimages_array(u, after, bound: int):
     ``after``: ``after`` itself unless rule C applies to it, and the window
     rule C turns into ``after``, when there is one.  Both candidates are
     stacked on a new last axis, with a mask of those that exist."""
+    import numpy as np
+
     a0, a1, a2 = np.broadcast_arrays(*after)
     exists = np.stack(
         [~_c_fires(u, after), (a1 == 0) & (0 < a0) & (a0 <= u[0]) & (a2 < bound)], axis=-1

@@ -385,6 +385,18 @@ def test_small_and_array_kernels_agree():
             same_automaton(automata._minimize_small(x, total), automata._minimize_array(x, total))
 
 
+def test_distinct_matches_unique():
+    rng = np.random.default_rng(5)
+    cases = [np.empty(0, np.int64), np.empty(0, np.int32), np.array([7]), np.array([3, 3], np.int32),
+             np.array([2, 1], np.int64), np.arange(50, dtype=np.int32)[::-1]]
+    for dtype in (np.int32, np.int64):
+        cases += [rng.integers(0, high, size, dtype=dtype) for high in (3, 1 << 30) for size in (1, 2, 100, 5000)]
+    for values in cases:
+        got, want = automata._distinct(values), np.unique(values)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert automata._distinct([4, 0, 4]).tolist() == [0, 4]
+
+
 def test_padded_word_is_a_chain_of_its_length():
     digits = [1, 0, 2, 0]
     a = Automaton._padded_word(2, digits)

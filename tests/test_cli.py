@@ -64,6 +64,9 @@ def test_malformed_input_exit_2(capsys):
     assert "error" in err
     code, _, err = run(capsys, "decide", "--cf", "1;(1)", "--formula", "x + = y")
     assert code == 2
+    code, out, err = run(capsys, "cf", "info", "--cf", "1;()")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "empty period" in err
     deep = "(" * 2000 + "0 = 0" + ")" * 2000
     code, out, _ = run(capsys, "decide", "--cf", "1;(1)", "--formula", deep)
     assert (code, out) == (0, "true\n")
@@ -203,5 +206,16 @@ def test_output_deterministic(capsys):
 
 def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest", "--cf", "1;(1)", "--max", "60")
+    assert code == 0
+    assert all(line.startswith("ok ") for line in out.strip().splitlines())
+
+
+def test_selftest_refuses_negative_max(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["selftest", "--cf", "1;(1)", "--max", "-5"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--max" in err and "nonnegative" in err
+    code, out, _ = run(capsys, "selftest", "--cf", "1;(1)", "--max", "0")
     assert code == 0
     assert all(line.startswith("ok ") for line in out.strip().splitlines())

@@ -140,6 +140,9 @@ def test_parse_errors_name_token():
         ContinuedFraction.from_text("12")
     with pytest.raises(ValueError, match="parenthes"):
         ContinuedFraction.from_text("1;(2")
+    for empty in ("1;()", "1;2,( )", "0;1,2,()"):
+        with pytest.raises(ValueError, match="empty period"):
+            ContinuedFraction.from_text(empty)
 
 
 def test_quotients_must_be_positive():
