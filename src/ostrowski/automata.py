@@ -80,6 +80,7 @@ same guard.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterable, Optional, Sequence
 
@@ -154,6 +155,22 @@ def _ranges(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarra
     pos = np.repeat(np.arange(len(starts)), lens)
     offsets = np.arange(len(pos)) - np.repeat(np.cumsum(lens) - lens, lens)
     return pos, starts[pos] + offsets
+
+
+@functools.lru_cache(maxsize=128)
+def _placement(tracks: tuple[int, ...], arity: int, radix: int) -> tuple[np.ndarray, np.ndarray]:
+    """The map of ``Automaton._place`` from new letter codes to old ones:
+    the new codes in the order of the old code each reads as, and those old
+    codes, so an arc goes to every new code c with old[c] == its code.  The
+    map depends only on its arguments, so calls share it, read-only."""
+    new = np.arange(_cells(radix**arity, "placed alphabet"))
+    old = np.zeros_like(new)
+    for t in tracks:
+        old = old * radix + new // radix ** (arity - 1 - t) % radix
+    order = np.argsort(old, kind="stable")
+    ranked = old[order]
+    order.flags.writeable = ranked.flags.writeable = False
+    return order, ranked
 
 
 def _csr(n: int, letters: int, srcs, codes, dsts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -684,13 +701,7 @@ class Automaton:
         on them survive.  New letter code c reads as old code ``old[c]``, and
         an arc goes to every new code reading as its own, so a deterministic
         automaton stays deterministic."""
-        radix = self.digit_bound + 1
-        new = np.arange(_cells(radix**arity, "placed alphabet"))
-        old = np.zeros_like(new)
-        for t in tracks:
-            old = old * radix + new // radix ** (arity - 1 - t) % radix
-        order = np.argsort(old, kind="stable")
-        ranked = old[order]  # an arc goes to every new code c with old[c] == its code
+        order, ranked = _placement(tuple(tracks), arity, self.digit_bound + 1)
         srcs, codes, dsts = self._arc_arrays()
         lo, hi = np.searchsorted(ranked, codes, "left"), np.searchsorted(ranked, codes, "right")
         _cells(int((hi - lo).sum()), "placed arcs")

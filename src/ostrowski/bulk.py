@@ -20,8 +20,12 @@ it, which holds for partial quotients up to 8,190; larger quotients take
 int32 or int64 (``_digit_dtype``), so a large digit never wraps; with the
 checks on, an input digit outside 0..2a for the largest quotient a is
 refused before it is cast.
-Decoding is exact: it uses int64 while every row's value provably fits
-63 bits and Python integers beyond.
+Encoding and decoding are exact.  ``batch_encode`` runs the greedy
+algorithm of ``numeration.encode`` over a whole vector of values at once,
+one digit column at a time from the top, on int64 remainders while every
+value fits 63 bits and on Python integers (an object array) past that;
+``encode_table`` is it on 0..limit.  Decoding uses int64 while every
+row's value provably fits 63 bits and Python integers beyond.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import numpy as np
 
 from .contfrac import ContinuedFraction
 from .errors import DigitOutOfRange, InternalInvariantError
-from .numeration import encode
+from .numeration import _place_values
 from .rules import window_a_delta, window_b_delta, window_c_delta
 
 _CELLS = 1 << 20  # digit cells of one block of batch_add's scratch buffer
@@ -48,18 +52,43 @@ def _digit_dtype(aks) -> np.dtype:
     raise DigitOutOfRange(f"partial quotient {max(aks)} is too large for machine-integer digits")
 
 
+def batch_encode(cf: ContinuedFraction, values) -> np.ndarray:
+    """Greedy representation rho(n) of each value n, one row per value,
+    columns LSD first, as wide as the widest row.
+
+    The digits are of ``_digit_dtype`` over the width.  The remainders are
+    int64 while every value fits 63 bits, and Python integers (an object
+    array) past that, so no value wraps.
+    """
+    values = np.asarray(values)
+    if values.size == 0:
+        return np.zeros((0, 0), dtype=_digit_dtype(()))
+    if values.ndim != 1 or values.dtype.kind not in "iuO":
+        raise ValueError(f"values must be a vector of integers, not {values.dtype} of shape {values.shape}")
+    low, high = int(values.min()), int(values.max())
+    if low < 0:
+        raise ValueError(f"cannot encode negative value {low}")
+    qs, aks = _place_values(cf, high)
+    width = len(qs) - 1
+    rem = values.astype(np.int64 if high < 2**63 else object)
+    table = np.empty((len(rem), width), dtype=_digit_dtype(aks[:width]))
+    for k in range(width, 0, -1):
+        b = np.minimum(rem // qs[k - 1], aks[k - 1] - (k == 1))
+        table[:, k - 1] = b
+        rem -= b * qs[k - 1]
+    _raise_rows(rem != 0, 0, "greedy encoding failed to exhaust the remainder")
+    return table
+
+
 def encode_table(cf: ContinuedFraction, limit: int, width: int | None = None) -> np.ndarray:
     """Digit matrix of rho(0..limit), one row per value, columns LSD first."""
-    rows = [encode(cf, n).digits for n in range(limit + 1)]
-    need = max((len(r) for r in rows), default=0)
+    table = batch_encode(cf, np.arange(limit + 1))
+    need = table.shape[1]
     if width is None:
-        width = need
-    elif width < need:
+        return table
+    if width < need:
         raise ValueError(f"width {width} too small, need {need}")
-    table = np.zeros((limit + 1, width), dtype=_digit_dtype(cf.quotients(need)))
-    for i, r in enumerate(rows):
-        table[i, : len(r)] = r
-    return table
+    return np.pad(table, ((0, 0), (0, width - need)))
 
 
 def _raise_rows(bad: np.ndarray, lo: int, message: str, error=InternalInvariantError) -> None:

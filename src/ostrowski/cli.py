@@ -353,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="satisfying tuples up to a bound")
     common(p)
     p.add_argument("--formula", required=True)
-    p.add_argument("--bound", type=_integer, required=True)
+    p.add_argument("--bound", type=_natural, required=True)
     p.set_defaults(func=cmd_enumerate)
 
     p = sub.add_parser("selftest", help="run quick differential suites")

@@ -42,10 +42,11 @@ from typing import Iterable, NamedTuple, Union
 import numpy as np
 
 from . import words
-from .automata import Automaton
+from .automata import _MAX_CELLS, Automaton
 from .bulk import encode_table
 from .contfrac import ContinuedFraction
 from .errors import (
+    AutomatonTooLarge,
     FormulaSyntaxError,
     FreeVariablePresent,
     NotQuadratic,
@@ -591,12 +592,24 @@ def decide(cf: ContinuedFraction, sentence) -> bool:
 def enumerate_solutions(cf: ContinuedFraction, formula, bound: int) -> list[tuple[int, ...]]:
     """All tuples over 0..bound satisfying the formula.
 
-    Components follow the alphabetically sorted free variables.
+    Components follow the alphabetically sorted free variables.  A negative
+    bound raises ``ValueError``; candidates whose digits fill more than
+    ``_MAX_CELLS`` cells raise ``AutomatonTooLarge`` before any work.
     """
     f = _as_formula(formula)
     free = sorted(free_vars(f))
     if not free:
         raise ValueError("formula has no free variables; use decide()")
+    if bound < 0:
+        raise ValueError(f"enumeration bound {bound} is negative")
+    # The cell count grows with the bound, so a bound capped at _MAX_CELLS
+    # passes exactly when the bound itself does.
+    capped = min(bound, _MAX_CELLS)
+    if (capped + 1) ** len(free) * len(encode(cf, capped)) > _MAX_CELLS:
+        raise AutomatonTooLarge(
+            f"enumerating {len(free)} variable(s) up to bound {words.to_decimal(bound)} "
+            f"checks more than {_MAX_CELLS} digit cells"
+        )
     aut = compile_formula(cf, f, free)
     # Compiled languages are closed under leading zero columns, so every
     # track can be padded to the width of the widest representation and the

@@ -57,28 +57,34 @@ def encode(cf: ContinuedFraction, n: int) -> OstrowskiWord:
     """Greedy Ostrowski representation of a natural number."""
     if n < 0:
         raise ValueError(f"cannot encode negative value {n}")
-    if n == 0:
-        return OstrowskiWord((), cf)
-    qs = [1]
-    prev = 0
-    k = 1
-    while qs[-1] <= n:
-        qs.append(cf.partial_quotient(k) * qs[-1] + prev)
-        prev = qs[-2]
-        k += 1
-    # qs = [q_0 .. q_{k-1}] with q_{k-1} > n; digits b_{k-1} .. b_1.
+    qs, aks = _place_values(cf, n)
+    # qs = [q_0 .. q_L] with q_L > n; digits b_L .. b_1.
     digits = [0] * (len(qs) - 1)
     rem = n
     for pos in range(len(qs) - 1, 0, -1):
         q = qs[pos - 1]
-        cap = cf.partial_quotient(pos)
-        if pos == 1:
-            cap -= 1
-        b = min(rem // q, cap)
+        b = min(rem // q, aks[pos - 1] - (pos == 1))
         digits[pos - 1] = b
         rem -= b * q
     assert rem == 0, "greedy encoding failed to exhaust the remainder"
     return OstrowskiWord(words.strip(tuple(digits)), cf)
+
+
+def _place_values(cf: ContinuedFraction, n: int) -> tuple[list[int], list[int]]:
+    """The denominators [q_0, ..., q_L] up to the first one past ``n``, so
+    rho(n) has L digits, and at least the quotients [a_1, ..., a_L].
+
+    The quotients are read as one list, doubled while q is still <= n.
+    """
+    aks = cf.quotients(8 if cf.period else len(cf.preperiod))
+    qs, prev = [1], 0
+    while qs[-1] <= n:
+        k = len(qs)
+        if k > len(aks):  # past a rational expansion's prefix this raises
+            aks = cf.quotients(2 * k)
+        qs.append(aks[k - 1] * qs[-1] + prev)
+        prev = qs[-2]
+    return qs, aks
 
 
 def decode(cf: ContinuedFraction, w: Sequence[int] | OstrowskiWord) -> int:

@@ -22,7 +22,13 @@ from ostrowski import (
     words,
 )
 from ostrowski.addition import _pass1_core, _width3_core
-from ostrowski.errors import CfMismatch, DigitOutOfRange, InputTooShort, InternalInvariantError
+from ostrowski.errors import (
+    CfMismatch,
+    DigitOutOfRange,
+    IndexBeyondKnownPrefix,
+    InputTooShort,
+    InternalInvariantError,
+)
 from ostrowski.rules import (
     c_preimages_array,
     rewrite,
@@ -213,6 +219,56 @@ def test_bulk_matches_scalar(any_cf):
         assert tuple(z3[row, : len(zz)]) == zz
         assert tuple(w[row, : len(ww)]) == ww and not w[row, len(ww):].any()
         assert tuple(v3[row, : len(vv)]) == vv and not v3[row, len(vv):].any()
+
+
+def padded_encodings(cf, values):
+    """The reference for batch_encode: scalar encode, zero-padded."""
+    rows = [encode(cf, n).digits for n in values]
+    width = max(len(r) for r in rows)
+    return np.array([words.pad(r, width) for r in rows])
+
+
+def test_batch_encode_matches_scalar(any_cf):
+    table = bulk.batch_encode(any_cf, np.arange(5001))
+    assert np.array_equal(table, padded_encodings(any_cf, range(5001)))
+    assert table.dtype == np.int16
+    # past 2**63 the remainders are Python integers (an object array)
+    rng = random.Random(16)
+    big = [rng.randrange(10**e, 10 ** (e + 1)) for e in (rng.randrange(18, 30) for _ in range(200))]
+    assert min(big) < 2**63 < max(big)
+    table = bulk.batch_encode(any_cf, big)
+    assert table.dtype == np.int16
+    assert np.array_equal(table, padded_encodings(any_cf, big))
+    edge = [2**63 - 1, 2**63, 2**64 - 1]
+    assert np.array_equal(bulk.batch_encode(any_cf, np.array(edge, np.uint64)), padded_encodings(any_cf, edge))
+    # the table of 0..limit, its empty forms and its width
+    assert np.array_equal(bulk.encode_table(any_cf, 5000), padded_encodings(any_cf, range(5001)))
+    assert bulk.batch_encode(any_cf, []).shape == (0, 0)
+    assert bulk.encode_table(any_cf, 0).shape == (1, 0)
+    need = len(encode(any_cf, 100))
+    wide = bulk.encode_table(any_cf, 100, width=need + 3)
+    assert np.array_equal(wide[:, :need], bulk.encode_table(any_cf, 100)) and not wide[:, need:].any()
+    with pytest.raises(ValueError, match="too small"):
+        bulk.encode_table(any_cf, 100, width=2)
+    with pytest.raises(ValueError, match="negative"):
+        bulk.batch_encode(any_cf, [3, -1, 5])
+
+
+def test_batch_encode_large_quotient():
+    cf = ContinuedFraction(1, (), (9000,))
+    rng = random.Random(17)
+    values = [*range(2000), *(rng.randrange(10**15) for _ in range(200)), *(rng.randrange(10**40) for _ in range(50))]
+    table = bulk.batch_encode(cf, values)
+    assert table.dtype == np.int32
+    assert np.array_equal(table, padded_encodings(cf, values))
+
+
+def test_encoders_stop_at_a_rational_prefix():
+    cf = ContinuedFraction(2, (5, 3), ())  # q = 1, 5, 16
+    assert np.array_equal(bulk.batch_encode(cf, range(16)), padded_encodings(cf, range(16)))
+    for encoder in (lambda n: encode(cf, n), lambda n: bulk.batch_encode(cf, [0, n])):
+        with pytest.raises(IndexBeyondKnownPrefix, match="a_3 requested"):
+            encoder(16)
 
 
 def test_bulk_decode_and_valid(any_cf):

@@ -509,6 +509,10 @@ def test_place_against_brute_force():
         assert (placed.arity, placed.deterministic) == (arity, a.deterministic)
         max_len = enum_len(placed) if placed.alphabet_size <= 9 else 2
         assert np.array_equal(language(placed, max_len), placed_language(a, tracks, arity, max_len))
+    # the map from new to old letter codes is made once and shared, read-only
+    order, ranked = automata._placement((1, 0), 2, 3)
+    assert automata._placement((1, 0), 2, 3)[0] is order
+    assert not order.flags.writeable and not ranked.flags.writeable
 
 
 def test_cylindrify_position_errors():

@@ -210,6 +210,18 @@ def test_selftest(capsys):
     assert all(line.startswith("ok ") for line in out.strip().splitlines())
 
 
+def test_enumerate_refuses_bad_bounds(capsys):
+    args = ["enumerate", "--cf", "1;(1)", "--formula", "x = x", "--bound"]
+    with pytest.raises(SystemExit) as exc:
+        main(args + ["-3"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--bound" in err and "nonnegative" in err
+    code, out, err = run(capsys, *args, "100000000000000000000000")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "bound 100000000000000000000000" in err and "Traceback" not in err
+
+
 def test_selftest_refuses_negative_max(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["selftest", "--cf", "1;(1)", "--max", "-5"])

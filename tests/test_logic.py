@@ -1,11 +1,13 @@
 import itertools
 import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ostrowski import (
+    AutomatonTooLarge,
     FormulaSyntaxError,
     FreeVariablePresent,
     NotQuadratic,
@@ -16,6 +18,7 @@ from ostrowski import (
     encode,
     enumerate_solutions,
     free_vars,
+    logic,
     parse,
 )
 from ostrowski.contfrac import ContinuedFraction
@@ -309,6 +312,17 @@ def test_enumerate_strict_pairs(golden):
 def test_enumerate_requires_free_vars(golden):
     with pytest.raises(ValueError):
         enumerate_solutions(golden, "1 = 1", 10)
+
+
+def test_enumerate_refuses_bad_bounds_before_any_work(golden):
+    with mock.patch.object(logic, "compile_formula", side_effect=AssertionError("compiled")), \
+            mock.patch.object(logic, "encode_table", side_effect=AssertionError("tabled")):
+        with pytest.raises(ValueError, match="bound -3 is negative"):
+            enumerate_solutions(golden, "x = x", -3)
+        with pytest.raises(AutomatonTooLarge, match="1 variable.*bound 100000000000000000000000"):
+            enumerate_solutions(golden, "x = x", 10**23)
+        with pytest.raises(AutomatonTooLarge, match="3 variable.*bound 1000 "):
+            enumerate_solutions(golden, "x + y = z", 1000)
 
 
 def test_enumerate_matches_naive_eval(golden, sqrt2):
