@@ -1,4 +1,4 @@
-"""Multi-track finite automata over digit-tuple alphabets, held in integer arrays.
+"""Multi-track finite automata over digit-tuple alphabets, held in Python lists.
 
 Letters are ``arity``-tuples of digits in ``{0, ..., digit_bound}``.  Words
 are read most significant letter first.  Several digit words combine into
@@ -8,7 +8,7 @@ then read off the tuples position by position.
 Inside an automaton a letter is an integer code: the letter read as a
 mixed-radix number in base ``digit_bound + 1`` with track 0 most
 significant, so ascending codes are the lexicographic order of letters.
-Every automaton holds its arcs in one form, CSR arrays: the arcs of state
+Every automaton holds its arcs in one form, CSR lists: the arcs of state
 ``s`` are the codes ``codes[indptr[s]:indptr[s + 1]]`` with the targets in
 the same slice of ``dsts``, sorted by (code, dst).  A deterministic
 automaton has the initial state 0 and at most one arc per (state, code);
@@ -31,57 +31,35 @@ conventions that matter for numeration languages:
   trim, without the dead state, for the intermediate steps of a
   construction, whose products then never walk pairs with a dead state.
 
-Adding, reordering and identifying tracks is one gather of letter codes:
-each new letter code reads as one old code, and an arc goes to every new
-code reading as its own.
+Each operation is one kernel that runs one state at a time in plain
+Python over the CSR lists, at a cost per arc it reads.  Every kernel that
+numbers states does so breadth first, in order of first occurrence over
+ascending letters.  The product of two automata takes, for each operand,
+the result tracks its own tracks land on: a pair of states moves on each
+letter whose digits both operands read and agree on where they share a
+track, so a conjunction joins its operands on their shared tracks and
+never spells out the tracks only one of them reads.  A difference (and
+so a complement) is a product whose right side moves to its dead state
+where it lacks an arc.  Adding, reordering and identifying the tracks of
+one automaton (``_place``) maps each old letter code to the new codes
+reading as it.  Subset constructions key a subset by the frozenset of its
+states, and leave out the states that cannot reach a final state, so dead
+pairs and dead guesses never inflate them.  Minimization is Hopcroft's
+partition refinement, where a split costs only the states it moves.
 
-Products, subset constructions, reachability and minimization each have
-two kernels that give the same arrays.  The array kernels advance a whole
-breadth-first level at once in numpy, at a fixed cost of a few dozen numpy
-calls per level; the per-state kernels (``..._small``) run one state at a
-time in plain Python over the CSR arrays as lists (``_lists``), at a cost
-per arc but none per level.  So the per-state kernel runs when its
-operands hold at most ``_SMALL`` states plus arcs per breadth-first level:
-``_levels`` records the levels of the construction that made an automaton
-(1 when not known; ``_padded_word`` gives a numeral's chain its length).
-Small automata, most of those a sentence composes, and deep ones, such as
-the chain of a long numeral, take the per-state kernels; wide ones, such
-as the adder's stages, the array kernels.  The crossover was measured by
-timing both kernels on every call of the benchmark's operations and of
-numeral chains: on the benchmark's own operations a size-only rule at
-``_SMALL`` does about as well, and the level count is what keeps deep
-chains off the array kernels' per-level cost.  Minimization is
-Moore refinement in the array kernel, a numpy round over the successor
-table per step of the longest distinguishing word, and Hopcroft's
-partition refinement in the per-state kernel, where a split costs only
-the states it moves; Moore rounds in Python would cost a pass over every
-state per round.
-
-One explorer, ``_explore``, numbers the states of every array kernel that
-numbers them breadth first: lazy exploration (``from_lazy``), products,
-the canonical renumbering of minimization and the shortest witness.  It
-advances a whole level of int64 keys at once, in chunks that bound its
-memory, numbers new keys in order of first occurrence, and holds its arcs
-plus states under the ``_MAX_CELLS`` guard.  A product state is keyed
-exactly by its pair of state ids, a minimized state by its block, and a
-state of a lazily described automaton by the int64 key its recognizer
-packs it into; the recognizer steps whole arrays of keys and hands back
-letter codes.  Two array kernels keep their own levels: the subset
-construction's, which keys a subset by the bytes of the sorted ranks of
-its states, and ``_reach_array``, which marks the states reachable along
-arcs without holding any (emptiness, and the trims).  Subset
-constructions and ``from_lazy`` leave out the states that cannot reach a
-final state, so dead pairs and dead guesses never inflate them.  A
-difference (and so a complement) is a product whose right side moves to
-its dead state where it lacks an arc.  Only the array minimization and
-batch membership (``_accepts_all``) build a successor table, under the
-same guard.
+Numpy appears only where arrays come in or go out.  Lazily described
+automata (``from_lazy``) are explored by ``_explore``, which advances a
+whole breadth-first level of int64 keys at once, as the recognizers step
+them, numbers new keys in order of first occurrence, and holds its arcs
+plus states under the ``_MAX_CELLS`` guard; batch membership
+(``_accepts_all``) runs words through a successor table under the same
+guard.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
+from collections import defaultdict
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -93,8 +71,7 @@ TupleWord = tuple[Letter, ...]
 
 _MAX_CELLS = 1 << 27  # largest table (states x letters), arc count or state count held
 _CHUNK = 1 << 21  # array elements one step of a breadth-first level works on
-_SMALL = 512  # states plus arcs per breadth-first level up to which the per-state kernels run
-_INT64_MAX = int(np.iinfo(np.int64).max)
+_INT64_MAX = (1 << 63) - 1
 
 
 def convolve(word_list: Sequence[Sequence[int]], digit_bound: int) -> TupleWord:
@@ -110,7 +87,7 @@ def convolve(word_list: Sequence[Sequence[int]], digit_bound: int) -> TupleWord:
     return tuple(out)
 
 
-# -- letter codes and array helpers ---------------------------------------------
+# -- letter codes and helpers -----------------------------------------------------
 
 
 def _cells(count: int, what: str) -> int:
@@ -119,14 +96,14 @@ def _cells(count: int, what: str) -> int:
     return count
 
 
-def _check_keys(num_states: int, arity: int, digit_bound: int) -> None:
-    """Arcs are sorted and searched by the int64 key ``src * letters +
-    code``, so also every letter code fits an int64; 2**64
+def _check_keys(num_states: int, arity: int, digit_bound: int, what: str = "") -> None:
+    """Every key ``src * letters + code`` of an arc fits an int64, the width
+    of the arrays ``from_lazy`` and ``_accepts_all`` hold codes in; 2**64
     letters never do, and their count is not computed."""
     wide = digit_bound >= 1 and arity >= 64
     if wide or max(num_states, 1) * (digit_bound + 1) ** arity - 1 > _INT64_MAX:
         raise AutomatonTooLarge(
-            f"{num_states} states times {digit_bound + 1}**{arity} letters do not fit 64-bit arc keys"
+            f"{what}{num_states} states times {digit_bound + 1}**{arity} letters do not fit 64-bit arc keys"
         )
 
 
@@ -157,89 +134,52 @@ def _ranges(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarra
     return pos, starts[pos] + offsets
 
 
-@functools.lru_cache(maxsize=128)
-def _placement(tracks: tuple[int, ...], arity: int, radix: int) -> tuple[np.ndarray, np.ndarray]:
-    """The map of ``Automaton._place`` from new letter codes to old ones:
-    the new codes in the order of the old code each reads as, and those old
-    codes, so an arc goes to every new code c with old[c] == its code.  The
-    map depends only on its arguments, so calls share it, read-only."""
-    new = np.arange(_cells(radix**arity, "placed alphabet"))
-    old = np.zeros_like(new)
-    for t in tracks:
-        old = old * radix + new // radix ** (arity - 1 - t) % radix
-    order = np.argsort(old, kind="stable")
-    ranked = old[order]
-    order.flags.writeable = ranked.flags.writeable = False
-    return order, ranked
+def _csr(n: int, srcs, codes, dsts) -> tuple[list, list, list]:
+    """Sorted, duplicate-free CSR lists of the arcs (srcs[i], codes[i], dsts[i])."""
+    rows: list[set] = [set() for _ in range(n)]
+    for s, c, d in zip(srcs, codes, dsts):
+        rows[s].add((c, d))
+    indptr, out_codes, out_dsts = [0], [], []
+    for row in rows:
+        for c, d in sorted(row):
+            out_codes.append(c)
+            out_dsts.append(d)
+        indptr.append(len(out_codes))
+    return indptr, out_codes, out_dsts
 
 
-def _csr(n: int, letters: int, srcs, codes, dsts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sorted, duplicate-free CSR arrays of the arcs (srcs[i], codes[i], dsts[i])."""
-    srcs, codes, dsts = (np.asarray(a, np.int64) for a in (srcs, codes, dsts))
-    key = srcs * letters + codes
-    order = np.lexsort((dsts, key))
-    key, srcs, codes, dsts = key[order], srcs[order], codes[order], dsts[order]
-    keep = np.ones(len(order), bool)
-    keep[1:] = (key[1:] != key[:-1]) | (dsts[1:] != dsts[:-1])
-    srcs, codes, dsts = srcs[keep], codes[keep], dsts[keep]
-    return np.searchsorted(srcs, np.arange(n + 1)), codes, dsts.astype(np.int32)
+def _reach(indptr: Sequence[int], targets: Sequence[int], seeds) -> list[bool]:
+    """Which states are reachable from ``seeds`` along the CSR arcs from s to
+    ``targets[indptr[s]:indptr[s + 1]]``, a breadth-first level at a time,
+    each level's targets gathered by one set update per state."""
+    seen = set(seeds)
+    level = seen
+    while level:
+        met: set[int] = set()
+        for s in level:
+            met.update(targets[indptr[s] : indptr[s + 1]])
+        level = met - seen
+        seen |= level
+    mask = [False] * (len(indptr) - 1)
+    for s in seen:
+        mask[s] = True
+    return mask
 
 
-def _distinct(values) -> np.ndarray:
-    """``np.unique(values)`` of a 1-D array by a sort: numpy's hash-based
-    form imports ``numpy.ma`` on first use and is slower on int64 keys."""
-    v = np.sort(np.asarray(values))
-    keep = np.ones(len(v), bool)
-    keep[1:] = v[1:] != v[:-1]
-    return v[keep]
-
-
-def _reach(n: int, srcs: np.ndarray, dsts: np.ndarray, seeds, levels: int) -> np.ndarray:
-    """Mask of the states reachable from ``seeds`` along the arcs srcs -> dsts
-    of an automaton whose construction met ``levels`` breadth-first levels."""
-    if n + len(srcs) > _SMALL * levels:
-        return _reach_array(n, srcs, dsts, seeds)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for s, t in zip(srcs.tolist(), dsts.tolist()):
-        adj[s].append(t)
-    return np.array(_reach_small(adj, np.asarray(seeds, np.int64).tolist()), bool)
-
-
-def _reach_array(n: int, srcs: np.ndarray, dsts: np.ndarray, seeds) -> np.ndarray:
-    """``_reach`` a breadth-first level at a time."""
-    adj = dsts[np.argsort(srcs)].astype(np.intp)  # gathered by index, so no cast per level
-    indptr = np.zeros(n + 1, np.int64)
-    np.cumsum(np.bincount(srcs, minlength=n), out=indptr[1:])
-    seen = np.zeros(n, bool)
-    frontier = _distinct(np.asarray(seeds, np.int64))
-    seen[frontier] = True
-    while frontier.size:
-        _, idx = _ranges(indptr[frontier], indptr[frontier + 1])
-        met = np.zeros(n, bool)
-        met[adj[idx]] = True
-        frontier = np.flatnonzero(met & ~seen)
-        seen[frontier] = True
-    return seen
-
-
-def _reach_small(adj: list[list[int]], seeds) -> list[bool]:
-    """Which states are reachable from ``seeds`` along ``adj[s]``."""
-    seen = [False] * len(adj)
-    stack = []
-    for s in seeds:
-        if not seen[s]:
-            seen[s] = True
-            stack.append(s)
-    while stack:
-        for t in adj[stack.pop()]:
-            if not seen[t]:
-                seen[t] = True
-                stack.append(t)
-    return seen
-
-
-def _state_set(states) -> frozenset[int]:
-    return frozenset(states.tolist() if isinstance(states, np.ndarray) else map(int, states))
+def _split(codes, tracks: Sequence[int], key_weight: dict, part_weight: dict, radix: int) -> dict:
+    """For each distinct code over ``tracks``: its digits on the tracks of
+    ``key_weight`` and on those of ``part_weight``, each a sum of digit
+    times the track's weight."""
+    out = {}
+    for code in set(codes):
+        key = part = 0
+        c = code
+        for t in reversed(tracks):
+            c, d = divmod(c, radix)
+            key += d * key_weight.get(t, 0)
+            part += d * part_weight.get(t, 0)
+        out[code] = key, part
+    return out
 
 
 class _PairIndex:
@@ -287,8 +227,8 @@ def _explore(starts, step, fanout: int):
     numbered in order of first occurrence, the starts first, then each
     level's targets in arc order: so over ascending letters the ids come out
     as a state-by-state exploration would assign them.  Returns the keys by
-    id, the arcs (srcs, codes, dsts) in that order, with int32 ids, and the
-    number of levels; arcs and states together stay within ``_MAX_CELLS``.
+    id and the arcs (srcs, codes, dsts) in that order, with int32 ids; arcs
+    and states together stay within ``_MAX_CELLS``.
     """
     index = _PairIndex()
     _, level = index.lookup(np.asarray(starts, np.int64))
@@ -310,7 +250,7 @@ def _explore(starts, step, fanout: int):
         _cells(arcs + index.count, "explored arcs and states")
     keys, none = np.concatenate(levels), [np.empty(0, np.int32)]
     srcs = np.repeat(np.arange(len(keys), dtype=np.int32), np.concatenate(degrees + none))
-    return keys, srcs, np.concatenate(codes + none), np.concatenate(dsts + none), len(levels) - 1
+    return keys, srcs, np.concatenate(codes + none), np.concatenate(dsts + none)
 
 
 # -- automata ---------------------------------------------------------------------
@@ -351,60 +291,53 @@ class Automaton:
             if letter not in code_of:
                 code_of[letter] = _code(letter, arity, digit_bound + 1)
         codes = [code_of[letter] for letter in letters]
-        self._init(arity, digit_bound, num_states, initial, finals, srcs, codes, dsts, False)
+        self._init(arity, digit_bound, initial, finals, *_csr(num_states, srcs, codes, dsts), False)
 
-    def _init(self, arity, digit_bound, num_states, initial, finals, srcs, codes, dsts, deterministic,
-              levels: int = 1):
-        self._set(arity, digit_bound, num_states, initial, finals, deterministic, levels)
-        self._arrays = _csr(self.num_states, self.alphabet_size, srcs, codes, dsts)
-
-    def _set(self, arity, digit_bound, num_states, initial, finals, deterministic, levels: int) -> None:
+    def _init(self, arity, digit_bound, initial, finals, indptr: list, codes: list, dsts: list,
+              deterministic: bool, trim: bool = False) -> None:
         self.arity = arity
         self.digit_bound = digit_bound
-        self.num_states = int(num_states)
-        self.initial = _state_set(initial)
-        self.finals = _state_set(finals)
+        self.num_states = len(indptr) - 1
+        self.initial = frozenset(map(int, initial))
+        self.finals = frozenset(map(int, finals))
         self.deterministic = deterministic
-        self._levels = max(1, levels)  # breadth-first levels its construction met; 1 when not known
+        self._trim = trim  # every state is known to reach a final state
+        self._indptr, self._codes, self._dsts = indptr, codes, dsts
         self._letter_codes: dict[Letter, int] = {}
         self._arcs_by_key = None
-        self._arc_lists = None
         _check_keys(self.num_states, arity, digit_bound)
 
     @classmethod
-    def _build(cls, arity, digit_bound, num_states, initial, finals, srcs, codes, dsts,
-               deterministic: bool, levels: int = 1) -> "Automaton":
-        """An automaton from arc arrays in any order.  A deterministic one has
-        the initial state 0 and at most one arc per (state, code)."""
+    def _from_rows(cls, arity, digit_bound, initial, finals, indptr: list, codes: list, dsts: list,
+                   deterministic: bool, trim: bool = False) -> "Automaton":
+        """An automaton from CSR lists already sorted by (src, code, dst) and
+        free of duplicates, which it keeps.  A deterministic one has the
+        initial state 0 and at most one arc per (state, code); ``trim``
+        says that every state can reach a final state."""
         self = cls.__new__(cls)
-        self._init(arity, digit_bound, num_states, initial, finals, srcs, codes, dsts, deterministic, levels)
+        self._init(arity, digit_bound, initial, finals, indptr, codes, dsts, deterministic, trim)
         return self
 
     @classmethod
-    def _from_rows(cls, arity, digit_bound, initial, finals, indptr: list, codes: list, dsts: list,
-                   deterministic: bool, levels: int) -> "Automaton":
-        """An automaton from CSR lists already sorted by (src, code, dst) and
-        free of duplicates, as the per-state kernels emit them; the lists
-        are kept as its ``_lists()``."""
-        self = cls.__new__(cls)
-        self._set(arity, digit_bound, len(indptr) - 1, initial, finals, deterministic, levels)
-        self._arrays = (np.array(indptr, np.int64), np.array(codes, np.int64), np.array(dsts, np.int32))
-        self._arc_lists = (indptr, codes, dsts)
-        return self
+    def _build(cls, arity, digit_bound, num_states, initial, finals, srcs, codes, dsts,
+               deterministic: bool) -> "Automaton":
+        """An automaton from arcs in any order."""
+        return cls._from_rows(arity, digit_bound, initial, finals, *_csr(num_states, srcs, codes, dsts),
+                              deterministic)
 
     @classmethod
     def _everything(cls, arity: int, digit_bound: int) -> "Automaton":
         """All tuple words: one final state looping on every letter."""
-        codes = np.arange(_cells((digit_bound + 1) ** arity, "alphabet"))
-        return cls._build(arity, digit_bound, 1, [0], [0], codes * 0, codes, codes * 0, True)
+        size = _cells((digit_bound + 1) ** arity, "alphabet")
+        return cls._from_rows(arity, digit_bound, [0], [0], [0, size], list(range(size)), [0] * size, True)
 
     @classmethod
     def _padded_word(cls, digit_bound: int, digits: Sequence[int]) -> "Automaton":
         """The single-track words ``0* w`` of the digit word ``w`` (no leading
-        zero): a chain of ``len(w) + 1`` states, one per breadth-first level."""
+        zero): a chain of ``len(w) + 1`` states."""
         n = len(digits)
         return cls._build(1, digit_bound, n + 1, [0], [n], [0, *range(n)], [0, *digits],
-                          [0, *range(1, n + 1)], True, n + 1)
+                          [0, *range(1, n + 1)], True)
 
     @property
     def alphabet_size(self) -> int:
@@ -414,52 +347,25 @@ class Automaton:
         return self.deterministic and self.num_transitions() == self.num_states * self.alphabet_size
 
     def num_transitions(self) -> int:
-        return len(self._arrays[2])
+        return len(self._codes)
 
-    def _degree(self) -> int:
-        """Arcs per state, rounded up: the cells one state's step works on."""
-        return -(-self.num_transitions() // max(1, self.num_states))
+    def _label(self, op: str, other: Optional["Automaton"] = None, arity: Optional[int] = None) -> str:
+        """How a refusal inside a kernel names its operation and operands."""
+        states = f"{self.num_states} × {other.num_states}" if other is not None else f"{self.num_states}"
+        return f"{op} of {states} states, {self.arity if arity is None else arity} tracks: "
 
-    # -- array access ---------------------------------------------------------
-
-    def _final_mask(self) -> np.ndarray:
-        mask = np.zeros(self.num_states, bool)
-        mask[list(self.finals)] = True
-        return mask
-
-    def _arc_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """All arcs as (srcs, codes, dsts), sorted by (src, code, dst)."""
-        indptr, codes, dsts = self._arrays
-        return np.repeat(np.arange(self.num_states), np.diff(indptr)), codes, dsts
-
-    def _lists(self) -> tuple[list, list, list]:
-        """The CSR arrays as Python lists, for the per-state kernels; made
-        on first use."""
-        if self._arc_lists is None:
-            self._arc_lists = tuple(a.tolist() for a in self._arrays)
-        return self._arc_lists
-
-    def _size(self) -> int:
-        """States plus arcs: what the choice between the kernels reads."""
-        return self.num_states + self.num_transitions()
-
-    def _useful(self) -> np.ndarray:
-        """Mask of the states from which a final state can be reached."""
-        srcs, _, dsts = self._arc_arrays()
-        return _reach(self.num_states, dsts, srcs, sorted(self.finals), self._levels)
-
-    def _gather(self, states: np.ndarray, erase: Optional[int] = None):
-        """Arcs (pos, code, dst) leaving ``states[pos]``, in state order.
-
-        With ``erase`` the codes are those of the letters without that track.
-        """
-        indptr, all_codes, all_dsts = self._arrays
-        pos, idx = _ranges(indptr[states], indptr[states + 1])
-        codes, dsts = all_codes[idx], all_dsts[idx]
-        if erase is not None:
-            low = (self.digit_bound + 1) ** (self.arity - 1 - erase)
-            codes = codes // (low * (self.digit_bound + 1)) * low + codes % low
-        return pos, codes, dsts
+    def _useful(self) -> list[bool]:
+        """Which states can reach a final state."""
+        if self._trim:
+            return [True] * self.num_states
+        indptr, dsts = self._indptr, self._dsts
+        back: list[list[int]] = [[] for _ in range(self.num_states)]
+        into = [targets.append for targets in back]
+        for s in range(self.num_states):
+            for t in dsts[indptr[s] : indptr[s + 1]]:
+                into[t](s)
+        indptr = list(itertools.accumulate(map(len, back), initial=0))
+        return _reach(indptr, list(itertools.chain.from_iterable(back)), self.finals)
 
     def _accepts_all(self, tracks: Sequence[np.ndarray]) -> np.ndarray:
         """Membership of many equal-length words of a deterministic automaton:
@@ -469,15 +375,17 @@ class Automaton:
         n, radix = self.num_states, self.digit_bound + 1
         _cells((n + 1) * self.alphabet_size, "membership table")
         table = np.full((n + 1, self.alphabet_size), n, np.intp)  # its entries index it again
-        srcs, codes, dsts = self._arc_arrays()
-        table[srcs, codes] = dsts
+        srcs = np.repeat(np.arange(n), np.diff(self._indptr))
+        table[srcs, np.array(self._codes, np.int64)] = self._dsts
         codes = np.zeros(tracks[0].shape, np.int64)
         for digits in tracks:
             codes = codes * radix + digits
         state = np.zeros(codes.shape[0], np.int64)
         for column in codes.T:
             state = table[state, column]
-        return np.append(self._final_mask(), False)[state]
+        final = np.zeros(n + 1, bool)
+        final[list(self.finals)] = True
+        return final[state]
 
     # -- run/acceptance ----------------------------------------------------
 
@@ -485,12 +393,14 @@ class Automaton:
         """Every arc as ``(src, letter, dst)``, in the order of ``to_text``."""
         radix = self.digit_bound + 1
         letters: dict[int, Letter] = {}
-        srcs, codes, dsts = self._arc_arrays()
-        for src, code, dst in zip(srcs.tolist(), codes.tolist(), dsts.tolist()):
-            letter = letters.get(code)
-            if letter is None:
-                letter = letters[code] = _letter(code, self.arity, radix)
-            yield src, letter, dst
+        indptr, codes, dsts = self._indptr, self._codes, self._dsts
+        for src in range(self.num_states):
+            for k in range(indptr[src], indptr[src + 1]):
+                code = codes[k]
+                letter = letters.get(code)
+                if letter is None:
+                    letter = letters[code] = _letter(code, self.arity, radix)
+                yield src, letter, dsts[k]
 
     def accepts(self, word: TupleWord) -> bool:
         memo = self._letter_codes
@@ -533,13 +443,13 @@ class Automaton:
         """The targets by ``src * alphabet_size + code``, built on first use:
         the one target of a deterministic automaton, a list otherwise."""
         if self._arcs_by_key is None:
-            srcs, codes, dsts = self._arc_arrays()
-            keys = (srcs.astype(np.int64) * self.alphabet_size + codes).tolist()
+            size, indptr = self.alphabet_size, self._indptr
+            keys = [s * size + c for s in range(self.num_states) for c in self._codes[indptr[s] : indptr[s + 1]]]
             if self.deterministic:
-                self._arcs_by_key = dict(zip(keys, dsts.tolist()))
+                self._arcs_by_key = dict(zip(keys, self._dsts))
             else:
                 self._arcs_by_key = arcs = {}
-                for key, dst in zip(keys, dsts.tolist()):
+                for key, dst in zip(keys, self._dsts):
                     arcs.setdefault(key, []).append(dst)
         return self._arcs_by_key
 
@@ -549,9 +459,9 @@ class Automaton:
         """Subset construction; a deterministic automaton stays as it is.
         With ``complete`` a dead state takes every missing arc, so the result
         is total."""
-        d = self if self.deterministic else self._subsets()
+        d = self if self.deterministic else self._subsets("determinize")
         if complete and not d.is_total():
-            return Automaton._everything(d.arity, d.digit_bound)._product(d, lambda a, b: b, dead=True)
+            return Automaton._everything(d.arity, d.digit_bound)._product(d, "complete", lambda x, y: y, dead=True)
         return d
 
     def minimize(self, total: bool = True) -> "Automaton":
@@ -560,11 +470,9 @@ class Automaton:
         (the empty language keeps its initial state, with no arcs)."""
         if not self.deterministic:
             raise ValueError("minimize requires a deterministic automaton")
-        n = self.num_states
-        if total:  # refused before an array as long as the alphabet is made
-            _cells((n + 1) * self.alphabet_size, "minimization table")
-        work = n + ((n + 1) * self.alphabet_size if total else self.num_transitions())
-        return (_minimize_small if work <= _SMALL * self._levels else _minimize_array)(self, total)
+        if total:  # refused before a row as long as the alphabet is made
+            _cells((self.num_states + 1) * self.alphabet_size, self._label("minimize") + "minimization table")
+        return _minimize(self, total)
 
     def determinize_minimize(self, total: bool = True) -> "Automaton":
         """Equivalent deterministic minimal automaton, canonically numbered;
@@ -575,117 +483,138 @@ class Automaton:
         """Complement w.r.t. all tuple words over the alphabet, total."""
         return Automaton._everything(self.arity, self.digit_bound).difference(self)
 
-    def intersect(self, other: "Automaton") -> "Automaton":
-        """Product automaton over reachable state pairs."""
-        return self._product(other, np.logical_and)
+    def intersect(self, other: "Automaton", tracks: Optional[Sequence[int]] = None,
+                  other_tracks: Optional[Sequence[int]] = None) -> "Automaton":
+        """Product automaton over reachable state pairs.
+
+        With ``tracks`` and ``other_tracks``, track i of each operand lands
+        on track ``tracks[i]`` (``other_tracks[i]``) of the result, whose
+        tracks 0..k-1 are all landed on: the operands are joined on the
+        tracks they share, and the result reads what ``_place`` of both
+        onto k tracks and their intersection would.
+        """
+        return self._product(other, "intersect", lambda x, y: x and y, tracks=tracks, other_tracks=other_tracks)
 
     def difference(self, other: "Automaton") -> "Automaton":
         """The words of ``self`` that ``other`` rejects: a product with
         ``other`` determinized, whose dead state is never built."""
-        return self._product(other.determinize(complete=False), lambda a, b: a & ~b, dead=True)
+        return self._product(other.determinize(complete=False), "difference", lambda x, y: x and not y, dead=True)
 
-    def _product(self, other: "Automaton", final, dead: bool = False) -> "Automaton":
-        """Reachable pairs of states, explored breadth first: a pair moves on
-        each letter both components move on, so it costs the arcs of its
-        components and no letter more.  With ``dead`` (``other``
-        deterministic) a letter only ``self`` reads moves ``other`` to a dead
-        state without arcs, numbered ``other.num_states``.  ``final``
-        combines the final masks of the components, pair by pair.
+    def _product(self, other: "Automaton", op: str, final, dead: bool = False,
+                 tracks: Optional[Sequence[int]] = None,
+                 other_tracks: Optional[Sequence[int]] = None) -> "Automaton":
+        """Reachable pairs of states, numbered on first sight breadth first
+        over ascending letters of the result.
+
+        Track i of ``self`` lands on result track ``tracks[i]`` and track i
+        of ``other`` on ``other_tracks[i]`` (without both, operands of one
+        arity each on its own).  The arcs of ``other`` are indexed by their
+        digits on the shared tracks, and an arc of ``self`` meets the arcs
+        of ``other`` agreeing with it there, so a pair costs the arcs of its
+        components and the letters they share, and no track read by one
+        operand alone is spelled out for the other.  The arcs of a pair are
+        sorted by (letter, target pair) before the new pairs are numbered,
+        so the numbering is that of placing both operands on all tracks and
+        taking their product.  With ``dead`` (``other`` deterministic,
+        reading only tracks ``self`` reads) a letter only ``self`` reads
+        moves ``other`` to a dead state without arcs, numbered
+        ``other.num_states``.  ``final(in_self, in_other)`` says which pairs
+        are final.
         """
-        self._require_compatible(other)
-        _check_keys(other.num_states + dead, self.arity, self.digit_bound)  # the dead state's keys too
-        small = self._size() + other._size() <= _SMALL * max(self._levels, other._levels)
-        return (self._product_small if small else self._product_array)(other, final, dead)
-
-    def _product_array(self, other: "Automaton", final, dead: bool) -> "Automaton":
-        """``_product`` a breadth-first level at a time, numbered by ``_explore``."""
-        size = self.alphabet_size
-        ia, ca, da = self._arrays
-        sb, cb, db = other._arc_arrays()
-        keys_b = np.append(sb * size + cb, -1)  # ascending, then one no letter matches
+        if tracks is None or other_tracks is None:
+            self._require_compatible(other)
+            tracks = other_tracks = range(self.arity)
+        ta, tb = list(tracks), list(other_tracks)
+        arity = len(set(ta) | set(tb))
+        if (self.digit_bound != other.digit_bound or len(ta) != self.arity or len(tb) != other.arity
+                or set(ta) | set(tb) != set(range(arity)) or len(set(ta)) < len(ta) or len(set(tb)) < len(tb)):
+            raise ArityMismatch(
+                f"incompatible automata: arity {self.arity}/{other.arity} on tracks {ta}/{tb}, "
+                f"bound {self.digit_bound}/{other.digit_bound}"
+            )
+        label = self._label(op, other, arity)
+        _check_keys(other.num_states + dead, arity, self.digit_bound, label)  # the dead state's keys too
+        radix = self.digit_bound + 1
+        shared = sorted(set(ta) & set(tb))
+        alone = [t for t in tb if t not in ta]  # the tracks only other reads
+        if ta == tb == list(range(arity)):  # a letter is its own key
+            akey = apart = self._codes
+            bkey, bpart = other._codes, None
+        else:
+            key_weight = {t: radix**i for i, t in enumerate(shared)}
+            place = {t: radix ** (arity - 1 - t) for t in range(arity)}
+            split = _split(self._codes, ta, key_weight, place, radix)
+            akey = [split[c][0] for c in self._codes]
+            apart = [split[c][1] for c in self._codes]
+            split = _split(other._codes, tb, key_weight, {t: place[t] for t in alone}, radix)
+            bkey = [split[c][0] for c in other._codes]
+            bpart = [split[c][1] for c in other._codes] if alone else None
+        # An arc of the product packs as (code * na + d) * nb + e: a code,
+        # and the pair key d * nb + e of its target pair (d, e), below span.
         nb = other.num_states + dead
-        fa, fb = self._final_mask(), np.append(other._final_mask(), False)[:nb]  # the dead state rejects
-        db = np.append(db, nb - 1)  # the dead state, where no arc matches
-
-        def step(pairs):
-            p, q = np.divmod(pairs, nb)
-            pos, arc = _ranges(ia[p], ia[p + 1])
-            want = q[pos] * size + ca[arc]
-            first = np.searchsorted(keys_b[:-1], want)
-            if other.deterministic:  # at most one arc of other matches
-                hit = keys_b[first] == want
-                if dead:  # every arc of self moves
-                    first[~hit] = len(keys_b) - 1
-                else:
-                    pos, arc, first = pos[hit], arc[hit], first[hit]
-                to_b = db[first]
+        span = self.num_states * nb
+        head = [a * span + d * nb for a, d in zip(apart, self._dsts)]  # each arc of self's share
+        # Each state of other as a dict from key to its one target (when
+        # other is deterministic and reads no track alone) or to the shares
+        # of its arcs.
+        single = other.deterministic and not alone
+        rows: list[dict] = []
+        ib, db = other._indptr, other._dsts
+        for q in range(other.num_states):
+            lo, hi = ib[q], ib[q + 1]
+            if single:
+                rows.append(dict(zip(bkey[lo:hi], db[lo:hi])))
             else:
-                hit, match = _ranges(first, np.searchsorted(keys_b[:-1], want, "right"))
-                pos, arc, to_b = pos[hit], arc[hit], db[match]
-            return pos, ca[arc], da[arc].astype(np.int64) * nb + to_b
-
-        starts = [p * nb + q for p in sorted(self.initial) for q in sorted(other.initial)]
-        pairs, srcs, codes, dsts, levels = _explore(starts, step, self._degree())
-        return Automaton._build(
-            self.arity, self.digit_bound, len(pairs), range(len(starts)),
-            np.flatnonzero(final(fa[pairs // nb], fb[pairs % nb])), srcs, codes, dsts,
-            self.deterministic and other.deterministic, levels,
-        )
-
-    def _product_small(self, other: "Automaton", final, dead: bool) -> "Automaton":
-        """``_product`` one pair at a time, numbering pairs on first sight: the
-        order ``_explore`` numbers them in."""
-        size = self.alphabet_size
-        ia, ca, da = self._lists()
-        arcs_b = other._arc_dict()
-        nb = other.num_states + dead
+                row: dict = {}
+                for k in range(lo, hi):
+                    row.setdefault(bkey[k], []).append((bpart[k] * span if bpart else 0) + db[k])
+                rows.append(row)
+        rows.append({})  # the dead state
         miss = other.num_states if dead else None  # where other goes on a letter it lacks
-        pairs = [(p, q) for p in sorted(self.initial) for q in sorted(other.initial)]
-        index = {p * nb + q: i for i, (p, q) in enumerate(pairs)}
-        starts = len(pairs)
-        level = [1] * starts  # of each pair
-        single, deterministic = other.deterministic, self.deterministic and other.deterministic
+        ia = self._indptr
+        pairs = [p * nb + q for p in sorted(self.initial) for q in sorted(other.initial)]
+        index = {pair: i for i, pair in enumerate(pairs)}
+        count = len(pairs)  # pairs met
+        deterministic = self.deterministic and other.deterministic
         indptr, codes, dsts = [0], [], []
-        for i, (p, q) in enumerate(pairs):  # also the pairs appended while it runs
+        for pair in pairs:  # also the pairs appended while it runs
+            p, q = divmod(pair, nb)
+            row = rows[q]
+            if single:
+                out = [head[k] + e for k in range(ia[p], ia[p + 1]) if (e := row.get(akey[k], miss)) is not None]
+            else:
+                out = [head[k] + share for k in range(ia[p], ia[p + 1]) for share in row.get(akey[k], ())]
+            out.sort()  # by letter, then target pair
             lo = len(codes)
-            for c, d in zip(ca[ia[p] : ia[p + 1]], da[ia[p] : ia[p + 1]]):
-                if single:
-                    e = arcs_b.get(q * size + c, miss)
-                    if e is None:
-                        continue
-                    targets = (e,)
-                else:
-                    targets = arcs_b.get(q * size + c, ())
-                for e in targets:
-                    j = index.setdefault(d * nb + e, len(pairs))
-                    if j == len(pairs):
-                        pairs.append((d, e))
-                        level.append(level[i] + 1)
-                    codes.append(c)
-                    dsts.append(j)
+            for arc in out:
+                c, pair = divmod(arc, span)
+                j = index.setdefault(pair, count)
+                if j == count:
+                    pairs.append(pair)
+                    count += 1
+                codes.append(c)
+                dsts.append(j)
             if not deterministic:  # several targets on one code
-                row = sorted(zip(codes[lo:], dsts[lo:]))
-                codes[lo:], dsts[lo:] = [c for c, _ in row], [j for _, j in row]
+                arcs = sorted(zip(codes[lo:], dsts[lo:]))
+                codes[lo:], dsts[lo:] = [c for c, _ in arcs], [j for _, j in arcs]
             indptr.append(len(codes))
-            _cells(len(codes) + len(pairs), "explored arcs and states")
-        p, q = np.array(pairs, np.int64).reshape(-1, 2).T
-        fb = np.append(other._final_mask(), False)  # the dead state rejects
-        finals = np.flatnonzero(final(self._final_mask()[p], fb[q]))
-        return Automaton._from_rows(self.arity, self.digit_bound, range(starts), finals, indptr, codes, dsts,
-                                    deterministic, max(level, default=1))
+            if len(codes) + count > _MAX_CELLS:
+                _cells(len(codes) + count, label + "explored arcs and states")
+        fa, fb = self.finals, other.finals  # the dead state rejects
+        finals = [i for i, pair in enumerate(pairs) if final(pair // nb in fa, pair % nb in fb)]
+        return Automaton._from_rows(arity, self.digit_bound, range(len(self.initial) * len(other.initial)),
+                                    finals, indptr, codes, dsts, deterministic)
 
     def union(self, other: "Automaton") -> "Automaton":
         """Disjoint union (nondeterministic)."""
         self._require_compatible(other)
-        off = self.num_states
-        sa, ca, da = self._arc_arrays()
-        sb, cb, db = other._arc_arrays()
-        return Automaton._build(
-            self.arity, self.digit_bound, off + other.num_states,
+        off, arcs = self.num_states, self.num_transitions()
+        return Automaton._from_rows(
+            self.arity, self.digit_bound,
             sorted(self.initial) + [s + off for s in sorted(other.initial)],
             sorted(self.finals) + [s + off for s in sorted(other.finals)],
-            np.concatenate([sa, sb + off]), np.concatenate([ca, cb]), np.concatenate([da, db + off]), False,
-            max(self._levels, other._levels),
+            self._indptr + [k + arcs for k in other._indptr[1:]], self._codes + other._codes,
+            self._dsts + [d + off for d in other._dsts], False,
         )
 
     def cylindrify(self, position: int) -> "Automaton":
@@ -698,18 +627,35 @@ class Automaton:
         """The automaton over ``arity`` tracks whose track ``tracks[i]``
         carries old track i.  A new track no old track lands on is free; old
         tracks landing on the same new track merge, so only letters agreeing
-        on them survive.  New letter code c reads as old code ``old[c]``, and
-        an arc goes to every new code reading as its own, so a deterministic
-        automaton stays deterministic."""
-        order, ranked = _placement(tuple(tracks), arity, self.digit_bound + 1)
-        srcs, codes, dsts = self._arc_arrays()
-        lo, hi = np.searchsorted(ranked, codes, "left"), np.searchsorted(ranked, codes, "right")
-        _cells(int((hi - lo).sum()), "placed arcs")
-        pos, at = _ranges(lo, hi)
-        return Automaton._build(
-            arity, self.digit_bound, self.num_states, sorted(self.initial), sorted(self.finals),
-            srcs[pos], order[at], dsts[pos], self.deterministic, self._levels,
-        )
+        on them survive.  Each old code maps to the new codes reading as it,
+        and an arc goes to each of them, so a deterministic automaton stays
+        deterministic."""
+        radix = self.digit_bound + 1
+        label = self._label("place", arity=arity)
+        offsets = [0]  # of the letters of the free tracks, ascending
+        for t in range(arity):
+            if t not in tracks:
+                _cells(len(offsets) * radix, label + "placed alphabet")
+                offsets = [o + d * radix ** (arity - 1 - t) for o in offsets for d in range(radix)]
+        spread = {}
+        for code in set(self._codes):
+            placed: dict[int, int] = {}
+            if all(placed.setdefault(t, d) == d for t, d in zip(tracks, _letter(code, self.arity, radix))):
+                base = sum(d * radix ** (arity - 1 - t) for t, d in placed.items())
+                spread[code] = [base + o for o in offsets]
+            else:
+                spread[code] = []
+        _cells(sum(len(spread[c]) for c in self._codes), label + "placed arcs")
+        indptr, codes, dsts = [0], [], []
+        old_indptr, old_codes, old_dsts = self._indptr, self._codes, self._dsts
+        for s in range(self.num_states):
+            lo, hi = old_indptr[s], old_indptr[s + 1]
+            row = sorted((c, d) for code, d in zip(old_codes[lo:hi], old_dsts[lo:hi]) for c in spread[code])
+            codes += [c for c, _ in row]
+            dsts += [d for _, d in row]
+            indptr.append(len(codes))
+        return Automaton._from_rows(arity, self.digit_bound, self.initial, self.finals, indptr, codes, dsts,
+                                    self.deterministic)
 
     def project(self, track: int) -> "Automaton":
         """Erase a track and close under leading all-zero letters."""
@@ -717,163 +663,95 @@ class Automaton:
             raise ArityMismatch("cannot project a single-track automaton")
         if not (0 <= track < self.arity):
             raise ValueError(f"track {track} outside 0..{self.arity - 1}")
-        return self._subsets(erase=track, zero_closed=True)
+        return self._subsets("project", erase=track, zero_closed=True)
 
     def zero_closure(self) -> "Automaton":
         """Close the language under adding/removing leading all-zero letters."""
-        return self._subsets(zero_closed=True)
+        return self._subsets("zero_closure", zero_closed=True)
 
-    def _subsets(self, erase=None, zero_closed=False) -> "Automaton":
-        """Subset construction, breadth first over ascending letters.
+    def _subsets(self, op: str, erase: Optional[int] = None, zero_closed: bool = False) -> "Automaton":
+        """Subset construction, breadth first over ascending letters, one
+        subset at a time, numbering subsets on first sight.
 
         ``erase`` drops that track from every letter.  ``zero_closed``
         closes the language under leading all-zero letters: the start
         subset holds every state reachable by zero letters and loops on the
         zero letter, which is what a fresh start state with all their arcs
-        and a zero self-loop amounts to; a mark tells it from the subset of
-        the same states without the loop.  Each subset holds only states
-        from which a final state can be reached, so only the live (subset,
-        letter) pairs, those with an arc into such a state, are met, and the
-        work follows the arcs.  The result is deterministic and trim.
+        and a zero self-loop amounts to; its key, a 1-tuple of the key of its
+        states, tells it from the subset of the same states without the
+        loop.
+        Each subset holds only states from which a final state can be
+        reached, so only the live (subset, letter) pairs, those with an arc
+        into such a state, are met, and the work follows the arcs.  A
+        subset of one state is keyed by that state, a larger one by the
+        frozenset of its states, so no row of targets is sorted.  The result
+        is deterministic and trim.
         """
-        small = self._size() <= _SMALL * self._levels
-        return (self._subsets_small if small else self._subsets_array)(erase, zero_closed)
-
-    def _subsets_array(self, erase, zero_closed: bool) -> "Automaton":
-        """``_subsets`` one chunk of a breadth-first level at a time."""
         arity = self.arity - (erase is not None)
-        size = (self.digit_bound + 1) ** arity
-        n = self.num_states
-        final = self._final_mask()
-        useful = self._useful()
-        start = np.array(sorted(self.initial), np.int64)
-        if zero_closed:
-            srcs, codes, dsts = self._gather(np.arange(n), erase)
-            zero = codes == 0
-            start = np.flatnonzero(_reach(n, srcs[zero], dsts[zero], start, self._levels))
-        start = start[useful[start]]
-        if not start.size:  # the language is empty
-            none = np.empty(0, np.int64)
-            return Automaton._build(arity, self.digit_bound, 1, [0], [], none, none, none, True)
-        # A subset is keyed by the bytes of the sorted ranks of its states
-        # among the useful ones, then rank u marking the zero-closed start;
-        # an arc into any other state is dropped.
-        kept = np.flatnonzero(useful)
-        u = len(kept)
-        rank = np.full(n, u, np.int64)
-        rank[kept] = np.arange(u)
-        start_key = np.append(rank[start], u) if zero_closed else rank[start]
-        index = {start_key.astype(np.int32).tobytes(): 0}
-        degree = np.diff(self._arrays[0])
-        members, load, finals = [start], [int(degree[start].sum())], [bool(final[start].any())]
-        level = [1]  # of each subset
-        load_of, final_of = np.append(degree[kept], 0), np.append(final[kept], False)  # by rank
-        _check_keys(u + 1, arity, self.digit_bound)  # a pair (row, rank) packs into an int64
-        budget = max(1, min(_CHUNK, _INT64_MAX // (size * (u + 1))))
-        srcs, codes_out, dsts = [], [], []
-        arcs = i = 0
-        while i < len(members):
-            j, work = i + 1, load[i]  # subsets whose arcs fit the budget
-            while j < len(members) and j - i < budget and work + load[j] <= budget:
-                work += load[j]
-                j += 1
-            group = members[i:j]
-            owner = np.repeat(np.arange(j - i), [len(m) for m in group])
-            pos, codes, targets = self._gather(np.concatenate(group), erase)
-            ranks = rank[targets]
-            live = ranks < u
-            # the distinct pairs (row, rank), a row per (subset, letter)
-            pairs = (owner[pos[live]] * size + codes[live]) * (u + 1) + ranks[live]
-            if zero_closed and i == 0:  # the start subset loops on the zero letter
-                pairs = np.concatenate([start_key, pairs])
-            rows, ranks = np.divmod(_distinct(pairs), u + 1)
-            head = np.flatnonzero(np.diff(rows, prepend=-1))  # the first pair of each row
-            rows = rows[head]
-            row_load = np.add.reduceat(load_of[ranks], head).tolist()
-            row_final = np.logical_or.reduceat(final_of[ranks], head).tolist()
-            bounds = np.append(head, len(ranks)).tolist()
-            keys = ranks.astype(np.int32).tobytes()
-            owners = i + rows // size
-            ids = []
-            for r, (lo, hi, owner) in enumerate(zip(bounds, bounds[1:], owners.tolist())):
-                key = keys[4 * lo : 4 * hi]
-                sid = index.get(key)
-                if sid is None:
-                    sid = index[key] = len(members)
-                    members.append(kept[ranks[lo:hi]])
-                    load.append(row_load[r])
-                    finals.append(row_final[r])
-                    level.append(level[owner] + 1)
-                ids.append(sid)
-            srcs.append(owners)
-            codes_out.append(rows % size)
-            dsts.append(np.array(ids, np.int64))
-            arcs += len(rows)
-            _cells(arcs + len(members), "subset arcs and states")
-            i = j
-        return Automaton._build(
-            arity, self.digit_bound, len(members), [0], np.flatnonzero(finals),
-            np.concatenate(srcs), np.concatenate(codes_out), np.concatenate(dsts), True, level[-1],
-        )
-
-    def _subsets_small(self, erase, zero_closed: bool) -> "Automaton":
-        """``_subsets`` one subset at a time, numbering subsets on first sight
-        over ascending letters.  A subset is keyed by the tuple of its sorted
-        states, and the zero-closed start by that tuple with ``num_states``
-        appended."""
-        arity = self.arity - (erase is not None)
-        n = self.num_states
-        indptr, codes, dsts = self._lists()
+        n, radix = self.num_states, self.digit_bound + 1
+        label = self._label(op)
+        indptr, codes, dsts = self._indptr, self._codes, self._dsts
         if erase is not None:
-            low = (self.digit_bound + 1) ** (self.arity - 1 - erase)
-            high = low * (self.digit_bound + 1)
+            low = radix ** (self.arity - 1 - erase)
+            high = low * radix
             codes = [c // high * low + c % low for c in codes]
-        back: list[list[int]] = [[] for _ in range(n)]
-        for s in range(n):
-            for t in dsts[indptr[s] : indptr[s + 1]]:
-                back[t].append(s)
-        useful = _reach_small(back, self.finals)
+        useful = self._useful()
         start = sorted(self.initial)
-        if zero_closed:
-            zero = [[t for k, t in enumerate(dsts[indptr[s] : indptr[s + 1]], indptr[s]) if codes[k] == 0]
-                    for s in range(n)]
-            start = [s for s, hit in enumerate(_reach_small(zero, start)) if hit]
+        if zero_closed:  # every state reachable by zero letters
+            reached, stack = set(start), list(start)
+            while stack:
+                s = stack.pop()
+                for c, t in zip(codes[indptr[s] : indptr[s + 1]], dsts[indptr[s] : indptr[s + 1]]):
+                    if c == 0 and t not in reached:
+                        reached.add(t)
+                        stack.append(t)
+            start = sorted(reached)
         start = [s for s in start if useful[s]]
         if not start:  # the language is empty
-            return Automaton._from_rows(arity, self.digit_bound, [0], [], [0, 0], [], [], True, 1)
-        _check_keys(sum(useful) + 1, arity, self.digit_bound)  # what the array kernel's keys refuse
-        start_key = (*start, n) if zero_closed else tuple(start)
+            return Automaton._from_rows(arity, self.digit_bound, [0], [], [0, 0], [], [], True)
+        start = start[0] if len(start) == 1 else frozenset(start)
+        if not all(useful):  # keep only the arcs into useful states
+            keep = [useful[t] for t in dsts]
+            indptr = list(itertools.accumulate((sum(keep[indptr[s] : indptr[s + 1]]) for s in range(n)), initial=0))
+            codes, dsts = list(itertools.compress(codes, keep)), list(itertools.compress(dsts, keep))
+        _check_keys(sum(useful) + 1, arity, self.digit_bound, label)  # its useful states and the start's mark
+        start_key = (start,) if zero_closed else start
         index = {start_key: 0}
         members: list = [start]
-        level = [1]  # of each subset
+        count = 1  # subsets met
         finals, indptr_out, codes_out, dsts_out = [], [0], [], []
         for i, group in enumerate(members):  # also the subsets appended while it runs
+            if type(group) is int:
+                group = (group,)
             if not self.finals.isdisjoint(group):
                 finals.append(i)
-            moves: dict[int, set[int]] = {}
+            step = defaultdict(list)  # the targets of the group on each code
             for s in group:
-                for k in range(indptr[s], indptr[s + 1]):
-                    if useful[dsts[k]]:
-                        moves.setdefault(codes[k], set()).add(dsts[k])
-            keys = {c: tuple(sorted(targets)) for c, targets in moves.items()}
+                lo, hi = indptr[s], indptr[s + 1]
+                for c, t in zip(codes[lo:hi], dsts[lo:hi]):
+                    step[c].append(t)
+            keys = {c: targets[0] if len(targets) == 1 or len(key := frozenset(targets)) == 1 else key
+                    for c, targets in step.items()}  # targets may repeat
             if zero_closed and i == 0:  # its zero targets are in it, and it loops on the zero letter
                 keys[0] = start_key
-            for c in sorted(keys):
-                sid = index.setdefault(keys[c], len(members))
-                if sid == len(members):
-                    members.append(keys[c])
-                    level.append(level[i] + 1)
-                codes_out.append(c)
+            letters = sorted(keys)
+            codes_out += letters
+            for c in letters:
+                key = keys[c]
+                sid = index.setdefault(key, count)
+                if sid == count:
+                    members.append(key)
+                    count += 1
                 dsts_out.append(sid)
             indptr_out.append(len(codes_out))
-            _cells(len(codes_out) + len(members), "subset arcs and states")
+            if len(codes_out) + count > _MAX_CELLS:
+                _cells(len(codes_out) + count, label + "subset arcs and states")
         return Automaton._from_rows(arity, self.digit_bound, [0], finals, indptr_out, codes_out, dsts_out, True,
-                                    level[-1])
+                                    trim=True)
 
     def is_empty(self) -> bool:
-        srcs, _, dsts = self._arc_arrays()
-        reached = _reach(self.num_states, srcs, dsts, sorted(self.initial), self._levels)
-        return not (reached & self._final_mask()).any()
+        reached = _reach(self._indptr, self._dsts, self.initial)
+        return not any(reached[f] for f in self.finals)
 
     def shortest_witness(self) -> Optional[TupleWord]:
         """A shortest accepted word, or None when the language is empty.
@@ -883,19 +761,29 @@ class Automaton:
         automaton, the lexicographically least.  It is the path of arcs
         that first met each state, back from the final state met first.
         """
-        start = sorted(self.initial)
-        states, srcs, codes, dsts, _ = _explore(start, self._gather, self._degree())
-        hits = np.flatnonzero(self._final_mask()[states])
-        if not hits.size:
+        indptr, codes, dsts = self._indptr, self._codes, self._dsts
+        order = sorted(self.initial)
+        via: dict[int, tuple[int, int]] = {s: (-1, 0) for s in order}  # the arc that first met each state
+        hit = next((s for s in order if s in self.finals), None)
+        for s in order:  # also the states appended while it runs
+            if hit is not None:
+                break
+            for k in range(indptr[s], indptr[s + 1]):
+                t = dsts[k]
+                if t not in via:
+                    via[t] = s, codes[k]
+                    order.append(t)
+                    if t in self.finals:
+                        hit = t
+                        break
+        if hit is None:
             return None
-        met, first = np.unique(dsts, return_index=True)
-        via = np.full(len(states), -1, np.int64)
-        via[met] = first  # the arc that first met each state
-        word, state = [], hits[0]
-        while state >= len(start):
-            word.append(int(codes[via[state]]))
-            state = srcs[via[state]]
-        return tuple(_letter(c, self.arity, self.digit_bound + 1) for c in reversed(word))
+        word = []
+        src, code = via[hit]
+        while src >= 0:
+            word.append(_letter(code, self.arity, self.digit_bound + 1))
+            src, code = via[src]
+        return tuple(reversed(word))
 
     def equivalent(self, other: "Automaton") -> bool:
         """Language equality: neither difference accepts a word."""
@@ -926,7 +814,7 @@ class Automaton:
 
     @classmethod
     def from_text(cls, text: str) -> "Automaton":
-        arity = digit_bound = num_states = None
+        header: dict[str, int] = {}
         initial: list[int] = []
         finals: list[int] = []
         transitions: dict[int, dict[Letter, list[int]]] = {}
@@ -935,27 +823,29 @@ class Automaton:
             if not line or line.startswith("#"):
                 continue
             key, _, rest = line.partition(" ")
-            if key == "arity":
-                arity = int(rest)
-            elif key == "digit_bound":
-                digit_bound = int(rest)
-            elif key == "num_states":
-                num_states = int(rest)
-            elif key == "initial":
-                initial = [int(t) for t in rest.split()]
-            elif key == "final":
-                finals = [int(t) for t in rest.split()]
-            elif key == "trans":
-                src_s, letter_s, dst_s = rest.split()
-                if not (letter_s.startswith("(") and letter_s.endswith(")")):
-                    raise ValueError(f"line {lineno}: bad letter {letter_s!r}")
-                letter = tuple(int(t) for t in letter_s[1:-1].split(",") if t)
-                transitions.setdefault(int(src_s), {}).setdefault(letter, []).append(int(dst_s))
-            else:
-                raise ValueError(f"line {lineno}: unknown field {key!r}")
-        if arity is None or digit_bound is None or num_states is None:
+            try:
+                if key in ("arity", "digit_bound", "num_states"):
+                    header[key] = int(rest)
+                elif key == "initial":
+                    initial = [int(t) for t in rest.split()]
+                elif key == "final":
+                    finals = [int(t) for t in rest.split()]
+                elif key == "trans":
+                    fields = rest.split()
+                    if len(fields) != 3:
+                        raise ValueError(f"want 'trans SRC (LETTER) DST', got {len(fields)} fields")
+                    src_s, letter_s, dst_s = fields
+                    if not (letter_s.startswith("(") and letter_s.endswith(")")):
+                        raise ValueError(f"bad letter {letter_s!r}")
+                    letter = tuple(int(t) for t in letter_s[1:-1].split(",") if t)
+                    transitions.setdefault(int(src_s), {}).setdefault(letter, []).append(int(dst_s))
+                else:
+                    raise ValueError(f"unknown field {key!r}")
+            except ValueError as exc:
+                raise ValueError(f"line {lineno}: {exc}") from None
+        if len(header) < 3:
             raise ValueError("missing arity/digit_bound/num_states header")
-        return cls(arity, digit_bound, num_states, initial, finals, transitions)
+        return cls(header["arity"], header["digit_bound"], header["num_states"], initial, finals, transitions)
 
     def save(self, path) -> None:
         with open(path, "w") as fh:
@@ -990,72 +880,43 @@ class Automaton:
 def from_lazy(lazy, arity: int, digit_bound: int) -> Automaton:
     """Materialize a lazily described NFA with ``_explore``, keyed by the
     recognizer's keys, then keep only the states from which a final state
-    can be reached (a backward ``_reach`` over the arcs).
+    can be reached (a backward ``_reach`` over the arcs), with their arcs
+    sorted into CSR lists.
     """
     starts = np.asarray(lazy.initial_keys(), np.int64)
-    keys, srcs, codes, dsts, levels = _explore(starts, lazy.step, lazy.fanout)
+    keys, srcs, codes, dsts = _explore(starts, lazy.step, lazy.fanout)
     n = len(keys)
     _check_keys(n, arity, digit_bound)
-    finals = np.flatnonzero(lazy.final(keys))
-    useful = _reach(n, dsts, srcs, finals, levels)
-    renumber = np.cumsum(useful) - 1
-    keep = useful[srcs] & useful[dsts]
-    initial = np.arange(len(_distinct(starts)))
-    return Automaton._build(
-        arity, digit_bound, int(useful.sum()), renumber[initial[useful[initial]]],
-        renumber[finals[useful[finals]]], renumber[srcs[keep]], codes[keep], renumber[dsts[keep]], False,
-        levels,
+    into = np.argsort(dsts, kind="stable")  # the arcs by target
+    finals = np.flatnonzero(lazy.final(keys)).tolist()
+    useful = _reach(np.searchsorted(dsts[into], np.arange(n + 1)).tolist(), srcs[into].tolist(), finals)
+    kept = np.array(useful, bool)
+    renumber = np.cumsum(kept) - 1  # the new id of a useful state
+    if not kept.all():
+        keep = kept[srcs] & kept[dsts]
+        srcs, codes, dsts = renumber[srcs[keep]], codes[keep], renumber[dsts[keep]]
+    order = np.argsort(codes.astype(np.int64) * max(n, 1) + dsts, kind="stable")  # fits: see _check_keys
+    order = order[np.argsort(srcs[order], kind="stable")]  # by (src, code, dst)
+    srcs, codes, dsts = srcs[order], codes[order], dsts[order]
+    fresh = np.ones(len(order), bool)  # the first of each run of equal arcs
+    fresh[1:] = (srcs[1:] != srcs[:-1]) | (codes[1:] != codes[:-1]) | (dsts[1:] != dsts[:-1])
+    srcs, codes, dsts = srcs[fresh], codes[fresh], dsts[fresh]
+    indptr = np.searchsorted(srcs, np.arange(int(kept.sum()) + 1))
+    initial = range(len(set(starts.tolist())))  # the starts are numbered first
+    return Automaton._from_rows(
+        arity, digit_bound, renumber[[s for s in initial if useful[s]]],
+        renumber[[f for f in finals if useful[f]]], indptr.tolist(), codes.tolist(), dsts.tolist(), False,
+        trim=True,
     )
 
 
 # -- minimization ----------------------------------------------------------------
 
 
-def _minimize_array(dfa: Automaton, total: bool) -> Automaton:
-    """Moore refinement over the successor table completed by a virtual dead
-    state, then a canonical renumbering of the blocks by ``_explore``.
-
-    The total form keeps the block of the dead state; the trim form drops
-    it with every arc into it, and its table takes only the columns of the
-    codes some arc reads, since every other code leads to the dead state.
-    """
-    n = dfa.num_states
-    srcs, codes, dsts = dfa._arc_arrays()
-    cols = np.arange(dfa.alphabet_size) if total else _distinct(codes)
-    _cells((n + 1) * len(cols), "minimization table")
-    table = np.full((n + 1, len(cols)), n, np.intp)  # table and block ids index, so no cast per round
-    table[srcs, np.searchsorted(cols, codes)] = dsts
-    block = np.append(dfa._final_mask(), False).astype(np.intp)
-    num_blocks = 1 + int(block.max() != block.min())
-    sig = np.empty((n + 1, len(cols) + 1), np.int32)
-    rows = sig.view(np.dtype((np.void, sig.shape[1] * 4))).ravel()  # a state's signature
-    while True:
-        sig[:, 0], sig[:, 1:] = block, block[table]
-        _, inverse = np.unique(rows, return_inverse=True)
-        block = inverse.ravel()
-        count = int(block.max()) + 1
-        if count == num_blocks:
-            break
-        num_blocks = count
-    rep = np.empty(num_blocks, np.int64)
-    rep[block] = np.arange(n + 1)  # a state of each block: all move alike
-    moves = block[table[rep]]  # block transition table; its entries index as keys
-    dead = block[n]
-
-    def step(blocks):  # arcs by column, codes only at the end
-        rows = moves[blocks]
-        pos, col = (rows >= 0 if total else rows != dead).nonzero()
-        return pos, col, rows[pos, col]
-
-    order, srcs, col, dsts, levels = _explore([block[next(iter(dfa.initial))]], step, len(cols))
-    final = np.append(dfa._final_mask(), False)[rep[order]]
-    return Automaton._build(dfa.arity, dfa.digit_bound, len(order), [0], np.flatnonzero(final),
-                            srcs, cols[col], dsts, True, levels)
-
-
-def _minimize_small(dfa: Automaton, total: bool) -> Automaton:
+def _minimize(dfa: Automaton, total: bool) -> Automaton:
     """``Automaton.minimize`` by partition refinement over the arcs
-    (Hopcroft), then the canonical renumbering of ``_minimize_array``.
+    (Hopcroft), then a canonical renumbering of the blocks, breadth first
+    from the initial state's block over ascending letters.
 
     The DFA is completed by a dead state, numbered ``n``, that takes every
     missing arc.  A waiting block splits the others: it marks the states
@@ -1064,10 +925,12 @@ def _minimize_small(dfa: Automaton, total: bool) -> Automaton:
     block splits, both halves wait; when another one splits, either half
     may wait, and the smaller one does unless it holds the dead state.
     So the dead state's block never waits, and no arc into the dead
-    state, most of which are not built, is ever read.
+    state, most of which are not built, is ever read.  The total form
+    keeps the dead state's block with an arc for every letter; the trim
+    form drops it with every arc into it.
     """
     n = dfa.num_states
-    indptr, codes, dsts = dfa._lists()
+    indptr, codes, dsts = dfa._indptr, dfa._codes, dfa._dsts
     into: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (code, src) of the arcs into a state
     for s in range(n):
         for k in range(indptr[s], indptr[s + 1]):
@@ -1103,7 +966,6 @@ def _minimize_small(dfa: Automaton, total: bool) -> Automaton:
     dead = block_of[n]
     order = [block_of[next(iter(dfa.initial))]]
     ids = {order[0]: 0}
-    level = [1]  # of each block met
     out_finals, indptr_out, codes_out, dsts_out = [], [0], [], []
     for i, x in enumerate(order):  # also the blocks appended while it runs
         rep = min(blocks[x])  # all its states move alike
@@ -1119,9 +981,8 @@ def _minimize_small(dfa: Automaton, total: bool) -> Automaton:
             j = ids.setdefault(y, len(order))
             if j == len(order):
                 order.append(y)
-                level.append(level[i] + 1)
             codes_out.append(c)
             dsts_out.append(j)
         indptr_out.append(len(codes_out))
-    return Automaton._from_rows(dfa.arity, dfa.digit_bound, [0], out_finals, indptr_out, codes_out, dsts_out,
-                                True, level[-1])
+    return Automaton._from_rows(dfa.arity, dfa.digit_bound, [0], out_finals, indptr_out, codes_out, dsts_out, True,
+                                trim=bool(out_finals) and not total)

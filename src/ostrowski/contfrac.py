@@ -43,9 +43,11 @@ class ContinuedFraction:
         for a in self.preperiod + self.period:
             if a < 1:
                 raise ValueError(f"partial quotient {a!r} must be >= 1")
-        # [a_1, a_2, ...] as far as computed: not a field, so equality and
-        # hashing ignore it; it is replaced whole, never changed in place.
+        # [a_1, a_2, ...] and [q_0, q_1, ...] as far as computed: not fields,
+        # so equality and hashing ignore them; each is replaced whole, never
+        # changed in place.
         object.__setattr__(self, "_known", list(self.preperiod))
+        object.__setattr__(self, "_denominators", [1])
 
     @property
     def is_quadratic(self) -> bool:
@@ -88,11 +90,19 @@ class ContinuedFraction:
         """Return [q_0, ..., q_n].  Exact integers of arbitrary size."""
         if n < 0:
             raise ValueError(f"n must be >= 0, got {n}")
-        qs = [1]
-        prev = 0  # q_{-1}
-        for a in self.quotients(n):
-            qs.append(a * qs[-1] + prev)
-            prev = qs[-2]
+        return self._known_denominators(n)[: n + 1]
+
+    def _known_denominators(self, n: int) -> list[int]:
+        """At least [q_0, ..., q_n], kept and grown by doubling; the caller
+        must not change the list.  Past a rational prefix this raises."""
+        qs = self._denominators
+        if n < len(qs):
+            return qs
+        aks = self.quotients(max(n, 2 * (len(qs) - 1)) if self.period else n)
+        qs = list(qs)
+        for a in aks[len(qs) - 1 :]:
+            qs.append(a * qs[-1] + (qs[-2] if len(qs) > 1 else 0))  # q_{-1} = 0
+        object.__setattr__(self, "_denominators", qs)
         return qs
 
     def parameters(self) -> "AutomatonParameters":

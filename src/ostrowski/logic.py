@@ -10,16 +10,18 @@ subformula after its operands, into multi-track automata over a fixed
 quadratic expansion; parsing is one loop over an operand stack and an
 operator stack, and formula objects compare, hash and print off a stack
 too, so no depth of nesting exhausts the Python stack.  Every variable
-owns a track carrying its 0*-padded representation, and one gather of
+owns a track carrying its 0*-padded representation, and one map of
 letter codes adds, reorders and merges tracks: a variable named twice in
 an atom (``x + x``, ``V(x) = x``) merges its two tracks there.  Atoms
 with compound terms are flattened through fresh auxiliary variables (one
 adder automaton per ``+``, one singleton automaton per numeral),
-conjunction is automaton intersection, existential quantification is
-track projection followed by the leading-zero closure, and negation is
-complement *relativized to the valid-word universe* on every track, the
-difference of the two: the plain complement would accept junk digit
-strings that represent nothing.  Universal quantifiers reduce to negated
+conjunction is automaton intersection with the operands joined on the
+variables they share, so no track only one of them reads is spelled out
+for the other, existential quantification is track projection followed
+by the leading-zero closure, and negation is complement *relativized to
+the valid-word universe* on every track, the difference of the two: the
+plain complement would accept junk digit strings that represent
+nothing.  Universal quantifiers reduce to negated
 existentials.  The intermediate automata are deterministic, and every
 minimization on the way keeps the trim form, without a dead state, so no
 product walks dead pairs; only ``compile_formula`` returns the total
@@ -366,17 +368,16 @@ def _add_dfa(cf):
 def _universe(cf, arity: int) -> Automaton:
     """All arity-tuples whose tracks are 0*-padded valid representations."""
     u = _valid_dfa(cf)
-    tracks = tuple(range(arity))
-    out = _insert_tracks(_zero_track(u.digit_bound, True), (), tracks)
-    for t in tracks:
-        out = out.intersect(_insert_tracks(u, (t,), tracks))
-    return out.minimize(total=False)
+    out = _zero_track(u.digit_bound, True)
+    for t in range(arity):  # a product with no shared track, minimized as it grows
+        out = out.intersect(u, range(t), (t,)).minimize(total=False)
+    return out
 
 
 def _zero_track(m: int, holds: bool) -> Automaton:
     """Automaton of a sentence: no tracks, one state looping on the empty
     letter, final when the sentence holds."""
-    return Automaton._build(0, m, 1, [0], [0] if holds else [], [0], [0], [0], True)
+    return Automaton._from_rows(0, m, [0], [0] if holds else [], [0, 1], [0], [0], True)
 
 
 def _constant_dfa(cf, value: int) -> Automaton:
@@ -498,9 +499,8 @@ class _Compiler:
 
     def _conjoin(self, a: _Node, b: _Node) -> _Node:
         merged = self.sort_vars(set(a.vars) | set(b.vars))
-        aa = _insert_tracks(a.aut, a.vars, merged)
-        bb = _insert_tracks(b.aut, b.vars, merged)
-        return _Node(merged, aa.intersect(bb))
+        tracks = [[merged.index(v) for v in node.vars] for node in (a, b)]
+        return _Node(merged, a.aut.intersect(b.aut, *tracks))
 
     def _disjoin(self, a: _Node, b: _Node) -> _Node:
         # Compiled languages live inside the valid-word universe, so their

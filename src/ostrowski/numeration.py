@@ -16,6 +16,7 @@ whose values must be computable.  Zero is the empty word.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -72,19 +73,16 @@ def encode(cf: ContinuedFraction, n: int) -> OstrowskiWord:
 
 def _place_values(cf: ContinuedFraction, n: int) -> tuple[list[int], list[int]]:
     """The denominators [q_0, ..., q_L] up to the first one past ``n``, so
-    rho(n) has L digits, and at least the quotients [a_1, ..., a_L].
+    rho(n) has L digits, and the quotients [a_1, ..., a_L].
 
-    The quotients are read as one list, doubled while q is still <= n.
+    Both are read from the expansion's kept denominators, doubled while
+    the last is still <= n; past a rational expansion's prefix that raises.
     """
-    aks = cf.quotients(8 if cf.period else len(cf.preperiod))
-    qs, prev = [1], 0
+    qs = cf._known_denominators(8 if cf.period else len(cf.preperiod))
     while qs[-1] <= n:
-        k = len(qs)
-        if k > len(aks):  # past a rational expansion's prefix this raises
-            aks = cf.quotients(2 * k)
-        qs.append(aks[k - 1] * qs[-1] + prev)
-        prev = qs[-2]
-    return qs, aks
+        qs = cf._known_denominators(2 * len(qs))
+    top = bisect.bisect_right(qs, n)  # L: q_L is the first past n
+    return qs[: top + 1], cf.quotients(top)
 
 
 def decode(cf: ContinuedFraction, w: Sequence[int] | OstrowskiWord) -> int:

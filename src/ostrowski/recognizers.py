@@ -41,8 +41,9 @@ raises ``AutomatonTooLarge`` before anything is explored.
 
 The composed adder joins digit-sum, the three pass relations and
 validity of the result with the toolkit's closure operations, one stage
-per pass: cylindrify, intersect, project the intermediate track (which
-closes under leading zero columns), minimize.  Its first stage is the
+per pass: intersect the running automaton with the pass relation joined
+on their shared track, project the intermediate track (which closes
+under leading zero columns), minimize.  Its first stage is the
 width-4 frame reading x + y from two valid tracks.  By construction it
 accepts conv(0*rho(M), 0*rho(N), 0*rho(M+N)) and nothing else.
 """
@@ -634,8 +635,8 @@ def build_adder(cf: ContinuedFraction) -> Automaton:
     Stages the intersection-and-projection pipeline pairwise, with the
     toolkit's own operations: starting from the fused digit-sum and pass-1
     relation on (x, y, u), each further pass relation on (u, u') is
-    intersected with the running automaton cylindrified to (x, y, u, u'),
-    the track u is projected away (which closes the stage under leading
+    intersected with the running automaton, the two joined on u into an
+    automaton over (x, y, u, u'), the track u is projected away (which closes the stage under leading
     zero columns), and the result is minimized before the next stage to
     keep the state count small.  Validity of the result track, closure
     under leading zero columns, and a final minimization finish the
@@ -650,8 +651,7 @@ def build_adder(cf: ContinuedFraction) -> Automaton:
     dfa = from_lazy(first, 3, params.m).determinize_minimize(total=False)
     for pass_no in (2, 3):
         pass_dfa = build_pass_automaton(cf, pass_no).determinize_minimize(total=False)
-        stage = dfa.cylindrify(3).intersect(pass_dfa.cylindrify(0).cylindrify(0))
+        stage = dfa.intersect(pass_dfa, (0, 1, 2), (2, 3))  # (x, y, u) and (u, u') on (x, y, u, u')
         dfa = stage.project(2).minimize(total=False)
-    valid_z = build_valid_rep(cf).cylindrify(0).cylindrify(0)
-    final = dfa.intersect(valid_z).zero_closure()
+    final = dfa.intersect(build_valid_rep(cf), (0, 1, 2), (2,)).zero_closure()
     return final.determinize_minimize()

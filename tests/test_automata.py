@@ -92,15 +92,16 @@ def arc_map(a):
 
 def projection_oracle(a, track, w, arcs=None):
     """Membership in the projected-and-zero-closed language, by direct search
-    on the original automaton: strip leading zero letters from the candidate,
-    saturate the initial states under letters that are zero on the kept
-    tracks, then consume the rest with the erased track unconstrained."""
+    on the original automaton (``track`` None erases no track): strip
+    leading zero letters from the candidate, saturate the initial states
+    under letters that are zero on the kept tracks, then consume the rest
+    with the erased track unconstrained."""
     arcs = arc_map(a) if arcs is None else arcs
     while w and all(d == 0 for d in w[0]):
         w = w[1:]
 
     def erased(letter):
-        return letter[:track] + letter[track + 1 :]
+        return letter if track is None else letter[:track] + letter[track + 1 :]
 
     states = set(a.initial)
     while True:
@@ -235,12 +236,12 @@ def test_trim_minimal_is_total_without_dead_state():
         assert total.is_total() and trim.deterministic
         assert trim.determinize(complete=True).equivalent(total)
         assert trim.minimize(total=False).to_text() == trim.to_text()
-        dead = int((~total._useful()).sum())
+        dead = total._useful().count(False)
         assert dead <= 1
         if total.is_empty():
             assert trim.num_states == total.num_states == 1 and trim.num_transitions() == 0
         elif dead:
-            assert trim.num_states == total.num_states - 1 and trim._useful().all()
+            assert trim.num_states == total.num_states - 1 and all(trim._useful())
             dropped += 1
         else:
             assert trim.to_text() == total.to_text()
@@ -331,76 +332,118 @@ def test_minimal_states_pairwise_distinguishable():
                 assert distinguishable(d, p, q, arcs)
 
 
-# -- per-state and array kernels ------------------------------------------------
+# -- the kernels ----------------------------------------------------------------
 
 
 def same_automaton(x, y):
     assert x.to_text() == y.to_text()
-    assert (x.deterministic, x._levels) == (y.deterministic, y._levels)
-    for u, v in zip(x._arrays, y._arrays):
-        assert u.dtype == v.dtype and np.array_equal(u, v)
+    assert x.deterministic == y.deterministic
+    assert (x._indptr, x._codes, x._dsts) == (y._indptr, y._codes, y._dsts)
 
 
-def test_small_and_array_kernels_agree():
-    # each construction's per-state and array kernels, called directly on
-    # the same automata, give the same arrays, numbering and text
+def random_tracks(rng, a_arity, b_arity):
+    """Injective track maps of two operands whose landed tracks are 0..k-1."""
+    while True:
+        arity = rng.randint(max(a_arity, b_arity), a_arity + b_arity)
+        ta, tb = rng.sample(range(arity), a_arity), rng.sample(range(arity), b_arity)
+        if set(ta) | set(tb) == set(range(arity)):
+            return ta, tb
+
+
+def test_join_matches_place_and_intersect():
+    # a product joined on shared tracks gives the arrays of placing both
+    # operands on all tracks and intersecting, numbering included: on
+    # deterministic operands and, as the product numbers pairs in order of
+    # (letter, target pair), on nondeterministic ones too
     rng = random.Random(17)
-    empty = Automaton(2, 1, 2, [0, 1], [], {0: {(0, 1): (0, 1)}, 1: {(1, 1): (0,)}})
-    sentences = [Automaton._build(0, 2, 1, [0], finals, [0], [0], [0], True) for finals in ([0], [])]
-    several = 0
-    for i in range(60):
-        arity, bound = rng.choice([1, 2, 3]), rng.choice([1, 2])
+    sentence = Automaton._build(0, 2, 1, [0], [0], [0], [0], [0], True)
+    cases = [(sentence, [], sentence, [])]
+    for _ in range(80):
+        bound = rng.choice([1, 2])
+        a = random_automaton(rng, rng.choice([1, 2]), bound)
+        b = random_automaton(rng, rng.choice([1, 2]), bound)
+        if rng.random() < 0.6:
+            a = a.determinize(complete=rng.random() < 0.3)
+        if rng.random() < 0.6:
+            b = b.determinize(complete=rng.random() < 0.3)
+        ta, tb = random_tracks(rng, a.arity, b.arity)
+        cases.append((a, ta, b, tb))
+    deterministic = 0
+    for a, ta, b, tb in cases:
+        arity = len(set(ta) | set(tb))
+        joined = a.intersect(b, ta, tb)
+        placed = a._place(ta, arity).intersect(b._place(tb, arity))
+        assert joined.arity == arity
+        same_automaton(joined, placed)
+        deterministic += joined.deterministic
+    assert 20 <= deterministic <= 60
+    a = random_automaton(rng, 2, 1)
+    # a track map of the wrong length, two tracks on one, a track left out
+    for ta, tb in (([0], [0]), ([0, 0], [1]), ([1, 0], [1, 1]), ([0, 2], [0])):
+        with pytest.raises(ArityMismatch):
+            a.intersect(random_automaton(rng, len(tb), 1), ta, tb)
+
+
+def zero_closure_oracle(a, w, arcs=None):
+    """Membership in the zero-closed language: ``projection_oracle`` erasing no track."""
+    return projection_oracle(a, None, w, arcs)
+
+
+def test_kernels_against_brute_force():
+    # every kernel on random automata of 1-3 tracks, against the languages
+    # of its operands read off their arcs, on all words up to length 4
+    rng = random.Random(18)
+    for _ in range(30):
+        arity = rng.choice([1, 2, 3])
+        bound = 1 if arity == 3 else rng.choice([1, 2])  # at most 9 letters, so 7,381 words
         a, b = random_automaton(rng, arity, bound), random_automaton(rng, arity, bound)
-        if i == 0:
-            arity, bound, a, b = 2, 1, empty, empty
-        several += len(a.initial) > 1
-        for erase in (None, *range(arity)):
-            for zero_closed in (False, True):
-                same_automaton(a._subsets_small(erase, zero_closed),
-                               a._subsets_array(erase, zero_closed))
-        da, db = a.determinize(complete=False), b.determinize(complete=False)
-        everything = Automaton._everything(arity, bound)
-        for x, y in ((a, b), (a, db), (da, b), (da, db)):
-            same_automaton(x._product_small(y, np.logical_and, False),
-                           x._product_array(y, np.logical_and, False))
-        for x, y in ((a, db), (da, db), (everything, da)):  # differences, and a completion
-            same_automaton(x._product_small(y, lambda p, q: p & ~q, True),
-                           x._product_array(y, lambda p, q: p & ~q, True))
-        for x in (da, a.zero_closure(), everything._product(da, lambda p, q: q, dead=True)):
-            for total in (True, False):
-                same_automaton(automata._minimize_small(x, total), automata._minimize_array(x, total))
-        srcs, _, dsts = a._arc_arrays()
-        adj = [dsts[srcs == s].tolist() for s in range(a.num_states)]
-        assert automata._reach_small(adj, sorted(a.initial)) == \
-            automata._reach_array(a.num_states, srcs, dsts, sorted(a.initial)).tolist()
-    assert several >= 10
-    for x in sentences:  # one state, no tracks
-        for zero_closed in (False, True):
-            same_automaton(x._subsets_small(None, zero_closed), x._subsets_array(None, zero_closed))
-        for y in sentences:
-            for dead in (False, True):
-                same_automaton(x._product_small(y, lambda p, q: p & ~q, dead),
-                               x._product_array(y, lambda p, q: p & ~q, dead))
+        max_len = 4
+        la, lb = language(a, max_len), language(b, max_len)
+        assert np.array_equal(language(a.intersect(b), max_len), la & lb)
+        assert np.array_equal(language(a.difference(b), max_len), la & ~lb)
+        da = a.determinize(complete=False)
+        assert np.array_equal(language(da, max_len), la)
         for total in (True, False):
-            same_automaton(automata._minimize_small(x, total), automata._minimize_array(x, total))
+            m = da.minimize(total)
+            assert m.deterministic and (m.is_total() or not total)
+            assert np.array_equal(language(m, max_len), la)
+        arcs = arc_map(a)
+        z = a.zero_closure()
+        for w, ok in zip(all_words(arity, bound, max_len), language(z, max_len)):
+            assert ok == zero_closure_oracle(a, w, arcs)
+        if arity > 1:
+            track = rng.randrange(arity)
+            p = a.project(track)
+            for w, ok in zip(all_words(arity - 1, bound, max_len), language(p, max_len)):
+                assert ok == projection_oracle(a, track, w, arcs)
 
 
-def test_distinct_matches_unique():
-    rng = np.random.default_rng(5)
-    cases = [np.empty(0, np.int64), np.empty(0, np.int32), np.array([7]), np.array([3, 3], np.int32),
-             np.array([2, 1], np.int64), np.arange(50, dtype=np.int32)[::-1]]
-    for dtype in (np.int32, np.int64):
-        cases += [rng.integers(0, high, size, dtype=dtype) for high in (3, 1 << 30) for size in (1, 2, 100, 5000)]
-    for values in cases:
-        got, want = automata._distinct(values), np.unique(values)
-        assert got.dtype == want.dtype and np.array_equal(got, want)
-    assert automata._distinct([4, 0, 4]).tolist() == [0, 4]
+def test_kernel_refusals_name_the_operation(monkeypatch):
+    chain = Automaton(1, 1, 5, [0], [4], {s: {(0,): (s + 1,), (1,): (s + 1,)} for s in range(4)})
+    wide, right = chain.cylindrify(1), chain.determinize(complete=False)
+    dfa = Automaton(1, 2, 2, [0], [1], {0: {(1,): (1,)}}).determinize(complete=False)
+    monkeypatch.setattr(automata, "_MAX_CELLS", 12)
+    cases = [
+        (lambda: chain.intersect(chain),
+         "intersect of 5 × 5 states, 1 tracks: explored arcs and states needs 13 entries, more than 12"),
+        (lambda: chain.difference(right), "difference of 5 × 5 states, 1 tracks: explored arcs and states"),
+        (lambda: chain.determinize(), "determinize of 5 states, 1 tracks: subset arcs and states"),
+        (lambda: wide.project(0), "project of 5 states, 2 tracks: subset arcs and states"),
+        (lambda: chain.cylindrify(0), "place of 5 states, 2 tracks: placed arcs needs 16 entries"),
+    ]
+    for call, message in cases:
+        with pytest.raises(AutomatonTooLarge) as err:
+            call()
+        assert str(err.value).startswith(message)
+    monkeypatch.setattr(automata, "_MAX_CELLS", 8)
+    with pytest.raises(AutomatonTooLarge, match="^minimize of 2 states, 1 tracks: minimization table needs 9"):
+        dfa.minimize()
 
 
 def test_padded_word_is_a_chain_of_its_length():
     digits = [1, 0, 2, 0]
     a = Automaton._padded_word(2, digits)
-    assert a.deterministic and a.num_states == 5 and a._levels == 5
+    assert a.deterministic and a.num_states == 5
     for pad in range(3):
         assert a.accepts(tuple((d,) for d in [0] * pad + digits))
     for other in ([1, 0, 2], [1, 0, 2, 0, 0], [2, 0, 2, 0], [0, 1, 1, 2, 0]):
@@ -509,10 +552,6 @@ def test_place_against_brute_force():
         assert (placed.arity, placed.deterministic) == (arity, a.deterministic)
         max_len = enum_len(placed) if placed.alphabet_size <= 9 else 2
         assert np.array_equal(language(placed, max_len), placed_language(a, tracks, arity, max_len))
-    # the map from new to old letter codes is made once and shared, read-only
-    order, ranked = automata._placement((1, 0), 2, 3)
-    assert automata._placement((1, 0), 2, 3)[0] is order
-    assert not order.flags.writeable and not ranked.flags.writeable
 
 
 def test_cylindrify_position_errors():

@@ -118,6 +118,20 @@ def test_run_oversized_automaton_exit_2(capsys, tmp_path):
         assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_run_malformed_lines_name_their_line(capsys, tmp_path):
+    # a transition with too few fields and a final state that is no number
+    # end in one error line naming the line, not a bare Python message
+    head = "arity 1\ndigit_bound 1\nnum_states 2\ninitial 0\n"
+    for body, line in (("final 1\ntrans 0 (1)\n", 6), ("final x\n", 5), ("trans 0 1 1\nfinal 1\n", 5)):
+        path = tmp_path / "bad.aut"
+        path.write_text(head + body)
+        with pytest.raises(ValueError, match=f"^line {line}: "):
+            Automaton.from_text(head + body)
+        code, out, err = run(capsys, "run", "--automaton", str(path), "--word", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: line {line}: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_run_huge_arity_exit_2(capsys, tmp_path):
     # 2**10**12 letters are refused without computing their count
     text = "arity 1000000000000\ndigit_bound 1\nnum_states 1\ninitial 0\nfinal 0\n"

@@ -46,6 +46,27 @@ def test_quotients_kept_between_calls():
         prefix_only.quotients(3)
 
 
+def test_denominators_kept_between_calls():
+    # the kept denominators follow the recurrence however they grew, each
+    # call returns a list of its own, and a rational prefix still raises
+    cf = ContinuedFraction(0, (1, 2), (3, 1, 4))
+    aks = cf.quotients(80)
+    want = [1, aks[0]]
+    for a in aks[1:]:
+        want.append(a * want[-1] + want[-2])
+    for n in (0, 1, 5, 3, 80, 17, 40):
+        got = cf.convergent_denominators(n)
+        assert got == want[: n + 1]
+        got.append(99)
+    assert cf._known_denominators(80)[:81] == want
+    assert cf == ContinuedFraction(0, (1, 2), (3, 1, 4))
+    prefix_only = ContinuedFraction(2, (5, 3), ())
+    assert prefix_only.convergent_denominators(2) == [1, 5, 16]
+    with pytest.raises(IndexBeyondKnownPrefix):
+        prefix_only.convergent_denominators(3)
+    assert prefix_only.convergent_denominators(1) == [1, 5]
+
+
 def test_fibonacci_denominators(golden):
     assert golden.convergent_denominators(6) == [1, 1, 2, 3, 5, 8, 13]
 
