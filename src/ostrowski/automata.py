@@ -533,7 +533,6 @@ class Automaton:
                 f"bound {self.digit_bound}/{other.digit_bound}"
             )
         label = self._label(op, other, arity)
-        _check_keys(other.num_states + dead, arity, self.digit_bound, label)  # the dead state's keys too
         radix = self.digit_bound + 1
         shared = sorted(set(ta) & set(tb))
         alone = [t for t in tb if t not in ta]  # the tracks only other reads
@@ -714,7 +713,6 @@ class Automaton:
             keep = [useful[t] for t in dsts]
             indptr = list(itertools.accumulate((sum(keep[indptr[s] : indptr[s + 1]]) for s in range(n)), initial=0))
             codes, dsts = list(itertools.compress(codes, keep)), list(itertools.compress(dsts, keep))
-        _check_keys(sum(useful) + 1, arity, self.digit_bound, label)  # its useful states and the start's mark
         start_key = (start,) if zero_closed else start
         index = {start_key: 0}
         members: list = [start]

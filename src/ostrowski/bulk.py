@@ -15,11 +15,11 @@ pass to the last.  The window invariants of the scalar passes are
 asserted the same way, as row masks; any violating row aborts the batch
 with ``InternalInvariantError`` naming the row's index in the batch.
 
-Digits are int16 while every pass digit and every term of the rules fits
-it, which holds for partial quotients up to 8,190; larger quotients take
-int32 or int64 (``_digit_dtype``), so a large digit never wraps; with the
-checks on, an input digit outside 0..2a for the largest quotient a is
-refused before it is cast.
+Digits take the narrowest signed type that every pass digit and every
+term of the rules fits (``_digit_dtype``): int8 for partial quotients up
+to 30, int16 up to 8,190, int32 up to 536,870,910 and int64 beyond, so a
+large digit never wraps.  An input digit outside 0..2a for the largest
+quotient a is refused before it is cast, whether the checks are on or off.
 Encoding and decoding are exact.  ``batch_encode`` runs the greedy
 algorithm of ``numeration.encode`` over a whole vector of values at once,
 one digit column at a time from the top, on int64 remainders while every
@@ -44,9 +44,10 @@ def _digit_dtype(aks) -> np.dtype:
     """Smallest signed integer type for the digits of words under the caps
     ``aks``: pass digits stay within 0..2a+2 for the largest cap a, and no
     term the window rules or the invariant checks compute is more than
-    twice that."""
+    twice that, 4a+4.  So int8 holds them for a up to 30, int16 up to
+    8,190, int32 up to 536,870,910 and int64 beyond."""
     top = 4 * max(aks, default=0) + 4
-    for dtype in (np.int16, np.int32, np.int64):
+    for dtype in (np.int8, np.int16, np.int32, np.int64):
         if top <= np.iinfo(dtype).max:
             return np.dtype(dtype)
     raise DigitOutOfRange(f"partial quotient {max(aks)} is too large for machine-integer digits")
@@ -173,10 +174,11 @@ def batch_add(
     Returns the result digit matrix, or with ``return_stages`` the tuple
     (s, z3, w, v3) of all intermediate words.  For inputs ``w`` columns
     wide, s and z3 have max(w + 1, 4) columns, w one more and v3 two more.
-    With ``check`` an input digit outside 0..2a, for the largest partial
-    quotient a over the width, raises ``DigitOutOfRange``: past it a sum
-    could leave the working digit type.  A digit matrix that is not of an
-    integer type raises ``DigitOutOfRange`` whatever ``check`` is.
+    An input digit outside 0..2a, for the largest partial quotient a over
+    the width, raises ``DigitOutOfRange`` before it is cast: past it a sum
+    could leave the working digit type.  So does a digit matrix that is
+    not of an integer type.  Both hold whatever ``check`` is; ``check``
+    turns on the window invariants of the passes.
     """
     if x.shape != y.shape:
         raise ValueError(f"shape mismatch {x.shape} vs {y.shape}")
@@ -194,9 +196,8 @@ def batch_add(
     for lo in range(0, count, block):
         hi = min(lo + block, count)
         b, result = buf[:, : hi - lo], outs[-1][lo:hi]
-        if check:
-            _check_digits(x[lo:hi], top, lo)
-            _check_digits(y[lo:hi], top, lo)
+        _check_digits(x[lo:hi], top, lo)
+        _check_digits(y[lo:hi], top, lo)
         np.add(x[lo:hi], y[lo:hi], out=result[:, :given], dtype=dtype)
         b[:given] = result[:, :given].T
         b[given:] = 0
@@ -217,7 +218,8 @@ def batch_decode(cf: ContinuedFraction, digits: np.ndarray) -> np.ndarray:
     """Exact value of each row: int64 when no row can pass 2**63 - 1, else
     an object array of Python integers."""
     qs = cf.convergent_denominators(digits.shape[1] - 1)
-    top = max(int(np.abs(digits).max(initial=0)), 1)  # the place values must fit too
+    # from min and max, as np.abs of the type's minimum wraps; at least 1 for the place values
+    top = max(-int(digits.min(initial=0)), int(digits.max(initial=0)), 1)
     dtype = np.int64 if top * sum(qs) < 2**63 else object
     return digits.astype(dtype) @ np.array(qs, dtype=dtype)
 

@@ -231,13 +231,13 @@ def padded_encodings(cf, values):
 def test_batch_encode_matches_scalar(any_cf):
     table = bulk.batch_encode(any_cf, np.arange(5001))
     assert np.array_equal(table, padded_encodings(any_cf, range(5001)))
-    assert table.dtype == np.int16
+    assert table.dtype == np.int8
     # past 2**63 the remainders are Python integers (an object array)
     rng = random.Random(16)
     big = [rng.randrange(10**e, 10 ** (e + 1)) for e in (rng.randrange(18, 30) for _ in range(200))]
     assert min(big) < 2**63 < max(big)
     table = bulk.batch_encode(any_cf, big)
-    assert table.dtype == np.int16
+    assert table.dtype == np.int8
     assert np.array_equal(table, padded_encodings(any_cf, big))
     edge = [2**63 - 1, 2**63, 2**64 - 1]
     assert np.array_equal(bulk.batch_encode(any_cf, np.array(edge, np.uint64)), padded_encodings(any_cf, edge))
@@ -285,6 +285,16 @@ def test_bulk_decode_and_valid(any_cf):
     assert bulk.batch_is_valid(any_cf, np.zeros((2, 0), dtype=np.int16)).all()
 
 
+@pytest.mark.parametrize("dtype", [np.int8, np.int16])
+def test_bulk_decode_magnitude_of_the_type_minimum(golden, dtype):
+    # np.abs of the type's minimum stays negative; the bound must not read it
+    row = np.zeros((1, 85), dtype)
+    row[0, -1] = np.iinfo(dtype).min
+    want = int(np.iinfo(dtype).min) * golden.convergent_denominators(84)[84]
+    assert want < -(2**63)
+    assert [int(v) for v in bulk.batch_decode(golden, row)] == [want]
+
+
 def test_bulk_decode_exact_past_int64(golden):
     # 2**63 < s < q_92 for the golden ratio: 92-digit representations.
     sums = [10**19 + i * 9 * 10**15 for i in range(8)]
@@ -301,7 +311,9 @@ def test_bulk_decode_exact_past_int64(golden):
     assert [int(v) for v in bulk.batch_decode(golden, out)] == sums
 
 
-@pytest.mark.parametrize("cap, dtype", [(8190, np.int16), (8191, np.int32), (30000, np.int32)])
+@pytest.mark.parametrize(
+    "cap, dtype", [(30, np.int8), (31, np.int16), (8190, np.int16), (8191, np.int32), (30000, np.int32)]
+)
 def test_bulk_large_quotients_do_not_wrap(cap, dtype):
     # digits at the caps, so pass digits near 2 * cap: on 1;(30000),
     # cap * cap + cap - 2 has digits (29997, 0, 1), and twice it needs int32
@@ -340,16 +352,20 @@ def test_bulk_blocks_keep_global_rows(golden):
 
 
 def test_bulk_rejects_input_digits_out_of_range(golden):
-    # an int64 digit past int16 would wrap when cast, and a negative one
-    # would pass through the passes unchanged; both are refused by row
-    for row, dtype in (((40000, 0, 0), np.int64), ((-1, 0, 0), np.int16)):
+    # the golden ratio adds on int8: digits past it would wrap when cast
+    # (65537 to 1, so 65537 + 65537 would come out as rho(2)), and a
+    # negative one would pass through the passes unchanged; all are refused
+    # by row, and check=False skips only the pass invariants
+    rows = ((40000, 0, 0), np.int64), ((65537, 0, 0), np.int64), ((128, 0, 0), np.int16), ((-1, 0, 0), np.int8)
+    for row, dtype in rows:
         x = np.zeros((6, 3), dtype)
         x[4] = row
-        for args in ((x, np.zeros_like(x)), (np.zeros_like(x), x)):
-            with pytest.raises(DigitOutOfRange, match=r"rows \[4\]"):
-                bulk.batch_add(golden, *args)
+        for args in ((x, x), (x, np.zeros_like(x)), (np.zeros_like(x), x)):
+            for check in (True, False):
+                with pytest.raises(DigitOutOfRange, match=r"rows \[4\]"):
+                    bulk.batch_add(golden, *args, check=check)
     # a digit of 2 * mu passes the input check; the pass invariants judge it
-    x = np.full((1, 3), 2, np.int16)
+    x = np.full((1, 3), 2, np.int8)
     bulk.batch_add(golden, x, x, check=False)
     with pytest.raises(InternalInvariantError):
         bulk.batch_add(golden, x, x)
@@ -387,6 +403,9 @@ magnitudes = st.one_of(  # small, or with 6, 60 or 300 decimal digits
 @example(cf=ContinuedFraction.from_text("1;(1)"), pairs=[], pad=0, block_rows=1)  # the empty batch
 @example(cf=ContinuedFraction.from_text("1;(1)"), pairs=[(0, 0), (0, 0)], pad=0, block_rows=1)  # zero-width
 @example(cf=ContinuedFraction.from_text("1;(2)"), pairs=[(10**300, 7), (3, 10**299), (0, 10**300)], pad=1, block_rows=2)
+# the edge of the digit types: 1;(30) adds on int8, 1;(31) on int16
+@example(cf=ContinuedFraction.from_text("1;(30)"), pairs=[(928, 928), (29790, 959), (10**60, 1)], pad=0, block_rows=2)
+@example(cf=ContinuedFraction.from_text("1;(31)"), pairs=[(990, 990), (30783, 991), (10**60, 1)], pad=1, block_rows=1)
 def test_batch_add_matches_scalar_add(cf, pairs, pad, block_rows):
     xs = [encode(cf, m_value).digits for m_value, _ in pairs]
     ys = [encode(cf, n_value).digits for _, n_value in pairs]
@@ -396,9 +415,10 @@ def test_batch_add_matches_scalar_add(cf, pairs, pad, block_rows):
     width = max(given_width + 1, 4)
     stages = bulk.batch_add(cf, x, y, return_stages=True)
     assert [a.shape for a in stages] == [(len(pairs), n) for n in (width, width, width + 1, width + 2)]
-    assert all(a.dtype == np.int16 for a in stages)
+    dtype = np.int8 if max(cf.quotients(width + 2)) <= 30 else np.int16
+    assert all(a.dtype == dtype for a in stages)
     v3 = bulk.batch_add(cf, x, y)
-    assert v3.dtype == np.int16 and np.array_equal(v3, stages[3])
+    assert v3.dtype == dtype and np.array_equal(v3, stages[3])
     for row, (m_value, n_value) in enumerate(pairs):
         want = add(cf, m_value, n_value).digits
         assert want == encode(cf, m_value + n_value).digits
@@ -411,7 +431,7 @@ def test_batch_add_matches_scalar_add(cf, pairs, pad, block_rows):
     assert all(a.tobytes() == b.tobytes() for a, b in zip(stages, blocked))
 
 
-@pytest.mark.parametrize("dtype", [np.int16, np.int64])
+@pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int64])
 def test_array_rules_match_scalar(dtype):
     # every window over digits 0..6 under every cap triple in 1..3
     for width, scalar, delta in ((4, window_a, window_a_delta), (3, window_b, window_b_delta),

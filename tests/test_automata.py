@@ -278,17 +278,20 @@ def test_wide_alphabet_tables_refused_first():
 
 
 def test_keys_past_int64_refused():
-    # 2**62 letters: a subset key packs a letter with one of 3 ranks (two
-    # useful states and the mark of none), and a difference with a 2-state
-    # DFA one of 3 states (two and the dead one); 3 * 2**62 keys pass 2**63
+    # 2**62 letters: the kernels hold Python integers, so a result whose
+    # keys fit 64 bits is built; one past them is refused when constructed
     a = Automaton(62, 1, 2, [0], [0, 1], {0: {(1,) * 62: (1,)}})
-    with pytest.raises(AutomatonTooLarge):
-        a.determinize(complete=False)
+    dfa = a.determinize(complete=False)
+    assert dfa.deterministic and (dfa.num_states, dfa.num_transitions()) == (2, 1)
+    assert dfa.accepts([]) and dfa.accepts([(1,) * 62]) and not dfa.accepts([(1,) * 62] * 2)
     loop = Automaton(62, 1, 1, [0], [0], {0: {(1,) * 62: (0,)}})
-    dfa = loop.zero_closure()
-    assert dfa.deterministic and dfa.num_states == 2
-    with pytest.raises(AutomatonTooLarge):
-        loop.difference(dfa)
+    closed = loop.zero_closure()
+    assert closed.deterministic and closed.num_states == 2
+    assert loop.difference(closed).is_empty()
+    with pytest.raises(AutomatonTooLarge, match="4 states"):
+        closed.difference(loop)
+    with pytest.raises(AutomatonTooLarge, match="3 states"):
+        Automaton(62, 1, 3, [0], [0], {0: {(1,) * 62: (1,)}})
 
 
 class _Chain:

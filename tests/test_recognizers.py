@@ -194,13 +194,12 @@ def test_adder_deterministic_minimal_canonical(golden):
 def test_adder_matches_unfused_composition(any_cf):
     # build_adder reads x + y in its first stage; compose digit-sum and the
     # three pass relations one by one instead, with the same operations and
-    # the same trim stages
+    # the same trim stages, joining each relation on the track it reads
     dfa = build_digit_sum(any_cf)
     for pass_no in (1, 2, 3):
-        relation = build_pass_automaton(any_cf, pass_no).cylindrify(0).cylindrify(0)
-        dfa = dfa.cylindrify(3).intersect(relation).project(2).minimize(total=False)
-    valid_z = build_valid_rep(any_cf).cylindrify(0).cylindrify(0)
-    composed = dfa.intersect(valid_z).zero_closure().determinize_minimize()
+        relation = build_pass_automaton(any_cf, pass_no)
+        dfa = dfa.intersect(relation, (0, 1, 2), (2, 3)).project(2).minimize(total=False)
+    composed = dfa.intersect(build_valid_rep(any_cf), (0, 1, 2), (2,)).zero_closure().determinize_minimize()
     assert composed.to_text() == build_adder(any_cf).to_text()
 
 
