@@ -126,14 +126,6 @@ def _letter(code: int, arity: int, radix: int) -> Letter:
     return tuple(reversed(digits))
 
 
-def _ranges(starts: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Concatenated ranges [starts[i], ends[i]): (i per element, element)."""
-    lens = ends - starts
-    pos = np.repeat(np.arange(len(starts)), lens)
-    offsets = np.arange(len(pos)) - np.repeat(np.cumsum(lens) - lens, lens)
-    return pos, starts[pos] + offsets
-
-
 def _csr(n: int, srcs, codes, dsts) -> tuple[list, list, list]:
     """Sorted, duplicate-free CSR lists of the arcs (srcs[i], codes[i], dsts[i])."""
     rows: list[set] = [set() for _ in range(n)]

@@ -16,7 +16,8 @@ One-shot subcommands over a continued fraction given as ``a0;p1,...,(c1,...)``:
 Exit codes: 0 success (or sentence true), 1 sentence false / word rejected,
 2 malformed input, 3 expansion not eventually periodic where automata are
 required.  Output is deterministic; ``--json`` wraps results as
-``{"command": ..., "result": ...}``.
+``{"command": ..., "result": ...}``, and errors, besides their line on
+stderr, as ``{"command": ..., "error": {"type": ..., "message": ...}}``.
 """
 
 from __future__ import annotations
@@ -369,12 +370,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except NotQuadratic as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except (OstrowskiError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        if args.json:
+            command = " ".join(filter(None, (args.command, getattr(args, "cf_command", None))))
+            error = {"type": type(exc).__name__, "message": str(exc)}
+            print(f'{{"command": {json.dumps(command)}, "error": {_json(error)}}}')
+        return 3 if isinstance(exc, NotQuadratic) else 2
 
 
 if __name__ == "__main__":

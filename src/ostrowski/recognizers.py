@@ -27,17 +27,23 @@ under convolution padding.
 Buffered claims make most states of a pass frame dead ends.  So a pass
 frame first finds, by a backward fixpoint over the window rules, the
 states without input flags from which its final phase can still be
-reached (``_viable``), and explores only those.  On the fixtures the
-three pass relations meet only the states they keep; the adder's first
-stage, whose flags the table ignores, meets up to a third more.
+reached (``_viable``), one bit per state, and explores only those.  On
+the fixtures the three pass relations meet only the states they keep;
+the adder's first stage, whose flags the table ignores, meets up to a
+third more.
 
 Each recognizer is a frame for ``automata.from_lazy``: it packs a state
 (phase id, buffers, flags) into one int64 key with ``_Key`` and steps a
 whole frontier of keys at once.  A step lays out, per state, a grid over
 its choices (input digits, claimed digits, successor phases) in the order
 that numbers new states, masks the cells the rules allow, and reads off
-the arcs of the cells left.  An expansion whose keys could pass 64 bits
-raises ``AutomatonTooLarge`` before anything is explored.
+the arcs of the cells left.  A pass frame's step reads the viability
+mask of each candidate (state, input, successor phase) over the claim
+that ends the successor's buffer, and packs keys only for the claims the
+mask admits.  An expansion whose keys could pass 64 bits, or whose
+viability table would pass the toolkit's size guard, raises
+``AutomatonTooLarge`` before anything is explored, naming the stage and
+the expansion.
 
 The composed adder joins digit-sum, the three pass relations and
 validity of the result with the toolkit's closure operations, one stage
@@ -50,12 +56,13 @@ accepts conv(0*rho(M), 0*rho(N), 0*rho(M+N)) and nothing else.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 
 import numpy as np
 
-from .automata import Automaton, _cells, _ranges, from_lazy
+from .automata import _MAX_CELLS, Automaton, from_lazy
 from .contfrac import AutomatonParameters, ContinuedFraction, automaton_parameters
 from .errors import AutomatonTooLarge, NotQuadratic
 from .rules import c_preimages_array, rewrite, window_a_delta, window_b_delta, window_c_delta
@@ -131,6 +138,15 @@ class _Key:
         return [keys[:, None]] + fields[::-1]
 
 
+@contextlib.contextmanager
+def _stage(what: str, cf: ContinuedFraction):
+    """Name the stage and the expansion in a refusal raised inside."""
+    try:
+        yield
+    except AutomatonTooLarge as exc:
+        raise AutomatonTooLarge(f"{what} of {cf}: {exc}") from exc
+
+
 def _params(cf: ContinuedFraction) -> AutomatonParameters:
     if not cf.is_quadratic:
         raise NotQuadratic("recognizers require an eventually periodic expansion")
@@ -189,6 +205,19 @@ class _SumInput:
         return ok, self.x + self.y, capped
 
 
+def _mask_dtype(bits: int):
+    """The narrowest unsigned type holding masks of ``bits`` bits."""
+    for dtype in (np.uint8, np.uint16, np.uint32, np.uint64):
+        if np.iinfo(dtype).bits >= bits:
+            return dtype
+    raise AutomatonTooLarge(f"viability masks of {bits} bits do not fit 64-bit words")
+
+
+def _pack_bits(cells: np.ndarray, dtype) -> np.ndarray:
+    """Bool cells as masks over their last axis: bit y stands for ``cells[..., y]``."""
+    return (cells.astype(dtype) << np.arange(cells.shape[-1], dtype=dtype)).sum(axis=-1, dtype=dtype)
+
+
 @functools.lru_cache(maxsize=None)
 def _viable(frame: type, params: AutomatonParameters) -> np.ndarray:
     """Which coarse states of a pass frame can still reach its final phase.
@@ -205,29 +234,36 @@ def _viable(frame: type, params: AutomatonParameters) -> np.ndarray:
     some y; from the last phase, when it passes the closing check.  The
     final phase is viable throughout.
 
-    The least such table is found phase by phase: a phase is recomputed,
-    taking "for some y" as one ``any`` over the last axis, while one of
-    its successors has changed since, the lowest phase id first.  Phase
-    ids put every successor first but for the wrap to (nu, 1), so few
-    phases are recomputed twice.
+    The table holds one bit per coarse state, as one mask per coarse
+    state without its last buffered digit, bit d for last digit d, in the
+    narrowest unsigned type that holds m + 1 bits.  So "for some y" is a
+    mask other than 0, and the moves of a head are joined by one
+    ``bitwise_or.reduceat`` over masks.  The least table is found phase by
+    phase: a phase is recomputed while one of its successors has changed
+    since, the lowest phase id first.  Phase ids put every successor first
+    but for the wrap to (nu, 1), so few phases are recomputed twice.
 
-    Returns the table as one bool array indexed like the frame's keys
-    without the flags: phase, then the digits, most significant first.
-    It holds for every input, so pass 1 and the adder's fused first stage
-    share it.  A table the toolkit's size guard refuses is never made.
+    Returns the masks as one array indexed like the frame's keys without
+    the flags and the last digit: phase, then the digits, most
+    significant first.  It holds for every input, so pass 1 and the
+    adder's fused first stage share it.  A table past the toolkit's size
+    guard is never made.
     """
     lazy = frame(params)
     phases, last, done = lazy.phases, lazy.last, lazy.done
-    _cells(phases.count * lazy.digits, "table of viable pass states")
+    radix, count = params.m + 1, phases.count
+    size = count * lazy.digits // radix
+    if size > _MAX_CELLS:
+        raise AutomatonTooLarge(f"viability table needs {size} masks, more than {_MAX_CELLS}")
+    dtype = _mask_dtype(radix)
     moves, closes = lazy.moves()
     n_tail, n_rest = closes.shape
-    radix, count = n_tail // n_rest, phases.count
     order = np.lexsort((moves[1], moves[0]))  # grouped by (phase, head)
     phase, head, tail = (a[order] for a in moves)
     bounds = np.searchsorted(phase, np.arange(count + 1))
     succ = [[t for t in row if t >= 0] for row in phases.next.tolist()]
-    table = np.zeros((count, n_tail * radix, n_rest), bool)
-    table[done] = True
+    table = np.zeros((count, lazy.digits // n_rest, n_rest // radix), dtype)
+    table[done] = (1 << radix) - 1
     stale = set(range(count)) - {done}
     while stale:
         p = min(stale)
@@ -236,10 +272,11 @@ def _viable(frame: type, params: AutomatonParameters) -> np.ndarray:
         if p == last:
             reach = closes
         else:
-            reach = np.logical_or.reduce([table[t].reshape(n_tail, n_rest, radix).any(-1) for t in succ[p]])
+            reach = np.logical_or.reduce([table[t].reshape(n_tail, n_rest) != 0 for t in succ[p]])
+        reach = _pack_bits(reach.reshape(n_tail, n_rest // radix, radix), dtype)
         first = np.flatnonzero(np.diff(heads, prepend=-1))
         new = np.zeros_like(table[p])
-        new[heads[first]] = np.logical_or.reduceat(reach[tails], first)
+        new[heads[first]] = np.bitwise_or.reduceat(reach[tails], first)
         if not np.array_equal(new, table[p]):
             table[p] = new
             stale.update(q for q in range(count) if p in succ[q])
@@ -251,11 +288,13 @@ class _PassLazy:
     buffers v and w for windows of width k + 1, and phases counting down
     to k, the final phase.  Only the width-4 pass has flags, its input's.
 
-    The initial keys and each step drop every key whose coarse image, the
-    key without its flags, the table of ``_viable`` rejects.  Every move
-    of a state is a move of its coarse image, so no state that can accept
-    is dropped; every path to such a state runs through such states, so
-    they are met at the same levels in the same arc order as without the
+    The initial keys and each step keep only the states whose coarse
+    image, the key without its flags, the table of ``_viable`` admits: a
+    step reads one mask per candidate (state, input, successor phase) and
+    packs a key only for the claims its set bits admit.  Every move of a
+    state is a move of its coarse image, so no state that can accept is
+    dropped; every path to such a state runs through such states, so they
+    are met at the same levels in the same arc order as without the
     table, and ``from_lazy`` numbers them as before.
     """
 
@@ -268,21 +307,38 @@ class _PassLazy:
         self.u = self.phases.windows(width)
         self.last, self.done = self.phases.id[width, 0], self.phases.id[width - 1, 0]
 
-    def _viable_keys(self, keys: np.ndarray) -> np.ndarray:
-        coarse = keys // (self.key.radices[1] * self.digits) * self.digits + keys % self.digits
-        return _viable(type(self), self.params)[coarse]
+    def _masks(self, index: np.ndarray) -> np.ndarray:
+        """The viability masks at ``index`` into the table of ``_viable``."""
+        return _viable(type(self), self.params)[index]
+
+    def _successors(self, nxt: np.ndarray, *digits) -> np.ndarray:
+        """The masks of the states (nxt, digits, y) over their last digit y,
+        and 0 where nxt is -1 (whose negative index reads the last phase)."""
+        index = nxt
+        for d in digits:
+            index = index * (self.m + 1) + d
+        return np.where(nxt >= 0, self._masks(index), 0)
+
+    @staticmethod
+    def _expand(masks: np.ndarray, closing: np.ndarray, allowed: np.ndarray):
+        """(cell, y, t) of each bit y set in ``masks[cell, t]``, in that
+        order; the closing cells keep only the bits ``allowed`` sets, one
+        row of m + 1 bools each."""
+        masks[closing] &= _pack_bits(allowed, masks.dtype)[:, None]
+        live = np.flatnonzero(masks.any(axis=1))
+        octets = masks[live].astype(f"<u{masks.itemsize}", copy=False).view(np.uint8)
+        bits = np.unpackbits(octets, axis=-1, bitorder="little")  # per cell: t, then y
+        bits = bits.reshape(len(live), masks.shape[1], 8 * masks.itemsize)
+        cell, y, t = np.nonzero(bits.transpose(0, 2, 1))
+        return live[cell], y, t
 
     def initial_keys(self) -> np.ndarray:
-        keys = self.key.pack(self.phases.initial(self.width), *[0] * (len(self.key.radices) - 1))
-        return keys[self._viable_keys(keys)]
+        phase = np.array(self.phases.initial(self.width))
+        keys = self.key.pack(phase, *[0] * (len(self.key.radices) - 1))
+        return keys[self._masks(phase * (self.digits // (self.m + 1))) & 1 != 0]
 
     def final(self, keys: np.ndarray) -> np.ndarray:
         return self.key.unpack(keys)[0][:, 0] == self.done
-
-    def step(self, keys: np.ndarray):
-        pos, codes, target = self.arcs(keys)
-        keep = self._viable_keys(target)
-        return pos[keep], codes[keep], target[keep]
 
 
 class _Pass1Lazy(_PassLazy):
@@ -322,7 +378,7 @@ class _Pass1Lazy(_PassLazy):
         closes = (out[0][:, None] == w1) & (out[1][:, None] == w2) & (out[2][:, None] <= self.m)
         return (phase, head, np.ravel_multi_index(full[1:], (r,) * 3)), closes
 
-    def arcs(self, keys: np.ndarray):
+    def step(self, keys: np.ndarray):
         m = self.m
         p, flags, v0, v1, v2, w0, w1, w2 = self.key.unpack(keys)
         u = self.u[p[:, 0]].T[..., None]
@@ -340,15 +396,14 @@ class _Pass1Lazy(_PassLazy):
         keep = np.flatnonzero(~closing | closes)
         pos, c, flags, closing, settled = pos[keep], c[keep], flags[keep], closing[keep], out[2][keep]
         nv = [a[keep] for a in nv]
-        # other steps take every claim; each claim goes to each successor phase
+        # each claim the successor's mask admits goes to that successor;
+        # the closing step keeps only the settled digit
         nxt = self.phases.next[p[pos, 0]]
-        fan = (nxt >= 0).sum(axis=1)
-        arc, k = _ranges(np.zeros_like(pos), np.where(closing, 1, m + 1) * fan)
-        y = np.where(closing[arc], settled[arc], k // fan[arc])
-        flags = np.where(closing, 0, flags)[arc]
-        pos, c = pos[arc], c[arc]
-        nv = [a[arc] for a in nv]
-        target = self.key.pack(nxt[arc, k % fan[arc]], flags, *nv, w1[pos, 0], w2[pos, 0], y)
+        masks = self._successors(nxt, *(a[:, None] for a in nv), w1[pos], w2[pos])
+        cell, y, t = self._expand(masks, closing, np.arange(m + 1) == settled[closing, None])
+        pos, c = pos[cell], c[cell]
+        flags = np.where(closing, 0, flags)[cell]
+        target = self.key.pack(nxt[cell, t], flags, *(a[cell] for a in nv), w1[pos, 0], w2[pos, 0], y)
         return pos, self.hook.letter[c] * (m + 1) + y, target
 
 
@@ -404,7 +459,7 @@ class _Pass2Lazy(_Width3Lazy):
         moves = (phase, last), (head, np.ravel_multi_index((out[0], out[1], w0), (r,) * 3)), (tail, w1 * r)
         return tuple(np.concatenate(a) for a in moves), self._closes()
 
-    def arcs(self, keys: np.ndarray):
+    def step(self, keys: np.ndarray):
         last, (v0, v1), (w0, w1), u, nxt = self._fields(keys)
         digits = np.arange(self.m + 1)
         exists, before = c_preimages_array(u, (v0, v1, digits), self.m)
@@ -416,9 +471,13 @@ class _Pass2Lazy(_Width3Lazy):
         closes = ((out[0] == v0) & (out[1] == v1))[:, None, :] & (digits[:, None] == out[2][:, None, :])
         closes = closes[:, :, None, :] & (np.arange(2) == 0)[:, None]
         cells = np.where(last[..., None, None], closes, general[..., None])
-        pos, y, k, x, t = np.nonzero(cells[..., None] & (nxt >= 0)[:, None, None, None, :])
+        pos, y, k = np.nonzero(cells.any(-1))
         nv = [np.where(last[pos, 0], 0, b[pos, y, k]) for b in before[1:]]
-        target = self.key.pack(nxt[pos, t], 0, *nv, w1[pos, 0], x)
+        masks = self._successors(nxt[pos], *(a[:, None] for a in nv), w1[pos])
+        closing = last[pos, 0]
+        cell, x, t = self._expand(masks, closing, cells[pos[closing], y[closing], k[closing]])
+        pos, y = pos[cell], y[cell]
+        target = self.key.pack(nxt[pos, t], 0, *(a[cell] for a in nv), w1[pos, 0], x)
         return pos, x * (self.m + 1) + y, target
 
 
@@ -441,15 +500,18 @@ class _Pass3Lazy(_Width3Lazy):
         head = np.ravel_multi_index((v0[at], v1[at], out[0]), (r,) * 3)
         return (phase, head, np.ravel_multi_index(out[1:], (r,) * 2)), self._closes()
 
-    def arcs(self, keys: np.ndarray):
+    def step(self, keys: np.ndarray):
         last, (v0, v1), (w0, w1), u, nxt = self._fields(keys)
         digits = np.arange(self.m + 1)
         out = rewrite(window_c_delta, u, (v0, v1, digits))
         ok = (out[0] == w0) & (~last | (out[1] == w1))
-        claims = ok[..., None] & (~last[..., None] | (digits == out[2][..., None]))
-        pos, x, y, t = np.nonzero(claims[..., None] & (nxt >= 0)[:, None, None, :])
+        pos, x = np.nonzero(ok)
         nv = [np.where(last, 0, a)[pos, x] for a in out[1:]]
-        target = self.key.pack(nxt[pos, t], 0, *nv, w1[pos, 0], y)
+        masks = self._successors(nxt[pos], *(a[:, None] for a in nv), w1[pos])
+        closing = last[pos, 0]
+        cell, y, t = self._expand(masks, closing, digits == out[2][pos[closing], x[closing], None])
+        pos, x = pos[cell], x[cell]
+        target = self.key.pack(nxt[pos, t], 0, *(a[cell] for a in nv), w1[pos, 0], y)
         return pos, x * (self.m + 1) + y, target
 
 
@@ -464,11 +526,8 @@ def build_pass_automaton(cf: ContinuedFraction, pass_no: int) -> Automaton:
     if pass_no not in (1, 2, 3):
         raise ValueError(f"pass number must be 1, 2 or 3, got {pass_no}")
     params = _params(cf)
-    if pass_no == 1:
-        lazy = _Pass1Lazy(params)
-    else:
-        lazy = (_Pass2Lazy if pass_no == 2 else _Pass3Lazy)(params)
-    return from_lazy(lazy, 2, params.m)
+    with _stage(f"pass {pass_no}", cf):
+        return from_lazy((_Pass1Lazy, _Pass2Lazy, _Pass3Lazy)[pass_no - 1](params), 2, params.m)
 
 
 # -- base relations -----------------------------------------------------------
@@ -647,8 +706,9 @@ def build_adder(cf: ContinuedFraction) -> Automaton:
     phase pair.
     """
     params = _params(cf)
-    first = _Pass1Lazy(params, _SumInput(params))
-    dfa = from_lazy(first, 3, params.m).determinize_minimize(total=False)
+    with _stage("the adder's first stage (x + y, pass 1)", cf):
+        dfa = from_lazy(_Pass1Lazy(params, _SumInput(params)), 3, params.m)
+    dfa = dfa.determinize_minimize(total=False)
     for pass_no in (2, 3):
         pass_dfa = build_pass_automaton(cf, pass_no).determinize_minimize(total=False)
         stage = dfa.intersect(pass_dfa, (0, 1, 2), (2, 3))  # (x, y, u) and (u, u') on (x, y, u, u')

@@ -245,3 +245,24 @@ def test_selftest_refuses_negative_max(capsys):
     code, out, _ = run(capsys, "selftest", "--cf", "1;(1)", "--max", "0")
     assert code == 0
     assert all(line.startswith("ok ") for line in out.strip().splitlines())
+
+
+def test_json_errors_are_structured(capsys):
+    # under --json an error is also one object on stdout, with the same
+    # exit code and stderr line as without it
+    cases = [
+        (["build", "--cf", "1;(20)", "--relation", "pass1"], 2, "build", "AutomatonTooLarge"),
+        (["build", "--cf", "1;2,3", "--relation", "adder"], 3, "build", "NotQuadratic"),
+        (["encode", "--cf", "1;(x)", "5"], 2, "encode", "ValueError"),
+        (["cf", "info", "--cf", "1;()"], 2, "cf info", "ValueError"),
+        (["decide", "--cf", "1;(1)", "--formula", "x ="], 2, "decide", "FormulaSyntaxError"),
+    ]
+    messages = []
+    for argv, want, command, kind in cases:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (want, "")
+        code, payload, json_err = run(capsys, *argv, "--json")
+        assert (code, json_err) == (want, err)
+        messages.append(err.removeprefix("error: ").removesuffix("\n"))
+        assert json.loads(payload) == {"command": command, "error": {"type": kind, "message": messages[-1]}}
+    assert messages[0].startswith("pass 1 of 1;(20): viability table needs 1437603552 masks")
