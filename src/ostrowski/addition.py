@@ -16,6 +16,10 @@ recurrence q_{k+1} = a_{k+1} q_k + q_{k-1}:
   i.e. the word is the representation of M + N.
 
 The rules themselves (A1-A3, B1-B5, C) are defined once, in ``rules``.
+An untraced pass steps over idle windows, those whose second digit alone
+rules out every rule and window lemma (``rules`` says why that is exact),
+so it pays for the windows it can rewrite; a traced pass records every
+step.
 
 The passes enjoy window invariants that the correctness proof leans on
 (``check=True`` asserts them at run time and raises
@@ -102,6 +106,8 @@ def pass1(
 def _pass1_core(work: MutableSequence[int], aks: Sequence[int], *, check, trace) -> None:
     m = len(work)
     for k in range(m, 3, -1):
+        if trace is None and work[k - 2] < aks[k - 2]:
+            continue  # an idle window: see ``rules``
         u = (aks[k - 1], aks[k - 2], aks[k - 3])
         v = (work[k - 1], work[k - 2], work[k - 3], work[k - 4])
         if check:
@@ -200,6 +206,8 @@ def pass3(
 
 def _width3_core(work: MutableSequence[int], aks, steps, pass_no, trace) -> None:
     for k in steps:
+        if trace is None and work[k - 2] != aks[k - 2]:
+            continue  # an idle window: see ``rules``
         v = (work[k - 1], work[k - 2], work[k - 3])
         rule, new = window_c((aks[k - 1], aks[k - 2]), v)
         work[k - 1], work[k - 2], work[k - 3] = new

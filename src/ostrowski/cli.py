@@ -80,10 +80,10 @@ def _json(value) -> str:
 
 def _integer(text: str) -> int:
     """An integer argument of any length: ASCII digits after an optional sign."""
-    digits = text[1:] if text[:1] in "+-" else text
-    if not digits or not all("0" <= c <= "9" for c in digits):
+    value = words.integer(text)
+    if value is None:
         raise argparse.ArgumentTypeError(f"invalid integer value: {text!r}")
-    return words.decimal(digits) * (-1 if text[:1] == "-" else 1)
+    return value
 
 
 def _natural(text: str) -> int:

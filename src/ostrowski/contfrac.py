@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 
+from . import words
 from .errors import IndexBeyondKnownPrefix, NotQuadratic
 
 
@@ -143,10 +144,10 @@ class ContinuedFraction:
 
 def _parse_int_token(token: str, role: str) -> int:
     token = token.strip()
-    try:
-        return int(token)
-    except ValueError:
-        raise ValueError(f"bad {role} token {token!r}") from None
+    value = words.integer(token)
+    if value is None:
+        raise ValueError(f"bad {role} token {token!r}")
+    return value
 
 
 def _parse_csv(text: str, role: str) -> tuple[int, ...]:

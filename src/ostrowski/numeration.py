@@ -9,9 +9,12 @@ one digit string b_n ... b_1 with
 
 ``encode`` produces that string greedily (largest denominator first; the
 digit caps above then hold automatically because each remainder drops
-below the current q).  ``decode`` deliberately accepts arbitrary digit
-strings, valid or not: the addition passes produce intermediate words
-whose values must be computable.  Zero is the empty word.
+below the current q).  It compares the remainder with each q first and
+divides only where the digit is nonzero, so a zero digit costs one
+comparison.  ``decode`` deliberately accepts arbitrary digit strings,
+valid or not: the addition passes produce intermediate words whose
+values must be computable.  It sums the nonzero digits only.  Zero is
+the empty word.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Sequence
 
 from . import words
 from .contfrac import ContinuedFraction
-from .errors import CfMismatch
+from .errors import CfMismatch, InternalInvariantError
 from .words import Word
 
 
@@ -64,10 +67,12 @@ def encode(cf: ContinuedFraction, n: int) -> OstrowskiWord:
     rem = n
     for pos in range(len(qs) - 1, 0, -1):
         q = qs[pos - 1]
-        b = min(rem // q, aks[pos - 1] - (pos == 1))
-        digits[pos - 1] = b
-        rem -= b * q
-    assert rem == 0, "greedy encoding failed to exhaust the remainder"
+        if rem >= q:  # below q the digit is 0: one comparison, no division
+            b = min(rem // q, aks[pos - 1] - (pos == 1))
+            digits[pos - 1] = b
+            rem -= b * q
+    if rem:
+        raise InternalInvariantError("greedy encoding failed to exhaust the remainder")
     return OstrowskiWord(words.strip(tuple(digits)), cf)
 
 
@@ -91,7 +96,7 @@ def decode(cf: ContinuedFraction, w: Sequence[int] | OstrowskiWord) -> int:
     if not digits:
         return 0
     qs = cf.convergent_denominators(len(digits) - 1)
-    return sum(b * q for b, q in zip(digits, qs))
+    return sum(b * q for b, q in zip(digits, qs) if b)
 
 
 def is_valid(cf: ContinuedFraction, w: Sequence[int] | OstrowskiWord) -> bool:

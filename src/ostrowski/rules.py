@@ -7,7 +7,16 @@ name of the rule that applies and the window after it.  Every rewrite is
 an instance of the place-value recurrence q_{k+1} = a_{k+1} q_k + q_{k-1},
 so no rule changes the value a window represents.
 
-Each rule has two forms.  The scalar form serves the traced passes in
+A window is idle when its second digit alone rules out every rule, and
+the untraced passes step over idle windows without calling one.  A
+width-4 window with ``v[1] < u[1]`` is idle: A1 and A2 need
+``v[1] >= u[1]``, and so does every window lemma of pass 1 (each needs a
+second digit of 2a+1, 2a, above a or equal to a, all at least a).  A
+width-3 window of passes 2 and 3 with ``v[1] != u[1]`` is idle, since C
+needs ``v[1] == u[1]``.  Pass 1's closing width-3 window is never idle:
+B4 fires below the cap.
+
+Each rule has two forms.  The scalar form serves the scalar passes in
 ``addition``.  The array form (``*_delta``) takes the window as a tuple
 of digit arrays and the caps as numbers or arrays that broadcast with
 them, computes every rule as a numpy mask, and returns what the rewrite

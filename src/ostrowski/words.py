@@ -14,17 +14,23 @@ Word = tuple[int, ...]
 
 def from_text(text: str) -> Word:
     """Parse a space-separated, MSD-first digit string into an LSD-first word."""
-    tokens = text.split()
     digits = []
-    for tok in tokens:
-        try:
-            d = int(tok)
-        except ValueError:
-            raise ValueError(f"bad digit token {tok!r}") from None
-        if d < 0:
+    for tok in text.split():
+        d = integer(tok)
+        if d is None or d < 0:
             raise ValueError(f"bad digit token {tok!r}")
         digits.append(d)
     return tuple(reversed(digits))
+
+
+def integer(text: str) -> int | None:
+    """The value of ASCII decimal digits after an optional sign, of any
+    length, or None for any other text (``int`` would also read
+    underscores, surrounding blanks and non-ASCII digits)."""
+    digits = text[1:] if text[:1] in "+-" else text
+    if not digits or not all("0" <= c <= "9" for c in digits):
+        return None
+    return decimal(digits) * (-1 if text[:1] == "-" else 1)
 
 
 _CHUNK = 4000  # decimal digits converted at once, within the limit of int and str

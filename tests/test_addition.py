@@ -28,6 +28,7 @@ from ostrowski.errors import (
     IndexBeyondKnownPrefix,
     InputTooShort,
     InternalInvariantError,
+    OstrowskiError,
 )
 from ostrowski.rules import (
     c_preimages_array,
@@ -204,6 +205,48 @@ def test_pass23_single_scan(golden):
     _width3_core(work, aks + [golden.partial_quotient(len(aks) + 1)],
                  range(len(work), 2, -1), 3, None)
     assert work.reads <= 4 * len(work)
+
+
+def pass_outcome(run, cf, word, **kw):
+    try:
+        return run(cf, word, **kw)
+    except OstrowskiError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("text", ["1;(1)", "1;(2)", "0;1,(1,2)", "1;(3,1,2)", "2;(1,8)"])
+def test_untraced_passes_match_traced(text):
+    # An untraced pass steps over idle windows; a traced one runs every
+    # step.  Both must give the same word, or the same error and message,
+    # with the checks on and off: on every word of length 4 and 5 with
+    # digits 0..2a_k+1 at position k, and on random words up to length 9
+    # with digits 0..2mu+1 anywhere.
+    cf = ContinuedFraction.from_text(text)
+    caps = cf.quotients(9)
+    cases = [w for n in (4, 5) for w in itertools.product(*(range(2 * a + 2) for a in caps[:n]))]
+    rng = random.Random(20)
+    cases += [tuple(rng.randrange(2 * max(caps) + 2) for _ in range(rng.randrange(4, 10))) for _ in range(2000)]
+    for word in cases:
+        for run in (pass1, pass2, pass3):
+            for check in (True, False):
+                trace = []
+                traced = pass_outcome(run, cf, word, check=check, trace=trace)
+                assert pass_outcome(run, cf, word, check=check) == traced, (run.__name__, word, check)
+                if not isinstance(traced[0], type):  # a finished traced pass recorded every step
+                    assert len(trace) == len(word) - 2 + (run is not pass1)
+
+
+@pytest.mark.parametrize("text", ["1;(30)", "2;(1,8)", "1;(100000)"])
+def test_add_matches_encode_of_the_sum_at_1e300(text):
+    cf = ContinuedFraction.from_text(text)
+    rng = random.Random(21)
+    pairs = [(rng.randrange(10**299, 10**300), rng.randrange(10**299, 10**300)) for _ in range(8)]
+    pairs += [(0, 10**300), (10**300 - 1, 1), (cf.convergent_denominators(200)[-1] - 1, 1)]
+    for m_value, n_value in pairs:
+        trace = []
+        result = add(cf, m_value, n_value, trace=trace)
+        assert result == add(cf, m_value, n_value) == encode(cf, m_value + n_value)
+        assert decode(cf, result) == m_value + n_value
 
 
 def test_bulk_matches_scalar(any_cf):

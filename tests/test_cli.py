@@ -72,6 +72,26 @@ def test_malformed_input_exit_2(capsys):
     assert (code, out) == (0, "true\n")
 
 
+def test_number_tokens_are_ascii_digits(capsys):
+    # int() would read "1_0" as ten and "\u0663" as three
+    for argv, message in [
+        (("decode", "--cf", "1;(1)", "1_0"), "bad digit token '1_0'"),
+        (("decode", "--cf", "1;(1)", "\u0663 1"), "bad digit token '\u0663'"),
+        (("validate", "--cf", "1;(1)", "1 \uff10"), "bad digit token"),
+        (("encode", "--cf", "1;(1_0)", "5"), "bad period token '1_0'"),
+        (("decode", "--cf", "1;(\u0663)", "1"), "bad period token"),
+    ]:
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and message in err and "Traceback" not in err
+    with pytest.raises(ValueError, match="bad digit token"):
+        words.from_text("\u0663 1")
+    # accepted tokens keep their values
+    assert words.from_text("+1 007 -0") == (0, 7, 1)
+    code, out, _ = run(capsys, "decode", "--cf", "+1;(02)", "+1 0")
+    assert (code, out) == (0, "2\n")
+
+
 def test_decide_free_variable_exit_2(capsys):
     code, out, err = run(capsys, "decide", "--cf", "1;(1)", "--formula", "x = x")
     assert (code, out) == (2, "")

@@ -166,6 +166,17 @@ def test_parse_errors_name_token():
             ContinuedFraction.from_text(empty)
 
 
+def test_parse_reads_ascii_digits_only():
+    # int() would also read underscores and other scripts' digits
+    for text, role in [("1;(1_0)", "period"), ("1;(\u0663)", "period"), ("1_0;(1)", "a0"),
+                       ("1;\u0661,(2)", "preperiod"), ("1;(\uff12)", "period"), ("1;(+)", "period")]:
+        with pytest.raises(ValueError, match=f"bad {role} token"):
+            ContinuedFraction.from_text(text)
+    # what was accepted keeps its value: signs, leading zeros, blanks around tokens
+    assert ContinuedFraction.from_text(" +1 ; 02 , ( 007 ) ") == ContinuedFraction(1, (2,), (7,))
+    assert ContinuedFraction.from_text("-0;(1)") == ContinuedFraction(0, (), (1,))
+
+
 def test_quotients_must_be_positive():
     with pytest.raises(ValueError):
         ContinuedFraction(1, (0,), (1,))

@@ -2,8 +2,10 @@ import itertools
 
 import pytest
 
-from ostrowski import ContinuedFraction, decode, encode, is_valid, words
-from ostrowski.errors import CfMismatch
+import numpy as np
+
+from ostrowski import ContinuedFraction, bulk, decode, encode, is_valid, numeration, words
+from ostrowski.errors import CfMismatch, InternalInvariantError
 
 
 def valid_words(cf, length):
@@ -95,6 +97,45 @@ def test_greedy_leading_digit(any_cf):
             assert top == 2
         else:
             assert top == k + 1
+
+
+@pytest.mark.parametrize("text", ["1;(1)", "1;(2)", "0;1,(1,2)", "1;(3,1,2)", "1;(30)", "1;(100000)"])
+def test_greedy_at_place_values(text):
+    # q_k - 1, q_k and q_k + 1 for every k until q_k is past 2^64: the
+    # encoder's comparison-first step meets rem == q, rem == q - 1 and
+    # rem == q + 1.  A valid word of value n is rho(n), since the
+    # representation is unique.
+    cf = ContinuedFraction.from_text(text)
+    qs = cf.convergent_denominators(8)
+    while qs[-2] < 2**64:
+        qs = cf.convergent_denominators(2 * len(qs))
+    values = sorted({v for q in qs for v in (q - 1, q, q + 1)})
+    assert max(values) > 2**64
+    rows = [encode(cf, n).digits for n in values]
+    for n, digits in zip(values, rows):
+        assert is_valid(cf, digits) and decode(cf, digits) == n, n
+    for k, q in enumerate(qs):
+        if k > 0 and q > qs[k - 1]:  # q_0 = q_1 ties when a_1 = 1
+            assert encode(cf, q).digits == (0,) * k + (1,)
+    # the batch encoder's int64 remainders below 2^63, Python integers past it
+    low = sum(n < 2**63 for n in values)
+    for batch, want in [(np.array(values[:low], dtype=np.int64), rows[:low]), (np.array(values, dtype=object), rows)]:
+        table = bulk.batch_encode(cf, batch)
+        assert [tuple(int(d) for d in row[: len(digits)]) for row, digits in zip(table, want)] == want
+        assert all(not row[len(digits):].any() for row, digits in zip(table, want))
+
+
+def test_greedy_remainder_left_over_is_typed(golden, monkeypatch):
+    # a place-value list the greedy cannot exhaust: the same typed error,
+    # with the same message, from the scalar and the batch encoder (an
+    # assert would vanish under python -O)
+    bad = lambda cf, n: ([2, 5], [1, 1])
+    monkeypatch.setattr(numeration, "_place_values", bad)
+    monkeypatch.setattr(bulk, "_place_values", bad)
+    with pytest.raises(InternalInvariantError, match="greedy encoding failed to exhaust the remainder"):
+        encode(golden, 3)
+    with pytest.raises(InternalInvariantError, match="greedy encoding failed to exhaust the remainder"):
+        bulk.batch_encode(golden, [3])
 
 
 def test_word_text_round_trip():
