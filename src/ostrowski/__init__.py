@@ -1,9 +1,11 @@
 """Ostrowski numeration systems: arithmetic, automata, and decision procedure.
 
 The numeration and the three-pass adder are plain integer arithmetic and
-are imported with the package.  The layers that need numpy (``automata``,
+are imported with the package.  The automaton layers (``automata``,
 ``bulk``, ``logic``, ``recognizers``) and the names they export load on
-first access (PEP 562), so a process that only adds never imports numpy.
+first access (PEP 562).  Of them only ``bulk`` and ``recognizers`` import
+numpy (``logic`` loads both), so a process that only adds, or only runs a
+stored automaton, never imports numpy.
 """
 
 import importlib

@@ -47,13 +47,10 @@ states, and leave out the states that cannot reach a final state, so dead
 pairs and dead guesses never inflate them.  Minimization is Hopcroft's
 partition refinement, where a split costs only the states it moves.
 
-Numpy appears only where arrays come in or go out.  Lazily described
-automata (``from_lazy``) are explored by ``_explore``, which advances a
-whole breadth-first level of int64 keys at once, as the recognizers step
-them, numbers new keys in order of first occurrence, and holds its arcs
-plus states under the ``_MAX_CELLS`` guard; batch membership
-(``_accepts_all``) runs words through a successor table under the same
-guard.
+The module is plain Python: the int64 arrays of a breadth-first level of
+recognizer states live in ``recognizers.from_lazy``, and those of batch
+membership in ``bulk.batch_accepts``, both under the ``_MAX_CELLS`` guard
+held here.
 """
 
 from __future__ import annotations
@@ -62,15 +59,13 @@ import itertools
 from collections import defaultdict
 from typing import Iterable, Optional, Sequence
 
-import numpy as np
-
+from . import words
 from .errors import ArityMismatch, AutomatonTooLarge, DigitOutOfRange
 
 Letter = tuple[int, ...]
 TupleWord = tuple[Letter, ...]
 
 _MAX_CELLS = 1 << 27  # largest table (states x letters), arc count or state count held
-_CHUNK = 1 << 21  # array elements one step of a breadth-first level works on
 _INT64_MAX = (1 << 63) - 1
 
 
@@ -98,8 +93,8 @@ def _cells(count: int, what: str) -> int:
 
 def _check_keys(num_states: int, arity: int, digit_bound: int, what: str = "") -> None:
     """Every key ``src * letters + code`` of an arc fits an int64, the width
-    of the arrays ``from_lazy`` and ``_accepts_all`` hold codes in; 2**64
-    letters never do, and their count is not computed."""
+    of the arrays ``recognizers.from_lazy`` and ``bulk.batch_accepts`` hold
+    codes in; 2**64 letters never do, and their count is not computed."""
     wide = digit_bound >= 1 and arity >= 64
     if wide or max(num_states, 1) * (digit_bound + 1) ** arity - 1 > _INT64_MAX:
         raise AutomatonTooLarge(
@@ -172,77 +167,6 @@ def _split(codes, tracks: Sequence[int], key_weight: dict, part_weight: dict, ra
             part += d * part_weight.get(t, 0)
         out[code] = key, part
     return out
-
-
-class _PairIndex:
-    """Exact int32 ids of int64 keys, new keys numbered in order of first
-    occurrence, by binary search in the sorted keys seen."""
-
-    def __init__(self):
-        self.keys = np.empty(0, np.int64)  # sorted
-        self.ids = np.empty(0, np.int32)
-        self.count = 0
-
-    def lookup(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Ids of ``keys`` and the keys seen for the first time, in order."""
-        at = np.searchsorted(self.keys, keys)
-        found = at < len(self.keys)
-        found[found] = self.keys[at[found]] == keys[found]
-        ids = np.empty(len(keys), np.int32)
-        ids[found] = self.ids[at[found]]
-        missing = (~found).nonzero()[0]
-        if not missing.size:
-            return ids, missing
-        fresh, first, inverse = np.unique(keys[missing], return_index=True, return_inverse=True)
-        order = first.argsort()
-        fresh_ids = np.empty(len(fresh), np.int32)
-        fresh_ids[order] = np.arange(self.count, self.count + len(fresh), dtype=np.int32)
-        self.count += len(fresh)
-        ids[missing] = fresh_ids[inverse.ravel()]
-        # merge the new keys into the sorted ones
-        slot = np.searchsorted(self.keys, fresh) + np.arange(len(fresh))
-        old = np.ones(len(self.keys) + len(fresh), bool)
-        old[slot] = False
-        merged_keys, merged_ids = np.empty(len(old), np.int64), np.empty(len(old), np.int32)
-        merged_keys[slot], merged_ids[slot] = fresh, fresh_ids
-        merged_keys[old], merged_ids[old] = self.keys, self.ids
-        self.keys, self.ids = merged_keys, merged_ids
-        return ids, fresh[order]
-
-
-def _explore(starts, step, fanout: int):
-    """Breadth-first exploration from the keys ``starts``, one level at a time.
-
-    ``step(keys)`` gives every arc ``(pos, codes, targets)`` leaving
-    ``keys[pos]``, grouped by ascending pos; a level is stepped in chunks of
-    at most ``_CHUNK`` cells, ``fanout`` of them per key.  States are
-    numbered in order of first occurrence, the starts first, then each
-    level's targets in arc order: so over ascending letters the ids come out
-    as a state-by-state exploration would assign them.  Returns the keys by
-    id and the arcs (srcs, codes, dsts) in that order, with int32 ids; arcs
-    and states together stay within ``_MAX_CELLS``.
-    """
-    index = _PairIndex()
-    _, level = index.lookup(np.asarray(starts, np.int64))
-    levels, degrees, codes, dsts = [level], [], [], []
-    per_chunk = max(1, _CHUNK // max(1, fanout))
-    arcs = 0
-    while level.size:
-        targets = []
-        for lo in range(0, len(level), per_chunk):
-            keys = level[lo : lo + per_chunk]
-            pos, code, target = step(keys)
-            degrees.append(np.bincount(pos, minlength=len(keys)))
-            codes.append(code)
-            targets.append(target)
-        ids, level = index.lookup(targets[0] if len(targets) == 1 else np.concatenate(targets))
-        dsts.append(ids)
-        levels.append(level)
-        arcs += len(ids)
-        _cells(arcs + index.count, "explored arcs and states")
-    keys, none = np.concatenate(levels), [np.empty(0, np.int32)]
-    srcs = np.repeat(np.arange(len(keys), dtype=np.int32), np.concatenate(degrees + none))
-    return keys, srcs, np.concatenate(codes + none), np.concatenate(dsts + none)
 
 
 # -- automata ---------------------------------------------------------------------
@@ -358,26 +282,6 @@ class Automaton:
                 into[t](s)
         indptr = list(itertools.accumulate(map(len, back), initial=0))
         return _reach(indptr, list(itertools.chain.from_iterable(back)), self.finals)
-
-    def _accepts_all(self, tracks: Sequence[np.ndarray]) -> np.ndarray:
-        """Membership of many equal-length words of a deterministic automaton:
-        ``tracks[t][w, j]`` is the j-th digit (MSD first) of track t of word w.
-        The words run through a successor table built here, whose last row,
-        a dead state, takes every missing arc."""
-        n, radix = self.num_states, self.digit_bound + 1
-        _cells((n + 1) * self.alphabet_size, "membership table")
-        table = np.full((n + 1, self.alphabet_size), n, np.intp)  # its entries index it again
-        srcs = np.repeat(np.arange(n), np.diff(self._indptr))
-        table[srcs, np.array(self._codes, np.int64)] = self._dsts
-        codes = np.zeros(tracks[0].shape, np.int64)
-        for digits in tracks:
-            codes = codes * radix + digits
-        state = np.zeros(codes.shape[0], np.int64)
-        for column in codes.T:
-            state = table[state, column]
-        final = np.zeros(n + 1, bool)
-        final[list(self.finals)] = True
-        return final[state]
 
     # -- run/acceptance ----------------------------------------------------
 
@@ -815,11 +719,11 @@ class Automaton:
             key, _, rest = line.partition(" ")
             try:
                 if key in ("arity", "digit_bound", "num_states"):
-                    header[key] = int(rest)
+                    header[key] = words.integer_token(rest, key)
                 elif key == "initial":
-                    initial = [int(t) for t in rest.split()]
+                    initial = [words.integer_token(t, "state") for t in rest.split()]
                 elif key == "final":
-                    finals = [int(t) for t in rest.split()]
+                    finals = [words.integer_token(t, "state") for t in rest.split()]
                 elif key == "trans":
                     fields = rest.split()
                     if len(fields) != 3:
@@ -827,8 +731,9 @@ class Automaton:
                     src_s, letter_s, dst_s = fields
                     if not (letter_s.startswith("(") and letter_s.endswith(")")):
                         raise ValueError(f"bad letter {letter_s!r}")
-                    letter = tuple(int(t) for t in letter_s[1:-1].split(",") if t)
-                    transitions.setdefault(int(src_s), {}).setdefault(letter, []).append(int(dst_s))
+                    letter = tuple(words.integer_token(t, "digit") for t in letter_s[1:-1].split(",") if t)
+                    src, dst = words.integer_token(src_s, "state"), words.integer_token(dst_s, "state")
+                    transitions.setdefault(src, {}).setdefault(letter, []).append(dst)
                 else:
                     raise ValueError(f"unknown field {key!r}")
             except ValueError as exc:
@@ -852,52 +757,6 @@ class Automaton:
             f"states={self.num_states}, transitions={self.num_transitions()}, "
             f"deterministic={self.deterministic})"
         )
-
-
-# -- lazy construction -------------------------------------------------------
-#
-# Recognizers describe automata by frames over packed states: each
-# state is one int64 key, and a step takes a whole array of keys at once.
-# A lazy automaton is any object with:
-#     initial_keys() -> int64 array of the initial states' keys, in order
-#     final(keys)    -> bool mask of the final keys
-#     fanout         -> the grid cells one state's step works on, at most
-#     step(keys)     -> (pos, codes, targets): every arc leaving keys[pos],
-#                       grouped by ascending pos; the order within a state
-#                       is the order in which its new targets are numbered
-
-
-def from_lazy(lazy, arity: int, digit_bound: int) -> Automaton:
-    """Materialize a lazily described NFA with ``_explore``, keyed by the
-    recognizer's keys, then keep only the states from which a final state
-    can be reached (a backward ``_reach`` over the arcs), with their arcs
-    sorted into CSR lists.
-    """
-    starts = np.asarray(lazy.initial_keys(), np.int64)
-    keys, srcs, codes, dsts = _explore(starts, lazy.step, lazy.fanout)
-    n = len(keys)
-    _check_keys(n, arity, digit_bound)
-    into = np.argsort(dsts, kind="stable")  # the arcs by target
-    finals = np.flatnonzero(lazy.final(keys)).tolist()
-    useful = _reach(np.searchsorted(dsts[into], np.arange(n + 1)).tolist(), srcs[into].tolist(), finals)
-    kept = np.array(useful, bool)
-    renumber = np.cumsum(kept) - 1  # the new id of a useful state
-    if not kept.all():
-        keep = kept[srcs] & kept[dsts]
-        srcs, codes, dsts = renumber[srcs[keep]], codes[keep], renumber[dsts[keep]]
-    order = np.argsort(codes.astype(np.int64) * max(n, 1) + dsts, kind="stable")  # fits: see _check_keys
-    order = order[np.argsort(srcs[order], kind="stable")]  # by (src, code, dst)
-    srcs, codes, dsts = srcs[order], codes[order], dsts[order]
-    fresh = np.ones(len(order), bool)  # the first of each run of equal arcs
-    fresh[1:] = (srcs[1:] != srcs[:-1]) | (codes[1:] != codes[:-1]) | (dsts[1:] != dsts[:-1])
-    srcs, codes, dsts = srcs[fresh], codes[fresh], dsts[fresh]
-    indptr = np.searchsorted(srcs, np.arange(int(kept.sum()) + 1))
-    initial = range(len(set(starts.tolist())))  # the starts are numbered first
-    return Automaton._from_rows(
-        arity, digit_bound, renumber[[s for s in initial if useful[s]]],
-        renumber[[f for f in finals if useful[f]]], indptr.tolist(), codes.tolist(), dsts.tolist(), False,
-        trim=True,
-    )
 
 
 # -- minimization ----------------------------------------------------------------

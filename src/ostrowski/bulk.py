@@ -26,18 +26,24 @@ one digit column at a time from the top, on int64 remainders while every
 value fits 63 bits and on Python integers (an object array) past that;
 ``encode_table`` is it on 0..limit.  Decoding uses int64 while every
 row's value provably fits 63 bits and Python integers beyond.
+``batch_accepts`` runs every tuple of candidate words, one per track,
+through a deterministic automaton, many tuples at once.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
+from .automata import Automaton, _cells
 from .contfrac import ContinuedFraction
 from .errors import DigitOutOfRange, InternalInvariantError
 from .numeration import _place_values
 from .rules import window_a_delta, window_b_delta, window_c_delta
 
 _CELLS = 1 << 20  # digit cells of one block of batch_add's scratch buffer
+_CANDIDATES_PER_RUN = 1 << 16  # candidate tuples batch_accepts holds at once
 
 
 def _digit_dtype(aks) -> np.dtype:
@@ -236,3 +242,34 @@ def batch_is_valid(cf: ContinuedFraction, digits: np.ndarray) -> np.ndarray:
         col, below = dt[k - 1], dt[k - 2]
         ok &= (col <= aks[k - 1]) & ((col != aks[k - 1]) | (below == 0))
     return ok
+
+
+def batch_accepts(aut: Automaton, tables) -> list[tuple[int, ...]]:
+    """The row tuples (i_0, ..., i_{k-1}) whose words a deterministic
+    automaton accepts, track t reading row i_t of the digit matrix
+    ``tables[t]`` (columns LSD first, one width for all), in
+    itertools.product order.
+
+    The tuples run ``_CANDIDATES_PER_RUN`` at a time through a successor
+    table, whose last row, a dead state, takes every missing arc; the
+    table stays within the toolkit's ``_MAX_CELLS``.
+    """
+    n, radix = aut.num_states, aut.digit_bound + 1
+    _cells((n + 1) * aut.alphabet_size, "membership table")
+    table = np.full((n + 1, aut.alphabet_size), n, np.intp)  # its entries index it again
+    srcs = np.repeat(np.arange(n), np.diff(aut._indptr))
+    table[srcs, np.array(aut._codes, np.int64)] = aut._dsts
+    final = np.isin(np.arange(n + 1), list(aut.finals))
+    shape = tuple(len(t) for t in tables)
+    total = math.prod(shape)
+    found = [np.empty((len(tables), 0), np.int64)]
+    for start in range(0, total, _CANDIDATES_PER_RUN):
+        pick = np.unravel_index(np.arange(start, min(total, start + _CANDIDATES_PER_RUN)), shape)
+        codes = np.zeros((len(pick[0]), tables[0].shape[1]), np.int64)
+        for track, p in zip(tables, pick):
+            codes = codes * radix + track[p]
+        state = np.zeros(codes.shape[0], np.int64)
+        for column in codes.T[::-1]:  # MSD first
+            state = table[state, column]
+        found.append(np.stack(pick)[:, final[state]])
+    return [tuple(row) for row in np.concatenate(found, axis=1).T.tolist()]

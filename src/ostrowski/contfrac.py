@@ -115,7 +115,7 @@ class ContinuedFraction:
         head, sep, tail = text.strip().partition(";")
         if not sep:
             raise ValueError(f"continued fraction {text!r} lacks the 'a0;' separator")
-        a0 = _parse_int_token(head, "a0")
+        a0 = words.integer_token(head, "a0")
         tail = tail.strip()
         period: tuple[int, ...] = ()
         if "(" in tail:
@@ -142,19 +142,11 @@ class ContinuedFraction:
         return self.to_text()
 
 
-def _parse_int_token(token: str, role: str) -> int:
-    token = token.strip()
-    value = words.integer(token)
-    if value is None:
-        raise ValueError(f"bad {role} token {token!r}")
-    return value
-
-
 def _parse_csv(text: str, role: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
         return ()
-    return tuple(_parse_int_token(tok, role) for tok in text.split(","))
+    return tuple(words.integer_token(tok, role) for tok in text.split(","))
 
 
 @dataclass(frozen=True)

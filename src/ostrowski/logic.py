@@ -41,11 +41,9 @@ import functools
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Union
 
-import numpy as np
-
 from . import words
 from .automata import _MAX_CELLS, Automaton
-from .bulk import encode_table
+from .bulk import batch_accepts, encode_table
 from .contfrac import ContinuedFraction
 from .errors import (
     AutomatonTooLarge,
@@ -393,10 +391,14 @@ class _Node(NamedTuple):
     aut: Automaton
 
 
+def _require_quadratic(cf: ContinuedFraction) -> None:
+    if not cf.is_quadratic:
+        raise NotQuadratic("the decision procedure requires a quadratic expansion")
+
+
 class _Compiler:
     def __init__(self, cf: ContinuedFraction):
-        if not cf.is_quadratic:
-            raise NotQuadratic("the decision procedure requires a quadratic expansion")
+        _require_quadratic(cf)
         self.cf = cf
         self.m = cf.parameters().m
         self.rank: dict[str, int] = {}
@@ -550,9 +552,6 @@ def _insert_tracks(a: Automaton, have: tuple, want: tuple) -> Automaton:
 
 # -- public operations ----------------------------------------------------------
 
-_CANDIDATES_PER_RUN = 1 << 16  # enumeration candidates held at once
-
-
 def _as_formula(f) -> Formula:
     return parse(f) if isinstance(f, str) else f
 
@@ -593,8 +592,9 @@ def enumerate_solutions(cf: ContinuedFraction, formula, bound: int) -> list[tupl
     """All tuples over 0..bound satisfying the formula.
 
     Components follow the alphabetically sorted free variables.  A negative
-    bound raises ``ValueError``; candidates whose digits fill more than
-    ``_MAX_CELLS`` cells raise ``AutomatonTooLarge`` before any work.
+    bound raises ``ValueError``, an expansion that is not quadratic
+    ``NotQuadratic``, and candidates whose digits fill more than
+    ``_MAX_CELLS`` cells ``AutomatonTooLarge``, each before any work.
     """
     f = _as_formula(formula)
     free = sorted(free_vars(f))
@@ -602,6 +602,7 @@ def enumerate_solutions(cf: ContinuedFraction, formula, bound: int) -> list[tupl
         raise ValueError("formula has no free variables; use decide()")
     if bound < 0:
         raise ValueError(f"enumeration bound {bound} is negative")
+    _require_quadratic(cf)  # before the refusal below encodes the bound
     # The cell count grows with the bound, so a bound capped at _MAX_CELLS
     # passes exactly when the bound itself does.
     capped = min(bound, _MAX_CELLS)
@@ -611,16 +612,6 @@ def enumerate_solutions(cf: ContinuedFraction, formula, bound: int) -> list[tupl
             f"checks more than {_MAX_CELLS} digit cells"
         )
     aut = compile_formula(cf, f, free)
-    # Compiled languages are closed under leading zero columns, so every
-    # track can be padded to the width of the widest representation and the
-    # candidates run through the automaton many at a time, in
-    # itertools.product order.
-    digits = encode_table(cf, bound)[:, ::-1]  # MSD first
-    shape = (bound + 1,) * len(free)
-    total = (bound + 1) ** len(free)
-    found = [np.empty((len(free), 0), np.int64)]
-    for start in range(0, total, _CANDIDATES_PER_RUN):
-        pick = np.unravel_index(np.arange(start, min(total, start + _CANDIDATES_PER_RUN)), shape)
-        accepted = aut._accepts_all([digits[p] for p in pick])
-        found.append(np.stack(pick)[:, accepted])
-    return [tuple(row) for row in np.concatenate(found, axis=1).T.tolist()]
+    # Compiled languages are closed under leading zero columns, so each track
+    # can read rho(0..bound) at the width of the widest, row n for value n.
+    return batch_accepts(aut, [encode_table(cf, bound)] * len(free))

@@ -32,7 +32,7 @@ the fixtures the three pass relations meet only the states they keep;
 the adder's first stage, whose flags the table ignores, meets up to a
 third more.
 
-Each recognizer is a frame for ``automata.from_lazy``: it packs a state
+Each recognizer is a frame for ``from_lazy``: it packs a state
 (phase id, buffers, flags) into one int64 key with ``_Key`` and steps a
 whole frontier of keys at once.  A step lays out, per state, a grid over
 its choices (input digits, claimed digits, successor phases) in the order
@@ -62,10 +62,119 @@ import math
 
 import numpy as np
 
-from .automata import _MAX_CELLS, Automaton, from_lazy
+from .automata import _MAX_CELLS, Automaton, _cells, _check_keys, _reach
 from .contfrac import AutomatonParameters, ContinuedFraction, automaton_parameters
 from .errors import AutomatonTooLarge, NotQuadratic
 from .rules import c_preimages_array, rewrite, window_a_delta, window_b_delta, window_c_delta
+
+
+# -- lazy construction ----------------------------------------------------------
+#
+# Recognizers describe automata by frames over packed states: each
+# state is one int64 key, and a step takes a whole array of keys at once.
+# A lazy automaton is any object with:
+#     initial_keys() -> int64 array of the initial states' keys, in order
+#     final(keys)    -> bool mask of the final keys
+#     fanout         -> the grid cells one state's step works on, at most
+#     step(keys)     -> (pos, codes, targets): every arc leaving keys[pos],
+#                       grouped by ascending pos; the order within a state
+#                       is the order in which its new targets are numbered
+
+_CHUNK = 1 << 21  # array elements one step of a breadth-first level works on
+
+
+class _PairIndex:
+    """Exact int32 ids of int64 keys, new keys numbered in order of first
+    occurrence, by binary search in the sorted keys seen."""
+
+    def __init__(self):
+        self.keys = np.empty(0, np.int64)  # sorted
+        self.ids = np.empty(0, np.int32)
+        self.count = 0
+
+    def lookup(self, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Ids of ``keys`` and the keys seen for the first time, in order."""
+        at = np.searchsorted(self.keys, keys)
+        found = at < len(self.keys)
+        found[found] = self.keys[at[found]] == keys[found]
+        ids = np.empty(len(keys), np.int32)
+        ids[found] = self.ids[at[found]]
+        missing = (~found).nonzero()[0]
+        if not missing.size:
+            return ids, missing
+        fresh, first, inverse = np.unique(keys[missing], return_index=True, return_inverse=True)
+        order = first.argsort()
+        fresh_ids = np.empty(len(fresh), np.int32)
+        fresh_ids[order] = np.arange(self.count, self.count + len(fresh), dtype=np.int32)
+        self.count += len(fresh)
+        ids[missing] = fresh_ids[inverse.ravel()]
+        # merge the new keys into the sorted ones
+        slot = np.searchsorted(self.keys, fresh) + np.arange(len(fresh))
+        old = np.ones(len(self.keys) + len(fresh), bool)
+        old[slot] = False
+        merged_keys, merged_ids = np.empty(len(old), np.int64), np.empty(len(old), np.int32)
+        merged_keys[slot], merged_ids[slot] = fresh, fresh_ids
+        merged_keys[old], merged_ids[old] = self.keys, self.ids
+        self.keys, self.ids = merged_keys, merged_ids
+        return ids, fresh[order]
+
+
+def from_lazy(lazy, arity: int, digit_bound: int) -> Automaton:
+    """Materialize a lazily described NFA breadth first, a level of keys at
+    a time in chunks of at most ``_CHUNK`` cells, ``fanout`` per key; keep
+    only the states from which a final state can be reached (a backward
+    ``_reach`` over the arcs), with their arcs sorted into CSR lists.
+
+    States are numbered in order of first occurrence, the starts first,
+    then each level's targets in arc order: so over ascending letters the
+    ids come out as a state-by-state exploration would assign them.  The
+    arcs and states explored stay within the toolkit's ``_MAX_CELLS``.
+    """
+    starts = np.asarray(lazy.initial_keys(), np.int64)
+    index = _PairIndex()
+    _, level = index.lookup(starts)
+    levels, degrees, codes, dsts = [level], [], [], []
+    per_chunk = max(1, _CHUNK // max(1, lazy.fanout))
+    arcs = 0
+    while level.size:
+        targets = []
+        for lo in range(0, len(level), per_chunk):
+            keys = level[lo : lo + per_chunk]
+            pos, code, target = lazy.step(keys)
+            degrees.append(np.bincount(pos, minlength=len(keys)))
+            codes.append(code)
+            targets.append(target)
+        ids, level = index.lookup(targets[0] if len(targets) == 1 else np.concatenate(targets))
+        dsts.append(ids)
+        levels.append(level)
+        arcs += len(ids)
+        _cells(arcs + index.count, "explored arcs and states")
+    keys, none = np.concatenate(levels), [np.empty(0, np.int32)]
+    n = len(keys)
+    srcs = np.repeat(np.arange(n, dtype=np.int32), np.concatenate(degrees + none))
+    codes, dsts = np.concatenate(codes + none), np.concatenate(dsts + none)
+    _check_keys(n, arity, digit_bound)
+    into = np.argsort(dsts, kind="stable")  # the arcs by target
+    finals = np.flatnonzero(lazy.final(keys)).tolist()
+    useful = _reach(np.searchsorted(dsts[into], np.arange(n + 1)).tolist(), srcs[into].tolist(), finals)
+    kept = np.array(useful, bool)
+    renumber = np.cumsum(kept) - 1  # the new id of a useful state
+    if not kept.all():
+        keep = kept[srcs] & kept[dsts]
+        srcs, codes, dsts = renumber[srcs[keep]], codes[keep], renumber[dsts[keep]]
+    order = np.argsort(codes.astype(np.int64) * max(n, 1) + dsts, kind="stable")  # fits: see _check_keys
+    order = order[np.argsort(srcs[order], kind="stable")]  # by (src, code, dst)
+    srcs, codes, dsts = srcs[order], codes[order], dsts[order]
+    fresh = np.ones(len(order), bool)  # the first of each run of equal arcs
+    fresh[1:] = (srcs[1:] != srcs[:-1]) | (codes[1:] != codes[:-1]) | (dsts[1:] != dsts[:-1])
+    srcs, codes, dsts = srcs[fresh], codes[fresh], dsts[fresh]
+    indptr = np.searchsorted(srcs, np.arange(int(kept.sum()) + 1))
+    initial = range(len(set(starts.tolist())))  # the starts are numbered first
+    return Automaton._from_rows(
+        arity, digit_bound, renumber[[s for s in initial if useful[s]]],
+        renumber[[f for f in finals if useful[f]]], indptr.tolist(), codes.tolist(), dsts.tolist(), False,
+        trim=True,
+    )
 
 
 # -- phases and state keys ------------------------------------------------------

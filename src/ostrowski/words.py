@@ -33,6 +33,16 @@ def integer(text: str) -> int | None:
     return decimal(digits) * (-1 if text[:1] == "-" else 1)
 
 
+def integer_token(token: str, role: str) -> int:
+    """``integer`` of a token with blanks around it, or ``ValueError``
+    naming what the token stands for."""
+    token = token.strip()
+    value = integer(token)
+    if value is None:
+        raise ValueError(f"bad {role} token {token!r}")
+    return value
+
+
 _CHUNK = 4000  # decimal digits converted at once, within the limit of int and str
 
 

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 
 from ostrowski import automata, words
-from ostrowski.automata import Automaton, convolve, from_lazy
+from ostrowski.automata import Automaton, convolve
 from ostrowski.errors import ArityMismatch, AutomatonTooLarge, DigitOutOfRange
 from ostrowski.numeration import is_valid
-from ostrowski.recognizers import build_valid_rep
+from ostrowski.recognizers import build_valid_rep, from_lazy
 
 
 def all_words(arity, bound, max_len):

@@ -105,6 +105,15 @@ def test_not_quadratic_exit_3(capsys):
     assert code == 3
 
 
+def test_enumerate_not_quadratic_exit_3(capsys):
+    # the expansion is refused before the bound is encoded, which would run
+    # past its known quotients at 500
+    for bound in ("5", "500"):
+        code, out, err = run(capsys, "enumerate", "--cf", "1;2,3", "--formula", "x = x", "--bound", bound)
+        assert (code, out) == (3, "")
+        assert err.startswith("error:") and "quadratic" in err and "Traceback" not in err
+
+
 def test_build_and_run(capsys, tmp_path):
     path = str(tmp_path / "adder.aut")
     code, out, _ = run(capsys, "build", "--cf", "1;(1)", "--relation", "adder", "-o", path)
@@ -148,6 +157,24 @@ def test_run_malformed_lines_name_their_line(capsys, tmp_path):
         with pytest.raises(ValueError, match=f"^line {line}: "):
             Automaton.from_text(head + body)
         code, out, err = run(capsys, "run", "--automaton", str(path), "--word", "1")
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: line {line}: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_run_number_tokens_are_ascii_digits(capsys, tmp_path):
+    # int() would read each token below as the ASCII number it replaces:
+    # an underscore, an Arabic-Indic, a fullwidth and, inside a letter,
+    # another Arabic-Indic digit
+    lines = ["arity 1", "digit_bound 3", "num_states 10", "initial 2", "final 1", "trans 2 (3) 1"]
+    path = tmp_path / "digits.aut"
+    path.write_text("\n".join(lines) + "\n")
+    assert run(capsys, "run", "--automaton", str(path), "--word", "3")[:2] == (0, "accepted\n")
+    for line, old, new in ((3, "10", "1_0"), (4, "2", "\u0662"), (5, "1", "\uff11"), (6, "(3)", "(\u0663)")):
+        text = "\n".join(lines[: line - 1] + [lines[line - 1].replace(old, new)] + lines[line:]) + "\n"
+        with pytest.raises(ValueError, match=f"^line {line}: bad .* token"):
+            Automaton.from_text(text)
+        path.write_text(text)
+        code, out, err = run(capsys, "run", "--automaton", str(path), "--word", "3")
         assert (code, out) == (2, "")
         assert err.startswith(f"error: line {line}: ") and err.count("\n") == 1 and "Traceback" not in err
 

@@ -1,8 +1,8 @@
 """What a cold process loads, and the package namespace that loads lazily.
 
-The numeration and the adder are plain integer arithmetic, so the commands
-that only use them must not pay for importing numpy; the automaton layers
-load when a command first needs them.
+The numeration, the adder and the automaton toolkit are plain Python, so
+the commands that only use them must not pay for importing numpy; the
+automaton layers load when a command first needs them.
 """
 
 import importlib
@@ -68,6 +68,23 @@ def test_automaton_commands_load_what_they_run(argv):
     assert "numpy.ma" not in loaded  # np.unique's hash form imports it
     if argv[0] == "build":
         assert "ostrowski.logic" not in loaded
+
+
+def test_run_loads_no_numpy(tmp_path):
+    # reading and running a stored automaton is plain Python
+    path = tmp_path / "adder.aut"
+    ostrowski.build_adder(ostrowski.ContinuedFraction.from_text("1;(1)")).save(path)
+    loaded = cold(["run", "--automaton", str(path), "--word", "1 0", "--word", "1 0 0", "--word", "1 0 0 0"])
+    assert "numpy" not in loaded
+    assert "ostrowski.automata" in loaded
+    assert not loaded & {"ostrowski.bulk", "ostrowski.logic", "ostrowski.recognizers"}
+
+
+def test_automata_module_loads_no_numpy():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    probe = "import sys, ostrowski.automata; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout) == (0, "False\n"), proc.stderr
 
 
 def test_lazy_names_are_their_home_objects():

@@ -325,6 +325,14 @@ def test_enumerate_refuses_bad_bounds_before_any_work(golden):
             enumerate_solutions(golden, "x + y = z", 1000)
 
 
+def test_enumerate_not_quadratic_at_any_bound():
+    # encoding 500 needs quotients past the known prefix of 1;2,3
+    cf = ContinuedFraction.from_text("1;2,3")
+    for bound in (5, 500):
+        with pytest.raises(NotQuadratic):
+            enumerate_solutions(cf, "x = x", bound)
+
+
 def test_enumerate_matches_naive_eval(golden, sqrt2):
     # quantified variables in these formulas never exceed the free values
     # plus one, so bound + 2 is a sufficient quantifier range
