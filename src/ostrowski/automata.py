@@ -42,10 +42,13 @@ never spells out the tracks only one of them reads.  A difference (and
 so a complement) is a product whose right side moves to its dead state
 where it lacks an arc.  Adding, reordering and identifying the tracks of
 one automaton (``_place``) maps each old letter code to the new codes
-reading as it.  Subset constructions key a subset by the frozenset of its
-states, and leave out the states that cannot reach a final state, so dead
-pairs and dead guesses never inflate them.  Minimization is Hopcroft's
-partition refinement, where a split costs only the states it moves.
+reading as it.  Pinning tracks to numerals and erasing them (``restrict``)
+walks (state, position) pairs, one position shared by every pinned track,
+into a subset construction, with no product.  Subset constructions key a
+subset by the frozenset of its states, and leave out the states that
+cannot reach a final state, so dead pairs and dead guesses never inflate
+them.  Minimization is Hopcroft's partition refinement, where a split
+costs only the states it moves.
 
 The module is plain Python: the int64 arrays of a breadth-first level of
 recognizer states live in ``recognizers.from_lazy``, and those of batch
@@ -235,13 +238,6 @@ class Automaton:
         return self
 
     @classmethod
-    def _build(cls, arity, digit_bound, num_states, initial, finals, srcs, codes, dsts,
-               deterministic: bool) -> "Automaton":
-        """An automaton from arcs in any order."""
-        return cls._from_rows(arity, digit_bound, initial, finals, *_csr(num_states, srcs, codes, dsts),
-                              deterministic)
-
-    @classmethod
     def _everything(cls, arity: int, digit_bound: int) -> "Automaton":
         """All tuple words: one final state looping on every letter."""
         size = _cells((digit_bound + 1) ** arity, "alphabet")
@@ -251,9 +247,9 @@ class Automaton:
     def _padded_word(cls, digit_bound: int, digits: Sequence[int]) -> "Automaton":
         """The single-track words ``0* w`` of the digit word ``w`` (no leading
         zero): a chain of ``len(w) + 1`` states."""
-        n = len(digits)
-        return cls._build(1, digit_bound, n + 1, [0], [n], [0, *range(n)], [0, *digits],
-                          [0, *range(1, n + 1)], True)
+        n = len(digits)  # state 0 has the zero loop and the first digit's arc
+        return cls._from_rows(1, digit_bound, [0], [n], [0, *range(2, n + 2), n + 1], [0, *digits],
+                              [0, *range(1, n + 1)], True)
 
     @property
     def alphabet_size(self) -> int:
@@ -559,6 +555,43 @@ class Automaton:
         if not (0 <= track < self.arity):
             raise ValueError(f"track {track} outside 0..{self.arity - 1}")
         return self._subsets("project", erase=track, zero_closed=True)
+
+    def restrict(self, pins: dict[int, Sequence[int]]) -> "Automaton":
+        """Pin each track ``t`` of ``pins`` to ``0* w``, ``w`` the LSD-first word
+        ``pins[t]``, and erase it, closing under leading zero letters (trim,
+        minimal).  The pinned tracks share one position in their convolution:
+        a walk over (state, position) pairs numbers an automaton for ``_subsets``."""
+        kept = [t for t in range(self.arity) if t not in pins]
+        if not kept or len(kept) + len(pins) != self.arity:
+            raise ArityMismatch(f"pinned tracks {sorted(pins)} must lie in 0..{self.arity - 1} and leave one free")
+        radix = self.digit_bound + 1
+        word = [_code(c, len(pins), radix) for c in convolve([*pins.values()], radix - 1)] + [-1]  # -1 reads no letter
+        width = len(word)  # positions per state
+        split = _split(self._codes, range(self.arity), {t: radix ** (len(pins) - 1 - j) for j, t in enumerate(pins)},
+                       {t: radix ** (len(kept) - 1 - j) for j, t in enumerate(kept)}, radix)
+        rows: dict[int, dict] = {}  # of each state met: (part, target * width) by pinned digits
+        pairs = [s * width for s in sorted(self.initial)]  # pair key: state * width + position
+        index = {pair: j for j, pair in enumerate(pairs)}
+        indptr, out_codes, out_dsts = [0], [], []
+        for pair in pairs:  # also the pairs appended while it runs
+            q, i = divmod(pair, width)
+            if (row := rows.get(q)) is None:
+                row = rows[q] = {}
+                for k in range(self._indptr[q], self._indptr[q + 1]):
+                    key, part = split[self._codes[k]]
+                    row.setdefault(key, []).append((part, self._dsts[k] * width))
+            for part, target in [(p, t + i + 1) for p, t in row.get(word[i], ())] + (row.get(0, []) if i == 0 else []):
+                j = index.setdefault(target, len(pairs))
+                if j == len(pairs):
+                    pairs.append(target)
+                out_codes.append(part)
+                out_dsts.append(j)
+            indptr.append(len(out_codes))
+            if len(out_codes) + len(pairs) > _MAX_CELLS:
+                _cells(len(out_codes) + len(pairs), self._label("restrict") + "pinned arcs and states")
+        finals = [j for j, pair in enumerate(pairs) if pair % width == width - 1 and pair // width in self.finals]
+        return Automaton._from_rows(len(kept), self.digit_bound, range(len(self.initial)), finals, indptr, out_codes,
+                                    out_dsts, False)._subsets("restrict", zero_closed=True).minimize(total=False)
 
     def zero_closure(self) -> "Automaton":
         """Close the language under adding/removing leading all-zero letters."""

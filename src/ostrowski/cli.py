@@ -212,22 +212,19 @@ def cmd_decide(args) -> int:
 
 
 def _witness(cf, formula):
-    """Decoded satisfying tuple for a true sentence of the form E x1...E xk. body."""
+    """Decoded values satisfying a true E x1...E xk. body: one per name, 0 for a name the body ignores."""
     from .logic import Exists, compile_formula, free_vars
 
-    names = []
-    body = formula
+    names, body = [], formula
     while isinstance(body, Exists):
-        names.append(body.var)
+        names = [n for n in names if n != body.var] + [body.var]  # each name at its innermost binding
         body = body.body
-    if not names or free_vars(body) - set(names):
+    if not names:
         return None
-    aut = compile_formula(cf, body, names)
-    word = aut.shortest_witness()
-    if word is None:
-        return None
-    tracks = [tuple(reversed([letter[i] for letter in word])) for i in range(len(names))]
-    return [decode(cf, t) for t in tracks]
+    free = [n for n in names if n in free_vars(body)]
+    word = compile_formula(cf, body, free).shortest_witness() if free else ()  # true, so never None
+    values = {n: decode(cf, tuple(reversed([letter[i] for letter in word]))) for i, n in enumerate(free)}
+    return [values.get(n, 0) for n in names]
 
 
 def cmd_enumerate(args) -> int:

@@ -14,7 +14,7 @@ owns a track carrying its 0*-padded representation, and one map of
 letter codes adds, reorders and merges tracks: a variable named twice in
 an atom (``x + x``, ``V(x) = x``) merges its two tracks there.  Atoms
 with compound terms are flattened through fresh auxiliary variables (one
-adder automaton per ``+``, one singleton automaton per numeral),
+adder automaton per ``+``, a track pinned to each numeral's digits),
 conjunction is automaton intersection with the operands joined on the
 variables they share, so no track only one of them reads is spelled out
 for the other, existential quantification is track projection followed
@@ -33,6 +33,9 @@ outside its scope and shadowing needs no renaming.
 
 Numerals are syntactic sugar resolved against the ambient expansion:
 ``2`` always denotes the number two, whatever digit string represents it.
+A numeral's track is pinned to that string and erased in one walk
+(``Automaton.restrict``); an equality with a numeral is a renaming: the
+padded word on a variable, or the outermost adder, output pinned.
 """
 
 from __future__ import annotations
@@ -378,12 +381,6 @@ def _zero_track(m: int, holds: bool) -> Automaton:
     return Automaton._from_rows(0, m, [0], [0] if holds else [], [0, 1], [0], [0], True)
 
 
-def _constant_dfa(cf, value: int) -> Automaton:
-    """Single-track automaton accepting exactly 0*rho(value)."""
-    digits = list(reversed(encode(cf, value).digits))  # MSD first
-    return Automaton._padded_word(cf.parameters().m, digits)
-
-
 class _Node(NamedTuple):
     """Compilation result: an automaton over the named tracks (none for a sentence)."""
 
@@ -403,6 +400,7 @@ class _Compiler:
         self.m = cf.parameters().m
         self.rank: dict[str, int] = {}
         self.fresh_counter = 0
+        self.pins: dict[str, int] = {}  # the numeral of each auxiliary track not yet pinned
 
     def rank_of(self, name: str) -> int:
         if name not in self.rank:
@@ -460,35 +458,41 @@ class _Compiler:
         if isinstance(left, Const) and isinstance(right, Const):
             ok = left.value == right.value if isinstance(f, Eq) else left.value <= right.value
             return _Node((), _zero_track(self.m, ok))
-        lname, ldefs, laux = self._flatten(left)
-        rname, rdefs, raux = self._flatten(right)
         base = (_eq_dfa if isinstance(f, Eq) else _le_dfa)(self.cf)
-        node = self._relation(base, (lname, rname))
-        # Conjoin definitions innermost-last and project each auxiliary as
-        # soon as both its occurrences are present, keeping the arity low.
-        for d, aux in reversed(list(zip(ldefs + rdefs, laux + raux))):
-            node = self._project_var(self._conjoin(node, d), aux)
-        return node
+        if isinstance(f, Eq) and isinstance(left, Const):
+            left, right = right, left
+        terms = (left, right)
+        if isinstance(f, Eq) and isinstance(right, Const):  # a renaming: the numeral pins the other side
+            if isinstance(left, Var):
+                return self._relation(Automaton._padded_word(self.m, encode(self.cf, right.value).digits[::-1]),
+                                      (left.name,))
+            base, terms = _add_dfa(self.cf), (left.left, left.right, right)  # the outermost sum
+        flat = [self._flatten(t) for t in terms]
+        node = self._relation(base, tuple(name for name, _ in flat))
+        node = self._pin(node) if len(terms) == 3 else node  # the output bounds the operands: pin first
+        # Conjoin definitions innermost-last, projecting each auxiliary as soon as both its
+        # occurrences are present and then pinning the numerals present: the arity stays low.
+        for d, aux in reversed([d for _, defs in flat for d in defs]):
+            node = self._pin(self._project_var(self._conjoin(node, d), aux))
+        return self._pin(node)
 
-    def _flatten(self, t: Term) -> tuple[str, list[_Node], list[str]]:
-        """The track naming ``t``, and the definitions of the auxiliary
-        tracks it needs, each with its track, operands first."""
+    def _flatten(self, t: Term) -> tuple[str, list[tuple[_Node, str]]]:
+        """The track naming ``t``, pinned if a numeral, and the definitions of
+        the auxiliary tracks of its sums, each with its track, operands first."""
         names: list[str] = []
-        defs: list[_Node] = []
-        auxes: list[str] = []
+        defs: list[tuple[_Node, str]] = []
         for s in _postorder(t):
             if isinstance(s, Var):
                 names.append(s.name)
                 continue
             aux = self.fresh()
             if isinstance(s, Const):
-                defs.append(self._relation(_constant_dfa(self.cf, s.value), (aux,)))
+                self.pins[aux] = s.value
             else:
                 right, left = names.pop(), names.pop()
-                defs.append(self._relation(_add_dfa(self.cf), (left, right, aux)))
+                defs.append((self._relation(_add_dfa(self.cf), (left, right, aux)), aux))
             names.append(aux)
-            auxes.append(aux)
-        return names[0], defs, auxes
+        return names[0], defs
 
     def _relation(self, base: Automaton, names: tuple[str, ...]) -> _Node:
         """Attach an automaton over the given named tracks, in rank order; a
@@ -496,6 +500,12 @@ class _Compiler:
         on them."""
         order = self.sort_vars(dict.fromkeys(names))
         return _Node(order, _insert_tracks(base, names, order))
+
+    def _pin(self, node: _Node) -> _Node:
+        """``node`` with the tracks of numerals pinned and erased."""
+        pins = {t: encode(self.cf, self.pins.pop(v)).digits for t, v in enumerate(node.vars) if v in self.pins}
+        kept = tuple(v for t, v in enumerate(node.vars) if t not in pins)
+        return _Node(kept, node.aut.restrict(pins)) if pins else node
 
     # connectives ----------------------------------------------------------
 

@@ -359,7 +359,7 @@ def test_join_matches_place_and_intersect():
     # deterministic operands and, as the product numbers pairs in order of
     # (letter, target pair), on nondeterministic ones too
     rng = random.Random(17)
-    sentence = Automaton._build(0, 2, 1, [0], [0], [0], [0], [0], True)
+    sentence = Automaton._from_rows(0, 2, [0], [0], [0, 1], [0], [0], True)
     cases = [(sentence, [], sentence, [])]
     for _ in range(80):
         bound = rng.choice([1, 2])
@@ -421,6 +421,42 @@ def test_kernels_against_brute_force():
                 assert ok == projection_oracle(a, track, w, arcs)
 
 
+def random_numeral(rng, bound, length):
+    """A digit word LSD first without a leading zero (the empty word is 0)."""
+    return [rng.randint(0, bound) for _ in range(length - 1)] + [rng.randint(1, bound)] if length else []
+
+
+def test_restrict_matches_chain_intersect_and_project():
+    # pinning tracks to numerals gives the CSR lists of the path it replaces:
+    # a product with each numeral's chain on its track, the pinned tracks
+    # projected away, then the trim minimization
+    rng = random.Random(22)
+    cases = []
+    for _ in range(60):
+        arity = rng.choice([2, 3])
+        bound = 1 if arity == 3 else rng.choice([1, 2])
+        a = random_automaton(rng, arity, bound).determinize(complete=False)
+        pinned = rng.sample(range(arity), rng.randint(1, arity - 1))
+        cases.append((a, {t: random_numeral(rng, bound, rng.randint(0, 4)) for t in pinned}))
+    a = random_automaton(rng, 3, 1).determinize(complete=False)
+    cases += [(a, {1: []}), (a, {0: [1, 0, 1], 2: [1]}), (a, {2: [0, 1], 0: []})]
+    kinds = set()
+    for a, pins in cases:
+        want = a
+        for t, digits in pins.items():
+            want = want.intersect(Automaton._padded_word(a.digit_bound, digits[::-1]), range(a.arity), [t])
+        for t in sorted(pins, reverse=True):
+            want = want.project(t)
+        same_automaton(a.restrict(pins), want.minimize(total=False))
+        lengths = {len(d) for d in pins.values()}
+        kinds.update(kind for kind, seen in (("zero", 0 in lengths), ("two lengths", len(lengths) > 1),
+                                             ("all but one", len(pins) == a.arity - 1 > 1)) if seen)
+    assert kinds == {"zero", "two lengths", "all but one"}
+    for pins in ({0: [1], 1: [], 2: [1]}, {3: [1]}):  # no track left free, a track out of range
+        with pytest.raises(ArityMismatch):
+            a.restrict(pins)
+
+
 def test_kernel_refusals_name_the_operation(monkeypatch):
     chain = Automaton(1, 1, 5, [0], [4], {s: {(0,): (s + 1,), (1,): (s + 1,)} for s in range(4)})
     wide, right = chain.cylindrify(1), chain.determinize(complete=False)
@@ -433,6 +469,8 @@ def test_kernel_refusals_name_the_operation(monkeypatch):
         (lambda: chain.determinize(), "determinize of 5 states, 1 tracks: subset arcs and states"),
         (lambda: wide.project(0), "project of 5 states, 2 tracks: subset arcs and states"),
         (lambda: chain.cylindrify(0), "place of 5 states, 2 tracks: placed arcs needs 16 entries"),
+        (lambda: wide.restrict({1: [1, 1, 1]}),
+         "restrict of 5 states, 2 tracks: pinned arcs and states needs 16 entries, more than 12"),
     ]
     for call, message in cases:
         with pytest.raises(AutomatonTooLarge) as err:

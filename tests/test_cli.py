@@ -58,6 +58,20 @@ def test_decide_witness(capsys):
     assert out == "true\nwitness: 5\n"
 
 
+@pytest.mark.parametrize("formula,witness", [
+    ("E x. E y. x = 3", [3, 0]),  # y is not read by the body
+    ("E x. E x. x = 3", [3]),  # one value per name, at its innermost binding
+    ("E x. A x. x = x", [0]),  # a body without free variables
+    ("E y. E x. E y. x + 1 = y", [0, 1]),
+])
+def test_decide_witness_of_unread_and_rebound_names(capsys, formula, witness):
+    code, out, err = run(capsys, "decide", "--cf", "1;(1)", "--witness", "--formula", formula)
+    assert (code, out, err) == (0, "true\nwitness: " + " ".join(map(str, witness)) + "\n", "")
+    code, out, err = run(capsys, "decide", "--cf", "1;(1)", "--witness", "--json", "--formula", formula)
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"command": "decide", "result": {"verdict": True, "witness": witness}}
+
+
 def test_malformed_input_exit_2(capsys):
     code, _, err = run(capsys, "encode", "--cf", "1;x", "10")
     assert code == 2

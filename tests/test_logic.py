@@ -292,6 +292,36 @@ def test_numerals_denote_values(golden, sqrt2):
         assert not decide(cf, "1 + 1 = 3")
 
 
+NUMERAL_ATOMS = {
+    "x + 4 = y": lambda x, y: x + 4 == y,
+    "x <= 9": lambda x: x <= 9,
+    "6 <= x + y": lambda x, y: 6 <= x + y,
+    "x + x = 10": lambda x: x + x == 10,
+    "x + 3 = 5 + y": lambda x, y: x + 3 == 5 + y,
+    "x + 3 = 12": lambda x: x + 3 == 12,
+    "x = 0": lambda x: x == 0,
+}
+
+
+@pytest.mark.parametrize("cf_text", ["1;(1)", "1;(2)", "0;1,(1,2)", "1;(3,1,2)", "2;(1,8)"])
+def test_numeral_atoms_match_brute_force(cf_text):
+    # each numeral pins a track of the atom's relation; the solutions up to
+    # the bound are those of the arithmetic on the values themselves
+    cf = ContinuedFraction.from_text(cf_text)
+    bound = 14
+    for text, holds in NUMERAL_ATOMS.items():
+        arity = holds.__code__.co_argcount
+        want = [t for t in itertools.product(range(bound + 1), repeat=arity) if holds(*t)]
+        assert enumerate_solutions(cf, text, bound) == want, (cf_text, text)
+
+
+def test_long_numerals_pinned_in_one_walk(golden, sqrt2):
+    # 1...1 (300 digits) + 1...1 (301 digits) = 2...2 (301 digits)
+    for cf in (golden, sqrt2):
+        assert decide(cf, f"E x. x + {'1' * 300} = {'2' * 301}") is True
+        assert decide(cf, f"E x. x + {'2' * 301} = {'1' * 300}") is False
+
+
 # -- enumeration -----------------------------------------------------------------
 
 
