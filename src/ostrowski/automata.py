@@ -30,6 +30,9 @@ conventions that matter for numeration languages:
   dead state and an arc for every letter, for the public results; and
   trim, without the dead state, for the intermediate steps of a
   construction, whose products then never walk pairs with a dead state.
+  Total minimization is the only operation that builds a dead state:
+  determinization is the trim subset construction, and a complement
+  flips the final states of the total minimal DFA.
 
 Each operation is one kernel that runs one state at a time in plain
 Python over the CSR lists, at a cost per arc it reads.  Every kernel that
@@ -38,9 +41,9 @@ ascending letters.  The product of two automata takes, for each operand,
 the result tracks its own tracks land on: a pair of states moves on each
 letter whose digits both operands read and agree on where they share a
 track, so a conjunction joins its operands on their shared tracks and
-never spells out the tracks only one of them reads.  A difference (and
-so a complement) is a product whose right side moves to its dead state
-where it lacks an arc.  Adding, reordering and identifying the tracks of
+never spells out the tracks only one of them reads.  A difference is a
+product whose right side moves to its unbuilt dead state where it lacks
+an arc.  Adding, reordering and identifying the tracks of
 one automaton (``_place``) maps each old letter code to the new codes
 reading as it.  Pinning tracks to numerals and erasing them (``restrict``)
 walks (state, position) pairs, one position shared by every pinned track,
@@ -69,7 +72,6 @@ Letter = tuple[int, ...]
 TupleWord = tuple[Letter, ...]
 
 _MAX_CELLS = 1 << 27  # largest table (states x letters), arc count or state count held
-_INT64_MAX = (1 << 63) - 1
 
 
 def convolve(word_list: Sequence[Sequence[int]], digit_bound: int) -> TupleWord:
@@ -92,17 +94,6 @@ def _cells(count: int, what: str) -> int:
     if count > _MAX_CELLS:
         raise AutomatonTooLarge(f"{what} needs {count} entries, more than {_MAX_CELLS}")
     return count
-
-
-def _check_keys(num_states: int, arity: int, digit_bound: int, what: str = "") -> None:
-    """Every key ``src * letters + code`` of an arc fits an int64, the width
-    of the arrays ``recognizers.from_lazy`` and ``bulk.batch_accepts`` hold
-    codes in; 2**64 letters never do, and their count is not computed."""
-    wide = digit_bound >= 1 and arity >= 64
-    if wide or max(num_states, 1) * (digit_bound + 1) ** arity - 1 > _INT64_MAX:
-        raise AutomatonTooLarge(
-            f"{what}{num_states} states times {digit_bound + 1}**{arity} letters do not fit 64-bit arc keys"
-        )
 
 
 def _code(letter: Letter, arity: int, radix: int) -> int:
@@ -224,7 +215,10 @@ class Automaton:
         self._indptr, self._codes, self._dsts = indptr, codes, dsts
         self._letter_codes: dict[Letter, int] = {}
         self._arcs_by_key = None
-        _check_keys(self.num_states, arity, digit_bound)
+        # letter codes fit the int64 arrays of recognizers.from_lazy and
+        # bulk.batch_accepts; 2**64 letters never do, and are not counted
+        if digit_bound >= 1 and arity >= 64 or (digit_bound + 1) ** arity > 1 << 63:
+            raise AutomatonTooLarge(f"{digit_bound + 1}**{arity} letters do not fit 64-bit letter codes")
 
     @classmethod
     def _from_rows(cls, arity, digit_bound, initial, finals, indptr: list, codes: list, dsts: list,
@@ -236,12 +230,6 @@ class Automaton:
         self = cls.__new__(cls)
         self._init(arity, digit_bound, initial, finals, indptr, codes, dsts, deterministic, trim)
         return self
-
-    @classmethod
-    def _everything(cls, arity: int, digit_bound: int) -> "Automaton":
-        """All tuple words: one final state looping on every letter."""
-        size = _cells((digit_bound + 1) ** arity, "alphabet")
-        return cls._from_rows(arity, digit_bound, [0], [0], [0, size], list(range(size)), [0] * size, True)
 
     @classmethod
     def _padded_word(cls, digit_bound: int, digits: Sequence[int]) -> "Automaton":
@@ -347,14 +335,10 @@ class Automaton:
 
     # -- structural operations ----------------------------------------------
 
-    def determinize(self, complete: bool = True) -> "Automaton":
-        """Subset construction; a deterministic automaton stays as it is.
-        With ``complete`` a dead state takes every missing arc, so the result
-        is total."""
-        d = self if self.deterministic else self._subsets("determinize")
-        if complete and not d.is_total():
-            return Automaton._everything(d.arity, d.digit_bound)._product(d, "complete", lambda x, y: y, dead=True)
-        return d
+    def determinize(self) -> "Automaton":
+        """Subset construction, trim: no state is kept that cannot reach a
+        final state.  A deterministic automaton stays as it is."""
+        return self if self.deterministic else self._subsets("determinize")
 
     def minimize(self, total: bool = True) -> "Automaton":
         """Minimal equivalent of a deterministic automaton, canonically
@@ -369,11 +353,15 @@ class Automaton:
     def determinize_minimize(self, total: bool = True) -> "Automaton":
         """Equivalent deterministic minimal automaton, canonically numbered;
         total unless ``total=False``."""
-        return self.determinize(complete=False).minimize(total)
+        return self.determinize().minimize(total)
 
     def complement(self) -> "Automaton":
-        """Complement w.r.t. all tuple words over the alphabet, total."""
-        return Automaton._everything(self.arity, self.digit_bound).difference(self)
+        """Complement w.r.t. all tuple words over the alphabet: the total
+        minimal DFA with its final states flipped, itself total, minimal
+        and canonically numbered."""
+        d = self.determinize_minimize()
+        return Automaton._from_rows(d.arity, d.digit_bound, [0], set(range(d.num_states)) - d.finals, d._indptr,
+                                    d._codes, d._dsts, True)
 
     def intersect(self, other: "Automaton", tracks: Optional[Sequence[int]] = None,
                   other_tracks: Optional[Sequence[int]] = None) -> "Automaton":
@@ -390,7 +378,7 @@ class Automaton:
     def difference(self, other: "Automaton") -> "Automaton":
         """The words of ``self`` that ``other`` rejects: a product with
         ``other`` determinized, whose dead state is never built."""
-        return self._product(other.determinize(complete=False), "difference", lambda x, y: x and not y, dead=True)
+        return self._product(other.determinize(), "difference", lambda x, y: x and not y, dead=True)
 
     def _product(self, other: "Automaton", op: str, final, dead: bool = False,
                  tracks: Optional[Sequence[int]] = None,
@@ -714,7 +702,7 @@ class Automaton:
 
     def equivalent(self, other: "Automaton") -> bool:
         """Language equality: neither difference accepts a word."""
-        a, b = self.determinize(complete=False), other.determinize(complete=False)
+        a, b = self.determinize(), other.determinize()
         return a.difference(b).is_empty() and b.difference(a).is_empty()
 
     def _require_compatible(self, other: "Automaton") -> None:

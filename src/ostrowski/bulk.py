@@ -87,15 +87,9 @@ def batch_encode(cf: ContinuedFraction, values) -> np.ndarray:
     return table
 
 
-def encode_table(cf: ContinuedFraction, limit: int, width: int | None = None) -> np.ndarray:
+def encode_table(cf: ContinuedFraction, limit: int) -> np.ndarray:
     """Digit matrix of rho(0..limit), one row per value, columns LSD first."""
-    table = batch_encode(cf, np.arange(limit + 1))
-    need = table.shape[1]
-    if width is None:
-        return table
-    if width < need:
-        raise ValueError(f"width {width} too small, need {need}")
-    return np.pad(table, ((0, 0), (0, width - need)))
+    return batch_encode(cf, np.arange(limit + 1))
 
 
 def _raise_rows(bad: np.ndarray, lo: int, message: str, error=InternalInvariantError) -> None:

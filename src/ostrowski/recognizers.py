@@ -41,17 +41,20 @@ the arcs of the cells left.  A pass frame's step reads the viability
 mask of each candidate (state, input, successor phase) over the claim
 that ends the successor's buffer, and packs keys only for the claims the
 mask admits.  An expansion whose keys could pass 64 bits, or whose
-viability table would pass the toolkit's size guard, raises
-``AutomatonTooLarge`` before anything is explored, naming the stage and
-the expansion.
+viability table or digit grid would pass the toolkit's size guard,
+raises ``AutomatonTooLarge`` before anything is explored, naming the
+stage and the expansion.
 
 The composed adder joins digit-sum, the three pass relations and
 validity of the result with the toolkit's closure operations, one stage
 per pass: intersect the running automaton with the pass relation joined
 on their shared track, project the intermediate track (which closes
 under leading zero columns), minimize.  Its first stage is the
-width-4 frame reading x + y from two valid tracks.  By construction it
-accepts conv(0*rho(M), 0*rho(N), 0*rho(M+N)) and nothing else.
+width-4 frame reading x + y from two valid tracks; its last joins the
+valid words on the result track, a join of two DFAs closed under leading
+zero columns, so a total minimization ends it with no closure or subset
+construction.  By construction it accepts conv(0*rho(M), 0*rho(N),
+0*rho(M+N)) and nothing else.
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ import math
 
 import numpy as np
 
-from .automata import _MAX_CELLS, Automaton, _cells, _check_keys, _reach
+from .automata import _MAX_CELLS, Automaton, _cells, _reach
 from .contfrac import AutomatonParameters, ContinuedFraction, automaton_parameters
 from .errors import AutomatonTooLarge, NotQuadratic
 from .rules import c_preimages_array, rewrite, window_a_delta, window_b_delta, window_c_delta
@@ -128,7 +131,8 @@ def from_lazy(lazy, arity: int, digit_bound: int) -> Automaton:
     States are numbered in order of first occurrence, the starts first,
     then each level's targets in arc order: so over ascending letters the
     ids come out as a state-by-state exploration would assign them.  The
-    arcs and states explored stay within the toolkit's ``_MAX_CELLS``.
+    arcs and states explored stay within the toolkit's ``_MAX_CELLS``, and
+    the sort key ``code * states + target`` of every arc within int64.
     """
     starts = np.asarray(lazy.initial_keys(), np.int64)
     index = _PairIndex()
@@ -153,7 +157,8 @@ def from_lazy(lazy, arity: int, digit_bound: int) -> Automaton:
     n = len(keys)
     srcs = np.repeat(np.arange(n, dtype=np.int32), np.concatenate(degrees + none))
     codes, dsts = np.concatenate(codes + none), np.concatenate(dsts + none)
-    _check_keys(n, arity, digit_bound)
+    if max(n, 1) * (digit_bound + 1) ** arity > 1 << 63:  # the sort keys of the arcs below pass int64
+        raise AutomatonTooLarge(f"{n} states times {digit_bound + 1}**{arity} letters do not fit 64-bit arc keys")
     into = np.argsort(dsts, kind="stable")  # the arcs by target
     finals = np.flatnonzero(lazy.final(keys)).tolist()
     useful = _reach(np.searchsorted(dsts[into], np.arange(n + 1)).tolist(), srcs[into].tolist(), finals)
@@ -162,7 +167,7 @@ def from_lazy(lazy, arity: int, digit_bound: int) -> Automaton:
     if not kept.all():
         keep = kept[srcs] & kept[dsts]
         srcs, codes, dsts = renumber[srcs[keep]], codes[keep], renumber[dsts[keep]]
-    order = np.argsort(codes.astype(np.int64) * max(n, 1) + dsts, kind="stable")  # fits: see _check_keys
+    order = np.argsort(codes.astype(np.int64) * max(n, 1) + dsts, kind="stable")
     order = order[np.argsort(srcs[order], kind="stable")]  # by (src, code, dst)
     srcs, codes, dsts = srcs[order], codes[order], dsts[order]
     fresh = np.ones(len(order), bool)  # the first of each run of equal arcs
@@ -275,7 +280,9 @@ def _valid(tracks, cap, first, forced):
 
 
 def _digit_grid(k: int, mu: int) -> np.ndarray:
-    """Every k-tuple of digits 0..mu, track 0 most significant: ``[k, (mu+1)**k]``."""
+    """Every k-tuple of digits 0..mu, track 0 most significant: ``[k, (mu+1)**k]``,
+    refused before it is made when its cells pass the toolkit's size guard."""
+    _cells((mu + 1) ** k, f"grid of {k}-tuples of digits 0..{mu}")
     return np.indices((mu + 1,) * k).reshape(k, -1)
 
 
@@ -764,33 +771,38 @@ class _VaGraphLazy:
 def build_valid_rep(cf: ContinuedFraction) -> Automaton:
     """Single-track automaton accepting exactly the 0*-padded valid words."""
     params = _params(cf)
-    return from_lazy(_ValidTracks(params, 1, lambda d, r: d), 1, params.m)
+    with _stage("valid words", cf):
+        return from_lazy(_ValidTracks(params, 1, lambda d, r: d), 1, params.m)
 
 
 @functools.lru_cache(maxsize=None)
 def build_digit_sum(cf: ContinuedFraction) -> Automaton:
     """Three-track automaton for conv(z, z', z + z') over valid z, z'."""
     params = _params(cf)
-    return from_lazy(_ValidTracks(params, 2, lambda x, y, r: (x * r + y) * r + x + y), 3, params.m)
+    with _stage("digit sum", cf):
+        return from_lazy(_ValidTracks(params, 2, lambda x, y, r: (x * r + y) * r + x + y), 3, params.m)
 
 
 @functools.lru_cache(maxsize=None)
 def build_equality(cf: ContinuedFraction) -> Automaton:
     """Diagonal pairs of 0*-padded valid representations."""
     params = _params(cf)
-    return from_lazy(_ValidTracks(params, 1, lambda d, r: d * r + d), 2, params.m)
+    with _stage("equality", cf):
+        return from_lazy(_ValidTracks(params, 1, lambda d, r: d * r + d), 2, params.m)
 
 
 @functools.lru_cache(maxsize=None)
 def build_less_than(cf: ContinuedFraction) -> Automaton:
     params = _params(cf)
-    return from_lazy(_LessThanLazy(params), 2, params.m)
+    with _stage("less-than", cf):
+        return from_lazy(_LessThanLazy(params), 2, params.m)
 
 
 @functools.lru_cache(maxsize=None)
 def build_va_graph(cf: ContinuedFraction) -> Automaton:
     params = _params(cf)
-    return from_lazy(_VaGraphLazy(params), 2, params.m)
+    with _stage("the V graph", cf):
+        return from_lazy(_VaGraphLazy(params), 2, params.m)
 
 
 # -- the composed adder -------------------------------------------------------
@@ -806,9 +818,12 @@ def build_adder(cf: ContinuedFraction) -> Automaton:
     intersected with the running automaton, the two joined on u into an
     automaton over (x, y, u, u'), the track u is projected away (which closes the stage under leading
     zero columns), and the result is minimized before the next stage to
-    keep the state count small.  Validity of the result track, closure
-    under leading zero columns, and a final minimization finish the
-    construction.
+    keep the state count small.  A join with the trim DFA of valid words
+    on the result track, and a final total minimization, finish the
+    construction.  Both operands of that join are closed under leading
+    zero columns (the projection closes the stage, and 0*-padded valid
+    words are closed), so the join is too, and needs no closure of its
+    own.
 
     The fused first stage keeps one phase where joining digit-sum and pass
     1 with independent phases would make determinization carry every
@@ -822,5 +837,5 @@ def build_adder(cf: ContinuedFraction) -> Automaton:
         pass_dfa = build_pass_automaton(cf, pass_no).determinize_minimize(total=False)
         stage = dfa.intersect(pass_dfa, (0, 1, 2), (2, 3))  # (x, y, u) and (u, u') on (x, y, u, u')
         dfa = stage.project(2).minimize(total=False)
-    final = dfa.intersect(build_valid_rep(cf), (0, 1, 2), (2,)).zero_closure()
-    return final.determinize_minimize()
+    valid = build_valid_rep(cf).determinize_minimize(total=False)
+    return dfa.intersect(valid, (0, 1, 2), (2,)).minimize()

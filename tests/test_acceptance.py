@@ -232,7 +232,7 @@ def test_criterion_7_toolkit():
 def test_criterion_8_base_relations():
     golden = ContinuedFraction.from_text("1;(1)")
     m = golden.parameters().m
-    valid = build_valid_rep(golden).determinize(complete=False)
+    valid = build_valid_rep(golden).determinize()
     assert valid.equivalent(build_valid_rep(golden))
     for length in range(0, 11):
         for digits in itertools.product(range(m + 1), repeat=length):
@@ -242,14 +242,14 @@ def test_criterion_8_base_relations():
         cf = ContinuedFraction.from_text(spec)
         mb = cf.parameters().m
         table = [encode(cf, n).digits for n in range(2003)]
-        eq = build_equality(cf).determinize(complete=False)
-        lt = build_less_than(cf).determinize(complete=False)
+        eq = build_equality(cf).determinize()
+        lt = build_less_than(cf).determinize()
         for a in range(501):
             for b in range(501):
                 w = convolve([table[a], table[b]], mb)
                 assert eq.accepts(w) == (a == b)
                 assert lt.accepts(w) == (a < b)
-        va = build_va_graph(cf).determinize(complete=False)
+        va = build_va_graph(cf).determinize()
         assert va.accepts(convolve([table[0], table[1]], mb))  # V(0) = 1
         for x in range(2001):
             if x == 0:

@@ -288,11 +288,7 @@ def test_batch_encode_matches_scalar(any_cf):
     assert np.array_equal(bulk.encode_table(any_cf, 5000), padded_encodings(any_cf, range(5001)))
     assert bulk.batch_encode(any_cf, []).shape == (0, 0)
     assert bulk.encode_table(any_cf, 0).shape == (1, 0)
-    need = len(encode(any_cf, 100))
-    wide = bulk.encode_table(any_cf, 100, width=need + 3)
-    assert np.array_equal(wide[:, :need], bulk.encode_table(any_cf, 100)) and not wide[:, need:].any()
-    with pytest.raises(ValueError, match="too small"):
-        bulk.encode_table(any_cf, 100, width=2)
+    assert bulk.encode_table(any_cf, 100).shape == (101, len(encode(any_cf, 100)))
     with pytest.raises(ValueError, match="negative"):
         bulk.batch_encode(any_cf, [3, -1, 5])
 

@@ -6,6 +6,7 @@ import pytest
 
 from ostrowski import automata, words
 from ostrowski.automata import Automaton, convolve
+from ostrowski.bulk import batch_accepts
 from ostrowski.errors import ArityMismatch, AutomatonTooLarge, DigitOutOfRange
 from ostrowski.numeration import is_valid
 from ostrowski.recognizers import build_valid_rep, from_lazy
@@ -208,9 +209,28 @@ def test_determinize_preserves_language():
 def test_subsets_skip_dead_states():
     # state 2 cannot reach the final state 1, so no subset holds it
     nfa = Automaton(1, 1, 3, [0], [1], {0: {(0,): (1, 2), (1,): (2,)}, 2: {(0,): (2,)}})
-    dfa = nfa.determinize(complete=False)
+    dfa = nfa.determinize()
     assert dfa.num_states == 2
     assert np.array_equal(language(nfa, 6), language(dfa, 6))
+
+
+def test_determinize_is_trim():
+    # the subset construction keeps no state that cannot reach a final
+    # state (read off the arcs of a copy, which knows nothing of it), and a
+    # DFA with missing arcs comes back as it is, with no arc added
+    rng = random.Random(23)
+    partial = 0
+    for _ in range(30):
+        nfa = random_automaton(rng)
+        dfa = nfa.determinize()
+        assert dfa.deterministic and np.array_equal(language(dfa, 4), language(nfa, 4))
+        if not dfa.is_empty():
+            assert all(Automaton.from_text(dfa.to_text())._useful())
+        if not dfa.is_total():
+            partial += 1
+            again = dfa.determinize()
+            assert again.num_transitions() == dfa.num_transitions() and again.to_text() == dfa.to_text()
+    assert partial >= 10
 
 
 def test_no_final_state_reachable():
@@ -234,7 +254,7 @@ def test_trim_minimal_is_total_without_dead_state():
         a = random_automaton(rng)
         total, trim = a.determinize_minimize(), a.determinize_minimize(total=False)
         assert total.is_total() and trim.deterministic
-        assert trim.determinize(complete=True).equivalent(total)
+        assert trim.minimize().equivalent(total)
         assert trim.minimize(total=False).to_text() == trim.to_text()
         dead = total._useful().count(False)
         assert dead <= 1
@@ -278,20 +298,32 @@ def test_wide_alphabet_tables_refused_first():
 
 
 def test_keys_past_int64_refused():
-    # 2**62 letters: the kernels hold Python integers, so a result whose
-    # keys fit 64 bits is built; one past them is refused when constructed
+    # 2**62 letters: the kernels hold Python integers, so automata over
+    # them build and answer membership, whatever their arc keys
     a = Automaton(62, 1, 2, [0], [0, 1], {0: {(1,) * 62: (1,)}})
-    dfa = a.determinize(complete=False)
+    dfa = a.determinize()
     assert dfa.deterministic and (dfa.num_states, dfa.num_transitions()) == (2, 1)
     assert dfa.accepts([]) and dfa.accepts([(1,) * 62]) and not dfa.accepts([(1,) * 62] * 2)
     loop = Automaton(62, 1, 1, [0], [0], {0: {(1,) * 62: (0,)}})
     closed = loop.zero_closure()
     assert closed.deterministic and closed.num_states == 2
     assert loop.difference(closed).is_empty()
-    with pytest.raises(AutomatonTooLarge, match="4 states"):
-        closed.difference(loop)
-    with pytest.raises(AutomatonTooLarge, match="3 states"):
-        Automaton(62, 1, 3, [0], [0], {0: {(1,) * 62: (1,)}})
+    assert closed.difference(loop).accepts([(0,) * 62])
+    three = Automaton(62, 1, 3, [0], [0], {0: {(1,) * 62: (1,)}})
+    assert three.accepts([]) and not three.accepts([(1,) * 62])
+    # letter codes past 64 bits are refused, and so are the int64 sort keys
+    # of a lazy exploration (10 states times 2**62 letters) and the tables
+    # of total minimization and batch membership
+    with pytest.raises(AutomatonTooLarge, match="2\\*\\*64 letters do not fit 64-bit letter codes"):
+        Automaton(64, 1, 1, [0], [0], {})
+    for tracks in (62, 64):
+        keys = f"^10 states times 2\\*\\*{tracks} letters do not fit 64-bit arc keys"
+        with pytest.raises(AutomatonTooLarge, match=keys):
+            from_lazy(_Chain(), tracks, 1)
+    with pytest.raises(AutomatonTooLarge, match="minimization table"):
+        dfa.minimize()
+    with pytest.raises(AutomatonTooLarge, match="membership table"):
+        batch_accepts(dfa, [np.zeros((1, 0), np.int8)] * 62)
 
 
 class _Chain:
@@ -366,9 +398,13 @@ def test_join_matches_place_and_intersect():
         a = random_automaton(rng, rng.choice([1, 2]), bound)
         b = random_automaton(rng, rng.choice([1, 2]), bound)
         if rng.random() < 0.6:
-            a = a.determinize(complete=rng.random() < 0.3)
+            a = a.determinize()
+            if rng.random() < 0.3:
+                a = a.minimize()
         if rng.random() < 0.6:
-            b = b.determinize(complete=rng.random() < 0.3)
+            b = b.determinize()
+            if rng.random() < 0.3:
+                b = b.minimize()
         ta, tb = random_tracks(rng, a.arity, b.arity)
         cases.append((a, ta, b, tb))
     deterministic = 0
@@ -404,7 +440,7 @@ def test_kernels_against_brute_force():
         la, lb = language(a, max_len), language(b, max_len)
         assert np.array_equal(language(a.intersect(b), max_len), la & lb)
         assert np.array_equal(language(a.difference(b), max_len), la & ~lb)
-        da = a.determinize(complete=False)
+        da = a.determinize()
         assert np.array_equal(language(da, max_len), la)
         for total in (True, False):
             m = da.minimize(total)
@@ -435,10 +471,10 @@ def test_restrict_matches_chain_intersect_and_project():
     for _ in range(60):
         arity = rng.choice([2, 3])
         bound = 1 if arity == 3 else rng.choice([1, 2])
-        a = random_automaton(rng, arity, bound).determinize(complete=False)
+        a = random_automaton(rng, arity, bound).determinize()
         pinned = rng.sample(range(arity), rng.randint(1, arity - 1))
         cases.append((a, {t: random_numeral(rng, bound, rng.randint(0, 4)) for t in pinned}))
-    a = random_automaton(rng, 3, 1).determinize(complete=False)
+    a = random_automaton(rng, 3, 1).determinize()
     cases += [(a, {1: []}), (a, {0: [1, 0, 1], 2: [1]}), (a, {2: [0, 1], 0: []})]
     kinds = set()
     for a, pins in cases:
@@ -459,8 +495,8 @@ def test_restrict_matches_chain_intersect_and_project():
 
 def test_kernel_refusals_name_the_operation(monkeypatch):
     chain = Automaton(1, 1, 5, [0], [4], {s: {(0,): (s + 1,), (1,): (s + 1,)} for s in range(4)})
-    wide, right = chain.cylindrify(1), chain.determinize(complete=False)
-    dfa = Automaton(1, 2, 2, [0], [1], {0: {(1,): (1,)}}).determinize(complete=False)
+    wide, right = chain.cylindrify(1), chain.determinize()
+    dfa = Automaton(1, 2, 2, [0], [1], {0: {(1,): (1,)}}).determinize()
     monkeypatch.setattr(automata, "_MAX_CELLS", 12)
     cases = [
         (lambda: chain.intersect(chain),
@@ -522,7 +558,10 @@ def test_boolean_ops_against_brute_force():
         la, lb = language(a, n), language(b, n)
         assert np.array_equal(language(a.intersect(b), n), la & lb)
         assert np.array_equal(language(a.union(b), n), la | lb)
-        assert np.array_equal(language(a.complement(), n), ~la)
+        c = a.complement()  # the total minimal DFA, finals flipped
+        assert np.array_equal(language(c, n), ~la)
+        assert c.is_total() and c.to_text() == c.determinize_minimize().to_text()
+        assert c.complement().to_text() == a.determinize_minimize().to_text()
 
 
 def test_intersect_valid_with_first_digit_zero(golden):
@@ -585,7 +624,9 @@ def test_place_against_brute_force():
     for _ in range(40):
         a = random_automaton(rng, arity=rng.choice([1, 2]), bound=rng.choice([1, 2]))
         if rng.random() < 0.5:
-            a = a.determinize(complete=rng.random() < 0.5)
+            a = a.determinize()
+            if rng.random() < 0.5:
+                a = a.minimize()
         arity = rng.randint(1, 3)
         cases.append((a, [rng.randrange(arity) for _ in range(a.arity)], arity))
     for a, tracks, arity in cases:
@@ -675,7 +716,7 @@ def test_shortest_witness_against_search():
         n, arcs = nfa.num_states, arc_map(nfa)
         every = Automaton(nfa.arity, nfa.digit_bound, n, range(n), nfa.finals, arcs)
         none = Automaton(nfa.arity, nfa.digit_bound, n, [], nfa.finals, arcs)
-        for a in (nfa, every, none, nfa.determinize(complete=False), nfa.determinize_minimize()):
+        for a in (nfa, every, none, nfa.determinize(), nfa.determinize_minimize()):
             least, witness = lex_least_shortest(a), a.shortest_witness()
             assert a.is_empty() == (witness is None) == (least is None)
             if witness is not None:

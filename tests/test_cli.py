@@ -317,6 +317,11 @@ def test_json_errors_are_structured(capsys):
         (["encode", "--cf", "1;(x)", "5"], 2, "encode", "ValueError"),
         (["cf", "info", "--cf", "1;()"], 2, "cf info", "ValueError"),
         (["decide", "--cf", "1;(1)", "--formula", "x ="], 2, "decide", "FormulaSyntaxError"),
+        # builders that would lay out a grid of two digits 0..100000
+        (["build", "--cf", "1;(100000)", "--relation", "lt"], 2, "build", "AutomatonTooLarge"),
+        (["build", "--cf", "1;(100000)", "--relation", "sum"], 2, "build", "AutomatonTooLarge"),
+        (["decide", "--cf", "1;(100000)", "--formula", "E x. x + 1 = 2"], 2, "decide", "AutomatonTooLarge"),
+        (["decide", "--cf", "1;(100000)", "--formula", "E x. x <= 2"], 2, "decide", "AutomatonTooLarge"),
     ]
     messages = []
     for argv, want, command, kind in cases:
@@ -327,3 +332,7 @@ def test_json_errors_are_structured(capsys):
         messages.append(err.removeprefix("error: ").removesuffix("\n"))
         assert json.loads(payload) == {"command": command, "error": {"type": kind, "message": messages[-1]}}
     assert messages[0].startswith("pass 1 of 1;(20): viability table needs 1437603552 masks")
+    grid = "of 1;(100000): grid of 2-tuples of digits 0..100000 needs 10000200001 entries"
+    for message, stage in zip(messages[5:], ["less-than", "digit sum", "the adder's first stage (x + y, pass 1)",
+                                             "less-than"]):
+        assert message.startswith(f"{stage} {grid}")

@@ -29,7 +29,7 @@ from ostrowski import (
     words,
 )
 from ostrowski.contfrac import automaton_parameters
-from ostrowski.recognizers import _DigitInput, _Pass1Lazy, _Pass2Lazy, _Pass3Lazy, _SumInput, from_lazy
+from ostrowski.recognizers import _DigitInput, _digit_grid, _Pass1Lazy, _Pass2Lazy, _Pass3Lazy, _SumInput, from_lazy
 
 from oracles import differential_pass_check, pass_oracle
 
@@ -246,6 +246,20 @@ def test_state_keys_that_overflow_int64_refused():
         build_pass_automaton(ContinuedFraction.from_text("1;(40)"), 2)
 
 
+def test_huge_digit_grids_refused():
+    # the grid of two digits 0..mu takes (mu + 1)**2 cells, past the size
+    # guard from mu = 11,585 on; the builders reading two valid tracks
+    # refuse it before it is made, naming the stage and the expansion
+    with pytest.raises(AutomatonTooLarge, match=r"grid of 2-tuples of digits 0\.\.11585 needs 134235396 entries"):
+        _digit_grid(2, 11585)
+    huge = ContinuedFraction.from_text("1;(100000)")
+    grid = r"1;\(100000\): grid of 2-tuples of digits 0\.\.100000 needs 10000200001 entries"
+    for build, stage in ((build_digit_sum, "digit sum"), (build_less_than, "less-than"),
+                         (build_adder, r"the adder's first stage \(x \+ y, pass 1\)")):
+        with pytest.raises(AutomatonTooLarge, match=f"^{stage} of {grid}"):
+            build(huge)
+
+
 # Past a partial quotient of 6 the dense table of viable pass-1 states was
 # refused (184,549,376 cells on 1;(7), 408,146,688 on 2;(1,8)); the masks
 # take 11 * 16**5 and 12 * 18**5.
@@ -357,8 +371,8 @@ def test_adder_functional(golden):
 
 def test_equality_and_less_than(any_cf):
     m = any_cf.parameters().m
-    eq = build_equality(any_cf).determinize(complete=False)
-    lt = build_less_than(any_cf).determinize(complete=False)
+    eq = build_equality(any_cf).determinize()
+    lt = build_less_than(any_cf).determinize()
     table = [encode(any_cf, n).digits for n in range(130)]
     for a in range(0, 130, 3):
         for b in range(0, 130, 2):
@@ -368,7 +382,7 @@ def test_equality_and_less_than(any_cf):
 
 
 def test_less_than_order_axioms(golden):
-    lt = build_less_than(golden).determinize(complete=False)
+    lt = build_less_than(golden).determinize()
     m = golden.parameters().m
     table = [encode(golden, n).digits for n in range(60)]
     rng = random.Random(5)
@@ -402,7 +416,7 @@ def test_va_examples(golden, sqrt2):
 
 def test_va_differential(any_cf):
     m = any_cf.parameters().m
-    va = build_va_graph(any_cf).determinize(complete=False)
+    va = build_va_graph(any_cf).determinize()
     table = [encode(any_cf, n).digits for n in range(730)]
     for x in range(0, 600, 7):
         vx = v_of(any_cf, x)
