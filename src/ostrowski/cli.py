@@ -15,7 +15,8 @@ One-shot subcommands over a continued fraction given as ``a0;p1,...,(c1,...)``:
 
 Exit codes: 0 success (or sentence true), 1 sentence false / word rejected,
 2 malformed input, 3 expansion not eventually periodic where automata are
-required.  Output is deterministic; ``--json`` wraps results as
+required, 141 stdout closed by its reader (the shell's status for SIGPIPE),
+with nothing on stderr.  Output is deterministic; ``--json`` wraps results as
 ``{"command": ..., "result": ...}``, and errors, besides their line on
 stderr, as ``{"command": ..., "error": {"type": ..., "message": ...}}``.
 """
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 
@@ -171,8 +173,8 @@ def cmd_build(args) -> int:
     else:
         if args.json:
             _emit(args, "build", {"relation": args.relation, "automaton": text}, "")
-        else:
-            sys.stdout.write(text)
+        else:  # a line at a time: one long write cut short by a closed stdout raises nothing
+            sys.stdout.writelines(text.splitlines(keepends=True))
     return 0
 
 
@@ -366,14 +368,23 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (OstrowskiError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        if args.json:
-            command = " ".join(filter(None, (args.command, getattr(args, "cf_command", None))))
-            error = {"type": type(exc).__name__, "message": str(exc)}
-            print(f'{{"command": {json.dumps(command)}, "error": {_json(error)}}}')
-        return 3 if isinstance(exc, NotQuadratic) else 2
+        try:
+            return args.func(args)
+        except BrokenPipeError:
+            raise
+        except (OstrowskiError, ValueError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            if args.json:
+                command = " ".join(filter(None, (args.command, getattr(args, "cf_command", None))))
+                error = {"type": type(exc).__name__, "message": str(exc)}
+                print(f'{{"command": {json.dumps(command)}, "error": {_json(error)}}}')
+            return 3 if isinstance(exc, NotQuadratic) else 2
+        finally:
+            sys.stdout.flush()  # a closed stdout shows here, not at exit
+    except BrokenPipeError:
+        # the reader closed stdout: the flush at exit then writes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
 
 
 if __name__ == "__main__":

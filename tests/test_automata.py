@@ -237,7 +237,7 @@ def test_no_final_state_reachable():
     # the final state 1 is not reachable from the initial state 0
     nfa = Automaton(2, 1, 2, [0], [1], {0: {(0, 0): (0,), (1, 0): (0,)}, 1: {(0, 1): (1,)}})
     for a in (nfa, nfa.determinize()):
-        for out in (a.determinize(), a.project(0), a.zero_closure()):
+        for out in (a.determinize(), a.project(0), a.cylindrify(0).project(0)):
             assert out.deterministic and out.is_empty()
             assert Automaton.from_text(out.to_text()).to_text() == out.to_text()
         comp = a.complement()
@@ -305,7 +305,7 @@ def test_keys_past_int64_refused():
     assert dfa.deterministic and (dfa.num_states, dfa.num_transitions()) == (2, 1)
     assert dfa.accepts([]) and dfa.accepts([(1,) * 62]) and not dfa.accepts([(1,) * 62] * 2)
     loop = Automaton(62, 1, 1, [0], [0], {0: {(1,) * 62: (0,)}})
-    closed = loop.zero_closure()
+    closed = loop.cylindrify(0).project(0)
     assert closed.deterministic and closed.num_states == 2
     assert loop.difference(closed).is_empty()
     assert closed.difference(loop).accepts([(0,) * 62])
@@ -447,7 +447,7 @@ def test_kernels_against_brute_force():
             assert m.deterministic and (m.is_total() or not total)
             assert np.array_equal(language(m, max_len), la)
         arcs = arc_map(a)
-        z = a.zero_closure()
+        z = a.cylindrify(0).project(0)
         for w, ok in zip(all_words(arity, bound, max_len), language(z, max_len)):
             assert ok == zero_closure_oracle(a, w, arcs)
         if arity > 1:
@@ -647,6 +647,17 @@ def test_project_single_track_errors():
     a = Automaton(1, 1, 1, [0], [0], {})
     with pytest.raises(ArityMismatch):
         a.project(0)
+    b = Automaton(2, 1, 1, [0], [0], {})
+    for track in (-1, 2):
+        with pytest.raises(ValueError, match=f"track {track} outside 0..1"):
+            b.project(track)
+
+
+def test_minimize_refuses_nfa():
+    nfa = Automaton(1, 1, 2, [0], [1], {0: {(0,): (0, 1)}})
+    with pytest.raises(ValueError, match="minimize requires a deterministic automaton"):
+        nfa.minimize()
+    assert nfa.determinize().minimize().accepts(((0,),))
 
 
 def test_project_against_brute_force():
@@ -664,7 +675,7 @@ def test_project_against_brute_force():
 def test_zero_closure_property():
     rng = random.Random(7)
     for _ in range(10):
-        a = random_automaton(rng, arity=1, bound=2).zero_closure()
+        a = random_automaton(rng, arity=1, bound=2).cylindrify(0).project(0)
         zero = (0,)
         for w in accepted_words(a, 4):  # alphabet 3: cheap
             assert a.accepts((zero,) + w)

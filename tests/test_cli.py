@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -56,6 +60,11 @@ def test_decide_witness(capsys):
     code, out, _ = run(capsys, "decide", "--cf", "1;(1)", "--formula", "E x. x + x = 10", "--witness")
     assert code == 0
     assert out == "true\nwitness: 5\n"
+    # a true sentence with no leading E has no witness to print
+    code, out, err = run(capsys, "decide", "--cf", "1;(1)", "--formula", "A x. x = x", "--witness")
+    assert (code, out, err) == (0, "true\n", "")
+    code, out, _ = run(capsys, "decide", "--cf", "1;(1)", "--formula", "A x. x = x", "--witness", "--json")
+    assert (code, json.loads(out)) == (0, {"command": "decide", "result": {"verdict": True}})
 
 
 @pytest.mark.parametrize("formula,witness", [
@@ -165,7 +174,8 @@ def test_run_malformed_lines_name_their_line(capsys, tmp_path):
     # a transition with too few fields and a final state that is no number
     # end in one error line naming the line, not a bare Python message
     head = "arity 1\ndigit_bound 1\nnum_states 2\ninitial 0\n"
-    for body, line in (("final 1\ntrans 0 (1)\n", 6), ("final x\n", 5), ("trans 0 1 1\nfinal 1\n", 5)):
+    for body, line in (("final 1\ntrans 0 (1)\n", 6), ("final x\n", 5), ("trans 0 1 1\nfinal 1\n", 5),
+                       ("final 1\nstates 2\n", 6)):
         path = tmp_path / "bad.aut"
         path.write_text(head + body)
         with pytest.raises(ValueError, match=f"^line {line}: "):
@@ -173,6 +183,18 @@ def test_run_malformed_lines_name_their_line(capsys, tmp_path):
         code, out, err = run(capsys, "run", "--automaton", str(path), "--word", "1")
         assert (code, out) == (2, "")
         assert err.startswith(f"error: line {line}: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_run_missing_header_and_word_count_exit_2(capsys, tmp_path):
+    # a file without its header, and a word count other than the arity,
+    # end in one error line
+    path = tmp_path / "bad.aut"
+    path.write_text("initial 0\nfinal 0\n")
+    code, out, err = run(capsys, "run", "--automaton", str(path), "--word", "1")
+    assert (code, out, err) == (2, "", "error: missing arity/digit_bound/num_states header\n")
+    path.write_text("arity 1\ndigit_bound 1\nnum_states 1\ninitial 0\nfinal 0\n")
+    code, out, err = run(capsys, "run", "--automaton", str(path), "--word", "1", "--word", "0")
+    assert (code, out, err) == (2, "", "error: automaton has 1 tracks, got 2 words\n")
 
 
 def test_run_number_tokens_are_ascii_digits(capsys, tmp_path):
@@ -255,7 +277,7 @@ def test_enumerate_output(capsys):
     assert out.split("\n")[:-1] == ["1", "2", "3", "5", "8", "13", "21", "34", "55"]
 
 
-def test_json_schema(capsys):
+def test_json_schema(capsys, tmp_path):
     code, out, _ = run(capsys, "encode", "--cf", "1;(1)", "10", "--json")
     payload = json.loads(out)
     assert payload == {"command": "encode", "result": "1 0 0 1 0 0"}
@@ -263,6 +285,26 @@ def test_json_schema(capsys):
     payload = json.loads(out)
     assert payload["command"] == "cf info"
     assert payload["result"]["m"] == 3
+    # each --json result holds what the plain form prints
+    build = ["build", "--cf", "1;(1)", "--relation", "eq"]
+    _, text, _ = run(capsys, *build)
+    code, out, _ = run(capsys, *build, "--json")
+    assert (code, json.loads(out)) == (0, {"command": "build", "result": {"relation": "eq", "automaton": text}})
+    path = str(tmp_path / "eq.aut")
+    code, out, _ = run(capsys, *build, "-o", path, "--json")
+    states = Automaton.load(path).num_states
+    assert (code, json.loads(out)) == (0, {"command": "build", "result": {"relation": "eq", "file": path,
+                                                                          "states": states}})
+    enum = ["enumerate", "--cf", "1;(1)", "--formula", "E z. x + z = y", "--bound", "2"]
+    _, plain, _ = run(capsys, *enum)
+    code, out, _ = run(capsys, *enum, "--json")
+    assert (code, json.loads(out)) == (0, {"command": "enumerate", "result": [[0, 0], [0, 1], [0, 2], [1, 1], [1, 2],
+                                                                             [2, 2]]})
+    assert plain == "0 0\n0 1\n0 2\n1 1\n1 2\n2 2\n"
+    _, plain, _ = run(capsys, "add", "--cf", "1;(1)", "2", "3", "--trace")
+    code, out, _ = run(capsys, "add", "--cf", "1;(1)", "2", "3", "--trace", "--json")
+    *trace, total = plain.splitlines()
+    assert (code, json.loads(out)) == (0, {"command": "add", "result": {"sum": total, "trace": trace}})
 
 
 def test_cf_info_plain(capsys):
@@ -336,3 +378,17 @@ def test_json_errors_are_structured(capsys):
     for message, stage in zip(messages[5:], ["less-than", "digit sum", "the adder's first stage (x + y, pass 1)",
                                              "less-than"]):
         assert message.startswith(f"{stage} {grid}")
+
+
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["plain", "json"])
+def test_closed_stdout_exits_141_quietly(json_flag):
+    # the 1;(2) first-pass relation is about 500 KB, more than a pipe holds,
+    # so the command still writes when its reader closes the pipe
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    argv = [sys.executable, "-m", "ostrowski.cli", "build", "--cf", "1;(2)", "--relation", "pass1", *json_flag]
+    proc = subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert len(proc.stdout.read(1)) == 1
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), err) == (141, b"")

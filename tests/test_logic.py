@@ -1,4 +1,5 @@
 import itertools
+import re
 import sys
 from unittest import mock
 
@@ -109,6 +110,9 @@ def test_parse_errors():
     for bad in ["", "x =", "A . x = x", "V(2) = y", "x + y", "(x = y", "x ~ y", "E x. x = ²"]:
         with pytest.raises(FormulaSyntaxError):
             parse(bad)
+    for bad, message in (("0 = 0)", "')' closes no parenthesis"), ("V(x) y", "expected '=', found 'y'")):
+        with pytest.raises(FormulaSyntaxError, match=f"^{re.escape(message)} \\(at position 5\\)$"):
+            parse(bad)
 
 
 def test_deep_sentences_decide(golden):
@@ -181,6 +185,11 @@ def test_compile_track_order(golden):
 def test_compile_unbound_variable(golden):
     with pytest.raises(UnboundVariable):
         compile_formula(golden, "x = y", ["x"])
+
+
+def test_compile_sentence_refused(golden):
+    with pytest.raises(ValueError, match="no free variables; use decide"):
+        compile_formula(golden, "A x. x = x", [])
 
 
 def test_compile_not_quadratic():
