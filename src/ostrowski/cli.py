@@ -367,6 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    status = 141  # the reader closed stdout
     try:
         try:
             return args.func(args)
@@ -374,17 +375,19 @@ def main(argv=None) -> int:
             raise
         except (OstrowskiError, ValueError, OSError) as exc:
             print(f"error: {exc}", file=sys.stderr)
+            # the error line is out: a closed stdout loses only its JSON copy
+            status = 3 if isinstance(exc, NotQuadratic) else 2
             if args.json:
                 command = " ".join(filter(None, (args.command, getattr(args, "cf_command", None))))
                 error = {"type": type(exc).__name__, "message": str(exc)}
                 print(f'{{"command": {json.dumps(command)}, "error": {_json(error)}}}')
-            return 3 if isinstance(exc, NotQuadratic) else 2
+            return status
         finally:
             sys.stdout.flush()  # a closed stdout shows here, not at exit
     except BrokenPipeError:
-        # the reader closed stdout: the flush at exit then writes to devnull
+        # the flush at exit then writes to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 141
+        return status
 
 
 if __name__ == "__main__":

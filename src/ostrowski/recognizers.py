@@ -9,7 +9,10 @@ the quotient caps are read off the explicit prefix, l = 1 means the
 position lies beyond nu and i names its slot inside the repeating block.
 Runs guess the phase at the start and only runs whose countdown lands
 exactly on the last position can accept, which pins the guess to the
-word length.
+word length.  The adder's first stage makes no guess: its states carry
+the set of phases still possible (``_PhaseSets``) from one start, so on
+a single quotient that stage is deterministic and a tenth the size of
+the guessing frame, and on the mixed periods of the fixtures a fifth.
 
 The three pass automata recognize { conv(z, z') : pass_i(z) = z' } for
 the addition passes.  They verify the pass's window arithmetic (the
@@ -37,24 +40,26 @@ Each recognizer is a frame for ``from_lazy``: it packs a state
 whole frontier of keys at once.  A step lays out, per state, a grid over
 its choices (input digits, claimed digits, successor phases) in the order
 that numbers new states, masks the cells the rules allow, and reads off
-the arcs of the cells left.  A pass frame's step reads the viability
-mask of each candidate (state, input, successor phase) over the claim
-that ends the successor's buffer, and packs keys only for the claims the
-mask admits.  An expansion whose keys could pass 64 bits, or whose
-viability table or digit grid would pass the toolkit's size guard,
-raises ``AutomatonTooLarge`` before anything is explored, naming the
-stage and the expansion.
+the arcs of the cells left; the phase-set frame packs a mask of phase
+ids in place of the one id, and steps its members through the pass-1
+frame.  A pass frame's step reads the viability mask of each candidate
+(state, input, successor phase) over the claim that ends the
+successor's buffer, and packs keys only for the claims the mask admits.
+An expansion whose keys could pass 64 bits, or whose viability table or
+digit grid would pass the toolkit's size guard, raises
+``AutomatonTooLarge`` before anything is explored, naming the stage and
+the expansion.
 
 The composed adder joins digit-sum, the three pass relations and
 validity of the result with the toolkit's closure operations, one stage
 per pass: intersect the running automaton with the pass relation joined
 on their shared track, project the intermediate track (which closes
 under leading zero columns), minimize.  Its first stage is the
-width-4 frame reading x + y from two valid tracks; its last joins the
-valid words on the result track, a join of two DFAs closed under leading
-zero columns, so a total minimization ends it with no closure or subset
-construction.  By construction it accepts conv(0*rho(M), 0*rho(N),
-0*rho(M+N)) and nothing else.
+width-4 frame reading x + y from two valid tracks, over phase sets; its
+last joins the valid words on the result track, a join of two DFAs
+closed under leading zero columns, so a total minimization ends it with
+no closure or subset construction.  By construction it accepts
+conv(0*rho(M), 0*rho(N), 0*rho(M+N)) and nothing else.
 """
 
 from __future__ import annotations
@@ -133,6 +138,9 @@ def from_lazy(lazy, arity: int, digit_bound: int) -> Automaton:
     ids come out as a state-by-state exploration would assign them.  The
     arcs and states explored stay within the toolkit's ``_MAX_CELLS``, and
     the sort key ``code * states + target`` of every arc within int64.
+    The result is flagged deterministic when it keeps one initial state
+    and no two arcs of a state share a letter, so that determinization
+    passes it by.
     """
     starts = np.asarray(lazy.initial_keys(), np.int64)
     index = _PairIndex()
@@ -174,11 +182,11 @@ def from_lazy(lazy, arity: int, digit_bound: int) -> Automaton:
     fresh[1:] = (srcs[1:] != srcs[:-1]) | (codes[1:] != codes[:-1]) | (dsts[1:] != dsts[:-1])
     srcs, codes, dsts = srcs[fresh], codes[fresh], dsts[fresh]
     indptr = np.searchsorted(srcs, np.arange(int(kept.sum()) + 1))
-    initial = range(len(set(starts.tolist())))  # the starts are numbered first
+    initial = renumber[[s for s in range(len(set(starts.tolist()))) if useful[s]]]  # the starts are numbered first
+    deterministic = len(initial) == 1 and not ((srcs[1:] == srcs[:-1]) & (codes[1:] == codes[:-1])).any()
     return Automaton._from_rows(
-        arity, digit_bound, renumber[[s for s in initial if useful[s]]],
-        renumber[[f for f in finals if useful[f]]], indptr.tolist(), codes.tolist(), dsts.tolist(), False,
-        trim=True,
+        arity, digit_bound, initial, renumber[[f for f in finals if useful[f]]], indptr.tolist(), codes.tolist(),
+        dsts.tolist(), deterministic, trim=True,
     )
 
 
@@ -507,16 +515,19 @@ class _Pass1Lazy(_PassLazy):
         # the final step: the last three claims must be what the width-3
         # rewrite leaves, and it claims the output digit that rewrite settles
         closing = last[pos, 0]
-        out = rewrite(window_b_delta, self.ub, nv)
-        closes = (out[0] == w1[pos, 0]) & (out[1] == w2[pos, 0]) & (out[2] <= m)
-        keep = np.flatnonzero(~closing | closes)
-        pos, c, flags, closing, settled = pos[keep], c[keep], flags[keep], closing[keep], out[2][keep]
+        at = np.flatnonzero(closing)
+        out = rewrite(window_b_delta, self.ub, [a[at] for a in nv])
+        closes = (out[0] == w1[pos[at], 0]) & (out[1] == w2[pos[at], 0]) & (out[2] <= m)
+        settled = out[2][closes]
+        keep = np.ones(len(pos), bool)
+        keep[at[~closes]] = False
+        pos, c, flags, closing = pos[keep], c[keep], flags[keep], closing[keep]
         nv = [a[keep] for a in nv]
         # each claim the successor's mask admits goes to that successor;
         # the closing step keeps only the settled digit
         nxt = self.phases.next[p[pos, 0]]
         masks = self._successors(nxt, *(a[:, None] for a in nv), w1[pos], w2[pos])
-        cell, y, t = self._expand(masks, closing, np.arange(m + 1) == settled[closing, None])
+        cell, y, t = self._expand(masks, closing, np.arange(m + 1) == settled[:, None])
         pos, c = pos[cell], c[cell]
         flags = np.where(closing, 0, flags)[cell]
         target = self.key.pack(nxt[cell, t], flags, *(a[cell] for a in nv), w1[pos, 0], w2[pos, 0], y)
@@ -808,6 +819,55 @@ def build_va_graph(cf: ContinuedFraction) -> Automaton:
 # -- the composed adder -------------------------------------------------------
 
 
+class _PhaseSets:
+    """A pass frame whose states carry the set of phases still possible.
+
+    A state (S, fields) stands for the inner states (p, fields) with p in
+    S, so it accepts what any of them accepts; its key is the mask of S,
+    bit p for phase p, in place of the inner key's phase field.  A step
+    expands each key into its member keys, runs the inner step on them,
+    which does every window and viability check, and joins the arcs of
+    one source and letter into the same target fields, OR-ing their
+    target phases' bits.  The inner initial keys all have zero fields, so
+    the frame has one start, and a run no longer guesses its phase: where
+    no two target fields share a letter the frame is deterministic.
+    """
+
+    def __init__(self, inner: _PassLazy):
+        self.inner = inner
+        count = inner.phases.count
+        self.key = _Key(1 << count, *inner.key.radices[1:])
+        self.rest = math.prod(inner.key.radices[1:])
+        self.bits = np.left_shift(1, np.arange(count, dtype=np.int64))
+        self.fanout = inner.fanout * count
+
+    def initial_keys(self) -> np.ndarray:
+        phase = self.inner.initial_keys() // self.rest
+        return np.array([np.bitwise_or.reduce(self.bits[phase]) * self.rest], np.int64)
+
+    def final(self, keys: np.ndarray) -> np.ndarray:
+        return (keys // self.rest >> self.inner.done) & 1 == 1
+
+    def step(self, keys: np.ndarray):
+        masks, fields = np.divmod(keys, self.rest)
+        src, phase = np.nonzero(masks[:, None] & self.bits)
+        pos, codes, targets = self.inner.step(phase * self.rest + fields[src])
+        phase, fields = np.divmod(targets, self.rest)
+        # one int64 per arc orders the arcs by (source, letter, target
+        # fields); the viability table's size guard keeps it far from 2**63
+        letters = int(codes.max(initial=0)) + 1
+        if len(keys) * letters * self.rest > 1 << 63:
+            raise AutomatonTooLarge(f"arcs of {len(keys)} states into {letters} letters and {self.rest} fields "
+                                    "do not fit 64-bit sort keys")
+        arcs = (src[pos] * letters + codes) * self.rest + fields
+        order = np.argsort(arcs)
+        arcs, bits = arcs[order], self.bits[phase[order]]
+        first = np.flatnonzero(np.diff(arcs, prepend=-1))
+        head, fields = np.divmod(arcs[first], self.rest)
+        src, codes = np.divmod(head, letters)
+        return src, codes, np.bitwise_or.reduceat(bits, first) * self.rest + fields
+
+
 @functools.lru_cache(maxsize=None)
 def build_adder(cf: ContinuedFraction) -> Automaton:
     """Deterministic minimal automaton for conv(rho(M), rho(N), rho(M+N)).
@@ -825,13 +885,15 @@ def build_adder(cf: ContinuedFraction) -> Automaton:
     words are closed), so the join is too, and needs no closure of its
     own.
 
-    The fused first stage keeps one phase where joining digit-sum and pass
-    1 with independent phases would make determinization carry every
-    phase pair.
+    The fused first stage keeps one set of phases where joining digit-sum
+    and pass 1 with independent phases would make determinization carry
+    every phase pair; with the set in the state rather than guessed per
+    run, that stage is a DFA on a single quotient, and elsewhere leaves the
+    subset construction a few letters with two targets.
     """
     params = _params(cf)
     with _stage("the adder's first stage (x + y, pass 1)", cf):
-        dfa = from_lazy(_Pass1Lazy(params, _SumInput(params)), 3, params.m)
+        dfa = from_lazy(_PhaseSets(_Pass1Lazy(params, _SumInput(params))), 3, params.m)
     dfa = dfa.determinize_minimize(total=False)
     for pass_no in (2, 3):
         pass_dfa = build_pass_automaton(cf, pass_no).determinize_minimize(total=False)

@@ -392,3 +392,28 @@ def test_closed_stdout_exits_141_quietly(json_flag):
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(timeout=120), err) == (141, b"")
+
+
+@pytest.mark.parametrize("argv, status, error", [
+    (["build", "--cf", "1;(100000)", "--relation", "lt"], 2, "error: less-than of 1;(100000): grid of 2-tuples"),
+    (["build", "--cf", "1;2", "--relation", "lt"], 3, "error: recognizers require an eventually periodic"),
+    (["build", "--cf", "1;(1)", "--relation", "adder"], 141, None),
+], ids=["too-large", "not-quadratic", "success"])
+def test_closed_stdout_keeps_the_error_status(argv, status, error):
+    # stdout is a pipe whose reader closed before the command ran: a failed
+    # command still puts its error line on stderr and exits with its own
+    # status, though the JSON copy of the error cannot be written
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "ostrowski.cli", *argv, "--json"], stdout=write,
+                              stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write)
+    lines = proc.stderr.decode().splitlines()
+    assert proc.returncode == status
+    if error:
+        assert len(lines) == 1 and lines[0].startswith(error)
+    else:
+        assert lines == []

@@ -29,7 +29,16 @@ from ostrowski import (
     words,
 )
 from ostrowski.contfrac import automaton_parameters
-from ostrowski.recognizers import _DigitInput, _digit_grid, _Pass1Lazy, _Pass2Lazy, _Pass3Lazy, _SumInput, from_lazy
+from ostrowski.recognizers import (
+    _DigitInput,
+    _digit_grid,
+    _Pass1Lazy,
+    _Pass2Lazy,
+    _Pass3Lazy,
+    _PhaseSets,
+    _SumInput,
+    from_lazy,
+)
 
 from oracles import differential_pass_check, pass_oracle
 
@@ -229,12 +238,19 @@ def test_recognizers_beyond_fixtures(preperiod, period, seed):
 def test_state_keys_that_overflow_int64_refused():
     # pass-1 keys take 11 phases times (2q + 2)**6 buffer values on 1;(q),
     # which passes 2**63 from q = 485 on; the adder's first stage has two
-    # flags more, and passes it from q = 385 on
+    # flags more and a mask of the 11 phases in place of one phase, so its
+    # keys take 2**11 * 4 * (2q + 2)**6 values and pass it from q = 161 on
     fits = automaton_parameters(ContinuedFraction.from_text("1;(484)"))
     frame = _Pass1Lazy(fits, _DigitInput(fits))
     assert math.prod(frame.key.radices) <= 2**63
     with pytest.raises(AutomatonTooLarge, match=r"^pass 1 of 1;\(485\): states with fields of \(11, 1, 972,"):
         build_pass_automaton(ContinuedFraction.from_text("1;(485)"), 1)
+    fits = automaton_parameters(ContinuedFraction.from_text("1;(160)"))
+    frame = _PhaseSets(_Pass1Lazy(fits, _SumInput(fits)))  # made, not explored
+    assert frame.key.radices[0] == 2**11 and math.prod(frame.key.radices) <= 2**63
+    with pytest.raises(AutomatonTooLarge, match=r"^the adder's first stage \(x \+ y, pass 1\) of 1;\(161\): "
+                                                r"states with fields of \(2048, 4, 324,"):
+        build_adder(ContinuedFraction.from_text("1;(161)"))
     with pytest.raises(AutomatonTooLarge, match=r"^the adder's first stage \(x \+ y, pass 1\) of 1;\(385\): states"):
         build_adder(ContinuedFraction.from_text("1;(385)"))
     # the keys of 1;(20) fit, but its table of viable pass-1 states would
@@ -312,18 +328,25 @@ def unpruned(frame):
 def test_viability_prune_keeps_every_pass_frame(preperiod, period):
     params = automaton_parameters(ContinuedFraction(1, tuple(preperiod), tuple(period)))
     frames = [
-        (_Pass1Lazy, (_DigitInput,), 2),
-        (_Pass1Lazy, (_SumInput,), 3),
-        (_Pass2Lazy, (), 2),
-        (_Pass3Lazy, (), 2),
+        (_Pass1Lazy, (_DigitInput,), 2, None),
+        (_Pass1Lazy, (_SumInput,), 3, None),
+        (_Pass2Lazy, (), 2, None),
+        (_Pass3Lazy, (), 2, None),
+        (_Pass1Lazy, (_SumInput,), 3, _PhaseSets),
     ]
-    for frame, hooks, arity in frames:
+    for frame, hooks, arity, wrap in frames:
         args = [params] + [hook(params) for hook in hooks]
-        pruned = from_lazy(frame(*args), arity, params.m)
-        full = from_lazy(unpruned(frame)(*args), arity, params.m)
+        pruned, full = (from_lazy((wrap or (lambda lazy: lazy))(f(*args)), arity, params.m)
+                        for f in (frame, unpruned(frame)))
+        if wrap:
+            # a phase set of the unpruned frame may also hold phases the
+            # table rules out, which tell it from the same set without them:
+            # the two accept alike, but need not be numbered alike
+            assert pruned.num_states <= full.num_states
+            pruned, full = pruned.determinize_minimize(total=False), full.determinize_minimize(total=False)
         # compared as one bool: a diff of the two texts would take minutes
         same = pruned.to_text() == full.to_text()
-        assert same, f"{frame.__name__} {hooks}: {pruned.num_states} states pruned, {full.num_states} unpruned"
+        assert same, f"{frame.__name__} {hooks} {wrap}: {pruned.num_states} states pruned, {full.num_states} unpruned"
 
 
 def test_pass1_explores_only_states_it_keeps(golden, sqrt2):
@@ -339,6 +362,39 @@ def test_pass1_explores_only_states_it_keeps(golden, sqrt2):
         met = set(frame.initial_keys().tolist())
         kept = from_lazy(frame, 2, params.m)
         assert len(met) == kept.num_states == build_pass_automaton(cf, 1).num_states
+
+
+def first_stage(cf, phase_sets):
+    """The adder's first stage (x + y, pass 1), with or without phase sets."""
+    params = automaton_parameters(cf)
+    frame = _Pass1Lazy(params, _SumInput(params))
+    return from_lazy(_PhaseSets(frame) if phase_sets else frame, 3, params.m)
+
+
+def test_phase_sets_accept_as_the_per_phase_first_stage():
+    rng = random.Random("phase sets")
+    for _ in range(12):
+        preperiod = tuple(rng.randint(1, 4) for _ in range(rng.randint(0, 2)))
+        period = tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 3)))
+        cf = ContinuedFraction(rng.randint(0, 3), preperiod, period)
+        sets, phases = (first_stage(cf, s).determinize_minimize(total=False).to_text() for s in (True, False))
+        assert sets == phases, str(cf)
+
+
+SHRUNK = {"1;(1)": (44, 111), "1;(2)": (185, 956), "1;(4)": (1205, 16794), "1;(3,1,2)": None, "2;(1,8)": None}
+
+
+@pytest.mark.parametrize("text, size", SHRUNK.items(), ids=SHRUNK)
+def test_phase_sets_shrink_the_first_stage(text, size):
+    # a single quotient leaves one target per letter: the stage is a DFA
+    # and its determinization is skipped; on mixed periods a few letters
+    # keep two targets, but the stage still shrinks
+    cf = ContinuedFraction.from_text(text)
+    stage = first_stage(cf, True)
+    if size:
+        assert stage.deterministic and (stage.num_states, stage.num_transitions()) == size
+    else:
+        assert stage.num_states < first_stage(cf, False).num_states
 
 
 def test_adder_functional(golden):
