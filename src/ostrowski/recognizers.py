@@ -9,10 +9,9 @@ the quotient caps are read off the explicit prefix, l = 1 means the
 position lies beyond nu and i names its slot inside the repeating block.
 Runs guess the phase at the start and only runs whose countdown lands
 exactly on the last position can accept, which pins the guess to the
-word length.  The adder's first stage makes no guess: its states carry
-the set of phases still possible (``_PhaseSets``) from one start, so on
-a single quotient that stage is deterministic and a tenth the size of
-the guessing frame, and on the mixed periods of the fixtures a fifth.
+word length.  The adder's pass 1 makes no guess: its states carry the
+set of phases still possible (``_PhaseSets``) from one start, and on
+every expansion measured that relation comes out deterministic.
 
 The three pass automata recognize { conv(z, z') : pass_i(z) = z' } for
 the addition passes.  They verify the pass's window arithmetic (the
@@ -29,15 +28,13 @@ under convolution padding.
 
 Buffered claims make most states of a pass frame dead ends.  So a pass
 frame first finds, by a backward fixpoint over the window rules, the
-states without input flags from which its final phase can still be
-reached (``_viable``), one bit per state, and explores only those.  On
-the fixtures the three pass relations meet only the states they keep;
-the adder's first stage, whose flags the table ignores, meets up to a
-third more.
+states from which its final phase can still be reached (``_viable``),
+one bit per state, and explores only those.  On the fixtures the three
+pass relations meet only the states they keep.
 
-Each recognizer is a frame for ``from_lazy``: it packs a state
-(phase id, buffers, flags) into one int64 key with ``_Key`` and steps a
-whole frontier of keys at once.  A step lays out, per state, a grid over
+Each recognizer is a frame for ``from_lazy``: it packs a state (phase
+id, then buffers or validity flags) into one int64 key with ``_Key`` and
+steps a whole frontier of keys at once.  A step lays out, per state, a grid over
 its choices (input digits, claimed digits, successor phases) in the order
 that numbers new states, masks the cells the rules allow, and reads off
 the arcs of the cells left; the phase-set frame packs a mask of phase
@@ -54,12 +51,13 @@ The composed adder joins digit-sum, the three pass relations and
 validity of the result with the toolkit's closure operations, one stage
 per pass: intersect the running automaton with the pass relation joined
 on their shared track, project the intermediate track (which closes
-under leading zero columns), minimize.  Its first stage is the
-width-4 frame reading x + y from two valid tracks, over phase sets; its
-last joins the valid words on the result track, a join of two DFAs
-closed under leading zero columns, so a total minimization ends it with
-no closure or subset construction.  By construction it accepts
-conv(0*rho(M), 0*rho(N), 0*rho(M+N)) and nothing else.
+under leading zero columns), minimize.  Its pass-1 relation is the
+width-4 frame over phase sets, reading only the digits two valid digits
+can sum to; its last stage joins the valid words on the result track, a
+join of two DFAs closed under leading zero columns, so a total
+minimization ends it with no closure or subset construction.  By
+construction it accepts conv(0*rho(M), 0*rho(N), 0*rho(M+N)) and
+nothing else.
 """
 
 from __future__ import annotations
@@ -297,38 +295,6 @@ def _digit_grid(k: int, mu: int) -> np.ndarray:
 # -- pass automata ------------------------------------------------------------
 
 
-class _DigitInput:
-    """Input of the width-4 pass automaton: one digit z, any of 0..m."""
-
-    flag_radix = 1
-
-    def __init__(self, params: AutomatonParameters):
-        self.letter = np.arange(params.m + 1)
-
-    def read(self, cap, last, flags):
-        """Per input: allowed, the digit fed to the window, the next flags."""
-        return True, self.letter[None, :], 0
-
-
-class _SumInput:
-    """Input of the fused first adder stage: x + y over two valid tracks.
-
-    The flags (2 for x, 1 for y) say which track sat at its cap, which
-    forces a 0 next; the middle track u0 = x + y never appears, the window
-    consumes the sum directly.
-    """
-
-    flag_radix = 4
-
-    def __init__(self, params: AutomatonParameters):
-        self.x, self.y = _digit_grid(2, params.mu)
-        self.letter = self.x * (params.m + 1) + self.y
-
-    def read(self, cap, last, flags):
-        ok, capped = _valid((self.x, self.y), cap, last, flags)
-        return ok, self.x + self.y, capped
-
-
 def _mask_dtype(bits: int):
     """The narrowest unsigned type holding masks of ``bits`` bits."""
     for dtype in (np.uint8, np.uint16, np.uint32, np.uint64):
@@ -344,34 +310,34 @@ def _pack_bits(cells: np.ndarray, dtype) -> np.ndarray:
 
 @functools.lru_cache(maxsize=None)
 def _viable(frame: type, params: AutomatonParameters) -> np.ndarray:
-    """Which coarse states of a pass frame can still reach its final phase.
+    """Which states of a pass frame can still reach its final phase.
 
-    A coarse state is a frame state without its input flags: the phase,
-    the k pending digits v, and the k buffered digits w0, rest (claims;
-    the backward pass buffers inputs).  A step of phase p settles w0 from
-    v and leaves the pending digits v'; the frame's ``moves()`` lists the
-    steps that some input allows, as flat arrays (phase, head, tail) with
-    head the digits (v, w0) and tail the digits v', and the closing check
+    A state is the phase, the k pending digits v, and the k buffered
+    digits w0, rest (claims; the backward pass buffers inputs).  A step of
+    phase p settles w0 from v and leaves the pending digits v'; the
+    frame's ``moves()`` lists the steps that some input allows, as flat
+    arrays (phase, head, tail) with head the digits (v, w0) and tail the
+    digits v', and the closing check
     ``closes[v', rest]``.  A step shifts rest forward, ahead of a new
     digit that may be anything, so (p, v, w0, rest) is viable when one of
     its moves reaches a successor phase where (v', rest, y) is viable for
     some y; from the last phase, when it passes the closing check.  The
     final phase is viable throughout.
 
-    The table holds one bit per coarse state, as one mask per coarse
-    state without its last buffered digit, bit d for last digit d, in the
-    narrowest unsigned type that holds m + 1 bits.  So "for some y" is a
-    mask other than 0, and the moves of a head are joined by one
+    The table holds one bit per state, as one mask per state without its
+    last buffered digit, bit d for last digit d, in the narrowest
+    unsigned type that holds m + 1 bits.  So "for some y" is a mask other
+    than 0, and the moves of a head are joined by one
     ``bitwise_or.reduceat`` over masks.  The least table is found phase by
     phase: a phase is recomputed while one of its successors has changed
     since, the lowest phase id first.  Phase ids put every successor first
     but for the wrap to (nu, 1), so few phases are recomputed twice.
 
     Returns the masks as one array indexed like the frame's keys without
-    the flags and the last digit: phase, then the digits, most
-    significant first.  It holds for every input, so pass 1 and the
-    adder's fused first stage share it.  A table past the toolkit's size
-    guard is never made.
+    the last digit: phase, then the digits, most significant first.  It
+    holds for every input digit, so pass 1 and the adder's pass 1, which
+    reads fewer, share it.  A table past the toolkit's size guard is
+    never made.
     """
     lazy = frame(params)
     phases, last, done = lazy.phases, lazy.last, lazy.done
@@ -408,26 +374,26 @@ def _viable(frame: type, params: AutomatonParameters) -> np.ndarray:
 
 
 class _PassLazy:
-    """State frame of the pass automata: (phase, flags, v, w) with k-digit
+    """State frame of the pass automata: (phase, v, w) with k-digit
     buffers v and w for windows of width k + 1, and phases counting down
-    to k, the final phase.  Only the width-4 pass has flags, its input's.
+    to k, the final phase.
 
-    The initial keys and each step keep only the states whose coarse
-    image, the key without its flags, the table of ``_viable`` admits: a
-    step reads one mask per candidate (state, input, successor phase) and
-    packs a key only for the claims its set bits admit.  Every move of a
-    state is a move of its coarse image, so no state that can accept is
-    dropped; every path to such a state runs through such states, so they
-    are met at the same levels in the same arc order as without the
-    table, and ``from_lazy`` numbers them as before.
+    The initial keys and each step keep only the states the table of
+    ``_viable`` admits: a step reads one mask per candidate (state, input,
+    successor phase) and packs a key only for the claims its set bits
+    admit.  The table admits every state from which some input reaches
+    the final phase, so no state that can accept is dropped; every path to
+    such a state runs through such states, so they are met at the same
+    levels in the same arc order as without the table, and ``from_lazy``
+    numbers them as before.
     """
 
-    def __init__(self, params: AutomatonParameters, width: int, flag_radix: int = 1):
+    def __init__(self, params: AutomatonParameters, width: int):
         self.params, self.m = params, params.m
         self.width = width
         self.phases = _Phases(params, lo=width - 1)
         self.digits = (params.m + 1) ** (2 * width - 2)
-        self.key = _Key(self.phases.count, flag_radix, *(params.m + 1,) * (2 * width - 2))
+        self.key = _Key(self.phases.count, *(params.m + 1,) * (2 * width - 2))
         self.u = self.phases.windows(width)
         self.last, self.done = self.phases.id[width, 0], self.phases.id[width - 1, 0]
 
@@ -457,37 +423,37 @@ class _PassLazy:
         return live[cell], y, t
 
     def initial_keys(self) -> np.ndarray:
-        phase = np.array(self.phases.initial(self.width))
-        keys = self.key.pack(phase, *[0] * (len(self.key.radices) - 1))
-        return keys[self._masks(phase * (self.digits // (self.m + 1))) & 1 != 0]
+        keys = self.key.pack(np.array(self.phases.initial(self.width)), *[0] * (len(self.key.radices) - 1))
+        return keys[self._masks(keys // (self.m + 1)) & 1 != 0]  # a key without its last digit indexes the table
 
     def final(self, keys: np.ndarray) -> np.ndarray:
         return self.key.unpack(keys)[0][:, 0] == self.done
 
 
 class _Pass1Lazy(_PassLazy):
-    """The width-4 pass over an input: tracks (z, z') with ``_DigitInput``,
-    or (x, y, z') for z = x + y with ``_SumInput``.
+    """The width-4 pass on tracks (z, z').
 
-    State (phase, flags, v, w): phase for the upcoming window step, the
-    input's flags, the three pending window digits v, and the three
-    claimed output digits w still awaiting verification.  Reading an input
-    digit s and a claim verifies that the window (v, s) rewrites to
-    (w1, v') and shifts the claim into the buffer.  The step reaching
-    phase 3 additionally verifies the final width-3 rewrite against the
-    last three claimed digits, which leaves one claim, and clears the
-    flags.  With the sum input the phase runs three ahead of the position
-    being read, so that position's cap is the last quotient of the window.
+    State (phase, v, w): phase for the upcoming window step, the three
+    pending window digits v, and the three claimed output digits w still
+    awaiting verification.  Reading an input digit s and a claim verifies
+    that the window (v, s) rewrites to (w1, v') and shifts the claim into
+    the buffer.  The step reaching phase 3 additionally verifies the final
+    width-3 rewrite against the last three claimed digits, which leaves
+    one claim.
+
+    The input is any of 0..m, or with ``bounded`` only what two valid
+    digits can sum to: at most twice the cap of the position being read,
+    less one at position 1.  The phase runs three ahead of that position,
+    so its cap is the last quotient of the window.
 
     Grid per state: input, claimed digit, successor phase.
     """
 
-    def __init__(self, params: AutomatonParameters, hook=None):
-        hook = hook or _DigitInput(params)
-        super().__init__(params, 4, hook.flag_radix)
-        self.hook = hook
+    def __init__(self, params: AutomatonParameters, bounded: bool = False):
+        super().__init__(params, 4)
+        self.bounded = bounded
         self.ub = self.phases.windows(3)[self.done]
-        self.fanout = len(hook.letter) * (params.m + 1) * 2
+        self.fanout = (params.m + 1) ** 2 * 2
 
     def moves(self):
         """The window steps over every input digit, and the closing check."""
@@ -504,14 +470,16 @@ class _Pass1Lazy(_PassLazy):
 
     def step(self, keys: np.ndarray):
         m = self.m
-        p, flags, v0, v1, v2, w0, w1, w2 = self.key.unpack(keys)
+        p, v0, v1, v2, w0, w1, w2 = self.key.unpack(keys)
         u = self.u[p[:, 0]].T[..., None]
         last = p == self.last
-        ok, s, flags = self.hook.read(u[3], last, flags)
-        full = rewrite(window_a_delta, u, (v0, v1, v2, s))
-        ok = ok & (full[0] == w0) & (full[3] <= m)
-        pos, c = np.nonzero(ok)
-        flags, *nv = (np.broadcast_to(a, ok.shape)[pos, c] for a in (flags, *full[1:]))
+        digits = np.arange(m + 1)
+        full = rewrite(window_a_delta, u, (v0, v1, v2, digits))
+        ok = (full[0] == w0) & (full[3] <= m)
+        if self.bounded:
+            ok &= digits <= 2 * (u[3] - last)
+        pos, s = np.nonzero(ok)
+        nv = [np.broadcast_to(a, ok.shape)[pos, s] for a in full[1:]]
         # the final step: the last three claims must be what the width-3
         # rewrite leaves, and it claims the output digit that rewrite settles
         closing = last[pos, 0]
@@ -521,17 +489,16 @@ class _Pass1Lazy(_PassLazy):
         settled = out[2][closes]
         keep = np.ones(len(pos), bool)
         keep[at[~closes]] = False
-        pos, c, flags, closing = pos[keep], c[keep], flags[keep], closing[keep]
+        pos, s, closing = pos[keep], s[keep], closing[keep]
         nv = [a[keep] for a in nv]
         # each claim the successor's mask admits goes to that successor;
         # the closing step keeps only the settled digit
         nxt = self.phases.next[p[pos, 0]]
         masks = self._successors(nxt, *(a[:, None] for a in nv), w1[pos], w2[pos])
-        cell, y, t = self._expand(masks, closing, np.arange(m + 1) == settled[:, None])
-        pos, c = pos[cell], c[cell]
-        flags = np.where(closing, 0, flags)[cell]
-        target = self.key.pack(nxt[cell, t], flags, *(a[cell] for a in nv), w1[pos, 0], w2[pos, 0], y)
-        return pos, self.hook.letter[c] * (m + 1) + y, target
+        cell, y, t = self._expand(masks, closing, digits == settled[:, None])
+        pos, s = pos[cell], s[cell]
+        target = self.key.pack(nxt[cell, t], *(a[cell] for a in nv), w1[pos, 0], w2[pos, 0], y)
+        return pos, s * (m + 1) + y, target
 
 
 class _Width3Lazy(_PassLazy):
@@ -554,7 +521,7 @@ class _Width3Lazy(_PassLazy):
         return np.arange(r * r)[:, None] // r == np.arange(r)
 
     def _fields(self, keys: np.ndarray):
-        p, _, v0, v1, w0, w1 = self.key.unpack(keys)
+        p, v0, v1, w0, w1 = self.key.unpack(keys)
         u = self.u[p[:, 0]].T[..., None]
         return p == self.last, (v0, v1), (w0, w1), u, self.phases.next[p[:, 0]]
 
@@ -604,7 +571,7 @@ class _Pass2Lazy(_Width3Lazy):
         closing = last[pos, 0]
         cell, x, t = self._expand(masks, closing, cells[pos[closing], y[closing], k[closing]])
         pos, y = pos[cell], y[cell]
-        target = self.key.pack(nxt[pos, t], 0, *(a[cell] for a in nv), w1[pos, 0], x)
+        target = self.key.pack(nxt[pos, t], *(a[cell] for a in nv), w1[pos, 0], x)
         return pos, x * (self.m + 1) + y, target
 
 
@@ -638,7 +605,7 @@ class _Pass3Lazy(_Width3Lazy):
         closing = last[pos, 0]
         cell, y, t = self._expand(masks, closing, digits == out[2][pos[closing], x[closing], None])
         pos, x = pos[cell], x[cell]
-        target = self.key.pack(nxt[pos, t], 0, *(a[cell] for a in nv), w1[pos, 0], y)
+        target = self.key.pack(nxt[pos, t], *(a[cell] for a in nv), w1[pos, 0], y)
         return pos, x * (self.m + 1) + y, target
 
 
@@ -697,7 +664,7 @@ class _LessThanLazy:
     Valid representations of equal padded length compare like their
     values under the lexicographic order (every proper suffix is worth
     less than the next place value), so the automaton tracks validity of
-    both tracks (flags as in the sum input) and whether a strict x < y
+    both tracks (flags as in ``_ValidTracks``) and whether a strict x < y
     difference has been seen.
     """
 
@@ -873,31 +840,29 @@ def build_adder(cf: ContinuedFraction) -> Automaton:
     """Deterministic minimal automaton for conv(rho(M), rho(N), rho(M+N)).
 
     Stages the intersection-and-projection pipeline pairwise, with the
-    toolkit's own operations: starting from the fused digit-sum and pass-1
-    relation on (x, y, u), each further pass relation on (u, u') is
-    intersected with the running automaton, the two joined on u into an
-    automaton over (x, y, u, u'), the track u is projected away (which closes the stage under leading
-    zero columns), and the result is minimized before the next stage to
-    keep the state count small.  A join with the trim DFA of valid words
-    on the result track, and a final total minimization, finish the
-    construction.  Both operands of that join are closed under leading
-    zero columns (the projection closes the stage, and 0*-padded valid
-    words are closed), so the join is too, and needs no closure of its
-    own.
+    toolkit's own operations: starting from the digit-sum relation on
+    (x, y, u), each pass relation on (u, u') is intersected with the
+    running automaton, the two joined on u into an automaton over
+    (x, y, u, u'), the track u is projected away (which closes the stage
+    under leading zero columns), and the result is minimized before the
+    next stage to keep the state count small.  A join with the trim DFA
+    of valid words on the result track, and a final total minimization,
+    finish the construction.  Both operands of that join are closed under
+    leading zero columns (the projection closes the stage, and 0*-padded
+    valid words are closed), so the join is too, and needs no closure of
+    its own.
 
-    The fused first stage keeps one set of phases where joining digit-sum
-    and pass 1 with independent phases would make determinization carry
-    every phase pair; with the set in the state rather than guessed per
-    run, that stage is a DFA on a single quotient, and elsewhere leaves the
-    subset construction a few letters with two targets.
+    Pass 1 here is its phase-set frame over the digits two valid digits
+    can sum to, where the relation of ``build_pass_automaton`` guesses one
+    phase per run and reads every digit 0..m: on the expansions measured
+    it comes out deterministic, and its determinization is skipped.
     """
     params = _params(cf)
-    with _stage("the adder's first stage (x + y, pass 1)", cf):
-        dfa = from_lazy(_PhaseSets(_Pass1Lazy(params, _SumInput(params))), 3, params.m)
-    dfa = dfa.determinize_minimize(total=False)
-    for pass_no in (2, 3):
-        pass_dfa = build_pass_automaton(cf, pass_no).determinize_minimize(total=False)
-        stage = dfa.intersect(pass_dfa, (0, 1, 2), (2, 3))  # (x, y, u) and (u, u') on (x, y, u, u')
+    dfa = build_digit_sum(cf).determinize_minimize(total=False)
+    with _stage("the adder's pass 1", cf):
+        pass1 = from_lazy(_PhaseSets(_Pass1Lazy(params, bounded=True)), 2, params.m)
+    for relation in (pass1, build_pass_automaton(cf, 2), build_pass_automaton(cf, 3)):
+        stage = dfa.intersect(relation.determinize_minimize(total=False), (0, 1, 2), (2, 3))  # on (x, y, u, u')
         dfa = stage.project(2).minimize(total=False)
     valid = build_valid_rep(cf).determinize_minimize(total=False)
     return dfa.intersect(valid, (0, 1, 2), (2,)).minimize()

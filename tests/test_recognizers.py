@@ -30,13 +30,11 @@ from ostrowski import (
 )
 from ostrowski.contfrac import automaton_parameters
 from ostrowski.recognizers import (
-    _DigitInput,
     _digit_grid,
     _Pass1Lazy,
     _Pass2Lazy,
     _Pass3Lazy,
     _PhaseSets,
-    _SumInput,
     from_lazy,
 )
 
@@ -201,9 +199,11 @@ def test_adder_deterministic_minimal_canonical(golden):
 
 
 def test_adder_matches_unfused_composition(any_cf):
-    # build_adder reads x + y in its first stage; compose digit-sum and the
-    # three pass relations one by one instead, with the same operations and
-    # the same trim stages, joining each relation on the track it reads
+    # build_adder joins a pass-1 relation of its own, over phase sets and
+    # only the digits two valid digits can sum to; compose digit-sum and
+    # the three relations of build_pass_automaton one by one instead, with
+    # the same operations and the same trim stages, joining each relation
+    # on the track it reads
     dfa = build_digit_sum(any_cf)
     for pass_no in (1, 2, 3):
         relation = build_pass_automaton(any_cf, pass_no)
@@ -237,21 +237,21 @@ def test_recognizers_beyond_fixtures(preperiod, period, seed):
 
 def test_state_keys_that_overflow_int64_refused():
     # pass-1 keys take 11 phases times (2q + 2)**6 buffer values on 1;(q),
-    # which passes 2**63 from q = 485 on; the adder's first stage has two
-    # flags more and a mask of the 11 phases in place of one phase, so its
-    # keys take 2**11 * 4 * (2q + 2)**6 values and pass it from q = 161 on
+    # which passes 2**63 from q = 485 on; the adder's pass 1 has a mask of
+    # the 11 phases in place of one phase, so its keys take
+    # 2**11 * (2q + 2)**6 values and pass it from q = 203 on
     fits = automaton_parameters(ContinuedFraction.from_text("1;(484)"))
-    frame = _Pass1Lazy(fits, _DigitInput(fits))
+    frame = _Pass1Lazy(fits)
     assert math.prod(frame.key.radices) <= 2**63
-    with pytest.raises(AutomatonTooLarge, match=r"^pass 1 of 1;\(485\): states with fields of \(11, 1, 972,"):
+    with pytest.raises(AutomatonTooLarge, match=r"^pass 1 of 1;\(485\): states with fields of \(11, 972,"):
         build_pass_automaton(ContinuedFraction.from_text("1;(485)"), 1)
-    fits = automaton_parameters(ContinuedFraction.from_text("1;(160)"))
-    frame = _PhaseSets(_Pass1Lazy(fits, _SumInput(fits)))  # made, not explored
+    fits = automaton_parameters(ContinuedFraction.from_text("1;(202)"))
+    frame = _PhaseSets(_Pass1Lazy(fits, bounded=True))  # made, not explored
     assert frame.key.radices[0] == 2**11 and math.prod(frame.key.radices) <= 2**63
-    with pytest.raises(AutomatonTooLarge, match=r"^the adder's first stage \(x \+ y, pass 1\) of 1;\(161\): "
-                                                r"states with fields of \(2048, 4, 324,"):
-        build_adder(ContinuedFraction.from_text("1;(161)"))
-    with pytest.raises(AutomatonTooLarge, match=r"^the adder's first stage \(x \+ y, pass 1\) of 1;\(385\): states"):
+    with pytest.raises(AutomatonTooLarge, match=r"^the adder's pass 1 of 1;\(203\): "
+                                                r"states with fields of \(2048, 408,"):
+        build_adder(ContinuedFraction.from_text("1;(203)"))
+    with pytest.raises(AutomatonTooLarge, match=r"^the adder's pass 1 of 1;\(385\): states"):
         build_adder(ContinuedFraction.from_text("1;(385)"))
     # the keys of 1;(20) fit, but its table of viable pass-1 states would
     # take 11 * 42**5 masks; it is refused before one is allocated
@@ -270,19 +270,31 @@ def test_huge_digit_grids_refused():
         _digit_grid(2, 11585)
     huge = ContinuedFraction.from_text("1;(100000)")
     grid = r"1;\(100000\): grid of 2-tuples of digits 0\.\.100000 needs 10000200001 entries"
-    for build, stage in ((build_digit_sum, "digit sum"), (build_less_than, "less-than"),
-                         (build_adder, r"the adder's first stage \(x \+ y, pass 1\)")):
+    for build, stage in ((build_digit_sum, "digit sum"), (build_less_than, "less-than"), (build_adder, "digit sum")):
         with pytest.raises(AutomatonTooLarge, match=f"^{stage} of {grid}"):
             build(huge)
 
 
 # Past a partial quotient of 6 the dense table of viable pass-1 states was
 # refused (184,549,376 cells on 1;(7), 408,146,688 on 2;(1,8)); the masks
-# take 11 * 16**5 and 12 * 18**5.
-@pytest.mark.parametrize("text, states, digest", [
+# take 11 * 16**5 and 12 * 18**5.  The other expansions pin the adder's
+# text on more single quotients and mixed periods.
+ADDERS = [
     ("1;(7)", 17, "6c1403a706d52736ff83b1586060339b0ef2568f2798560e50c899af9abb9737"),
     ("2;(1,8)", 36, "b0db88d8bf86ff7ade3d506ca8cc3d34ce467d055692dd9e54f3193472b1685d"),
-], ids=["1;(7)", "2;(1,8)"])
+    ("1;(4)", 17, "61844df0e6f879ddafdb7e874c09c6b1056a09bd96a9d549f699e74ab80e8a8c"),
+    ("1;(5)", 17, "ed6452ef1da21d4d0f70bf7128b95ebe13b5dae211f2e8180eb845a96b14d53e"),
+    ("1;(6)", 17, "c2c83da79de068267f4a45f5f43a865ae81eadbb6145880bc1592207f8bf9316"),
+    ("2;1,(1,2,3)", 77, "bfb423c652f2ab75818b685dd22afc38fdbe89bf534cacc08239f42d3939118f"),
+    ("0;(2,1)", 39, "9bebee5fb716c238230ef93af1c116124640ecb6fee1cb6c77c8850f2ea61751"),
+    ("3;2,(1,1,3)", 77, "45a3be19553152327e190446c28b771f796cb34d42d42f8b68d0b1b3bfa1beb2"),
+    ("1;2,1,(3)", 32, "aec5d729462c2209e99b104da8770bedbdeecf6277e265affe18ba755bc5b9bc"),
+    ("0;1,2,(2,3,1)", 89, "8947621ce2161982d546d4602ae595d0c47de222bf031f7486b9a3b1271804c8"),
+    ("2;(1,3)", 37, "bc056980dd1eec874765894e4b5f90a31f0471bad64dba8ac08eb79bedf28973"),
+]
+
+
+@pytest.mark.parametrize("text, states, digest", ADDERS, ids=[text for text, _, _ in ADDERS])
 def test_adder_past_the_dense_table(text, states, digest):
     cf = ContinuedFraction.from_text(text)
     adder = build_adder(cf)
@@ -328,15 +340,14 @@ def unpruned(frame):
 def test_viability_prune_keeps_every_pass_frame(preperiod, period):
     params = automaton_parameters(ContinuedFraction(1, tuple(preperiod), tuple(period)))
     frames = [
-        (_Pass1Lazy, (_DigitInput,), 2, None),
-        (_Pass1Lazy, (_SumInput,), 3, None),
-        (_Pass2Lazy, (), 2, None),
-        (_Pass3Lazy, (), 2, None),
-        (_Pass1Lazy, (_SumInput,), 3, _PhaseSets),
+        (_Pass1Lazy, {}, None),
+        (_Pass1Lazy, {"bounded": True}, None),
+        (_Pass2Lazy, {}, None),
+        (_Pass3Lazy, {}, None),
+        (_Pass1Lazy, {"bounded": True}, _PhaseSets),
     ]
-    for frame, hooks, arity, wrap in frames:
-        args = [params] + [hook(params) for hook in hooks]
-        pruned, full = (from_lazy((wrap or (lambda lazy: lazy))(f(*args)), arity, params.m)
+    for frame, options, wrap in frames:
+        pruned, full = (from_lazy((wrap or (lambda lazy: lazy))(f(params, **options)), 2, params.m)
                         for f in (frame, unpruned(frame)))
         if wrap:
             # a phase set of the unpruned frame may also hold phases the
@@ -346,7 +357,7 @@ def test_viability_prune_keeps_every_pass_frame(preperiod, period):
             pruned, full = pruned.determinize_minimize(total=False), full.determinize_minimize(total=False)
         # compared as one bool: a diff of the two texts would take minutes
         same = pruned.to_text() == full.to_text()
-        assert same, f"{frame.__name__} {hooks} {wrap}: {pruned.num_states} states pruned, {full.num_states} unpruned"
+        assert same, f"{frame.__name__} {options} {wrap}: {pruned.num_states} states pruned, {full.num_states} unpruned"
 
 
 def test_pass1_explores_only_states_it_keeps(golden, sqrt2):
@@ -365,10 +376,11 @@ def test_pass1_explores_only_states_it_keeps(golden, sqrt2):
 
 
 def first_stage(cf, phase_sets):
-    """The adder's first stage (x + y, pass 1), with or without phase sets."""
+    """The adder's pass-1 relation, over the digits two valid digits can
+    sum to, with or without phase sets."""
     params = automaton_parameters(cf)
-    frame = _Pass1Lazy(params, _SumInput(params))
-    return from_lazy(_PhaseSets(frame) if phase_sets else frame, 3, params.m)
+    frame = _Pass1Lazy(params, bounded=True)
+    return from_lazy(_PhaseSets(frame) if phase_sets else frame, 2, params.m)
 
 
 def test_phase_sets_accept_as_the_per_phase_first_stage():
@@ -381,20 +393,19 @@ def test_phase_sets_accept_as_the_per_phase_first_stage():
         assert sets == phases, str(cf)
 
 
-SHRUNK = {"1;(1)": (44, 111), "1;(2)": (185, 956), "1;(4)": (1205, 16794), "1;(3,1,2)": None, "2;(1,8)": None}
+SHRUNK = {"1;(1)": (68, 218), "1;(2)": (302, 1593), "1;(4)": (1748, 16610), "1;(3,1,2)": (835, 4519),
+          "2;(1,8)": (2206, 13017)}
 
 
 @pytest.mark.parametrize("text, size", SHRUNK.items(), ids=SHRUNK)
 def test_phase_sets_shrink_the_first_stage(text, size):
-    # a single quotient leaves one target per letter: the stage is a DFA
-    # and its determinization is skipped; on mixed periods a few letters
-    # keep two targets, but the stage still shrinks
+    # each stage leaves one target per letter, on mixed periods too: it is
+    # a DFA, its determinization is skipped, and it has about a tenth to a
+    # fifth of the per-phase stage's states
     cf = ContinuedFraction.from_text(text)
     stage = first_stage(cf, True)
-    if size:
-        assert stage.deterministic and (stage.num_states, stage.num_transitions()) == size
-    else:
-        assert stage.num_states < first_stage(cf, False).num_states
+    assert stage.deterministic and (stage.num_states, stage.num_transitions()) == size
+    assert stage.num_states < first_stage(cf, False).num_states
 
 
 def test_adder_functional(golden):
