@@ -238,12 +238,39 @@ class Automaton:
         return self
 
     @classmethod
-    def _padded_word(cls, digit_bound: int, digits: Sequence[int]) -> "Automaton":
-        """The single-track words ``0* w`` of the digit word ``w`` (no leading
-        zero): a chain of ``len(w) + 1`` states."""
-        n = len(digits)  # state 0 has the zero loop and the first digit's arc
-        return cls._from_rows(1, digit_bound, [0], [n], [0, *range(2, n + 2), n + 1], [0, *digits],
-                              [0, *range(1, n + 1)], True)
+    def _padded_word(cls, digit_bound: int, digits: Sequence[int], compare: str = "=") -> "Automaton":
+        """The single-track words ``0* u`` with ``u`` (no leading zero) equal
+        to the digit word ``w`` (no leading zero either): a chain of
+        ``len(w) + 1`` states.  With ``compare`` ``<=`` or ``>=``, ``u`` at
+        most or at least ``w`` in the order of length, then lexicographic,
+        which on valid representations is the order of their values.
+
+        That chain tracks the significant length l read so far, up to n =
+        len(w), and whether those l digits are below, equal to or above the
+        first l of ``w``: state 0 loops on the zero letter, state 3l - 2 + o
+        has read l digits of order o (0 below, 1 equal, 2 above), and for
+        ``>=`` state 3n + 1 has read more than n.
+        """
+        n, radix = len(digits), digit_bound + 1
+        if compare == "=":  # state 0 has the zero loop and the first digit's arc
+            return cls._from_rows(1, digit_bound, [0], [n], [0, *range(2, n + 2), n + 1], [0, *digits],
+                                  [0, *range(1, n + 1)], True)
+        _cells((3 * n + 2) * radix, f"{compare} chain of {n} digits over {radix} letters")
+        at_least = compare == ">="
+        longer = [3 * n + 1] * radix if at_least else []  # the row of every state of n digits read
+
+        def equal(l: int) -> list[int]:  # the row of l < n digits read, equal to the first l of w
+            d, below = digits[l], 3 * l + 1
+            return [below] * d + [below + 1] + [below + 2] * (radix - 1 - d)
+
+        rows = [[0] + (equal(0) if n else longer)[1:]]
+        for l in range(1, n):
+            rows += [[3 * l + 1] * radix, equal(l), [3 * l + 3] * radix]
+        rows += [longer] * (3 * min(n, 1) + at_least)
+        exact = 3 * n - 1 if n else 0  # the state of n digits read, equal to w
+        finals = range(exact, len(rows)) if at_least else range(exact + 1)
+        return cls._from_rows(1, digit_bound, [0], finals, list(itertools.accumulate(map(len, rows), initial=0)),
+                              [c for row in rows for c in range(len(row))], list(itertools.chain(*rows)), True)
 
     @property
     def alphabet_size(self) -> int:

@@ -34,8 +34,12 @@ outside its scope and shadowing needs no renaming.
 Numerals are syntactic sugar resolved against the ambient expansion:
 ``2`` always denotes the number two, whatever digit string represents it.
 A numeral's track is pinned to that string and erased in one walk
-(``Automaton.restrict``); an equality with a numeral is a renaming: the
-padded word on a variable, or the outermost adder, output pinned.
+(``Automaton.restrict``), except against a lone variable, where a chain
+along rho(c) takes its place: ``x = c`` is the padded word of rho(c), and
+``x <= c`` or ``c <= x`` the valid words times a chain that compares by
+length, then digit by digit (``_Compiler._atom`` says why that is the
+order of values), one product and no subset construction.  An equality
+of a sum with a numeral is a renaming: the outermost adder, output pinned.
 """
 
 from __future__ import annotations
@@ -458,15 +462,21 @@ class _Compiler:
         if isinstance(left, Const) and isinstance(right, Const):
             ok = left.value == right.value if isinstance(f, Eq) else left.value <= right.value
             return _Node((), _zero_track(self.m, ok))
+        var, num = (left, right) if isinstance(right, Const) else (right, left)
+        if isinstance(var, Var) and isinstance(num, Const):  # one variable against a numeral: a chain on rho(c)
+            compare = "=" if isinstance(f, Eq) else "<=" if var is left else ">="
+            chain = Automaton._padded_word(self.m, encode(self.cf, num.value).digits[::-1], compare)
+            # Valid words of one padded length compare like their values in lexicographic order, and
+            # one with fewer significant digits than rho(c) is worth less: on valid words the chain's
+            # order of length, then digits, is the order of values.
+            aut = chain if compare == "=" else _valid_dfa(self.cf).intersect(chain).minimize(total=False)
+            return self._relation(aut, (var.name,))
         base = (_eq_dfa if isinstance(f, Eq) else _le_dfa)(self.cf)
         if isinstance(f, Eq) and isinstance(left, Const):
             left, right = right, left
         terms = (left, right)
-        if isinstance(f, Eq) and isinstance(right, Const):  # a renaming: the numeral pins the other side
-            if isinstance(left, Var):
-                return self._relation(Automaton._padded_word(self.m, encode(self.cf, right.value).digits[::-1]),
-                                      (left.name,))
-            base, terms = _add_dfa(self.cf), (left.left, left.right, right)  # the outermost sum
+        if isinstance(f, Eq) and isinstance(right, Const):  # a renaming: the output pins the outermost sum
+            base, terms = _add_dfa(self.cf), (left.left, left.right, right)
         flat = [self._flatten(t) for t in terms]
         node = self._relation(base, tuple(name for name, _ in flat))
         node = self._pin(node) if len(terms) == 3 else node  # the output bounds the operands: pin first

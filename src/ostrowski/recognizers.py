@@ -858,9 +858,12 @@ def build_adder(cf: ContinuedFraction) -> Automaton:
     it comes out deterministic, and its determinization is skipped.
     """
     params = _params(cf)
-    dfa = build_digit_sum(cf).determinize_minimize(total=False)
+    digit_sum = build_digit_sum(cf)  # its grid is refused first, the pass-1 keys before it is determinized
     with _stage("the adder's pass 1", cf):
-        pass1 = from_lazy(_PhaseSets(_Pass1Lazy(params, bounded=True)), 2, params.m)
+        frame = _PhaseSets(_Pass1Lazy(params, bounded=True))
+    dfa = digit_sum.determinize_minimize(total=False)
+    with _stage("the adder's pass 1", cf):
+        pass1 = from_lazy(frame, 2, params.m)
     for relation in (pass1, build_pass_automaton(cf, 2), build_pass_automaton(cf, 3)):
         stage = dfa.intersect(relation.determinize_minimize(total=False), (0, 1, 2), (2, 3))  # on (x, y, u, u')
         dfa = stage.project(2).minimize(total=False)

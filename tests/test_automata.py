@@ -507,6 +507,7 @@ def test_kernel_refusals_name_the_operation(monkeypatch):
         (lambda: chain.cylindrify(0), "place of 5 states, 2 tracks: placed arcs needs 16 entries"),
         (lambda: wide.restrict({1: [1, 1, 1]}),
          "restrict of 5 states, 2 tracks: pinned arcs and states needs 16 entries, more than 12"),
+        (lambda: Automaton._padded_word(1, [1, 0, 1], "<="), "<= chain of 3 digits over 2 letters needs 22 entries"),
     ]
     for call, message in cases:
         with pytest.raises(AutomatonTooLarge) as err:
@@ -526,6 +527,19 @@ def test_padded_word_is_a_chain_of_its_length():
     for other in ([1, 0, 2], [1, 0, 2, 0, 0], [2, 0, 2, 0], [0, 1, 1, 2, 0]):
         assert not a.accepts(tuple((d,) for d in other))
     assert Automaton._padded_word(2, []).accepts(((0,), (0,)))
+
+
+def test_padded_word_bounds_compare_length_then_digits():
+    # 0* u with u at most or at least w: a shorter u is less, and one of
+    # the same length compares digit by digit
+    for digits in ([], [2], [1, 0, 2], [2, 2, 1]):
+        chains = {op: Automaton._padded_word(2, digits, op) for op in ("<=", ">=")}
+        assert all(a.deterministic for a in chains.values())
+        for word in itertools.chain.from_iterable(itertools.product(range(3), repeat=k) for k in range(6)):
+            u = list(word[next((i for i, d in enumerate(word) if d), len(word)):])
+            key, bound = (len(u), u), (len(digits), digits)
+            letters = tuple((d,) for d in word)
+            assert (chains["<="].accepts(letters), chains[">="].accepts(letters)) == (key <= bound, key >= bound)
 
 
 # -- boolean operations ---------------------------------------------------------

@@ -363,7 +363,7 @@ def test_json_errors_are_structured(capsys):
         (["build", "--cf", "1;(100000)", "--relation", "lt"], 2, "build", "AutomatonTooLarge"),
         (["build", "--cf", "1;(100000)", "--relation", "sum"], 2, "build", "AutomatonTooLarge"),
         (["decide", "--cf", "1;(100000)", "--formula", "E x. x + 1 = 2"], 2, "decide", "AutomatonTooLarge"),
-        (["decide", "--cf", "1;(100000)", "--formula", "E x. x <= 2"], 2, "decide", "AutomatonTooLarge"),
+        (["decide", "--cf", "1;(100000)", "--formula", "E x. x + 1 <= 2"], 2, "decide", "AutomatonTooLarge"),
     ]
     messages = []
     for argv, want, command, kind in cases:
@@ -377,6 +377,15 @@ def test_json_errors_are_structured(capsys):
     grid = "of 1;(100000): grid of 2-tuples of digits 0..100000 needs 10000200001 entries"
     for message, stage in zip(messages[5:], ["less-than", "digit sum", "digit sum", "less-than"]):
         assert message.startswith(f"{stage} {grid}")
+
+
+def test_numeral_bound_needs_no_two_digit_grid(capsys):
+    # a variable bounded by a numeral reads one track of valid words, so it
+    # decides where the less-than relation's grid of two digits is refused
+    for formula, code, want in (("E x. x <= 2", 0, "true\n"), ("A x. 5 <= x", 1, "false\n")):
+        assert run(capsys, "decide", "--cf", "1;(12000)", "--formula", formula) == (code, want, "")
+    code, out, err = run(capsys, "decide", "--cf", "1;(12000)", "--formula", "E x. x + 1 <= 2")
+    assert (code, out) == (2, "") and err.startswith("error: less-than of 1;(12000): grid of 2-tuples")
 
 
 @pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["plain", "json"])

@@ -1,4 +1,5 @@
 import itertools
+import random
 import re
 import sys
 from unittest import mock
@@ -331,6 +332,38 @@ def test_long_numerals_pinned_in_one_walk(golden, sqrt2):
         assert decide(cf, f"E x. x + {'2' * 301} = {'1' * 300}") is False
 
 
+def random_expansion(rng):
+    """An eventually periodic expansion: a0 0-3, a preperiod of 0-2 and a
+    period of 1-3 quotients, each 1-6."""
+    preperiod = tuple(rng.randint(1, 6) for _ in range(rng.randint(0, 2)))
+    period = tuple(rng.randint(1, 6) for _ in range(rng.randint(1, 3)))
+    return ContinuedFraction(rng.randint(0, 3), preperiod, period)
+
+
+def test_numeral_bounds_match_their_restriction():
+    # x <= c and c <= x compile to the valid words times a chain along
+    # rho(c); pinning the less-than-or-equal relation's numeral track to
+    # rho(c) and erasing it gives the same trim minimal text, so
+    # compile_formula's total form is the same too
+    rng = random.Random("numeral bounds")
+    for _ in range(8):
+        cf = random_expansion(rng)
+        le = logic._le_dfa(cf)
+        for c in [*range(25), rng.randrange(10**39, 10**60)]:  # and one numeral of 40-60 digits
+            digits = encode(cf, c).digits
+            for text, pins in ((f"x <= {c}", {1: digits}), (f"{c} <= x", {0: digits})):
+                got = logic._Compiler(cf).compile(parse(text)).aut
+                assert got.to_text() == le.restrict(pins).to_text(), (str(cf), text)
+
+
+def test_long_numeral_bounds_decide(golden):
+    # three chain states per digit: bounds of 500 digits take a fraction of a second
+    low, high = "7" * 500, "8" * 500
+    assert decide(golden, f"E x. {low} <= x & x <= {high}") is True
+    assert decide(golden, f"E x. {high} <= x & x <= {low}") is False
+    assert decide(golden, f"A x. x <= {low} | {low} + 1 <= x") is True
+
+
 # -- enumeration -----------------------------------------------------------------
 
 
@@ -476,7 +509,7 @@ def quantifier_range(f, top):
 
 @settings(max_examples=100, deadline=None, database=None)
 @given(
-    cf_text=st.sampled_from(("1;(1)", "1;(2)")),
+    cf_text=st.sampled_from(("1;(1)", "1;(2)", "0;1,(1,2)", "1;(3,1,2)", "2;(1,3)", "0;(2,1)")),
     f=formulas(3),
     closing=st.lists(st.tuples(st.booleans(), st.integers(0, 4)), min_size=3, max_size=3),
 )

@@ -65,7 +65,8 @@ TRACE_PINS = {
 
 # Between them: a numeral, a merged repeated variable, a permutation,
 # complement, union and projection; the last one has five tracks before
-# its projection.
+# its projection.  The bounds of one variable by a numeral, both ways and
+# at 0, were taken from their restriction of the less-than relation.
 FORMULA_PINS = {
     ("1;(1)", "x + 3 = y", "x,y"): "bb63c769146e1d956963c583888b201f03b93cbc30e54e142598c94b4416a3e9",
     ("1;(1)", "x + x = y", "x,y"): "c48cca8c29a9425ff91ff0c1e095c40acc206cdd13efc0a66b731c7313456e10",
@@ -78,6 +79,14 @@ FORMULA_PINS = {
     ("1;(2)", "y <= x", "x,y"): "3411fd810795d98b45db08142ce0835893bd806393cd1c3d3627feb41c9bd6ac",
     ("1;(2)", "~(x = y) | V(x) = y", "x,y"): "29bfd495599e4879268ee989cf77ceef5785fdb9ac714b9d0896a973afb20235",
     ("1;(2)", "E z. x + z = y & V(z) = z", "x,y"): "cacac85b6349829347940f813f8c90cc57595ed175f38991dbba97e4b6864aea",
+    ("1;(1)", "x <= 537", "x"): "7ff95e16a2d3cef4d4dccdcc474d6c2f84f6526d7ae5bb177953127571784819",
+    ("1;(1)", "537 <= x", "x"): "6162554f568a43ecfb2f69e4ddd5a831e29b558e54b8fd5df8ff00486a94af17",
+    ("1;(1)", "x <= 0", "x"): "643988c0ad26c1d9ed9671c83aecc4570cd75038448e85a8417433b3b7667d19",
+    ("1;(1)", "y <= 20 & 7 <= x", "x,y"): "a21cce1842ec1ae277472b5d23f1bd11e0bf3edddd1ecacc1bc3c40692e60367",
+    ("1;(2)", "x <= 537", "x"): "609cefcd46dadef4333897bf807d398c1f72b8440e995255d7bf87629c4d9a45",
+    ("1;(2)", "537 <= x", "x"): "1b420887962bf06fabf2e907fa1c9a3a57eae3f2e2c7e6f8f83f4692419aaf51",
+    ("1;(2)", "x <= 0", "x"): "50d3d156a83b2399db3f999a72b300189d50c42a5e96a066cdeff1400760c0e3",
+    ("1;(2)", "y <= 20 & 7 <= x", "x,y"): "b76f3e7e7d5909a6c78723fff1e1646609dcb2b74ef85f2880afad9229f4ec3d",
 }
 
 
