@@ -30,18 +30,23 @@ Buffered claims make most states of a pass frame dead ends.  So a pass
 frame first finds, by a backward fixpoint over the window rules, the
 states from which its final phase can still be reached (``_viable``),
 one bit per state, and explores only those.  On the fixtures the three
-pass relations meet only the states they keep.
+pass relations meet only the states they keep.  The fixpoint runs over
+the frame's moves grouped by head, the state fields that fix the
+window, and keeps them with the table: the pass-1 step reads a key's
+moves off that index and rewrites no window itself.
 
 Each recognizer is a frame for ``from_lazy``: it packs a state (phase
 id, then buffers or validity flags) into one int64 key with ``_Key`` and
 steps a whole frontier of keys at once.  A step lays out, per state, a grid over
 its choices (input digits, claimed digits, successor phases) in the order
 that numbers new states, masks the cells the rules allow, and reads off
-the arcs of the cells left; the phase-set frame packs a mask of phase
-ids in place of the one id, and steps its members through the pass-1
-frame.  A pass frame's step reads the viability mask of each candidate
-(state, input, successor phase) over the claim that ends the
-successor's buffer, and packs keys only for the claims the mask admits.
+the arcs of the cells left; the pass-1 step takes its (input, claim)
+cells from the move index in the same order.  The phase-set frame packs
+a mask of phase ids in place of the one id, and steps its members
+through the pass-1 frame.  A pass frame's step reads the viability mask
+of each candidate (state, input, successor phase) over the claim that
+ends the successor's buffer, and packs keys only for the claims the
+mask admits.
 An expansion whose keys could pass 64 bits, or whose viability table or
 digit grid would pass the toolkit's size guard, raises
 ``AutomatonTooLarge`` before anything is explored, naming the stage and
@@ -87,6 +92,7 @@ from .rules import c_preimages_array, rewrite, window_a_delta, window_b_delta, w
 #                       is the order in which its new targets are numbered
 
 _CHUNK = 1 << 21  # array elements one step of a breadth-first level works on
+_SET_WALK = 512  # states below which from_lazy's backward walk runs on Python sets
 
 
 class _PairIndex:
@@ -125,11 +131,46 @@ class _PairIndex:
         return ids, fresh[order]
 
 
+def _spans(starts: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of the CSR rows ``rows`` over the offsets ``starts``, row
+    by row, as (pos, at): entry ``at`` lies in row ``rows[pos]``."""
+    first, count = starts[rows], starts[rows + 1] - starts[rows]
+    pos = np.repeat(np.arange(len(rows)), count)
+    return pos, np.arange(len(pos)) + np.repeat(first - (np.cumsum(count) - count), count)
+
+
+def _coreachable(n: int, srcs: np.ndarray, dsts: np.ndarray, finals: np.ndarray) -> np.ndarray:
+    """Which of the states 0..n - 1 reach one of ``finals`` along the arcs
+    srcs -> dsts: a breadth-first level at a time backwards, over the arcs
+    grouped by target.
+
+    A level costs about a dozen numpy calls however few states it holds,
+    so below ``_SET_WALK`` states the walk runs on Python sets
+    (``automata._reach``).  Measured on 1;(2): the 27 states of the valid
+    words take 0.3 ms in arrays and 0.02 ms in sets, the 4,104 of pass 1
+    0.9 ms in arrays and 2.7 ms in sets.
+    """
+    into = np.argsort(dsts, kind="stable")
+    back, starts = srcs[into], np.searchsorted(dsts[into], np.arange(n + 1))
+    if n < _SET_WALK:
+        return np.array(_reach(starts.tolist(), back.tolist(), finals.tolist()), bool)
+    kept = np.zeros(n, bool)
+    kept[finals] = True
+    level = finals
+    while level.size:
+        met = back[_spans(starts, level)[1]]
+        met = np.sort(met[~kept[met]])
+        level = met[np.diff(met, prepend=-1) != 0]
+        kept[level] = True
+    return kept
+
+
 def from_lazy(lazy, arity: int, digit_bound: int) -> Automaton:
     """Materialize a lazily described NFA breadth first, a level of keys at
     a time in chunks of at most ``_CHUNK`` cells, ``fanout`` per key; keep
     only the states from which a final state can be reached (a backward
-    ``_reach`` over the arcs), with their arcs sorted into CSR lists.
+    walk over the arcs in arrays, ``_coreachable``), with their arcs
+    sorted into CSR lists.
 
     States are numbered in order of first occurrence, the starts first,
     then each level's targets in arc order: so over ascending letters the
@@ -143,6 +184,7 @@ def from_lazy(lazy, arity: int, digit_bound: int) -> Automaton:
     starts = np.asarray(lazy.initial_keys(), np.int64)
     index = _PairIndex()
     _, level = index.lookup(starts)
+    n_starts = len(level)
     levels, degrees, codes, dsts = [level], [], [], []
     per_chunk = max(1, _CHUNK // max(1, lazy.fanout))
     arcs = 0
@@ -165,11 +207,9 @@ def from_lazy(lazy, arity: int, digit_bound: int) -> Automaton:
     codes, dsts = np.concatenate(codes + none), np.concatenate(dsts + none)
     if max(n, 1) * (digit_bound + 1) ** arity > 1 << 63:  # the sort keys of the arcs below pass int64
         raise AutomatonTooLarge(f"{n} states times {digit_bound + 1}**{arity} letters do not fit 64-bit arc keys")
-    into = np.argsort(dsts, kind="stable")  # the arcs by target
-    finals = np.flatnonzero(lazy.final(keys)).tolist()
-    useful = _reach(np.searchsorted(dsts[into], np.arange(n + 1)).tolist(), srcs[into].tolist(), finals)
-    kept = np.array(useful, bool)
-    renumber = np.cumsum(kept) - 1  # the new id of a useful state
+    finals = np.flatnonzero(lazy.final(keys))
+    kept = _coreachable(n, srcs, dsts, finals)
+    renumber = np.cumsum(kept) - 1  # the new id of a kept state
     if not kept.all():
         keep = kept[srcs] & kept[dsts]
         srcs, codes, dsts = renumber[srcs[keep]], codes[keep], renumber[dsts[keep]]
@@ -180,10 +220,10 @@ def from_lazy(lazy, arity: int, digit_bound: int) -> Automaton:
     fresh[1:] = (srcs[1:] != srcs[:-1]) | (codes[1:] != codes[:-1]) | (dsts[1:] != dsts[:-1])
     srcs, codes, dsts = srcs[fresh], codes[fresh], dsts[fresh]
     indptr = np.searchsorted(srcs, np.arange(int(kept.sum()) + 1))
-    initial = renumber[[s for s in range(len(set(starts.tolist()))) if useful[s]]]  # the starts are numbered first
+    initial = renumber[np.flatnonzero(kept[:n_starts])]  # the starts are numbered first
     deterministic = len(initial) == 1 and not ((srcs[1:] == srcs[:-1]) & (codes[1:] == codes[:-1])).any()
     return Automaton._from_rows(
-        arity, digit_bound, initial, renumber[[f for f in finals if useful[f]]], indptr.tolist(), codes.tolist(),
+        arity, digit_bound, initial, renumber[finals], indptr.tolist(), codes.tolist(),
         dsts.tolist(), deterministic, trim=True,
     )
 
@@ -309,20 +349,23 @@ def _pack_bits(cells: np.ndarray, dtype) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _viable(frame: type, params: AutomatonParameters) -> np.ndarray:
-    """Which states of a pass frame can still reach its final phase.
+def _viable(frame: type, params: AutomatonParameters) -> tuple[np.ndarray, tuple]:
+    """Which states of a pass frame can still reach its final phase, and
+    the frame's moves, indexed by head.
 
     A state is the phase, the k pending digits v, and the k buffered
     digits w0, rest (claims; the backward pass buffers inputs).  A step of
     phase p settles w0 from v and leaves the pending digits v'; the
     frame's ``moves()`` lists the steps that some input allows, as flat
-    arrays (phase, head, tail) with head the digits (v, w0) and tail the
-    digits v', and the closing check
-    ``closes[v', rest]``.  A step shifts rest forward, ahead of a new
-    digit that may be anything, so (p, v, w0, rest) is viable when one of
-    its moves reaches a successor phase where (v', rest, y) is viable for
-    some y; from the last phase, when it passes the closing check.  The
-    final phase is viable throughout.
+    arrays (phase, head, tail, *payload) with head the digits (v, w0),
+    tail the digits v' and payload what else a move reads (pass 1: its
+    input digit), and the closing check, ``closes[v', rest]`` other than
+    0 where the closing window of v' leaves rest.  A step
+    shifts rest forward, ahead of a new digit that may be anything, so
+    (p, v, w0, rest) is viable when one of its moves reaches a successor
+    phase where (v', rest, y) is viable for some y; from the last phase,
+    when it passes the closing check.  The final phase is viable
+    throughout.
 
     The table holds one bit per state, as one mask per state without its
     last buffered digit, bit d for last digit d, in the narrowest
@@ -336,8 +379,14 @@ def _viable(frame: type, params: AutomatonParameters) -> np.ndarray:
     Returns the masks as one array indexed like the frame's keys without
     the last digit: phase, then the digits, most significant first.  It
     holds for every input digit, so pass 1 and the adder's pass 1, which
-    reads fewer, share it.  A table past the toolkit's size guard is
-    never made.
+    reads fewer, share it.  With it comes the move index (starts, tail,
+    closes, *payload), the moves grouped by (phase, head) in the order of
+    ``moves()``: int32 ``starts``, where the moves of head h of phase p
+    begin, at p * heads + h, with one more entry closing the last; each
+    move's tail as int32 and each payload array as int8, made narrow before
+    the table is allocated; and ``closes`` as given.  A table past the
+    toolkit's size guard is never made; under it every digit fits int8 and
+    every move offset int32.
     """
     lazy = frame(params)
     phases, last, done = lazy.phases, lazy.last, lazy.done
@@ -346,31 +395,36 @@ def _viable(frame: type, params: AutomatonParameters) -> np.ndarray:
     if size > _MAX_CELLS:
         raise AutomatonTooLarge(f"viability table needs {size} masks, more than {_MAX_CELLS}")
     dtype = _mask_dtype(radix)
-    moves, closes = lazy.moves()
+    (phase, head, tail, *payload), closes = lazy.moves()
     n_tail, n_rest = closes.shape
-    order = np.lexsort((moves[1], moves[0]))  # grouped by (phase, head)
-    phase, head, tail = (a[order] for a in moves)
-    bounds = np.searchsorted(phase, np.arange(count + 1))
+    heads = lazy.digits // n_rest
+    group = phase * heads + head
+    del phase, head
+    order = np.argsort(group, kind="stable")  # grouped by (phase, head)
+    starts = np.zeros(count * heads + 1, np.int32)
+    np.cumsum(np.bincount(group, minlength=count * heads), out=starts[1:])
+    tail, payload = tail[order].astype(np.int32), [a[order].astype(np.int8) for a in payload]
+    del group, order
     succ = [[t for t in row if t >= 0] for row in phases.next.tolist()]
-    table = np.zeros((count, lazy.digits // n_rest, n_rest // radix), dtype)
+    table = np.zeros((count, heads, n_rest // radix), dtype)
     table[done] = (1 << radix) - 1
     stale = set(range(count)) - {done}
     while stale:
         p = min(stale)
         stale.remove(p)
-        heads, tails = head[bounds[p] : bounds[p + 1]], tail[bounds[p] : bounds[p + 1]]
+        at = starts[p * heads : (p + 1) * heads + 1]
         if p == last:
-            reach = closes
+            reach = closes != 0
         else:
             reach = np.logical_or.reduce([table[t].reshape(n_tail, n_rest) != 0 for t in succ[p]])
         reach = _pack_bits(reach.reshape(n_tail, n_rest // radix, radix), dtype)
-        first = np.flatnonzero(np.diff(heads, prepend=-1))
+        live = np.flatnonzero(np.diff(at))  # the heads with moves
         new = np.zeros_like(table[p])
-        new[heads[first]] = np.bitwise_or.reduceat(reach[tails], first)
+        new[live] = np.bitwise_or.reduceat(reach[tail[at[0] : at[-1]]], at[live] - at[0])
         if not np.array_equal(new, table[p]):
             table[p] = new
             stale.update(q for q in range(count) if p in succ[q])
-    return table.ravel()
+    return table.ravel(), (starts, tail, closes, *payload)
 
 
 class _PassLazy:
@@ -386,6 +440,10 @@ class _PassLazy:
     such a state runs through such states, so they are met at the same
     levels in the same arc order as without the table, and ``from_lazy``
     numbers them as before.
+
+    A frame's ``moves()`` lists its window steps for ``_viable``, which
+    returns them with the table as an index by head; ``_masks`` is the one
+    read of the table, which a test frame may override.
     """
 
     def __init__(self, params: AutomatonParameters, width: int):
@@ -399,15 +457,13 @@ class _PassLazy:
 
     def _masks(self, index: np.ndarray) -> np.ndarray:
         """The viability masks at ``index`` into the table of ``_viable``."""
-        return _viable(type(self), self.params)[index]
+        return _viable(type(self), self.params)[0][index]
 
-    def _successors(self, nxt: np.ndarray, *digits) -> np.ndarray:
-        """The masks of the states (nxt, digits, y) over their last digit y,
-        and 0 where nxt is -1 (whose negative index reads the last phase)."""
-        index = nxt
-        for d in digits:
-            index = index * (self.m + 1) + d
-        return np.where(nxt >= 0, self._masks(index), 0)
+    def _successors(self, nxt: np.ndarray, rest: np.ndarray) -> np.ndarray:
+        """The masks of the states (nxt, rest, y) over their last digit y,
+        ``rest`` the digits before y as one number, one per row of ``nxt``;
+        0 where nxt is -1 (whose negative index reads the last phase)."""
+        return np.where(nxt >= 0, self._masks(nxt * (self.digits // (self.m + 1)) + rest[:, None]), 0)
 
     @staticmethod
     def _expand(masks: np.ndarray, closing: np.ndarray, allowed: np.ndarray):
@@ -443,20 +499,29 @@ class _Pass1Lazy(_PassLazy):
 
     The input is any of 0..m, or with ``bounded`` only what two valid
     digits can sum to: at most twice the cap of the position being read,
-    less one at position 1.  The phase runs three ahead of that position,
-    so its cap is the last quotient of the window.
+    less one at position 1 (``limit``, per phase).  The phase runs three
+    ahead of that position, so its cap is the last quotient of the window.
 
-    Grid per state: input, claimed digit, successor phase.
+    Grid per state: input, claimed digit, successor phase.  The step reads
+    the inputs whose window settles w0 off the move index of ``_viable``,
+    at head (phase, v, w0), which is the key without its last two digits:
+    each move's input digit and pending digits v', in ascending input.  It
+    checks the input limit and, from the last phase, the closing window by
+    lookup in ``closes``, then the successor masks as every pass frame
+    does.
     """
 
     def __init__(self, params: AutomatonParameters, bounded: bool = False):
         super().__init__(params, 4)
-        self.bounded = bounded
+        last = np.arange(self.phases.count) == self.last
+        self.limit = 2 * (self.u[:, 3] - last) if bounded else np.full(len(last), params.m)  # inputs per phase
         self.ub = self.phases.windows(3)[self.done]
         self.fanout = (params.m + 1) ** 2 * 2
 
     def moves(self):
-        """The window steps over every input digit, and the closing check."""
+        """The window steps over every input digit, with that digit, and the
+        closing check: 1 + the digit the closing window of v' settles where
+        it leaves the claims (w1, w2), else 0."""
         r = self.m + 1
         v = _digit_grid(4, self.m)  # v0, v1, v2 and the input digit
         full = rewrite(window_a_delta, self.u.T[..., None], v)
@@ -466,39 +531,30 @@ class _Pass1Lazy(_PassLazy):
         out = rewrite(window_b_delta, self.ub, _digit_grid(3, self.m))
         w1, w2 = _digit_grid(2, self.m)
         closes = (out[0][:, None] == w1) & (out[1][:, None] == w2) & (out[2][:, None] <= self.m)
-        return (phase, head, np.ravel_multi_index(full[1:], (r,) * 3)), closes
+        moves = phase, head, np.ravel_multi_index(full[1:], (r,) * 3), v[3][at]
+        return moves, closes * (out[2][:, None] + 1).astype(np.int8)
 
     def step(self, keys: np.ndarray):
-        m = self.m
-        p, v0, v1, v2, w0, w1, w2 = self.key.unpack(keys)
-        u = self.u[p[:, 0]].T[..., None]
-        last = p == self.last
-        digits = np.arange(m + 1)
-        full = rewrite(window_a_delta, u, (v0, v1, v2, digits))
-        ok = (full[0] == w0) & (full[3] <= m)
-        if self.bounded:
-            ok &= digits <= 2 * (u[3] - last)
-        pos, s = np.nonzero(ok)
-        nv = [np.broadcast_to(a, ok.shape)[pos, s] for a in full[1:]]
+        r = self.m + 1
+        starts, tail, closes, digit = _viable(type(self), self.params)[1]
+        head = keys // r**2  # phase, v and w0: the moves of the key
+        pos, at = _spans(starts, head)
+        s, nv, phase, claim = digit[at], tail[at].astype(np.int64), head[pos] // r**4, keys[pos] % r**2
+        keep = s <= self.limit[phase]
         # the final step: the last three claims must be what the width-3
         # rewrite leaves, and it claims the output digit that rewrite settles
-        closing = last[pos, 0]
-        at = np.flatnonzero(closing)
-        out = rewrite(window_b_delta, self.ub, [a[at] for a in nv])
-        closes = (out[0] == w1[pos[at], 0]) & (out[1] == w2[pos[at], 0]) & (out[2] <= m)
-        settled = out[2][closes]
-        keep = np.ones(len(pos), bool)
-        keep[at[~closes]] = False
-        pos, s, closing = pos[keep], s[keep], closing[keep]
-        nv = [a[keep] for a in nv]
+        closing = phase == self.last
+        settled = closes[nv[closing], claim[closing]] - 1
+        keep[closing] &= settled >= 0
+        settled = settled[keep[closing]]
+        pos, s, nv, phase, claim, closing = (a[keep] for a in (pos, s, nv, phase, claim, closing))
         # each claim the successor's mask admits goes to that successor;
         # the closing step keeps only the settled digit
-        nxt = self.phases.next[p[pos, 0]]
-        masks = self._successors(nxt, *(a[:, None] for a in nv), w1[pos], w2[pos])
-        cell, y, t = self._expand(masks, closing, digits == settled[:, None])
-        pos, s = pos[cell], s[cell]
-        target = self.key.pack(nxt[cell, t], *(a[cell] for a in nv), w1[pos, 0], w2[pos, 0], y)
-        return pos, s * (m + 1) + y, target
+        nxt = self.phases.next[phase]
+        masks = self._successors(nxt, nv * r**2 + claim)
+        cell, y, t = self._expand(masks, closing, np.arange(r) == settled[:, None])
+        target = ((nxt[cell, t] * r**3 + nv[cell]) * r**2 + claim[cell]) * r + y
+        return pos[cell], s[cell].astype(np.int64) * r + y, target
 
 
 class _Width3Lazy(_PassLazy):
@@ -567,7 +623,7 @@ class _Pass2Lazy(_Width3Lazy):
         cells = np.where(last[..., None, None], closes, general[..., None])
         pos, y, k = np.nonzero(cells.any(-1))
         nv = [np.where(last[pos, 0], 0, b[pos, y, k]) for b in before[1:]]
-        masks = self._successors(nxt[pos], *(a[:, None] for a in nv), w1[pos])
+        masks = self._successors(nxt[pos], (nv[0] * (self.m + 1) + nv[1]) * (self.m + 1) + w1[pos, 0])
         closing = last[pos, 0]
         cell, x, t = self._expand(masks, closing, cells[pos[closing], y[closing], k[closing]])
         pos, y = pos[cell], y[cell]
@@ -601,7 +657,7 @@ class _Pass3Lazy(_Width3Lazy):
         ok = (out[0] == w0) & (~last | (out[1] == w1))
         pos, x = np.nonzero(ok)
         nv = [np.where(last, 0, a)[pos, x] for a in out[1:]]
-        masks = self._successors(nxt[pos], *(a[:, None] for a in nv), w1[pos])
+        masks = self._successors(nxt[pos], (nv[0] * (self.m + 1) + nv[1]) * (self.m + 1) + w1[pos, 0])
         closing = last[pos, 0]
         cell, y, t = self._expand(masks, closing, digits == out[2][pos[closing], x[closing], None])
         pos, x = pos[cell], x[cell]

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from ostrowski import automata, words
+from ostrowski import automata, recognizers, words
 from ostrowski.automata import Automaton, convolve
 from ostrowski.bulk import batch_accepts
 from ostrowski.errors import ArityMismatch, AutomatonTooLarge, DigitOutOfRange
@@ -341,6 +341,92 @@ class _Chain:
     def step(self, keys):
         pos, code = np.nonzero(np.repeat(keys[:, None] < 9, 2, axis=1))
         return pos, code, keys[pos] + 1
+
+
+class _Graph:
+    """A lazy frame over an explicit graph: key k steps along ``arcs[k]``,
+    a list of (letter, target), in that order."""
+
+    fanout = 8
+
+    def __init__(self, starts, finals, arcs):
+        self.starts, self.finals, self.arcs = starts, finals, arcs
+
+    def initial_keys(self):
+        return np.array(self.starts, np.int64)
+
+    def final(self, keys):
+        return np.isin(keys, list(self.finals))
+
+    def step(self, keys):
+        arcs = [(i, c, t) for i, k in enumerate(keys.tolist()) for c, t in self.arcs[k]]
+        pos, codes, targets = (np.array(a, np.int64) for a in zip(*arcs)) if arcs else [np.empty(0, np.int64)] * 3
+        return pos, codes, targets
+
+
+def trimmed_by_reach(lazy, digit_bound):
+    """``from_lazy`` on a frame of one track, by a plain breadth-first walk
+    and ``automata._reach`` over the reversed arcs: the states numbered in
+    order of first occurrence, the starts first, then each level's targets
+    in arc order."""
+    ids, arcs = {}, []
+
+    def number(keys):  # the keys met for the first time, numbered in order
+        fresh = [k for k in dict.fromkeys(keys) if k not in ids]
+        ids.update(zip(fresh, itertools.count(len(ids))))
+        return fresh
+
+    level = number(lazy.initial_keys().tolist())
+    n_starts = len(ids)
+    while level:
+        pos, codes, targets = (a.tolist() for a in lazy.step(np.array(level, np.int64)))
+        fresh = number(targets)
+        arcs += [(ids[level[p]], c, ids[t]) for p, c, t in zip(pos, codes, targets)]
+        level = fresh
+    keys = sorted(ids, key=ids.get)
+    back = [[] for _ in keys]
+    for src, _, dst in arcs:
+        back[dst].append(src)
+    finals = np.flatnonzero(lazy.final(np.array(keys, np.int64))).tolist()
+    useful = automata._reach(list(itertools.accumulate(map(len, back), initial=0)),
+                             list(itertools.chain.from_iterable(back)), finals)
+    new = dict(zip((s for s in range(len(keys)) if useful[s]), itertools.count()))
+    transitions = {}
+    for src, code, dst in arcs:
+        if src in new and dst in new:
+            transitions.setdefault(new[src], {}).setdefault((code,), []).append(new[dst])
+    return Automaton(1, digit_bound, len(new), [new[s] for s in range(n_starts) if s in new],
+                     [new[f] for f in finals], transitions)
+
+
+def random_graph(rng):
+    """A graph with dead ends: a start that reaches no final state, states
+    without arcs (a level of one that ends the walk), self-loops, and
+    repeated arcs."""
+    n = rng.randint(2, 40)
+    arcs = [[] for _ in range(n)]
+    for k in range(n):
+        if rng.random() < 0.25:
+            continue  # no arcs
+        for _ in range(rng.randint(1, 4)):
+            arcs[k].append((rng.randint(0, 2), k if rng.random() < 0.2 else rng.randrange(n)))
+    dead = n
+    arcs.append([(0, dead)])  # the dead start loops only on itself
+    starts = rng.sample(range(n), rng.randint(1, min(3, n))) + [dead]
+    rng.shuffle(starts)
+    return _Graph(starts, set(rng.sample(range(n), rng.randint(1, min(4, n)))), arcs)
+
+
+@pytest.mark.parametrize("walk", ["sets", "arrays"])
+def test_from_lazy_keeps_what_reach_keeps(walk, monkeypatch):
+    if walk == "arrays":  # the walk that larger frames take
+        monkeypatch.setattr(recognizers, "_SET_WALK", 0)
+    frames = [_Chain(), _Graph([0, 0], {2}, [[(0, 1), (1, 3)], [(0, 2)], [], [(1, 3)]])]
+    rng = random.Random("trim")
+    frames += [random_graph(rng) for _ in range(200)]
+    for frame in frames:
+        got, want = from_lazy(frame, 1, 2), trimmed_by_reach(frame, 2)
+        assert got.to_text() == want.to_text()
 
 
 def test_explored_arcs_and_states_guarded(monkeypatch):

@@ -70,6 +70,32 @@ def test_automaton_commands_load_what_they_run(argv):
         assert "ostrowski.logic" not in loaded
 
 
+# builds the nine relations of ``ostrowski build`` on one expansion, decides
+# and enumerates in the same process, then reports the loaded modules
+NINE = """
+import json, sys
+import ostrowski
+from ostrowski import recognizers as r
+cf = ostrowski.ContinuedFraction.from_text(sys.argv[1])
+r.build_valid_rep(cf), r.build_digit_sum(cf), r.build_adder(cf)
+r.build_equality(cf), r.build_less_than(cf), r.build_va_graph(cf)
+for k in (1, 2, 3):
+    r.build_pass_automaton(cf, k)
+assert ostrowski.decide(cf, "A x. A y. x + y = y + x")
+assert ostrowski.enumerate_solutions(cf, "V(x) = x", 60)
+print(json.dumps(sorted(sys.modules)))
+"""
+
+
+@pytest.mark.parametrize("text", ["1;(1)", "1;(2)"])
+def test_building_every_relation_loads_no_numpy_ma(text):
+    # a plain np.unique imports numpy.ma, 15 ms of every cold command
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", NINE, text], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "numpy.ma" not in json.loads(proc.stdout)
+
+
 def test_run_loads_no_numpy(tmp_path):
     # reading and running a stored automaton is plain Python
     path = tmp_path / "adder.aut"

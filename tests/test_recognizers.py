@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import math
@@ -26,6 +27,7 @@ from ostrowski import (
     pass1,
     pass2,
     pass3,
+    rules,
     words,
 )
 from ostrowski.contfrac import automaton_parameters
@@ -347,8 +349,17 @@ def test_viability_prune_keeps_every_pass_frame(preperiod, period):
         (_Pass1Lazy, {"bounded": True}, _PhaseSets),
     ]
     for frame, options, wrap in frames:
-        pruned, full = (from_lazy((wrap or (lambda lazy: lazy))(f(params, **options)), 2, params.m)
-                        for f in (frame, unpruned(frame)))
+        stepped = []  # the keys each frame's own step is given
+        automata = []
+        for f in (frame, unpruned(frame)):
+            lazy = f(params, **options)
+            stepped.append(counted(lazy))
+            automata.append(from_lazy((wrap or (lambda lazy: lazy))(lazy), 2, params.m))
+        pruned, full = automata
+        if frame is _Pass1Lazy:
+            # the unpruned frame explores the states the table rules out
+            assert stepped[0][0] < stepped[1][0], f"{options} {wrap}: {stepped[0][0]} keys stepped pruned, " \
+                                                  f"{stepped[1][0]} unpruned"
         if wrap:
             # a phase set of the unpruned frame may also hold phases the
             # table rules out, which tell it from the same set without them:
@@ -358,6 +369,18 @@ def test_viability_prune_keeps_every_pass_frame(preperiod, period):
         # compared as one bool: a diff of the two texts would take minutes
         same = pruned.to_text() == full.to_text()
         assert same, f"{frame.__name__} {options} {wrap}: {pruned.num_states} states pruned, {full.num_states} unpruned"
+
+
+def counted(lazy):
+    """Count the keys given to ``lazy.step`` from now on, in the one-item list returned."""
+    count, step = [0], lazy.step
+
+    def counting(keys):
+        count[0] += len(keys)
+        return step(keys)
+
+    lazy.step = counting
+    return count
 
 
 def test_pass1_explores_only_states_it_keeps(golden, sqrt2):
@@ -373,6 +396,103 @@ def test_pass1_explores_only_states_it_keeps(golden, sqrt2):
         met = set(frame.initial_keys().tolist())
         kept = from_lazy(frame, 2, params.m)
         assert len(met) == kept.num_states == build_pass_automaton(cf, 1).num_states
+
+
+def scalar_pass1_step(frame, masks, keys, bounded):
+    """The arcs of the pass-1 step on ``keys``, from the scalar window rules
+    and the frame's viability ``masks`` (all of them, as a list), in the
+    order of the frame's step: by key, input digit, claimed digit, then
+    successor phase."""
+    m, r = frame.m, frame.m + 1
+    ub = tuple(frame.phases.windows(3)[frame.done].tolist())
+    arcs = []
+    for i, key in enumerate(keys):
+        p, fields = divmod(key, r**6)
+        v0, v1, v2, w0, w1, w2 = (fields // r**k % r for k in range(5, -1, -1))
+        u, last = tuple(frame.u[p].tolist()), p == frame.last
+        for s in range(r):
+            if bounded and s > 2 * (u[3] - last):  # what two valid digits sum to
+                continue
+            _, (settle, *nv) = rules.window_a(u, (v0, v1, v2, s))
+            if settle != w0 or nv[2] > m:
+                continue
+            claims = range(r)
+            if last:
+                _, out = rules.window_b(ub, nv)
+                if (out[0], out[1]) != (w1, w2) or out[2] > m:
+                    continue
+                claims = [out[2]]
+            for y in claims:
+                for t in frame.phases.next[p].tolist():
+                    index = digits_after(r, t, *nv, w1, w2)  # the successor without its last claim
+                    if t >= 0 and masks[index] >> y & 1:
+                        arcs.append((i, s * r + y, index * r + y))
+    return arcs
+
+
+def scalar_phase_set_step(frame, masks, keys, bounded):
+    """The arcs of ``_PhaseSets(frame)`` on ``keys`` from the scalar pass-1
+    step of the member keys: one arc per source, letter and target fields,
+    holding the target phases of every member's arc, in that order."""
+    rest = (frame.m + 1) ** 6
+    arcs = []
+    for i, key in enumerate(keys):
+        mask, fields = divmod(key, rest)
+        members = [p * rest + fields for p in range(frame.phases.count) if mask >> p & 1]
+        joined = {}
+        for _, code, target in scalar_pass1_step(frame, masks, members, bounded):
+            phase, fields_to = divmod(target, rest)
+            joined[code, fields_to] = joined.get((code, fields_to), 0) | 1 << phase
+        arcs += [(i, code, bits * rest + f) for (code, f), bits in sorted(joined.items())]
+    return arcs
+
+
+def pass1_keys(frame, rng, count):
+    """Seeded pass-1 keys: uniform ones, and ones of windows the rules
+    settle as their first claim says, each phase alike, so that last-phase
+    keys the closing window accepts occur too."""
+    m, r = frame.m, frame.m + 1
+    ub = tuple(frame.phases.windows(3)[frame.done].tolist())
+    keys = [rng.randrange(frame.phases.count * r**6) for _ in range(count)]
+    while len(keys) < 2 * count:
+        p = rng.randrange(frame.phases.count)
+        v = [rng.randrange(r) for _ in range(4)]
+        _, full = rules.window_a(tuple(frame.u[p].tolist()), tuple(v))
+        w = [full[0], rng.randrange(r), rng.randrange(r)]
+        if p == frame.last or rng.random() < 0.5:
+            _, out = rules.window_b(ub, full[1:])
+            w[1:] = out[:2]
+        if max(w) <= m:
+            keys.append(digits_after(r, p, *v[:3], *w))
+    return keys
+
+
+def digits_after(radix, first, *digits):
+    """``first`` followed by base-``radix`` digits, most significant first."""
+    return functools.reduce(lambda number, d: number * radix + d, digits, first)
+
+
+def test_pass1_step_matches_the_scalar_rules():
+    rng = random.Random("pass-1 step")
+    for _ in range(5):
+        preperiod = tuple(rng.randint(1, 4) for _ in range(rng.randint(0, 2)))
+        period = tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 3)))
+        cf = ContinuedFraction(rng.randint(0, 3), preperiod, period)
+        for bounded in (False, True):
+            frame = _Pass1Lazy(automaton_parameters(cf), bounded=bounded)
+            masks = frame._masks(np.arange(frame.phases.count * (frame.m + 1) ** 5)).tolist()
+            keys = pass1_keys(frame, rng, 150)
+            assert any(k // (frame.m + 1) ** 6 == frame.last for k in keys)
+            pos, codes, targets = frame.step(np.array(keys, np.int64))
+            got = list(zip(pos.tolist(), codes.tolist(), targets.tolist()))
+            assert got == scalar_pass1_step(frame, masks, keys, bounded), f"{cf} bounded={bounded}"
+            closing = [a for a in got if keys[a[0]] // (frame.m + 1) ** 6 == frame.last]
+            assert closing, f"{cf}: no last-phase key closes"
+            sets = _PhaseSets(frame)
+            set_keys = [rng.randrange(1, 1 << frame.phases.count) * sets.rest + k % sets.rest for k in keys]
+            pos, codes, targets = sets.step(np.array(set_keys, np.int64))
+            got = list(zip(pos.tolist(), codes.tolist(), targets.tolist()))
+            assert got == scalar_phase_set_step(frame, masks, set_keys, bounded), f"{cf} bounded={bounded}, phase sets"
 
 
 def first_stage(cf, phase_sets):
