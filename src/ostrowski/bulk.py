@@ -4,16 +4,25 @@ The three addition passes touch each digit position a constant number of
 times, so a large family of additions vectorizes cleanly: stack the digit
 words of all pairs into an integer matrix (one row per addition, columns
 LSD first) and run each pass as a short loop over positions with numpy
-masks over the rows: the array forms of the window rules in ``rules``,
-added in place.  ``batch_add`` works on one block of rows at a time: it
+over the rows.  ``batch_add`` works on one block of rows at a time: it
 sums the block's inputs into one preallocated scratch buffer, held
 transposed so each position is a contiguous row, runs all three passes
 there, and copies the block's result (and, on request, its stages) into
-preallocated outputs.  A block has at most ``_CELLS`` digit cells, so the
-rows each numpy operation reads and writes stay in cache from the first
-pass to the last.  The window invariants of the scalar passes are
-asserted the same way, as row masks; any violating row aborts the batch
-with ``InternalInvariantError`` naming the row's index in the batch.
+preallocated outputs.  A block has at most ``_CELLS`` digit cells, so
+the rows each numpy operation reads and writes stay in cache from the
+first pass to the last.
+
+A window step of pass 1 takes about twenty numpy calls and one of passes
+2 and 3 about nine, each over every row of the block, so the number of
+calls sets the cost.  A step computes each comparison once, into
+preallocated boolean rows, and applies its rule in place through their
+0/1 views: the in-place array forms of ``rules``, which the pass
+automata share.  The window invariants of the scalar passes are tested
+per term, each with one ``.any()``: pass 1's lemmas at every step, from
+the masks rule A reads, and the output invariants of passes 2 and 3 once
+over the whole block.  Only where a term holds on some row is the exact
+mask built, and the batch aborts with ``InternalInvariantError`` naming
+the first violating rows by their index in the batch.
 
 Digits take the narrowest signed type that every pass digit and every
 term of the rules fits (``_digit_dtype``): int8 for partial quotients up
@@ -40,7 +49,7 @@ from .automata import Automaton, _cells
 from .contfrac import ContinuedFraction
 from .errors import DigitOutOfRange, InternalInvariantError
 from .numeration import _place_values
-from .rules import window_a_delta, window_b_delta, window_c_delta
+from .rules import Scratch, window_a_inplace, window_a_masks, window_b_inplace, window_c_inplace
 
 _CELLS = 1 << 20  # digit cells of one block of batch_add's scratch buffer
 _CANDIDATES_PER_RUN = 1 << 16  # candidate tuples batch_accepts holds at once
@@ -105,22 +114,37 @@ def _check_digits(z: np.ndarray, top: int, lo: int) -> None:
         _raise_rows(((z < 0) | (z > top)).any(axis=1), lo, f"input digit outside 0..{top}", DigitOutOfRange)
 
 
-def _pass1_t(aks, z: np.ndarray, check: bool, lo: int) -> None:
+def _pass1_t(aks, z: np.ndarray, check: bool, lo: int, s: Scratch) -> None:
     """In-place first pass on a transposed (width, rows) digit block."""
-    for k in range(z.shape[0], 3, -1):
-        a_k, a_k1, a_k2 = aks[k - 1], aks[k - 2], aks[k - 3]
-        w1, w2, w3, w4 = z[k - 1], z[k - 2], z[k - 3], z[k - 4]
-        if check:
-            _assert_window_lemmas(k, a_k, a_k1, a_k2, w1, w2, w3, lo)
-        _add(z, (k - 1, k - 2, k - 3, k - 4), window_a_delta((a_k, a_k1, a_k2), (w1, w2, w3, w4)))
+    z = list(z)
+    for k in range(len(z), 3, -1):
+        u, v = (aks[k - 1], aks[k - 2], aks[k - 3]), (z[k - 1], z[k - 2], z[k - 3], z[k - 4])
+        masks = window_a_masks(u, v, s)
+        if check and _lemma_may_fail(u, v, masks, s.flags[4:]):
+            _assert_window_lemmas(k, *u, *v[:3], lo)
+        window_a_inplace(u, v, s, masks)
+    u, v = (aks[2], aks[1], aks[0]), (z[2], z[1], z[0])
     if check:
-        _assert_window_lemmas(3, aks[2], aks[1], aks[0], z[2], z[1], z[0], lo)
-    _add(z, (2, 1, 0), window_b_delta((aks[2], aks[1], aks[0]), (z[2], z[1], z[0])))
+        _assert_window_lemmas(3, *u, *v, lo)
+    window_b_inplace(u, v, s)
 
 
-def _add(arr: np.ndarray, rows, delta) -> None:
-    for row, d in zip(rows, delta):
-        arr[row] += d
+def _lemma_may_fail(u, v, masks, spare) -> bool:
+    """Whether a window lemma of pass 1 may fail on some row, one lemma at a
+    time from the masks of rule A: a digit of 2a + 1 followed by a nonzero
+    one is in ``over``, which ``window_a_masks`` leaves None on digit sums;
+    the other lemmas are tested exactly, in the two ``spare`` rows, which
+    rule A writes only after."""
+    nz, up, low, over = masks
+    if over is not None:
+        return True
+    capped_twice, beyond = spare
+    np.equal(v[1], 2 * u[1], out=capped_twice)
+    capped_twice &= np.greater(v[2], u[2], out=beyond)
+    if capped_twice.any():  # 2a followed by more than the next cap
+        return True
+    # above the cap, or capped with a nonzero tail, after a digit >= its cap
+    return np.greater(up, low, out=beyond).any()
 
 
 def _assert_window_lemmas(k, a_k, a_k1, a_k2, w1, w2, w3, lo) -> None:
@@ -133,33 +157,42 @@ def _assert_window_lemmas(k, a_k, a_k1, a_k2, w1, w2, w3, lo) -> None:
     _raise_rows(bad, lo, f"pass 1 window invariant violated at step {k}")
 
 
-def _pass2_t(aks, w: np.ndarray, check: bool, lo: int) -> None:
-    length = w.shape[0] - 1
-    for k in range(3, length + 2):
-        _apply_c_t(w, k, aks[k - 1], aks[k - 2])
+def _pass2_t(aks, w: np.ndarray, check: bool, lo: int, s: Scratch, grids) -> None:
+    rows = list(w)
+    for k in range(3, len(rows) + 1):
+        window_c_inplace((aks[k - 1], aks[k - 2]), (rows[k - 1], rows[k - 2], rows[k - 3]), s)
     if check:
-        for k in range(4, length + 2):
-            bad = (
-                (w[k - 1] == aks[k - 1])
-                & (w[k - 2] < aks[k - 2])
-                & (w[k - 3] == aks[k - 3])
-                & (w[k - 4] > 0)
-            )
-            _raise_rows(bad, lo, f"pass 2 output shows the forbidden capped pattern at position {k}")
+        # (a_k, < a_{k-1}, a_{k-2}, > 0) at positions k .. k - 3, rows k - 1 .. k - 4
+        capped, bad = (g[: len(w)] for g in grids)
+        caps = np.array(aks[: len(w)], w.dtype)[:, None]
+        np.equal(w, caps, out=capped)
+        np.less(w, caps, out=bad)
+        bad = bad[2:-1]
+        bad &= capped[3:]
+        bad &= capped[1:-2]
+        np.logical_and(bad, w[:-3], out=bad)  # digits are never negative
+        _raise_first(bad, 4, lo, "pass 2 output shows the forbidden capped pattern at position {}")
 
 
-def _pass3_t(aks, v: np.ndarray, check: bool, lo: int) -> None:
-    length = v.shape[0] - 1
-    for k in range(length + 1, 2, -1):
-        _apply_c_t(v, k, aks[k - 1], aks[k - 2])
+def _pass3_t(aks, v: np.ndarray, check: bool, lo: int, s: Scratch, grids) -> None:
+    rows = list(v)
+    for k in range(len(rows), 2, -1):
+        window_c_inplace((aks[k - 1], aks[k - 2]), (rows[k - 1], rows[k - 2], rows[k - 3]), s)
     if check:
-        for k in range(2, length + 2):
-            bad = (v[k - 1] == aks[k - 1]) & (v[k - 2] > 0)
-            _raise_rows(bad, lo, f"pass 3 output has capped digit at position {k} followed by nonzero")
+        # a_k at position k followed by a nonzero digit: rows k - 1 and k - 2
+        capped = grids[0][: len(v)]
+        np.equal(v, np.array(aks[: len(v)], v.dtype)[:, None], out=capped)
+        bad = np.logical_and(capped[1:], v[:-1], out=capped[1:])  # digits are never negative
+        _raise_first(bad, 2, lo, "pass 3 output has capped digit at position {} followed by nonzero")
 
 
-def _apply_c_t(arr: np.ndarray, k: int, a_k: int, a_k1: int) -> None:
-    _add(arr, (k - 1, k - 2, k - 3), window_c_delta((a_k, a_k1), (arr[k - 1], arr[k - 2], arr[k - 3])))
+def _raise_first(bad: np.ndarray, first: int, lo: int, message: str) -> None:
+    """Abort the batch if a row of a block starting at batch row ``lo`` is
+    bad at some position, naming the lowest, where row i of ``bad`` is the
+    position first + i."""
+    if bad.any():
+        i = int(np.flatnonzero(bad.any(axis=1))[0])
+        _raise_rows(bad[i], lo, message.format(first + i))
 
 
 def batch_add(
@@ -180,8 +213,8 @@ def batch_add(
     not of an integer type.  Both hold whatever ``check`` is; ``check``
     turns on the window invariants of the passes.
     """
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch {x.shape} vs {y.shape}")
+    if x.ndim != 2 or x.shape != y.shape:
+        raise ValueError(f"digit matrices must be 2-D of one shape, not {x.shape} and {y.shape}")
     for z in (x, y):
         if z.dtype.kind not in "iu":
             raise DigitOutOfRange(f"digit matrix of type {z.dtype}, not of integers")
@@ -189,34 +222,40 @@ def batch_add(
     width = max(given + 1, 4)
     aks = cf.quotients(width + 2)
     dtype, top = _digit_dtype(aks), 2 * max(aks)
-    block = max(1, _CELLS // (width + 2))
-    buf = np.empty((width + 2, min(block, count)), dtype)
+    block = max(1, min(_CELLS // (width + 2), count))
+    buf, grids = np.empty((width + 2, block), dtype), np.empty((2, width + 2, block), bool)
+    rules = Scratch((block,), dtype)
     widths = (width, width, width + 1, width + 2) if return_stages else (width + 2,)
     outs = [np.empty((count, n), dtype) for n in widths]
     for lo in range(0, count, block):
         hi = min(lo + block, count)
-        b, result = buf[:, : hi - lo], outs[-1][lo:hi]
+        n = hi - lo
+        b, g = buf[:, :n], grids[:, :, :n]
+        if n < block:  # the last block
+            rules = Scratch((n,), dtype)
         _check_digits(x[lo:hi], top, lo)
         _check_digits(y[lo:hi], top, lo)
-        np.add(x[lo:hi], y[lo:hi], out=result[:, :given], dtype=dtype)
-        b[:given] = result[:, :given].T
+        np.add(x[lo:hi].T, y[lo:hi].T, out=b[:given], dtype=dtype)
         b[given:] = 0
         if return_stages:
             outs[0][lo:hi] = b[:width].T
-        _pass1_t(aks, b[:width], check, lo)
+        _pass1_t(aks, b[:width], check, lo, rules)
         if return_stages:
             outs[1][lo:hi] = b[:width].T
-        _pass2_t(aks, b[: width + 1], check, lo)
+        _pass2_t(aks, b[: width + 1], check, lo, rules, g)
         if return_stages:
             outs[2][lo:hi] = b[: width + 1].T
-        _pass3_t(aks, b, check, lo)
-        result[...] = b.T
+        _pass3_t(aks, b, check, lo, rules, g)
+        outs[-1][lo:hi] = b.T
     return tuple(outs) if return_stages else outs[0]
 
 
 def batch_decode(cf: ContinuedFraction, digits: np.ndarray) -> np.ndarray:
     """Exact value of each row: int64 when no row can pass 2**63 - 1, else
-    an object array of Python integers."""
+    an object array of Python integers.  A row of no digits is 0, the
+    value of the empty word."""
+    if digits.shape[1] == 0:
+        return np.zeros(len(digits), np.int64)
     qs = cf.convergent_denominators(digits.shape[1] - 1)
     # from min and max, as np.abs of the type's minimum wraps; at least 1 for the place values
     top = max(-int(digits.min(initial=0)), int(digits.max(initial=0)), 1)

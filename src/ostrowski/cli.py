@@ -288,6 +288,15 @@ def cmd_selftest(args) -> int:
             if not pa.accepts(convolve([s, z3], m)):
                 ok = False
         suite("first-pass automaton on digit sums", ok)
+        from .bulk import batch_add, encode_table
+
+        table = encode_table(cf, limit)
+        pairs = [(rng.randrange(limit + 1), rng.randrange(limit + 1)) for _ in range(500)]
+        sums = batch_add(cf, table[[a for a, _ in pairs]], table[[b for _, b in pairs]]).tolist()
+        suite("addition in bulk", all(
+            row[: len(want)] == list(want) and not any(row[len(want):])
+            for row, want in zip(sums, (add(cf, a, b).digits for a, b in pairs))
+        ))
         suite("decision procedure", decide(cf, "A x. A y. x + y = y + x"))
     return 0 if not failures else 1
 

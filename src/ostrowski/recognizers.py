@@ -76,7 +76,7 @@ import numpy as np
 from .automata import _MAX_CELLS, Automaton, _cells, _reach
 from .contfrac import AutomatonParameters, ContinuedFraction, automaton_parameters
 from .errors import AutomatonTooLarge, NotQuadratic
-from .rules import c_preimages_array, rewrite, window_a_delta, window_b_delta, window_c_delta
+from .rules import c_preimages_array, rewrite, window_a_inplace, window_b_inplace, window_c_inplace
 
 
 # -- lazy construction ----------------------------------------------------------
@@ -176,7 +176,8 @@ def from_lazy(lazy, arity: int, digit_bound: int) -> Automaton:
     then each level's targets in arc order: so over ascending letters the
     ids come out as a state-by-state exploration would assign them.  The
     arcs and states explored stay within the toolkit's ``_MAX_CELLS``, and
-    the sort key ``code * states + target`` of every arc within int64.
+    the sort key ``(source * letters + code) * states + target`` of every
+    arc within int64.
     The result is flagged deterministic when it keeps one initial state
     and no two arcs of a state share a letter, so that determinization
     passes it by.
@@ -205,7 +206,8 @@ def from_lazy(lazy, arity: int, digit_bound: int) -> Automaton:
     n = len(keys)
     srcs = np.repeat(np.arange(n, dtype=np.int32), np.concatenate(degrees + none))
     codes, dsts = np.concatenate(codes + none), np.concatenate(dsts + none)
-    if max(n, 1) * (digit_bound + 1) ** arity > 1 << 63:  # the sort keys of the arcs below pass int64
+    letters = (digit_bound + 1) ** arity
+    if max(n, 1) ** 2 * letters >= 1 << 63:  # the sort keys of the arcs below pass int64
         raise AutomatonTooLarge(f"{n} states times {digit_bound + 1}**{arity} letters do not fit 64-bit arc keys")
     finals = np.flatnonzero(lazy.final(keys))
     kept = _coreachable(n, srcs, dsts, finals)
@@ -213,8 +215,11 @@ def from_lazy(lazy, arity: int, digit_bound: int) -> Automaton:
     if not kept.all():
         keep = kept[srcs] & kept[dsts]
         srcs, codes, dsts = renumber[srcs[keep]], codes[keep], renumber[dsts[keep]]
-    order = np.argsort(codes.astype(np.int64) * max(n, 1) + dsts, kind="stable")
-    order = order[np.argsort(srcs[order], kind="stable")]  # by (src, code, dst)
+    # by (src, code, dst): the arcs come out by source and nearly sorted by
+    # code within it, so one stable sort of the composite key runs near
+    # linear (on the 25,398 arcs of pass 1 of 1;(2): 0.02 ms, against
+    # 1.5 ms for a sort by (code, dst) and then by src)
+    order = np.argsort((srcs.astype(np.int64) * letters + codes) * max(n, 1) + dsts, kind="stable")
     srcs, codes, dsts = srcs[order], codes[order], dsts[order]
     fresh = np.ones(len(order), bool)  # the first of each run of equal arcs
     fresh[1:] = (srcs[1:] != srcs[:-1]) | (codes[1:] != codes[:-1]) | (dsts[1:] != dsts[:-1])
@@ -524,11 +529,11 @@ class _Pass1Lazy(_PassLazy):
         it leaves the claims (w1, w2), else 0."""
         r = self.m + 1
         v = _digit_grid(4, self.m)  # v0, v1, v2 and the input digit
-        full = rewrite(window_a_delta, self.u.T[..., None], v)
+        full = rewrite(window_a_inplace, self.u.T[..., None], v)
         phase, at = np.nonzero(full[3] <= self.m)
         full = [a[phase, at] for a in full]
         head = np.ravel_multi_index((v[0][at], v[1][at], v[2][at], full[0]), (r,) * 4)
-        out = rewrite(window_b_delta, self.ub, _digit_grid(3, self.m))
+        out = rewrite(window_b_inplace, self.ub, _digit_grid(3, self.m))
         w1, w2 = _digit_grid(2, self.m)
         closes = (out[0][:, None] == w1) & (out[1][:, None] == w2) & (out[2][:, None] <= self.m)
         moves = phase, head, np.ravel_multi_index(full[1:], (r,) * 3), v[3][at]
@@ -604,7 +609,7 @@ class _Pass2Lazy(_Width3Lazy):
         head = np.ravel_multi_index((v0[phase, at], v1[phase, at], before[0][phase, at, k]), (r,) * 3)
         tail = np.ravel_multi_index((before[1][phase, at, k], before[2][phase, at, k]), (r,) * 2)
         w0, w1, x = _digit_grid(3, self.m)
-        out = rewrite(window_c_delta, self.u[self.last], (w0, w1, x))
+        out = rewrite(window_c_inplace, self.u[self.last], (w0, w1, x))
         last = np.full(len(w0), self.last)
         moves = (phase, last), (head, np.ravel_multi_index((out[0], out[1], w0), (r,) * 3)), (tail, w1 * r)
         return tuple(np.concatenate(a) for a in moves), self._closes()
@@ -617,7 +622,7 @@ class _Pass2Lazy(_Width3Lazy):
         # The final step reads (x, out2) for each x.  Since out2 never
         # decreases as x grows, its arcs sit in the cells y = out2 of the
         # first preimage in the order of x.
-        out = rewrite(window_c_delta, u, (w0, w1, digits))
+        out = rewrite(window_c_inplace, u, (w0, w1, digits))
         closes = ((out[0] == v0) & (out[1] == v1))[:, None, :] & (digits[:, None] == out[2][:, None, :])
         closes = closes[:, :, None, :] & (np.arange(2) == 0)[:, None]
         cells = np.where(last[..., None, None], closes, general[..., None])
@@ -644,7 +649,7 @@ class _Pass3Lazy(_Width3Lazy):
         """The window steps over every input digit, and the closing check."""
         r = self.m + 1
         v0, v1, x = _digit_grid(3, self.m)
-        out = rewrite(window_c_delta, self.u.T[..., None], (v0, v1, x))
+        out = rewrite(window_c_inplace, self.u.T[..., None], (v0, v1, x))
         phase, at = np.indices(out[0].shape).reshape(2, -1)
         out = [a.ravel() for a in out]
         head = np.ravel_multi_index((v0[at], v1[at], out[0]), (r,) * 3)
@@ -653,7 +658,7 @@ class _Pass3Lazy(_Width3Lazy):
     def step(self, keys: np.ndarray):
         last, (v0, v1), (w0, w1), u, nxt = self._fields(keys)
         digits = np.arange(self.m + 1)
-        out = rewrite(window_c_delta, u, (v0, v1, digits))
+        out = rewrite(window_c_inplace, u, (v0, v1, digits))
         ok = (out[0] == w0) & (~last | (out[1] == w1))
         pos, x = np.nonzero(ok)
         nv = [np.where(last, 0, a)[pos, x] for a in out[1:]]

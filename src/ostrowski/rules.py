@@ -17,13 +17,17 @@ needs ``v[1] == u[1]``.  Pass 1's closing width-3 window is never idle:
 B4 fires below the cap.
 
 Each rule has two forms.  The scalar form serves the scalar passes in
-``addition``.  The array form (``*_delta``) takes the window as a tuple
-of digit arrays and the caps as numbers or arrays that broadcast with
-them, computes every rule as a numpy mask, and returns what the rewrite
-adds to each digit (zero where no rule applies).  ``bulk`` adds it in
-place to whole batches of additions; the pass automata in
-``recognizers`` rewrite whole frontiers of states with ``rewrite``.  The
-tests check the two forms against each other on every small window.
+``addition``.  The array form (``*_inplace``) takes the window as a tuple
+of digit arrays of one shape, never negative, and the caps as numbers or
+arrays that broadcast with them, and rewrites the arrays in place:
+each comparison is computed once into the boolean rows of a ``Scratch``,
+and each rule adds its masks, as 0/1 digits, to the digits it changes
+(times the cap, unless the cap is the number 1).  ``bulk`` applies it to
+the rows of a block of additions, and its pass-1 lemma tests read the
+masks rule A computes (``window_a_masks``); the pass automata in
+``recognizers`` apply it through ``rewrite``, to copies of their digit
+grids.  The tests check the two forms against each other on every small
+window.
 
 Only the array forms need numpy, and they import it when called, so the
 scalar passes (and a command that only adds) never load it.
@@ -63,59 +67,139 @@ def window_c(u: Window, v: Window) -> tuple[str, Window]:
     return "skip", v
 
 
-def _flags(dtype, *masks):
-    return tuple(mask.astype(dtype) for mask in masks)
+class Scratch:
+    """Working rows of the in-place array forms: six boolean rows and one
+    row of digits, each of the shape of a window's digits."""
+
+    def __init__(self, shape, dtype):
+        import numpy as np
+
+        self.flags = tuple(np.empty((6, *shape), bool))
+        self.digits = np.empty(shape, dtype)
+        self._byte = self.digits.dtype.itemsize == 1
+
+    def flag(self, mask):
+        """``mask`` as a 0/1 operand of the digits: its view as digits when
+        they are bytes, else the mask itself."""
+        return mask.view(self.digits.dtype) if self._byte else mask
 
 
-def window_a_delta(u, v):
-    """Array form of ``window_a``: what A1 or A2 adds to each digit."""
+def _times(flag, cap, s: Scratch):
+    """``flag`` times ``cap`` as digits: the flag itself for a cap of 1."""
     import numpy as np
 
-    v0, v1, v2, _ = v
-    low = v0 < u[0]
-    a1, a2 = _flags(
-        np.result_type(*v),
-        low & (v1 > u[1]) & (v2 == 0),
-        low & (v1 >= u[1]) & (v1 <= 2 * u[1]) & (v2 > 0),
-    )
-    return a1 + a2, -(u[1] + 1) * a1 - u[1] * a2, (u[2] - 1 - v2) * a1 - a2, a1
+    if isinstance(cap, int) and cap == 1:
+        return flag
+    return np.multiply(flag, cap, out=s.digits, dtype=s.digits.dtype)
 
 
-def window_b_delta(u, v):
-    """Array form of ``window_b``: what B1 to B4 add to each digit."""
+def _carry_masks(u, v, s: Scratch):
+    """The comparisons rules A and B share, written into the rows of ``s``:
+    (nz, up, low) = (v2 > 0, v1 + nz > u1, v0 < u0), with v1 + nz left in
+    ``s.digits``.  Digits are never negative, so up is v1 > u1 or
+    (v1 == u1 and v2 > 0)."""
+    import numpy as np
+
+    nz, up, low = s.flags[:3]
+    np.greater(v[2], 0, out=nz)
+    np.add(v[1], s.flag(nz), out=s.digits)
+    np.greater(s.digits, u[1], out=up)
+    np.less(v[0], u[0], out=low)
+    return nz, up, low
+
+
+def window_a_masks(u, v, s: Scratch):
+    """The comparisons rules A1 and A2 read, written into the rows of ``s``:
+    (nz, up, low, over), the masks of ``_carry_masks`` and nz and v1 > 2 u1.
+    A1 or A2 fires exactly where low and up hold and over does not.  over is
+    None where no window has v1 + nz > 2 u1 + 1, which it implies: no digit
+    of a pass over a digit sum passes 2a + 1, nor does one of 2a + 1 precede
+    a nonzero digit, so over is None on every sum."""
+    import numpy as np
+
+    nz, up, low = _carry_masks(u, v, s)
+    over = s.flags[3]
+    if not np.greater(s.digits, 2 * u[1] + 1, out=over).any():
+        return nz, up, low, None
+    np.greater(v[1], 2 * u[1], out=over)
+    over &= nz
+    return nz, up, low, over
+
+
+def window_a_inplace(u, v, s: Scratch, masks=None) -> None:
+    """Array form of ``window_a``, in place: A1 or A2 on every window of the
+    digit arrays ``v``, from the ``masks`` of ``window_a_masks`` (its own
+    when not given)."""
+    import numpy as np
+
+    nz, up, low, over = window_a_masks(u, v, s) if masks is None else masks
+    fire, first = s.flags[4:]
+    np.logical_and(low, up, out=fire)
+    if over is not None:
+        np.greater(fire, over, out=fire)  # A1 or A2
+    np.greater(fire, nz, out=first)  # A1, where v2 == 0 becomes u2 - 1
+    fire, first = s.flag(fire), s.flag(first)
+    v0, v1, v2, v3 = v
+    v0 += fire
+    v1 -= _times(fire, u[1], s)
+    v1 -= first
+    v2 += _times(first, u[2], s)
+    v2 -= fire
+    v3 += first
+
+
+def window_b_inplace(u, v, s: Scratch) -> None:
+    """Array form of ``window_b``, in place: B1 to B4 on every window."""
     import numpy as np
 
     v0, v1, v2 = v
-    low, high = v0 < u[0], v1 >= u[1]
-    b1, b2, b3, b4 = _flags(
-        np.result_type(*v),
-        low & (v1 > u[1]) & (v2 == 0),
-        low & high & (v2 > 0) & (v2 <= u[2]),
-        low & high & (v2 > u[2]),
-        ~high & (v2 >= u[2]),
-    )
-    return (
-        b1 + b2 + b3,
-        -b1 * (u[1] + 1) - (b2 + b3) * u[1] + b3 + b4,
-        b1 * (u[2] - 1 - v2) - b2 - b3 * (u[2] + 1) - b4 * u[2],
-    )
+    nz, up, low = _carry_masks(u, v, s)
+    late, fire, first = s.flags[3:]
+    np.logical_and(low, up, out=fire)  # B1, B2 or B3
+    np.greater(fire, nz, out=first)  # B1
+    np.greater(v2, u[2], out=late)
+    late &= fire  # B3
+    fourth = np.less(v1, u[1], out=up)
+    fourth &= np.greater_equal(v2, u[2], out=low)
+    late |= fourth  # B3 or B4: one more in v1, u2 less in v2
+    fire, first, late = s.flag(fire), s.flag(first), s.flag(late)
+    v0 += fire
+    v1 -= _times(fire, u[1], s)
+    v1 -= first
+    v1 += late
+    v2 += _times(first, u[2], s)
+    v2 -= fire
+    v2 -= _times(late, u[2], s)
 
 
-def _c_fires(u, v):
-    return (v[0] < u[0]) & (v[1] == u[1]) & (v[2] > 0)
-
-
-def window_c_delta(u, v):
-    """Array form of ``window_c``: what C adds to each digit."""
+def _c_fires(u, v, out=None, spare=None):
     import numpy as np
 
-    (fire,) = _flags(np.result_type(*v), _c_fires(u, v))
-    return fire, -u[1] * fire, -fire
+    out = np.less(v[0], u[0], out=out)
+    out &= np.equal(v[1], u[1], out=spare)
+    out &= np.greater(v[2], 0, out=spare)
+    return out
 
 
-def rewrite(delta, u, v):
-    """The window ``v`` after the rule whose array form is ``delta``."""
-    return tuple(d + c for d, c in zip(v, delta(u, v)))
+def window_c_inplace(u, v, s: Scratch) -> None:
+    """Array form of ``window_c``, in place: C on every window."""
+    fire = s.flag(_c_fires(u, v, *s.flags[:2]))
+    v0, v1, v2 = v
+    v0 += fire
+    v1 -= _times(fire, u[1], s)
+    v2 -= fire
+
+
+def rewrite(rule, u, v):
+    """The windows ``v`` after the array form ``rule``, applied to copies of
+    them broadcast against the caps ``u``."""
+    import numpy as np
+
+    shape = np.broadcast_shapes(*(np.shape(a) for a in (*u, *v)))
+    dtype = np.result_type(*v)
+    v = tuple(np.array(np.broadcast_to(a, shape), dtype) for a in v)
+    rule(u, v, Scratch(shape, dtype))
+    return v
 
 
 def c_preimages_array(u, after, bound: int):
@@ -127,7 +211,7 @@ def c_preimages_array(u, after, bound: int):
 
     a0, a1, a2 = np.broadcast_arrays(*after)
     exists = np.stack(
-        [~_c_fires(u, after), (a1 == 0) & (0 < a0) & (a0 <= u[0]) & (a2 < bound)], axis=-1
+        [~_c_fires(u, (a0, a1, a2)), (a1 == 0) & (0 < a0) & (a0 <= u[0]) & (a2 < bound)], axis=-1
     )
     moved = (a0 - 1, np.broadcast_to(u[1], a1.shape), a2 + 1)
     return exists, tuple(np.stack([a, b], axis=-1) for a, b in zip((a0, a1, a2), moved))

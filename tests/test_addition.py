@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from unittest import mock
 
 import numpy as np
@@ -34,11 +35,11 @@ from ostrowski.rules import (
     c_preimages_array,
     rewrite,
     window_a,
-    window_a_delta,
+    window_a_inplace,
     window_b,
-    window_b_delta,
+    window_b_inplace,
     window_c,
-    window_c_delta,
+    window_c_inplace,
 )
 
 
@@ -322,6 +323,11 @@ def test_bulk_decode_and_valid(any_cf):
         assert not is_valid(any_cf, row)
         assert not bulk.batch_is_valid(any_cf, np.array([row], dtype=np.int16)).any()
     assert bulk.batch_is_valid(any_cf, np.zeros((2, 0), dtype=np.int16)).all()
+    # rho(0) is the empty word: rows of no digits decode to 0
+    empty = bulk.encode_table(any_cf, 0)
+    assert empty.shape == (1, 0)
+    assert list(bulk.batch_decode(any_cf, empty)) == [0]
+    assert list(bulk.batch_decode(any_cf, np.zeros((3, 0), dtype=np.int16))) == [0, 0, 0]
 
 
 @pytest.mark.parametrize("dtype", [np.int8, np.int16])
@@ -403,11 +409,132 @@ def test_bulk_rejects_input_digits_out_of_range(golden):
             for check in (True, False):
                 with pytest.raises(DigitOutOfRange, match=r"rows \[4\]"):
                     bulk.batch_add(golden, *args, check=check)
+    # a negative digit is refused also where its unsigned reading is within
+    # the caps: -100 reads as 156 on int8 and -30000 as 35536 on int16
+    for text, digits in (("1;(100)", (-100, -128)), ("1;(20000)", (-30000,))):
+        cf = ContinuedFraction.from_text(text)
+        for digit in digits:
+            x = np.zeros((6, 3), np.int8 if digit >= -128 else np.int16)
+            x[4, 1] = digit
+            for check in (True, False):
+                with pytest.raises(DigitOutOfRange, match=r"rows \[4\]"):
+                    bulk.batch_add(cf, x, np.zeros_like(x), check=check)
     # a digit of 2 * mu passes the input check; the pass invariants judge it
     x = np.full((1, 3), 2, np.int8)
     bulk.batch_add(golden, x, x, check=False)
     with pytest.raises(InternalInvariantError):
         bulk.batch_add(golden, x, x)
+
+
+def test_bulk_refuses_digit_matrices_that_are_not_2d(golden):
+    flat, cube, good = np.zeros(3, np.int8), np.zeros((1, 2, 3), np.int8), np.zeros((2, 3), np.int8)
+    for x, y in ((flat, flat), (cube, cube), (good, flat), (flat, good), (good, np.zeros((2, 4), np.int8))):
+        for check in (True, False):
+            with pytest.raises(ValueError, match=re.escape(f"2-D of one shape, not {x.shape} and {y.shape}")):
+                bulk.batch_add(golden, x, y, check=check)
+
+
+FIXTURES = ("1;(1)", "1;(2)", "0;1,(1,2)", "1;(3,1,2)")
+FIXTURES_AND_WIDE = FIXTURES + ("1;(31)",)  # 1;(31) adds on int16
+
+
+# rows (LSD first) that pass pass 1 and then show pass 2's forbidden pattern,
+# and that pass pass 2 but leave pass 3 with a capped digit before a nonzero one
+LATE_FAILURES = {
+    "0;1,(1,2)": ((0, 0, 0, 3, 0, 2), (0, 0, 0, 2, 0, 4)),
+    "1;(3,1,2)": ((0, 3, 0, 5, 0, 5), (0, 0, 0, 4, 0, 6)),
+}
+
+
+def random_non_sums(cf, rng, count):
+    """Digit matrices of 1-6 rows and 1-9 columns, digits in 0..2mu at one of
+    four densities: uniform, or in every fourth at, next to or twice the
+    position's cap."""
+    for trial in range(count):
+        rows, given = int(rng.integers(1, 7)), int(rng.integers(1, 10))
+        aks = cf.quotients(max(given + 1, 4) + 2)
+        if trial % 4 == 3:
+            caps = np.array(aks[:given])
+            near = np.stack([0 * caps, caps - 1, caps, caps + 1, 2 * caps, 2 * caps + 1])
+            digits = np.minimum(near[rng.integers(0, 6, (rows, given)), np.arange(given)], 2 * max(aks))
+        else:
+            digits = rng.integers(0, 2 * max(aks) + 1, (rows, given))
+        dense = (0.1, 0.3, 0.7, 0.9)[trial % 4]
+        yield np.where(rng.random((rows, given)) < dense, digits, 0).astype(np.int16)
+
+
+def first_report(bad_at, pick):
+    """Where the batch reports the per-row failures ``bad_at`` (a step or
+    position per row, None where the row passes), ``pick`` of them, and
+    the first five rows failing there; None when no row fails."""
+    at = pick((k for k in bad_at if k is not None), default=None)
+    return (None, []) if at is None else (at, [r for r, k in enumerate(bad_at) if k == at][:5])
+
+
+def capped_pattern_at(aks, w):
+    """The lowest position k at which pass 2's output ``w`` shows
+    (a_k, < a_{k-1}, a_{k-2}, > 0), else None."""
+    return next((k for k in range(4, len(w) + 1) if w[k - 1] == aks[k - 1] and w[k - 2] < aks[k - 2]
+                 and w[k - 3] == aks[k - 3] and w[k - 4] > 0), None)
+
+
+def capped_then_nonzero_at(aks, v):
+    """The lowest position k at which pass 3's output ``v`` has a capped
+    digit followed by a nonzero digit, else None."""
+    return next((k for k in range(2, len(v) + 1) if v[k - 1] == aks[k - 1] and v[k - 2] > 0), None)
+
+
+def pass1_fails_at(cf, s):
+    """The step at which the checked scalar pass 1 raises on ``s``, else None."""
+    try:
+        pass1(cf, s)
+    except InternalInvariantError as error:
+        return int(re.match(r"step (\d+):", str(error)).group(1))
+    return None
+
+
+@pytest.mark.parametrize("text", FIXTURES_AND_WIDE)
+def test_batch_kernel_on_non_sums_matches_the_scalar_passes(text):
+    # digit matrices that are no digit sums, y = 0: with check=False every
+    # stage is the scalar pass with check=False, row by row; with
+    # check=True the batch reports what the scalar checks find: pass 1 at
+    # its largest failing step (the first the pass meets), else pass 2,
+    # then pass 3, at the lowest failing output position, naming the first
+    # rows that fail there
+    cf = ContinuedFraction.from_text(text)
+    late = LATE_FAILURES.get(text, ())
+    crafted = [np.array(late[k:], np.int16) for k in range(len(late))]  # fails pass 2, then pass 3 alone
+    seen = set()
+    for x in itertools.chain(crafted, random_non_sums(cf, np.random.default_rng(29), 120)):
+        y = np.zeros_like(x)
+        width = max(x.shape[1] + 1, 4)
+        aks = cf.quotients(width + 2)
+        stages = [a.tolist() for a in bulk.batch_add(cf, x, y, check=False, return_stages=True)]
+        for r, row in enumerate(x.tolist()):
+            s = tuple(row) + (0,) * (width - len(row))
+            z3 = pass1(cf, s, check=False)
+            w = pass2(cf, z3, check=False)
+            assert [tuple(a[r]) for a in stages] == [s, z3, w, pass3(cf, w, check=False)], (text, row)
+        reports = (
+            ("pass 1 window invariant violated at step {}", max,
+             [pass1_fails_at(cf, tuple(s)) for s in stages[0]]),
+            ("pass 2 output shows the forbidden capped pattern at position {}", min,
+             [capped_pattern_at(aks, w) for w in stages[2]]),
+            ("pass 3 output has capped digit at position {} followed by nonzero", min,
+             [capped_then_nonzero_at(aks, v) for v in stages[3]]),
+        )
+        for message, pick, bad_at in reports:
+            at, rows = first_report(bad_at, pick)
+            if at is not None:
+                seen.add(message[:6])
+                with pytest.raises(InternalInvariantError) as error:
+                    bulk.batch_add(cf, x, y)
+                assert str(error.value) == f"{message.format(at)}, rows {np.array(rows)}"
+                break
+        else:
+            seen.add("passes")
+            assert bulk.batch_add(cf, x, y).tolist() == stages[3]
+    assert seen >= {"pass 1", "passes"} | ({"pass 2", "pass 3"} if late else set()), seen
 
 
 def test_bulk_rejects_non_integer_digits(golden):
@@ -420,7 +547,6 @@ def test_bulk_rejects_non_integer_digits(golden):
                     bulk.batch_add(golden, *args, check=check)
 
 
-FIXTURES = ("1;(1)", "1;(2)", "0;1,(1,2)", "1;(3,1,2)")
 small_expansions = st.builds(
     ContinuedFraction,
     st.just(1),
@@ -473,11 +599,11 @@ def test_batch_add_matches_scalar_add(cf, pairs, pad, block_rows):
 @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int64])
 def test_array_rules_match_scalar(dtype):
     # every window over digits 0..6 under every cap triple in 1..3
-    for width, scalar, delta in ((4, window_a, window_a_delta), (3, window_b, window_b_delta),
-                                 (3, window_c, window_c_delta)):
+    for width, scalar, inplace in ((4, window_a, window_a_inplace), (3, window_b, window_b_inplace),
+                                   (3, window_c, window_c_inplace)):
         windows = np.array(list(itertools.product(range(7), repeat=width)), dtype).T
         for u in itertools.product(range(1, 4), repeat=3):
-            got = np.stack(rewrite(delta, u, tuple(windows)))
+            got = np.stack(rewrite(inplace, u, tuple(windows)))
             want = np.array([scalar(u, tuple(map(int, v)))[1] for v in windows.T]).T
             assert got.dtype == dtype and np.array_equal(got, want), (scalar.__name__, u)
 

@@ -325,6 +325,7 @@ def test_selftest(capsys):
     code, out, _ = run(capsys, "selftest", "--cf", "1;(1)", "--max", "60")
     assert code == 0
     assert all(line.startswith("ok ") for line in out.strip().splitlines())
+    assert "ok addition in bulk" in out.splitlines()
 
 
 def test_enumerate_refuses_bad_bounds(capsys):
